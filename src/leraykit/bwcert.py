@@ -25,6 +25,14 @@ certificates for complete monotonicity: finite-difference sign tests up to
 fourth order plus a kernel-sign scan.  These verdicts are explicitly
 evidence, not proof; the exact-arithmetic burden lives in
 :mod:`leraykit.emcert`.
+
+The two F_q routes are the certified polygamma value and the Laplace
+integral, taken by double-precision QUADPACK (scipy's ``quad``) on [0, T]
+with a breakpoint at t = 1 and an explicit bound on the tail beyond T.
+The integrand is written so that no exponential in it grows.  QUADPACK's
+error estimate must stay below tol, or ToleranceUnreachable is raised;
+the routes must then agree within 10*tol + tail + radius, or
+CrossCheckFailure is raised.
 """
 
 from __future__ import annotations
@@ -35,9 +43,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
+from scipy.integrate import quad
 
 from .certificates import Certificate
-from .errors import CrossCheckFailure, DomainError
+from .errors import CrossCheckFailure, DomainError, ToleranceUnreachable
 from .specialfn import DEFAULT_TOL, BoundedFloat, theta
 
 __all__ = [
@@ -143,10 +152,16 @@ def m_kernel(t, q):
     if t < _SERIES_CUTOFF:
         return g0(t) - g1(t) * q + g2(t) * q * q
     e = _exp(t)
+    a, b, c = _regrouped_coeffs(t, q)
+    return (a * e + b) * e + c
+
+
+def _regrouped_coeffs(t, q):
+    """Coefficients (a, b, c) of M(t, q) = a e^(2t) + b e^t + c."""
     a = (1 - q) * (t * (1 - q) - 2)
     b = (t + 2) + 2 * q * (t - 2) - 2 * q * q * t
     c = q * q * t + 2 * q
-    return (a * e + b) * e + c
+    return a, b, c
 
 
 def _d0(t):
@@ -226,8 +241,17 @@ def one_minus_s1(t) -> float:
 # ----------------------------------------------------------------------
 # F_q through two routes
 # ----------------------------------------------------------------------
-def _integrand(t: mpf, q: mpf, x: mpf) -> mpf:
-    return m_kernel(t, q) / (mpmath.exp(t) - 1) ** 3 * mpmath.exp(-x * t)
+def _integrand(t: float, q: float, x: float) -> float:
+    """M(t, q) / (e^t - 1)^3 * e^(-x t) in doubles, free of overflow.
+
+    For t >= 2 the regrouped kernel is divided through by e^(3t), so every
+    exponential that appears decays.
+    """
+    if t < _SERIES_CUTOFF:
+        return m_kernel(t, q) / math.expm1(t) ** 3 * math.exp(-x * t)
+    a, b, c = _regrouped_coeffs(t, q)
+    emt = math.exp(-t)
+    return (a + (b + c * emt) * emt) / (-math.expm1(-t)) ** 3 * math.exp(-(1 + x) * t)
 
 
 def _tail_cutoff(x: float, q: float, target: float) -> Tuple[float, float]:
@@ -248,6 +272,26 @@ def _tail_cutoff(x: float, q: float, target: float) -> Tuple[float, float]:
         T *= 1.5
 
 
+def _laplace_route(x: float, q: float, tol: float) -> Tuple[float, float]:
+    """(integral of the Laplace integrand over [0, T], bound on the rest).
+
+    QUADPACK in double precision with a breakpoint at t = 1.  Any failure
+    QUADPACK reports, or an error estimate above tol, raises
+    ToleranceUnreachable rather than passing a value it cannot vouch for.
+    """
+    T, tail = _tail_cutoff(x, q, tol)
+    value, error, _, *failure = quad(
+        _integrand, 0.0, T, args=(float(q), float(x)), points=[1.0],
+        epsabs=tol / 10, epsrel=0, limit=200, full_output=1,
+    )
+    if failure or error > tol:
+        reason = " ".join(failure[0].split()) if failure else f"error estimate {error:.3e}"
+        raise ToleranceUnreachable(
+            f"f_q({x}, {q}) quadrature cannot reach tol={tol}: {reason}"
+        )
+    return value, tail
+
+
 def f_q(
     x: float,
     q: float,
@@ -256,19 +300,18 @@ def f_q(
 ) -> BoundedFloat:
     """F_q(x) = theta(x+q, q) - x - 2q + 1/2, with certified radius.
 
-    Computed from the polygamma route; when cross_check is set, the
-    Laplace-integral route (adaptive quadrature on [0, T] plus an explicit
-    exponential tail bound) must agree within 10*tol.
+    Computed from the polygamma route.  When cross_check is set, the
+    Laplace-integral route (double-precision QUADPACK on [0, T] plus an
+    explicit exponential tail bound) must agree within
+    10*tol + tail + radius, else CrossCheckFailure.  The quadrature cannot
+    resolve much below 1e-13, so a tol under about that raises
+    ToleranceUnreachable instead.
     """
     if not x > 0:
         raise DomainError("f_q requires x > 0")
     out = theta(x + q, q, tol=tol) - x - 2 * q + Fraction(1, 2)
     if cross_check:
-        T, tail = _tail_cutoff(x, q, tol)
-        xm, qm = mpf(x), mpf(q)
-        # the cross-check only needs ~10*tol agreement; 80 bits suffice
-        with mpmath.workprec(80):
-            quad_val = mpmath.quad(lambda t: _integrand(t, qm, xm), [0, 1, T])
+        quad_val, tail = _laplace_route(x, q, tol)
         disagreement = abs(out.value - quad_val)
         if disagreement > 10 * tol + tail + out.error_radius:
             raise CrossCheckFailure(

@@ -245,7 +245,14 @@ def _cmd_symbol(ns: argparse.Namespace) -> int:
 def _cmd_norm(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
     measure = _measure_from_args(ns)
-    result = leray_norm(ns.gamma, measure, tol=cfg.tolerance, k_cap=max(cfg.k_max, 200))
+    k_cap = max(cfg.k_max, 200)
+    result = leray_norm(ns.gamma, measure, tol=cfg.tolerance, k_cap=k_cap)
+    if result.stabilized is False:
+        # stderr only: the report stays byte-identical
+        sys.stderr.write(
+            f"warning: sup-search did not stabilize: k_scanned = {result.k_scanned} "
+            f"reached the mode cap k <= {k_cap}\n"
+        )
     rows = [[
         ns.gamma,
         result.d,

@@ -22,6 +22,7 @@ with the radii separating the values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -57,7 +58,14 @@ __all__ = [
 ]
 
 
+def _require_finite(name: str, value: float) -> None:
+    # inf and nan would otherwise reach Fraction() or overflow in log-Gamma
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite (got {value})")
+
+
 def _require_gamma(gamma: float) -> None:
+    _require_finite("gamma", gamma)
     if not gamma > 1:
         raise DomainError(f"gamma must exceed 1 (got {gamma})")
 
@@ -87,6 +95,7 @@ class SymbolQuery:
 
     def __post_init__(self) -> None:
         _require_gamma(self.gamma)
+        _require_finite("d", self.d)
         if self.k < 0:
             raise DomainError("mode index k must be non-negative")
 
@@ -117,6 +126,8 @@ class MeasureTag:
             raise DomainError(f"unknown measure kind {self.kind!r}")
         if self.kind == "generic" and self.d is None:
             raise DomainError("generic measure requires an explicit exponent d")
+        if self.d is not None:
+            _require_finite("d", self.d)
 
     @classmethod
     def generic(cls, d: float) -> "MeasureTag":
@@ -175,6 +186,7 @@ class HolderReparam:
     @classmethod
     def from_exponent(cls, gamma: float, d: float) -> "HolderReparam":
         _require_gamma(gamma)
+        _require_finite("d", d)
         if gamma == 2:
             raise DegenerateGamma("gamma = 2: every a yields d = 1")
         return cls((d - 1) / (gamma - 2))
@@ -237,6 +249,7 @@ def holder_partner(gamma: float, d: float) -> Tuple[float, float]:
     no unique partner exists there.
     """
     _require_gamma(gamma)
+    _require_finite("d", d)
     if gamma == 2:
         raise DegenerateGamma("gamma = 2: partner exponent is not unique")
     gs = holder_conjugate(gamma)
@@ -283,6 +296,7 @@ def monotonicity_scan(gamma: float, d: float, k_max: int, tol: float = DEFAULT_T
     Raises InconclusiveComparison when adjacent radii overlap (lower tol).
     """
     _require_gamma(gamma)
+    _require_finite("d", d)
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     if not _in_interval_exact(d, gamma, 0):
@@ -413,6 +427,7 @@ def leray_norm(
     else:
         d = float(measure)
         kind = "generic"
+    _require_finite("d", d)
     if not _in_interval_exact(d, gamma, 0):
         lo, hi = boundedness_interval(gamma, 0)
         raise UnboundedMode(

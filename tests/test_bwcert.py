@@ -1,9 +1,12 @@
 """Kernel quadratic, F_q routes, and complete-monotonicity evidence."""
 
 import math
+import warnings
 
+import mpmath
 import pytest
 
+from leraykit import bwcert
 from leraykit.bwcert import (
     S2_SMALL_T_LIMIT,
     cm_numeric_certificate,
@@ -20,7 +23,7 @@ from leraykit.bwcert import (
     one_minus_s1,
     quadratic_roots,
 )
-from leraykit.errors import DomainError
+from leraykit.errors import CrossCheckFailure, DomainError, ToleranceUnreachable
 
 T_GRID = [10 ** (-4 + 5.7 * i / 39) for i in range(40)]  # log grid 1e-4 .. 50
 
@@ -127,6 +130,55 @@ def test_f_q_integrand_negative_somewhere_at_two_thirds():
 def test_f_q_domain():
     with pytest.raises(DomainError):
         f_q(0.0, 0.5)
+
+
+SUITE_Q = (-2.0, 0.0, 1.0, 3.0, 2.0 / 3.0)
+SUITE_X = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+def _f_q_oracle(x, q):
+    """(x+q)^2 psi'(x+1) - x - 2q + 1/2 at 400 bits, independent of the
+    package's polygamma."""
+    with mpmath.workprec(400):
+        xm, qm = mpmath.mpf(x), mpmath.mpf(q)
+        return (xm + qm) ** 2 * mpmath.polygamma(1, xm + 1) - xm - 2 * qm + mpmath.mpf(1) / 2
+
+
+def test_laplace_route_matches_high_precision_oracle():
+    tol = 1e-12
+    for q in SUITE_Q:
+        for x in SUITE_X:
+            value, tail = bwcert._laplace_route(x, q, tol)
+            assert tail < tol
+            assert abs(value - _f_q_oracle(x, q)) < tol, (x, q)
+
+
+def test_cross_check_catches_a_shifted_polygamma_route(monkeypatch):
+    tol = 1e-12
+    f_q(0.5, 0.0, tol=tol)  # the unshifted routes agree
+    original = bwcert.theta
+    monkeypatch.setattr(
+        bwcert, "theta", lambda r, q, tol=tol: original(r, q, tol=tol) + 100 * tol
+    )
+    with pytest.raises(CrossCheckFailure):
+        f_q(0.5, 0.0, tol=tol)
+
+
+def test_cross_check_below_quadrature_resolution_is_unreachable():
+    # the polygamma route alone reaches tol=1e-14; QUADPACK cannot
+    f_q(0.5, -2.0, tol=1e-14, cross_check=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceUnreachable):
+            f_q(0.5, -2.0, tol=1e-14)
+
+
+def test_integrand_finite_up_to_t_700():
+    ts = [10 ** (-12 + 14.845 * i / 199) for i in range(200)] + [1.0, 2.0, 699.9, 700.0]
+    for q in SUITE_Q:
+        for x in SUITE_X:
+            for t in ts:
+                assert math.isfinite(bwcert._integrand(t, q, x)), (t, q, x)
 
 
 def test_phi_below_one_on_supported_q_grid():

@@ -84,6 +84,51 @@ def test_norm_pairing_value(capsys):
     assert value == pytest.approx(1.06066017177982, abs=1e-10)
 
 
+@pytest.mark.parametrize("command", ["symbol", "norm", "scan"])
+@pytest.mark.parametrize(
+    "exponents, name",
+    [
+        (("--gamma=inf", "--d=1"), "gamma"),
+        (("--gamma=nan", "--d=1"), "gamma"),
+        (("--gamma=3", "--d=inf"), "d"),
+        (("--gamma=3", "--d=-inf"), "d"),
+        (("--gamma=3", "--d=nan"), "d"),
+    ],
+)
+def test_non_finite_exponents_exit_2(capsys, command, exponents, name):
+    tail = {"symbol": ("--k", "0..3"), "norm": (), "scan": ("--k-max", "10")}[command]
+    code, out, err = run_cli(capsys, command, *exponents, *tail)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be finite")
+    assert "Traceback" not in err
+
+
+def test_non_finite_exponent_no_traceback_in_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "leraykit.cli", "norm", "--gamma=inf", "--d=1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "must be finite" in proc.stderr
+
+
+def test_norm_warns_when_sup_search_does_not_stabilize(capsys):
+    code, out, err = run_cli(capsys, "norm", "--gamma", "1.0001", "--d", "0.5")
+    assert code == 0
+    assert "stabilized = false" in out and "k_scanned = 201" in out
+    assert "warning" not in out
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "k_scanned = 201" in lines[0] and "k <= 200" in lines[0]
+
+    # a closed-form norm has nothing to stabilize and stays silent
+    code, _, err = run_cli(capsys, "norm", "--gamma", "3", "--measure", "pairing")
+    assert code == 0 and err == ""
+
+
 def test_scan_output(capsys):
     code, out, _ = run_cli(capsys, "scan", "--gamma", "5", "--d", "4", "--k-max", "50")
     assert code == 0

@@ -258,3 +258,19 @@ def test_holder_reparam():
     assert not wide.all_modes_finite(5.0)
     with pytest.raises(DegenerateGamma):
         HolderReparam.from_exponent(2.0, 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_exponents_rejected(bad):
+    calls = [
+        lambda: SymbolQuery(bad, 1.0, 0),
+        lambda: SymbolQuery(3.0, bad, 0),
+        lambda: MeasureTag.generic(bad),
+        lambda: leray_norm(3.0, bad),
+        lambda: monotonicity_scan(3.0, bad, 5),
+        lambda: holder_partner(3.0, bad),
+        lambda: hf_limit(bad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be finite"):
+            call()
