@@ -26,14 +26,10 @@ from .errors import (
     ZeroPolynomial,
 )
 from .exactpoly import (
-    BigRational,
     BivariatePolynomial,
     RationalFunction,
     RationalPolynomial,
     descartes_sign_changes,
-    poly_arith,
-    poly_derivative,
-    poly_eval,
     sign_pattern,
 )
 from .specialfn import (
@@ -97,13 +93,9 @@ __all__ = [
     "CertificateFailure",
     "TailUnbounded",
     "InconclusiveComparison",
-    "BigRational",
     "RationalPolynomial",
     "BivariatePolynomial",
     "RationalFunction",
-    "poly_arith",
-    "poly_derivative",
-    "poly_eval",
     "descartes_sign_changes",
     "sign_pattern",
     "DEFAULT_TOL",

@@ -29,6 +29,8 @@ evidence, not proof; the exact-arithmetic burden lives in
 The two F_q routes are the certified polygamma value and the Laplace
 integral, taken by double-precision QUADPACK (scipy's ``quad``) on [0, T]
 with a breakpoint at t = 1 and an explicit bound on the tail beyond T.
+scipy is imported on the first such call (:mod:`leraykit._quadrature`),
+not when this module loads.
 The integrand is written so that no exponential in it grows.  QUADPACK's
 error estimate must stay below tol, or ToleranceUnreachable is raised;
 the routes must then agree within 10*tol + tail + radius, or
@@ -43,8 +45,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
-from scipy.integrate import quad
 
+from ._quadrature import quad
 from .certificates import Certificate
 from .errors import CrossCheckFailure, DomainError, ToleranceUnreachable
 from .specialfn import DEFAULT_TOL, BoundedFloat, theta

@@ -26,6 +26,10 @@ exact rational arithmetic and emits certificates:
   U, V, the degree-22 cleared polynomial P(r), its fourteen derivatives,
   and the exact endpoint evaluations.
 
+The numeric spot checks beside them (em_first_order and the quadrature
+oracle of the tail integral) use scipy's ``quad`` through
+:mod:`leraykit._quadrature`, which imports scipy on the first call.
+
 Bracket coefficient note: the 1/r term of m(r) and M(r) is 3/25.  The
 bracket evaluation identities pin this down exactly (they fail for the
 2/25 variant, which is recorded as a refuting witness in the bracket
@@ -42,9 +46,9 @@ from typing import Callable, List, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
-from scipy.integrate import quad
 
 from . import tables
+from ._quadrature import quad
 from .certificates import Certificate
 from .errors import DomainError, TailUnbounded
 from .exactpoly import (

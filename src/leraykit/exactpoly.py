@@ -25,9 +25,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ZeroPolynomial
 
-# Exact rational scalar used throughout the package.
-BigRational = Fraction
-
 RationalLike = Union[int, str, Fraction]
 
 
@@ -254,27 +251,8 @@ def _coerce(x: "RationalPolynomial | RationalLike") -> RationalPolynomial:
 
 
 # ----------------------------------------------------------------------
-# module-level operation surface
+# gcd and sign analysis
 # ----------------------------------------------------------------------
-def poly_arith(p: RationalPolynomial, q: RationalPolynomial, op: str) -> RationalPolynomial:
-    """Exact polynomial arithmetic; op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_derivative(p: RationalPolynomial, order: int = 1) -> RationalPolynomial:
-    return p.derivative(order)
-
-
-def poly_eval(p: RationalPolynomial, x: RationalLike) -> Fraction:
-    return p(as_rational(x))
-
-
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
     """Monic gcd over the rationals (Euclidean algorithm)."""
     while not b.is_zero():

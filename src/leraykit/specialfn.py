@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 from typing import Tuple, Union
 
 import mpmath
@@ -84,6 +84,15 @@ def _to_mpf(x: Scalar) -> mpf:
     if isinstance(x, Fraction):
         return mpf(x.numerator) / mpf(x.denominator)
     return mpf(x)
+
+
+def _require_finite(name: str, value: Scalar) -> None:
+    # inf and nan would otherwise reach int(), Fraction() or overflow in
+    # log-Gamma.  Only floats take math.isfinite: on an int or mpf beyond
+    # double range it raises or reads inf although the value is finite.
+    finite = isfinite(value) if isinstance(value, float) else mpmath.isfinite(value)
+    if not finite:
+        raise DomainError(f"{name} must be finite (got {value})")
 
 
 # ----------------------------------------------------------------------
@@ -370,6 +379,8 @@ _NEAR_THRESHOLD = 1e-6  # comparisons with 1 are open-interval claims in r > q
 
 def theta(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
     """theta(r, q) = r^2 psi'(r + 1 - q); its r-derivative is phi(r, q)."""
+    _require_finite("r", r)
+    _require_finite("q", q)
     rv, qv = _to_mpf(r), _to_mpf(q)
     x = rv + 1 - qv
     if not x > 0:
@@ -390,6 +401,8 @@ def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL, cross_check: bool = True
     are rejected: every comparison against 1 downstream is an open-interval
     claim on r > q, and no behavior is specified at the endpoint.
     """
+    _require_finite("r", r)
+    _require_finite("q", q)
     rv, qv = _to_mpf(r), _to_mpf(q)
     x = rv + 1 - qv
     if not x > 0:

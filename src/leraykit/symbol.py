@@ -22,7 +22,6 @@ with the radii separating the values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .errors import (
     ToleranceUnreachable,
     UnboundedMode,
 )
-from .specialfn import DEFAULT_TOL, BoundedFloat, _slack, _to_mpf, log_gamma
+from .specialfn import DEFAULT_TOL, BoundedFloat, _require_finite, _slack, _to_mpf, log_gamma
 
 __all__ = [
     "SymbolQuery",
@@ -56,12 +55,6 @@ __all__ = [
     "monotonicity_scan",
     "sup_search",
 ]
-
-
-def _require_finite(name: str, value: float) -> None:
-    # inf and nan would otherwise reach Fraction() or overflow in log-Gamma
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite (got {value})")
 
 
 def _require_gamma(gamma: float) -> None:

@@ -115,6 +115,36 @@ def test_non_finite_exponent_no_traceback_in_subprocess():
     assert "Traceback" not in proc.stderr and "must be finite" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (("--r=inf", "--q=0"), "r"),
+        (("--r=-inf", "--q=0"), "r"),
+        (("--r=nan", "--q=0"), "r"),
+        (("--r=1", "--q=inf"), "q"),
+        (("--r=1", "--q=-inf"), "q"),
+        (("--r=1", "--q=nan"), "q"),
+    ],
+)
+def test_phi_non_finite_arguments_exit_2(capsys, args, name):
+    code, out, err = run_cli(capsys, "phi", *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be finite (got ")
+    assert "Traceback" not in err
+
+
+def test_phi_non_finite_argument_no_traceback_in_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "leraykit.cli", "phi", "--r=inf", "--q=0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: r must be finite (got inf)\n"
+
+
 def test_norm_warns_when_sup_search_does_not_stabilize(capsys):
     code, out, err = run_cli(capsys, "norm", "--gamma", "1.0001", "--d", "0.5")
     assert code == 0
@@ -257,6 +287,46 @@ def test_console_script_installed():
         [sys.executable, "-m", "leraykit.cli", "version"], capture_output=True, text=True
     )
     assert proc.returncode == 0 and "leraykit" in proc.stdout
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+loaded = {}
+import leraykit.cli as cli
+loaded["import"] = "scipy" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded[" ".join(argv)] = [code, "scipy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["certify", "--suite", "em"])
+loaded["certify"] = [code, "scipy.integrate" in sys.modules]
+from leraykit import bwcert, emcert
+loaded["shared_quad"] = bwcert.quad is emcert.quad
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_is_imported_only_by_certify_quadratures(tmp_path):
+    commands = [
+        ["version"],
+        ["phi", "--r", "1", "--q", "0"],
+        ["symbol", "--gamma", "3", "--d", "1", "--k", "0..3"],
+        ["norm", "--gamma", "5", "--d", "4"],
+        ["scan", "--gamma", "3", "--d", "2", "--k-max", "10"],
+        ["figures", "--id", "j-sweep", "--out", str(tmp_path), "--k-max", "5"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop("import") is False
+    assert loaded.pop("certify") == [0, True]
+    assert loaded.pop("shared_quad") is True
+    assert loaded == {" ".join(argv): [0, False] for argv in commands}
 
 
 def test_precision_env_override():

@@ -11,9 +11,6 @@ from leraykit.exactpoly import (
     RationalFunction,
     RationalPolynomial,
     descartes_sign_changes,
-    poly_arith,
-    poly_derivative,
-    poly_eval,
     poly_gcd,
     sign_pattern,
 )
@@ -23,32 +20,32 @@ X = RationalPolynomial.variable()
 
 
 def test_difference_of_squares():
-    p = poly_arith(X + 1, X - 1, "mul")
+    p = (X + 1) * (X - 1)
     assert p == RationalPolynomial([-1, 0, 1])
 
 
 def test_additive_identity():
     p = RationalPolynomial([3, 0, Fraction(1, 2)])
-    assert poly_arith(p, RationalPolynomial.zero(), "add") == p
+    assert p + RationalPolynomial.zero() == p
 
 
 def test_degree_contracts():
     p = RationalPolynomial([1, 2, 3])
     q = RationalPolynomial([-1, -2, -3])
-    assert poly_arith(p, q, "add").is_zero()
-    assert poly_arith(p, q, "mul").degree == 4
+    assert (p + q).is_zero()
+    assert (p * q).degree == 4
 
 
 def test_derivative_examples():
-    assert poly_derivative(X * X) == 2 * X
+    assert (X * X).derivative() == 2 * X
     p = RationalPolynomial([5, -1, 7])
-    assert poly_derivative(p, 0) == p
-    assert poly_derivative(p, 3).is_zero()
+    assert p.derivative(0) == p
+    assert p.derivative(3).is_zero()
 
 
 def test_eval_examples():
-    assert poly_eval(RationalPolynomial([-1, 0, 1]), 1) == 0
-    assert poly_eval(RationalPolynomial([Fraction(1, 3), 2]), Fraction(1, 2)) == Fraction(4, 3)
+    assert RationalPolynomial([-1, 0, 1])(1) == 0
+    assert RationalPolynomial([Fraction(1, 3), 2])(Fraction(1, 2)) == Fraction(4, 3)
 
 
 def test_descartes_examples():

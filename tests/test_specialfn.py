@@ -141,6 +141,23 @@ def test_phi_domain_errors():
         phi(0.5, 0.5 + 1e-9)  # within the rejected neighborhood of r = q
 
 
+@pytest.mark.parametrize("fn", [phi, theta])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, mpmath.inf, mpmath.nan])
+def test_non_finite_arguments_rejected(fn, bad):
+    with pytest.raises(DomainError, match=r"^r must be finite \(got "):
+        fn(bad, 0.0)
+    with pytest.raises(DomainError, match=r"^q must be finite \(got "):
+        fn(1.0, bad)
+
+
+def test_finite_check_accepts_values_beyond_double_range():
+    # an mpf or int past float range is finite; only the domain check may reject it
+    with pytest.raises(DomainError, match=r"r \+ 1 - q > 0"):
+        phi(1.0, mpmath.mpf("1e400"))
+    with pytest.raises(DomainError, match=r"r \+ 1 - q > 0"):
+        theta(1, 10 ** 400)
+
+
 def test_phi_series_bracket_contains_value():
     for r, q in ((0.8, 2.0 / 3.0), (3.0, 0.0), (50.0, 1.0), (-1.5, -2.0)):
         v = phi(r, q)
