@@ -35,7 +35,6 @@ from .exactpoly import (
 from .specialfn import (
     DEFAULT_TOL,
     BoundedFloat,
-    PolygammaQuery,
     log_gamma,
     phi,
     phi_sandwich,
@@ -100,7 +99,6 @@ __all__ = [
     "sign_pattern",
     "DEFAULT_TOL",
     "BoundedFloat",
-    "PolygammaQuery",
     "polygamma",
     "log_gamma",
     "theta",

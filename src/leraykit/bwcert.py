@@ -49,7 +49,7 @@ from mpmath import mpf
 from ._quadrature import quad
 from .certificates import Certificate
 from .errors import CrossCheckFailure, DomainError, ToleranceUnreachable
-from .specialfn import DEFAULT_TOL, BoundedFloat, theta
+from .specialfn import DEFAULT_TOL, BoundedFloat, _require_finite, theta
 
 __all__ = [
     "g0",
@@ -309,6 +309,8 @@ def f_q(
     resolve much below 1e-13, so a tol under about that raises
     ToleranceUnreachable instead.
     """
+    _require_finite("x", x)
+    _require_finite("q", q)
     if not x > 0:
         raise DomainError("f_q requires x > 0")
     out = theta(x + q, q, tol=tol) - x - 2 * q + Fraction(1, 2)

@@ -1,14 +1,20 @@
 """High-precision special functions with guaranteed absolute error bounds.
 
-Everything here returns a :class:`BoundedFloat`: an mpmath value at the
-working precision together with an error radius that provably encloses the
-represented real number.  The radii combine
+Everything here returns a :class:`BoundedFloat`: a closed interval of
+mpmath's interval context ``mpmath.iv`` that provably encloses the
+represented real number.  Its width has two sources:
 
-* analytic truncation remainders (bounded by the first omitted term of the
-  relevant asymptotic series, valid on the positive axis because each
-  summand function is completely monotone there), and
-* a conservative rounding allowance proportional to the number of floating
-  operations performed.
+* analytic truncation remainders, which are the package's own: each
+  asymptotic series is cut after a fixed number of Bernoulli terms and
+  widened by the first omitted term, which bounds the remainder on the
+  positive axis because each summand function is completely monotone
+  there; and
+* rounding, which ``mpmath.iv`` bounds by rounding every operation
+  outward (directed rounding), so no operation count is kept anywhere.
+
+One working precision, set by LERAYKIT_PRECISION_BITS or
+:func:`set_precision_bits`, drives both ``mpmath.mp`` and ``mpmath.iv``.
+Every ``tol`` argument is an absolute bound on the returned error radius.
 
 The polygamma functions psi^(m) for m >= 1 are evaluated from their series
 
@@ -25,20 +31,21 @@ Composite functions:
     phi(r, q)   = 2r psi'(r+1-q) + r^2 psi''(r+1-q)
                 = sum_{j>=1} 2r (j-q) / (r+j-q)^3
 
-phi is additionally cross-checked on every call against a direct partial
-sum of its series with a two-sided integral bracket on the discarded tail.
+phi is additionally cross-checked on every call against a double-precision
+partial sum of its series with a two-sided integral bracket on the
+discarded tail.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite
+from functools import lru_cache
+from math import factorial, fsum, isfinite, perm
 from typing import Tuple, Union
 
 import mpmath
-from mpmath import mpf
+from mpmath import iv, mpf
 
 from .errors import CrossCheckFailure, DomainError, ToleranceUnreachable
 
@@ -51,7 +58,7 @@ DEFAULT_TOL = 1e-12
 
 _env = os.environ.get("LERAYKIT_PRECISION_BITS")
 _PREC = max(_MIN_PREC, int(_env)) if _env else DEFAULT_PRECISION_BITS
-mpmath.mp.prec = _PREC
+mpmath.mp.prec = iv.prec = _PREC
 
 
 def precision_bits() -> int:
@@ -59,37 +66,36 @@ def precision_bits() -> int:
 
 
 def set_precision_bits(bits: int) -> None:
-    """Set the global working precision (significand bits, >= 80)."""
+    """Set the global working precision (significand bits, >= 80) of the
+    point and the interval arithmetic alike."""
     global _PREC
     if bits < _MIN_PREC:
         raise ValueError(f"precision must be at least {_MIN_PREC} bits")
     _PREC = int(bits)
-    mpmath.mp.prec = _PREC
+    mpmath.mp.prec = iv.prec = _PREC
 
 
-def _slack(value: mpf, ops: int = 1) -> mpf:
-    """Rounding allowance for `ops` operations ending in `value`.
+Scalar = Union[int, float, Fraction, mpf, "BoundedFloat"]
 
-    Nearest rounding at p bits has relative error 2^-p per operation; we
-    inflate by a factor 4 and add an absolute epsilon to stay conservative
-    near zero.
-    """
-    return abs(value) * ops * mpf(2) ** (2 - _PREC) + mpf(2) ** (-_PREC - 60)
+_ONE = iv.mpf(1)
+_HALF = iv.mpf(0.5)
 
 
-Scalar = Union[int, float, Fraction, mpf]
-
-
-def _to_mpf(x: Scalar) -> mpf:
+def _to_iv(x: Scalar):
+    """The narrowest ``iv`` interval enclosing x at the working precision."""
+    if isinstance(x, BoundedFloat):
+        return x.interval
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    return mpf(x)
+        return iv.mpf(x.numerator) / x.denominator
+    return iv.mpf(x)
 
 
 def _require_finite(name: str, value: Scalar) -> None:
     # inf and nan would otherwise reach int(), Fraction() or overflow in
     # log-Gamma.  Only floats take math.isfinite: on an int or mpf beyond
     # double range it raises or reads inf although the value is finite.
+    if isinstance(value, BoundedFloat):
+        value = value.value
     finite = isfinite(value) if isinstance(value, float) else mpmath.isfinite(value)
     if not finite:
         raise DomainError(f"{name} must be finite (got {value})")
@@ -98,113 +104,119 @@ def _require_finite(name: str, value: Scalar) -> None:
 # ----------------------------------------------------------------------
 # BoundedFloat
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
 class BoundedFloat:
-    """A value together with a guaranteed absolute error radius.
+    """A real number enclosed by a closed ``mpmath.iv`` interval.
 
-    The represented real lies in [value - error_radius, value + error_radius].
-    All arithmetic widens radii outward (never optimistically).
+    The represented real lies in [lower, upper].  ``value`` is the
+    interval's midpoint and ``error_radius`` its half-width rounded up, so
+    the real also lies in [value - error_radius, value + error_radius];
+    both are rounded at the working precision in force when read.
+    Arithmetic is mpmath.iv's outward-rounded interval arithmetic.
     """
 
-    value: mpf
-    error_radius: mpf
+    __slots__ = ("interval",)
 
-    def __post_init__(self) -> None:
-        if self.error_radius < 0:
+    def __init__(self, value: Scalar, error_radius: Scalar) -> None:
+        if error_radius < 0:
             raise ValueError("error radius must be non-negative")
+        radius = _to_iv(error_radius).b
+        self.interval = _to_iv(value) + iv.mpf([-radius, radius])
 
     # -- constructors ---------------------------------------------------
     @classmethod
+    def _of(cls, interval) -> "BoundedFloat":
+        out = object.__new__(cls)
+        out.interval = interval
+        return out
+
+    @classmethod
     def exact(cls, x: Scalar) -> "BoundedFloat":
-        v = _to_mpf(x)
-        # conversion of a non-dyadic Fraction rounds once
-        rad = _slack(v) if isinstance(x, Fraction) and (x.denominator & (x.denominator - 1)) else mpf(0)
-        return cls(v, rad)
+        """x itself, widened only when the working precision cannot hold it
+        (a non-dyadic Fraction, say)."""
+        return cls._of(_to_iv(x))
 
     # -- interval accessors ---------------------------------------------
     @property
+    def value(self) -> mpf:
+        return mpf(self.interval.mid)
+
+    @property
+    def error_radius(self) -> mpf:
+        return mpf(abs(self.interval - self.interval.mid).b, rounding="c")
+
+    @property
     def lower(self) -> mpf:
-        return self.value - self.error_radius
+        return mpf(self.interval.a, rounding="f")
 
     @property
     def upper(self) -> mpf:
-        return self.value + self.error_radius
+        return mpf(self.interval.b, rounding="c")
 
     def contains(self, x: Scalar) -> bool:
-        xv = _to_mpf(x)
-        return self.lower <= xv <= self.upper
+        return _to_iv(x) in self.interval
 
     def separated_below(self, c: Scalar) -> bool:
         """Certified strict inequality (self < c)."""
-        return self.upper < _to_mpf(c)
+        return self.interval.b < _to_iv(c).a
 
     def separated_above(self, c: Scalar) -> bool:
         """Certified strict inequality (self > c)."""
-        return self.lower > _to_mpf(c)
+        return self.interval.a > _to_iv(c).b
 
     def __float__(self) -> float:
         return float(self.value)
 
     # -- arithmetic ------------------------------------------------------
-    def _coerce(self, other) -> "BoundedFloat":
-        if isinstance(other, BoundedFloat):
-            return other
-        return BoundedFloat.exact(other)
-
     def __add__(self, other) -> "BoundedFloat":
-        o = self._coerce(other)
-        v = self.value + o.value
-        return BoundedFloat(v, self.error_radius + o.error_radius + _slack(v))
+        return BoundedFloat._of(self.interval + _to_iv(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "BoundedFloat":
-        return BoundedFloat(-self.value, self.error_radius)
+        return BoundedFloat._of(-self.interval)
 
     def __sub__(self, other) -> "BoundedFloat":
-        return self + (-self._coerce(other))
+        return BoundedFloat._of(self.interval - _to_iv(other))
 
     def __rsub__(self, other) -> "BoundedFloat":
-        return self._coerce(other) + (-self)
+        return BoundedFloat._of(_to_iv(other) - self.interval)
 
     def __mul__(self, other) -> "BoundedFloat":
-        o = self._coerce(other)
-        v = self.value * o.value
-        rad = (
-            abs(self.value) * o.error_radius
-            + abs(o.value) * self.error_radius
-            + self.error_radius * o.error_radius
-            + _slack(v)
-        )
-        return BoundedFloat(v, rad)
+        return BoundedFloat._of(self.interval * _to_iv(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "BoundedFloat":
-        o = self._coerce(other)
-        if abs(o.value) <= o.error_radius:
+        divisor = _to_iv(other)
+        if 0 in divisor:
             raise ZeroDivisionError("divisor interval contains zero")
-        v = self.value / o.value
-        lo_d = abs(o.value) - o.error_radius
-        rad = (abs(self.value) + self.error_radius) / lo_d - abs(v) + _slack(v, 4)
-        return BoundedFloat(v, rad)
+        return BoundedFloat._of(self.interval / divisor)
 
     def sqrt(self) -> "BoundedFloat":
         if self.lower < 0:
             raise DomainError("sqrt of an interval reaching below zero")
-        v = mpmath.sqrt(self.value)
-        hi = mpmath.sqrt(self.upper)
-        lo = mpmath.sqrt(self.lower)
-        return BoundedFloat(v, max(hi - v, v - lo) + _slack(v))
+        return BoundedFloat._of(iv.sqrt(self.interval))
 
     def exp(self) -> "BoundedFloat":
-        v = mpmath.exp(self.value)
-        hi = mpmath.exp(self.upper)
-        lo = mpmath.exp(self.lower)
-        return BoundedFloat(v, max(hi - v, v - lo) + _slack(v, 4))
+        return BoundedFloat._of(iv.exp(self.interval))
+
+    def log(self) -> "BoundedFloat":
+        if not self.lower > 0:
+            raise DomainError("log of an interval reaching zero or below")
+        return BoundedFloat._of(iv.ln(self.interval))
 
     def __repr__(self) -> str:
         return f"BoundedFloat({mpmath.nstr(self.value, 17)} ± {mpmath.nstr(self.error_radius, 3)})"
+
+
+def _within_tol(name: str, interval, tol: float | None) -> BoundedFloat:
+    out = BoundedFloat._of(interval)
+    if tol is not None and out.error_radius > tol:
+        raise ToleranceUnreachable(
+            f"{name} radius {float(out.error_radius):.3e} exceeds tol={tol} "
+            f"at {_PREC}-bit precision"
+        )
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -231,144 +243,108 @@ _RAISE_TO = 16          # argument-raising threshold for the asymptotic tails
 _EM_TERMS = 10          # Bernoulli terms used; remainder bounded by the next
 
 
-def _rising(a: int, k: int) -> int:
-    """Rising factorial a (a+1) ... (a+k-1)."""
-    out = 1
-    for i in range(k):
-        out *= a + i
-    return out
+@lru_cache(maxsize=64)
+def _bernoulli_coefficients(m: int, prec: int) -> tuple:
+    """Enclosures, at `prec` bits, of c_1 .. c_{_EM_TERMS + 1}, where
+    c_j z^-(m+2j) is the j-th Bernoulli term of the Stirling series of
+    log Gamma(z) (m = -1) or of the Euler-Maclaurin expansion of
+    sum_{i>=0} (z+i)^-(m+1) (m >= 0)."""
+    out = []
+    for j in range(1, _EM_TERMS + 2):
+        b = _BERNOULLI[2 * j]
+        if m < 0:
+            c = b / ((2 * j) * (2 * j - 1))
+        else:
+            # rising factorial (m+1)(m+2)...(m+2j-1) over (2j)!
+            c = b * Fraction(perm(m + 2 * j - 1, 2 * j - 1), factorial(2 * j))
+        out.append(_to_iv(c))
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class PolygammaQuery:
-    """Order and (positive) argument addressing one polygamma value."""
-
-    order: int
-    argument: float
-
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise DomainError("polygamma order must be non-negative")
-        if not self.argument > 0:
-            raise DomainError("polygamma argument must be positive")
+@lru_cache(maxsize=8)
+def _half_log_2pi(prec: int):
+    return iv.ln(2 * iv.pi) / 2
 
 
-def _tail_sum_inverse_powers(z: mpf, m: int, em_terms: int) -> Tuple[mpf, mpf]:
-    """(value, remainder bound) for sum_{i>=0} (z+i)^-(m+1) for large z.
+def _bernoulli_terms(z, m: int):
+    """sum_{j=1}^{_EM_TERMS} c_j z^-(m+2j), widened by the first omitted
+    term, which bounds the remainder for z > 0."""
+    *coeffs, omitted = _bernoulli_coefficients(m, _PREC)
+    w = _ONE / (z * z)
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * w + c
+    remainder = abs(omitted * z ** (-m - 2 * _EM_TERMS - 2)).b
+    return acc * z ** (-m - 2) + iv.mpf([-remainder, remainder])
 
-    Euler-Maclaurin with `em_terms` Bernoulli corrections; the remainder of
-    the expansion is bounded by the first omitted term because all
-    derivatives of t |-> (z+t)^-(m+1) keep a constant sign on t >= 0.
+
+def _raise_count(x) -> int:
+    """Recurrence steps that lift x to at least the raising threshold."""
+    lo = mpf(x.a, rounding="f")
+    return 0 if lo >= _RAISE_TO else int(mpmath.ceil(_RAISE_TO - lo))
+
+
+def _positive_argument(fn: str, x: Scalar):
+    _require_finite("x", x)
+    xv = _to_iv(x)
+    if not xv > 0:
+        raise DomainError(f"{fn} requires a positive argument")
+    return xv
+
+
+def polygamma(m: int, x: Scalar, tol: float | None = DEFAULT_TOL) -> BoundedFloat:
+    """psi^(m)(x) for x > 0 with a certified error radius.
+
+    `tol` is an absolute bound on the radius; ToleranceUnreachable is
+    raised if the working precision cannot honor it (None skips the check).
     """
-    s = m + 1
-    inv = 1 / z
-    total = z ** (-m) / m + z ** (-s) / 2
-    zpow = z ** (-s)  # z^-(m+2j) built incrementally
-    for j in range(1, em_terms + 1):
-        zpow = zpow * inv * inv
-        coeff = _BERNOULLI[2 * j] * Fraction(_rising(s, 2 * j - 1), factorial(2 * j))
-        total += _to_mpf(coeff) * zpow * z  # zpow*z = z^-(m+2j)
-    j = em_terms + 1
-    rem_coeff = abs(_BERNOULLI[2 * j]) * Fraction(_rising(s, 2 * j - 1), factorial(2 * j))
-    remainder = _to_mpf(rem_coeff) * z ** (-(m + 2 * j))
-    return total, remainder
-
-
-def polygamma(query: "PolygammaQuery | int", argument: Scalar | None = None, tol: float | None = DEFAULT_TOL) -> BoundedFloat:
-    """psi^(m)(r) with a certified error radius.
-
-    Accepts either a PolygammaQuery or (order, argument).  The returned
-    radius is checked against `tol` when given; ToleranceUnreachable is
-    raised if the working precision cannot honor it.
-    """
-    if isinstance(query, PolygammaQuery):
-        m, r = query.order, _to_mpf(query.argument)
-    else:
-        m = int(query)
-        if argument is None:
-            raise TypeError("argument required when order is given directly")
-        r = _to_mpf(argument)
-    if not r > 0:
-        raise DomainError("polygamma requires a positive argument")
+    xv = _positive_argument("polygamma", x)
+    m = int(m)
     if m < 0:
         raise DomainError("polygamma order must be non-negative")
-
-    if m == 0:
-        bf = _digamma(r)
-    else:
-        bf = _polygamma_series(m, r)
-    if tol is not None and bf.error_radius > tol:
-        raise ToleranceUnreachable(
-            f"requested tol={tol} below attainable radius {float(bf.error_radius):.3e} "
-            f"at {_PREC}-bit precision"
-        )
-    return bf
+    return _within_tol("polygamma", _digamma(xv) if m == 0 else _polygamma_series(m, xv), tol)
 
 
-def _polygamma_series(m: int, r: mpf) -> BoundedFloat:
+def _polygamma_series(m: int, x):
     """Direct series head + Euler-Maclaurin tail for m >= 1."""
-    n_head = max(0, int(mpmath.ceil(_RAISE_TO - r)))
-    head = mpf(0)
-    for i in range(n_head):
-        head += (r + i) ** (-(m + 1))
-    z = r + n_head
-    tail, remainder = _tail_sum_inverse_powers(z, m, _EM_TERMS)
-    total = head + tail
-    mfact = factorial(m)
-    value = mfact * total
-    if m % 2 == 0:
-        value = -value
-    rad = mfact * (remainder + _slack(total, (n_head + _EM_TERMS + 8) * (m + 3)))
-    return BoundedFloat(value, rad)
+    z, head = x, iv.mpf(0)
+    for _ in range(_raise_count(x)):
+        u = term = _ONE / z
+        for _ in range(m):  # products: faster than iv's integer power
+            term *= u
+        head += term
+        z += _ONE
+    tail = z ** -m / m + _HALF * z ** (-m - 1) + _bernoulli_terms(z, m)
+    total = (head + tail) * factorial(m)
+    return -total if m % 2 == 0 else total
 
 
-def _digamma(x: mpf) -> BoundedFloat:
+def _digamma(x):
     """Recurrence to x >= threshold, then the asymptotic expansion whose
     remainder is bounded by the first omitted Bernoulli term."""
-    n_head = max(0, int(mpmath.ceil(_RAISE_TO - x)))
-    head = mpf(0)
-    for i in range(n_head):
-        head += 1 / (x + i)
-    z = x + n_head
-    val = mpmath.ln(z) - 1 / (2 * z)
-    zpow = mpf(1)
-    inv2 = 1 / (z * z)
-    for j in range(1, _EM_TERMS + 1):
-        zpow *= inv2
-        val -= _to_mpf(_BERNOULLI[2 * j] / (2 * j)) * zpow
-    j = _EM_TERMS + 1
-    remainder = _to_mpf(abs(_BERNOULLI[2 * j]) / (2 * j)) * z ** (-2 * j)
-    value = val - head
-    rad = remainder + _slack(val, _EM_TERMS + 8) + _slack(head, n_head + 4)
-    return BoundedFloat(value, rad)
+    z, head = x, iv.mpf(0)
+    for _ in range(_raise_count(x)):
+        head += _ONE / z
+        z += _ONE
+    return iv.ln(z) - _HALF / z - _bernoulli_terms(z, 0) - head
 
 
 def log_gamma(x: Scalar, tol: float | None = None) -> BoundedFloat:
     """log Gamma(x) for x > 0 via argument raising and the Stirling series
-    (remainder bounded by the first omitted term)."""
-    xv = _to_mpf(x)
-    if not xv > 0:
-        raise DomainError("log_gamma requires a positive argument")
-    n_head = max(0, int(mpmath.ceil(_RAISE_TO - xv)))
-    head = mpf(0)
-    for i in range(n_head):
-        head += mpmath.ln(xv + i)
-    z = xv + n_head
-    val = (z - mpf(1) / 2) * mpmath.ln(z) - z + mpmath.ln(2 * mpmath.pi) / 2
-    zpow = 1 / z
-    inv2 = 1 / (z * z)
-    for j in range(1, _EM_TERMS + 1):
-        coeff = _BERNOULLI[2 * j] / Fraction((2 * j) * (2 * j - 1))
-        val += _to_mpf(coeff) * zpow
-        zpow *= inv2
-    j = _EM_TERMS + 1
-    remainder = _to_mpf(abs(_BERNOULLI[2 * j]) / Fraction((2 * j) * (2 * j - 1))) * z ** (-(2 * j - 1))
-    value = val - head
-    rad = remainder + _slack(val, _EM_TERMS + 10) + _slack(head, n_head + 4)
-    bf = BoundedFloat(value, rad)
-    if tol is not None and bf.error_radius > tol:
-        raise ToleranceUnreachable(f"log_gamma radius {float(bf.error_radius):.3e} exceeds tol={tol}")
-    return bf
+    (remainder bounded by the first omitted term).
+
+    `tol`, when given, is an absolute bound on the radius.
+    """
+    xv = _positive_argument("log_gamma", x)
+    n_head = _raise_count(xv)
+    z, head = xv, _ONE
+    for _ in range(n_head):
+        head *= z
+        z += _ONE
+    out = (z - _HALF) * iv.ln(z) - z + _half_log_2pi(_PREC) + _bernoulli_terms(z, -1)
+    if n_head:
+        out -= iv.ln(head)
+    return _within_tol("log_gamma", out, tol)
 
 
 # ----------------------------------------------------------------------
@@ -377,21 +353,24 @@ def log_gamma(x: Scalar, tol: float | None = None) -> BoundedFloat:
 _NEAR_THRESHOLD = 1e-6  # comparisons with 1 are open-interval claims in r > q
 
 
-def theta(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
-    """theta(r, q) = r^2 psi'(r + 1 - q); its r-derivative is phi(r, q)."""
+def _shifted_argument(fn: str, r: Scalar, q: Scalar):
+    """(r, q, r + 1 - q) as intervals, after the finiteness and domain checks."""
     _require_finite("r", r)
     _require_finite("q", q)
-    rv, qv = _to_mpf(r), _to_mpf(q)
-    x = rv + 1 - qv
+    rv, qv = _to_iv(r), _to_iv(q)
+    x = rv + _ONE - qv
     if not x > 0:
-        raise DomainError(f"theta requires r + 1 - q > 0 (got {float(x)})")
-    if rv == 0:
-        return BoundedFloat(mpf(0), mpf(0))
-    psi1 = polygamma(1, x, tol=None)
-    out = psi1 * (rv * rv)
-    if out.error_radius > tol:
-        raise ToleranceUnreachable(f"theta radius {float(out.error_radius):.3e} exceeds tol={tol}")
-    return out
+        raise DomainError(f"{fn} requires r + 1 - q > 0 (got {float(x.mid)})")
+    return rv, qv, x
+
+
+def theta(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
+    """theta(r, q) = r^2 psi'(r + 1 - q); its r-derivative is phi(r, q).
+
+    `tol` is an absolute bound on the radius.
+    """
+    rv, _, x = _shifted_argument("theta", r, q)
+    return _within_tol("theta", _polygamma_series(1, x) * (rv * rv), tol)
 
 
 def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL, cross_check: bool = True) -> BoundedFloat:
@@ -399,67 +378,62 @@ def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL, cross_check: bool = True
 
     Equals sum_{j>=1} 2r(j-q)/(r+j-q)^3.  Inputs with r within 1e-6 of q
     are rejected: every comparison against 1 downstream is an open-interval
-    claim on r > q, and no behavior is specified at the endpoint.
+    claim on r > q, and no behavior is specified at the endpoint.  `tol` is
+    an absolute bound on the radius.
     """
-    _require_finite("r", r)
-    _require_finite("q", q)
-    rv, qv = _to_mpf(r), _to_mpf(q)
-    x = rv + 1 - qv
-    if not x > 0:
-        raise DomainError(f"phi requires r + 1 - q > 0 (got {float(x)})")
-    if abs(rv - qv) < _NEAR_THRESHOLD:
+    rv, qv, x = _shifted_argument("phi", r, q)
+    if abs(rv - qv).b < _NEAR_THRESHOLD:
         raise DomainError("phi rejected: r within 1e-6 of q (endpoint not specified)")
-    psi1 = polygamma(1, x, tol=None)
-    psi2 = polygamma(2, x, tol=None)
-    out = psi1 * (2 * rv) + psi2 * (rv * rv)
-    if out.error_radius > tol:
-        raise ToleranceUnreachable(f"phi radius {float(out.error_radius):.3e} exceeds tol={tol}")
+    value = _polygamma_series(1, x) * (2 * rv) + _polygamma_series(2, x) * (rv * rv)
+    out = _within_tol("phi", value, tol)
     if cross_check:
-        _phi_series_check(rv, qv, out)
+        _phi_series_check(r, q, out)
     return out
 
 
-def phi_series_partial(r: Scalar, q: Scalar, terms: int = 300) -> Tuple[mpf, mpf, mpf]:
+def phi_series_partial(r: Scalar, q: Scalar, terms: int = 300) -> Tuple[float, float, float]:
     """Partial sum of the phi series plus a two-sided bracket for its tail.
 
-    Returns (partial, tail_lo, tail_hi): the true value lies in
-    [partial + tail_lo, partial + tail_hi].  Used as the independent
-    summation route when cross-checking `phi`.
+    Returns (partial, tail_lo, tail_hi) in double precision: the true value
+    at the doubles nearest r and q lies in [partial + tail_lo,
+    partial + tail_hi].  Each term is a product of ratios of moderate size,
+    so nothing overflows even for r near 1e300.  The bracket is padded by
+    2 * terms * 2^-53 times the summed magnitudes (plus terms * 2^-1070
+    for subnormal results), which bounds every rounding in the sum.  Used
+    as the independent summation route when cross-checking `phi`.
     """
-    rv, qv = _to_mpf(r), _to_mpf(q)
-    x0 = rv - qv  # series terms are 2r (j - q) / (x0 + j)^3, x0 + j > 0 for j >= 1
-    if not x0 + 1 > 0:
+    rf, qf = float(r), float(q)
+    if not (isfinite(rf) and isfinite(qf)):
+        raise DomainError("phi series check needs r and q within double range")
+    x = fsum((rf, 1.0, -qf))  # r + 1 - q rounded once, so no cancellation below
+    if not x > 0:
         raise DomainError("phi series requires r + 1 - q > 0")
-    partial = mpf(0)
+    # term j is 2r (j - q) / d^3 with d = x + j - 1 = r + j - q > 0
+    partial = magnitude = 0.0
     for j in range(1, terms + 1):
-        partial += 2 * rv * (j - qv) / (x0 + j) ** 3
-    # tail = sum_{j>N} [ 2r/(x0+j)^2 - 2r^2/(x0+j)^3 ]; both summand families
-    # are positive decreasing in j, so integral comparison brackets each.
-    n = terms
-
-    def bracket(c: mpf, s: int) -> Tuple[mpf, mpf]:
-        # sum_{j>N} c/(x0+j)^s in [c*I(N+1), c*I(N)] for c >= 0, flipped else,
-        # with I(a) = (x0+a)^(1-s)/(s-1)
-        hi_mag = (x0 + n) ** (1 - s) / (s - 1)
-        lo_mag = (x0 + n + 1) ** (1 - s) / (s - 1)
-        if c >= 0:
-            return c * lo_mag, c * hi_mag
-        return c * hi_mag, c * lo_mag
-
-    lo1, hi1 = bracket(2 * rv, 2)
-    lo2, hi2 = bracket(-2 * rv * rv, 3)
-    pad = _slack(partial, terms * 4)
+        d = x + (j - 1)
+        t = 2 * (rf / d) * ((j - qf) / d) / d
+        partial += t
+        magnitude += abs(t)
+    # tail = sum_{j>N} [ 2r/d_j^2 - 2r^2/d_j^3 ]; both summand families are
+    # monotone in j, so integral comparison brackets each: with
+    # rho(a) = r / (x + a - 1), the first lies between 2 rho(N+1) and
+    # 2 rho(N), the second between -rho(N)^2 and -rho(N+1)^2
+    rho_n, rho_n1 = rf / (x + (terms - 1)), rf / (x + terms)
+    lo1, hi1 = sorted((2 * rho_n1, 2 * rho_n))
+    lo2, hi2 = -rho_n * rho_n, -rho_n1 * rho_n1
+    magnitude += 2 * abs(rho_n) + rho_n * rho_n
+    pad = 2 * terms * 2.0 ** -53 * magnitude + terms * 2.0 ** -1070
     return partial, lo1 + lo2 - pad, hi1 + hi2 + pad
 
 
-def _phi_series_check(rv: mpf, qv: mpf, out: BoundedFloat, terms: int = 300) -> None:
-    partial, tail_lo, tail_hi = phi_series_partial(rv, qv, terms)
-    lo = partial + tail_lo - out.error_radius
-    hi = partial + tail_hi + out.error_radius
-    if not (lo <= out.value <= hi):
+def _phi_series_check(r: Scalar, q: Scalar, out: BoundedFloat, terms: int = 300) -> None:
+    partial, tail_lo, tail_hi = phi_series_partial(r, q, terms)
+    lo, hi = partial + tail_lo, partial + tail_hi
+    if out.upper < lo or out.lower > hi:
         raise CrossCheckFailure(
-            f"phi({float(rv)}, {float(qv)}): polygamma route {float(out.value)} "
-            f"outside series bracket [{float(lo)}, {float(hi)}]"
+            f"phi({float(r)}, {float(q)}): polygamma route [{float(out.lower)}, "
+            f"{float(out.upper)}] outside series bracket [{lo}, {hi}]"
         )
 
 
@@ -472,6 +446,7 @@ def polygamma_sandwich(m: int, x: float) -> Tuple[float, float]:
         (m-1)!/x^m + m!/(2 x^(m+1))  <  (-1)^(m+1) psi^(m)(x)
                                      <  (m-1)!/x^m + m!/x^(m+1)
     """
+    _require_finite("x", x)
     if m < 1:
         raise DomainError("sandwich bounds require order m >= 1")
     if not x > 0:
@@ -487,9 +462,14 @@ def phi_sandwich(r: float, q: float) -> Tuple[float, float]:
         (r^3 + (2-3q) r^2 + (3-5q+2q^2) r) / (r+1-q)^3  <  phi(r,q)
         phi(r,q)  <  (r^3 + (4-3q) r^2 + (4-6q+2q^2) r) / (r+1-q)^3
     """
+    _require_finite("r", r)
+    _require_finite("q", q)
     if not r > max(q - 1, 0.0):
         raise DomainError("phi sandwich requires r > max(q - 1, 0)")
-    den = (r + 1 - q) ** 3
-    lower = (r ** 3 + (2 - 3 * q) * r ** 2 + (3 - 5 * q + 2 * q ** 2) * r) / den
-    upper = (r ** 3 + (4 - 3 * q) * r ** 2 + (4 - 6 * q + 2 * q ** 2) * r) / den
+    # divided through by (r+1-q)^3 as powers of rho = r/(r+1-q), so a large
+    # r cannot overflow
+    x = r + 1 - q
+    rho = r / x
+    lower = rho * (rho * rho + ((2 - 3 * q) * rho + (3 - 5 * q + 2 * q * q) / x) / x)
+    upper = rho * (rho * rho + ((4 - 3 * q) * rho + (4 - 6 * q + 2 * q * q) / x) / x)
     return lower, upper

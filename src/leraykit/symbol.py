@@ -27,9 +27,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import mpmath
-from mpmath import mpf
-
 from .errors import (
     DegenerateGamma,
     DomainError,
@@ -37,7 +34,7 @@ from .errors import (
     ToleranceUnreachable,
     UnboundedMode,
 )
-from .specialfn import DEFAULT_TOL, BoundedFloat, _require_finite, _slack, _to_mpf, log_gamma
+from .specialfn import DEFAULT_TOL, BoundedFloat, _require_finite, log_gamma
 
 __all__ = [
     "SymbolQuery",
@@ -193,7 +190,7 @@ class HolderReparam:
 
 def symbol_value(query: "SymbolQuery | Tuple[float, float, int]", tol: float = DEFAULT_TOL) -> BoundedFloat:
     """J(d, gamma, k) > 0 with certified radius; the mode norm is its
-    square root.
+    square root.  `tol` is an absolute bound on the radius.
 
     Raises UnboundedMode when d lies outside I_k(gamma) (the mode norm is
     infinite there).
@@ -206,26 +203,19 @@ def symbol_value(query: "SymbolQuery | Tuple[float, float, int]", tol: float = D
         raise UnboundedMode(
             f"d={d} outside the k={k} boundedness interval ({lo:.6g}, {hi:.6g}) for gamma={gamma}"
         )
-    g = _to_mpf(gamma)
-    a = (2 * k + 1 + _to_mpf(d)) / g
-    b = 2 * k + 2 - a
-    lg_a = log_gamma(a)
-    lg_b = log_gamma(b)
-    lg_k = log_gamma(mpf(k + 1))
-    ln_half_gamma = _bf_ln(g / 2)
-    ln_gm1 = _bf_ln(g - 1)
-    log_j = lg_a + lg_b - lg_k * 2 + ln_half_gamma * (2 * k + 2) - ln_gm1 * b
+    g = BoundedFloat.exact(gamma)
+    a = (BoundedFloat.exact(d) + (2 * k + 1)) / g
+    b = (2 * k + 2) - a
+    log_j = (
+        log_gamma(a) + log_gamma(b) - log_gamma(k + 1) * 2
+        + (g / 2).log() * (2 * k + 2) - (g - 1).log() * b
+    )
     out = log_j.exp()
     if out.error_radius > tol:
         raise ToleranceUnreachable(
             f"symbol radius {float(out.error_radius):.3e} exceeds tol={tol}"
         )
     return out
-
-
-def _bf_ln(x: mpf) -> BoundedFloat:
-    v = mpmath.ln(x)
-    return BoundedFloat(v, _slack(v, 2))
 
 
 def holder_conjugate(gamma: float) -> float:
@@ -260,9 +250,8 @@ def hf_limit(gamma: float) -> float:
 
 
 def _hf_limit_bf(gamma: float) -> BoundedFloat:
-    g = _to_mpf(gamma)
-    v = mpmath.sqrt(g / (2 * mpmath.sqrt(g - 1)))
-    return BoundedFloat(v, _slack(v, 4))
+    g = BoundedFloat.exact(gamma)
+    return (g / ((g - 1).sqrt() * 2)).sqrt()
 
 
 # ----------------------------------------------------------------------

@@ -132,6 +132,14 @@ def test_f_q_domain():
         f_q(0.0, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_f_q_rejects_non_finite_arguments_by_name(bad):
+    with pytest.raises(DomainError, match=r"^x must be finite \(got "):
+        f_q(bad, 0.0)
+    with pytest.raises(DomainError, match=r"^q must be finite \(got "):
+        f_q(1.0, bad)
+
+
 SUITE_Q = (-2.0, 0.0, 1.0, 3.0, 2.0 / 3.0)
 SUITE_X = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 

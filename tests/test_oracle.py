@@ -1,0 +1,133 @@
+"""Radii against an independent 400-bit mpmath oracle.
+
+Each certified value must enclose mpmath's own loggamma, polygamma or a
+direct log-Gamma assembly of J computed at 400 bits, across scales from
+1e-3 to 1e300 and modes up to k = 2000.
+"""
+
+import math
+import random
+
+import mpmath
+
+from leraykit import (
+    log_gamma,
+    phi,
+    phi_sandwich,
+    polygamma,
+    precision_bits,
+    set_precision_bits,
+    symbol_value,
+    theta,
+)
+
+ORACLE_BITS = 400
+
+
+def _log_uniform(rng, lo, hi):
+    return 10 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+
+def oracle_log_gamma(x):
+    with mpmath.workprec(ORACLE_BITS):
+        return mpmath.loggamma(mpmath.mpf(x))
+
+
+def oracle_polygamma(m, x):
+    with mpmath.workprec(ORACLE_BITS):
+        return mpmath.psi(m, mpmath.mpf(x))
+
+
+def oracle_symbol(gamma, d, k):
+    with mpmath.workprec(ORACLE_BITS):
+        g, dm = mpmath.mpf(gamma), mpmath.mpf(d)
+        a = (2 * k + 1 + dm) / g
+        b = 2 * k + 2 - a
+        log_j = (
+            mpmath.loggamma(a) + mpmath.loggamma(b) - 2 * mpmath.loggamma(k + 1)
+            + (2 * k + 2) * mpmath.ln(g / 2) - b * mpmath.ln(g - 1)
+        )
+        return mpmath.exp(log_j)
+
+
+def oracle_phi(r, q):
+    with mpmath.workprec(ORACLE_BITS):
+        rm, qm = mpmath.mpf(r), mpmath.mpf(q)
+        x = rm + 1 - qm
+        return 2 * rm * mpmath.psi(1, x) + rm * rm * mpmath.psi(2, x)
+
+
+def _symbol_sample(rng, k_max):
+    gamma = 1 + _log_uniform(rng, 1e-2, 20.0)
+    k = int(_log_uniform(rng, 1, k_max))
+    lo, hi = -2 * k - 1, (2 * k + 2) * (gamma - 1) + 1
+    return gamma, lo + (hi - lo) * rng.uniform(0.05, 0.95), k
+
+
+def _enclosure_report(cases):
+    """(label, value, oracle) triples -> (misses, worst err/radius, its label)."""
+    misses, worst, worst_label = [], 0.0, None
+    for label, bf, ref in cases:
+        ratio = float(abs(bf.value - ref) / bf.error_radius) if bf.error_radius else math.inf
+        if ratio > worst:
+            worst, worst_label = ratio, label
+        if not bf.contains(ref):
+            misses.append(label)
+    return misses, worst, worst_label
+
+
+def test_radii_enclose_the_400_bit_oracle():
+    rng = random.Random(20240)
+    cases = []
+    for _ in range(12):
+        x = _log_uniform(rng, 1e-3, 1e300)
+        cases.append((f"log_gamma({x!r})", log_gamma(x), oracle_log_gamma(x)))
+    for m in range(4):
+        for _ in range(8):
+            x = _log_uniform(rng, 1e-3, 1e300)
+            cases.append((f"polygamma({m}, {x!r})", polygamma(m, x, tol=None), oracle_polygamma(m, x)))
+    for _ in range(25):
+        gamma, d, k = _symbol_sample(rng, 2000)
+        cases.append(
+            (f"symbol_value({gamma!r}, {d!r}, {k})",
+             symbol_value((gamma, d, k), tol=math.inf), oracle_symbol(gamma, d, k))
+        )
+    misses, worst, worst_label = _enclosure_report(cases)
+    assert not misses, (
+        f"{len(misses)} radii miss the oracle, e.g. {misses[0]}; "
+        f"worst err/radius {worst:.3g} at {worst_label}"
+    )
+    assert worst <= 1, f"worst err/radius {worst:.3g} at {worst_label}"
+
+
+def test_huge_arguments_keep_a_relative_radius():
+    # phi stays near 1 for huge r; theta grows like r, so its absolute
+    # bound is scaled to the value
+    r = 1e300
+    v = phi(r, 0.0)
+    assert v.contains(oracle_phi(r, 0.0)) and v.error_radius <= 1e-12
+    lo, hi = phi_sandwich(r, 0.0)
+    assert abs(lo - 1) < 1e-12 and abs(hi - 1) < 1e-12
+    t = theta(r, 0.5, tol=1e-15 * r)
+    with mpmath.workprec(ORACLE_BITS):
+        expected = mpmath.mpf(r) ** 2 * mpmath.psi(1, mpmath.mpf(r) + mpmath.mpf(0.5))
+    assert t.contains(expected)
+
+
+def test_precision_bits_drive_the_interval_arithmetic():
+    # arguments where rounding, not a series remainder, sets the radius
+    phi_args, symbol_args = (1e4, 0.25), (5.0, 2.5, 2000)
+    oracles = (oracle_phi(*phi_args), oracle_symbol(*symbol_args))
+    radii = {}
+    saved = precision_bits()
+    try:
+        for bits in (120, 200):
+            set_precision_bits(bits)
+            values = (phi(*phi_args), symbol_value(symbol_args))
+            assert all(v.contains(ref) for v, ref in zip(values, oracles)), bits
+            # read at the precision they were computed at
+            radii[bits] = [v.error_radius for v in values]
+    finally:
+        set_precision_bits(saved)
+    for coarse, fine in zip(radii[120], radii[200]):
+        assert fine < coarse * 1e-15

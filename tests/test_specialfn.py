@@ -11,7 +11,6 @@ import leraykit.specialfn as sf
 from leraykit.errors import CrossCheckFailure, DomainError, ToleranceUnreachable
 from leraykit.specialfn import (
     BoundedFloat,
-    PolygammaQuery,
     log_gamma,
     phi,
     phi_sandwich,
@@ -51,7 +50,7 @@ def test_trigamma_at_one_is_zeta2():
 
 
 def test_digamma_at_one_is_minus_euler():
-    v = polygamma(PolygammaQuery(order=0, argument=1.0))
+    v = polygamma(0, 1.0)
     oracle, err = euler_const_oracle()
     assert abs(float(v.value) + oracle) <= err + 1e-10
     assert abs(float(v.value) + 0.5772156649015329) <= 1e-14
@@ -75,7 +74,7 @@ def test_polygamma_domain_and_tolerance_errors():
     with pytest.raises(DomainError):
         polygamma(1, -2.0)
     with pytest.raises(DomainError):
-        PolygammaQuery(order=-1, argument=1.0)
+        polygamma(-1, 1.0)
     with pytest.raises(ToleranceUnreachable):
         polygamma(1, 1.0, tol=1e-60)
 
@@ -148,6 +147,22 @@ def test_non_finite_arguments_rejected(fn, bad):
         fn(bad, 0.0)
     with pytest.raises(DomainError, match=r"^q must be finite \(got "):
         fn(1.0, bad)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda bad: polygamma(1, bad), "x"),
+        (lambda bad: log_gamma(bad), "x"),
+        (lambda bad: polygamma_sandwich(1, bad), "x"),
+        (lambda bad: phi_sandwich(bad, 0.0), "r"),
+    ],
+    ids=["polygamma", "log_gamma", "polygamma_sandwich", "phi_sandwich"],
+)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_argument_is_a_domain_error(call, name, bad):
+    with pytest.raises(DomainError, match=rf"^{name} must be finite \(got "):
+        call(bad)
 
 
 def test_finite_check_accepts_values_beyond_double_range():
