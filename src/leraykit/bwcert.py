@@ -313,7 +313,9 @@ def f_q(
     _require_finite("q", q)
     if not x > 0:
         raise DomainError("f_q requires x > 0")
-    out = theta(x + q, q, tol=tol) - x - 2 * q + Fraction(1, 2)
+    # x + q as an interval: rounding it to a double would shift the argument
+    # of theta by up to half an ulp, far more than the certified radius
+    out = theta(BoundedFloat.exact(x) + q, q, tol=tol) - x - 2 * q + Fraction(1, 2)
     if cross_check:
         quad_val, tail = _laplace_route(x, q, tol)
         disagreement = abs(out.value - quad_val)

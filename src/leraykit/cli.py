@@ -62,6 +62,8 @@ class RunConfig:
     def validate(self) -> None:
         if not self.tolerance > 0:
             raise DomainError("tolerance must be positive")
+        if self.k_max < 0:
+            raise DomainError(f"k_max must be non-negative (got {self.k_max})")
         if self.grid_count < 2:
             raise DomainError("grid count must be at least 2")
         if not self.grid_min < self.grid_max:

@@ -5,10 +5,15 @@ mpmath's interval context ``mpmath.iv`` that provably encloses the
 represented real number.  Its width has two sources:
 
 * analytic truncation remainders, which are the package's own: each
-  asymptotic series is cut after a fixed number of Bernoulli terms and
-  widened by the first omitted term, which bounds the remainder on the
-  positive axis because each summand function is completely monotone
-  there; and
+  asymptotic series is cut after n Bernoulli terms and widened by the
+  first omitted term, which bounds the remainder on the positive axis
+  for every n because each summand function is completely monotone
+  there.  n is the fewest terms, at most _EM_TERMS = 10, whose first
+  omitted term c_{n+1} z^-(m+2n+2) lies below 2^-prec z^-(m+1) (m = -1
+  for log-Gamma, m >= 0 for psi^(m)), i.e. below the rounding of the
+  series' z^-(m+1) term, so large arguments sum fewer terms: at 120
+  bits log-Gamma sums all 10 terms below z ~ 81, 5 from z ~ 1089 and 1
+  beyond z ~ 1.5e11; and
 * rounding, which ``mpmath.iv`` bounds by rounding every operation
   outward (directed rounding), so no operation count is kept anywhere.
 
@@ -41,7 +46,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, fsum, isfinite, perm
+from math import ceil, factorial, fsum, inf, isfinite, log2, perm
 from typing import Tuple, Union
 
 import mpmath
@@ -240,25 +245,39 @@ _BERNOULLI: dict[int, Fraction] = {
 }
 
 _RAISE_TO = 16          # argument-raising threshold for the asymptotic tails
-_EM_TERMS = 10          # Bernoulli terms used; remainder bounded by the next
+_EM_TERMS = 10          # most Bernoulli terms summed; remainder bounded by the next
+
+
+def _bernoulli_coefficient(m: int, j: int) -> Fraction:
+    b = _BERNOULLI[2 * j]
+    if m < 0:
+        return b / ((2 * j) * (2 * j - 1))
+    # rising factorial (m+1)(m+2)...(m+2j-1) over (2j)!
+    return b * Fraction(perm(m + 2 * j - 1, 2 * j - 1), factorial(2 * j))
 
 
 @lru_cache(maxsize=64)
-def _bernoulli_coefficients(m: int, prec: int) -> tuple:
-    """Enclosures, at `prec` bits, of c_1 .. c_{_EM_TERMS + 1}, where
+def _bernoulli_series(m: int, prec: int) -> tuple:
+    """(coefficients, remainders, switch points) at `prec` bits.
+
+    coefficients[j-1] encloses c_j for j = 1 .. _EM_TERMS, where
     c_j z^-(m+2j) is the j-th Bernoulli term of the Stirling series of
     log Gamma(z) (m = -1) or of the Euler-Maclaurin expansion of
-    sum_{i>=0} (z+i)^-(m+1) (m >= 0)."""
-    out = []
-    for j in range(1, _EM_TERMS + 2):
-        b = _BERNOULLI[2 * j]
-        if m < 0:
-            c = b / ((2 * j) * (2 * j - 1))
-        else:
-            # rising factorial (m+1)(m+2)...(m+2j-1) over (2j)!
-            c = b * Fraction(perm(m + 2 * j - 1, 2 * j - 1), factorial(2 * j))
-        out.append(_to_iv(c))
-    return tuple(out)
+    sum_{i>=0} (z+i)^-(m+1) (m >= 0).  remainders[n-1] is
+    [-|c_{n+1}|, |c_{n+1}|], the remainder after n terms in units of
+    z^-(m+2n+2).  switches[n-1] is the float (|c_{n+1}| 2^prec)^(1/(2n+1))
+    for n < _EM_TERMS: above it the first omitted term is below
+    2^-prec z^-(m+1), so n terms suffice.
+    """
+    coefficients, remainders, switches = [], [], []
+    for n in range(1, _EM_TERMS + 1):
+        coefficients.append(_to_iv(_bernoulli_coefficient(m, n)))
+        omitted = abs(_bernoulli_coefficient(m, n + 1))
+        bound = _to_iv(omitted).b
+        remainders.append(iv.mpf([-bound, bound]))
+        log2_switch = (log2(omitted.numerator) - log2(omitted.denominator) + prec) / (2 * n + 1)
+        switches.append(2.0 ** log2_switch if log2_switch < 1000 else inf)
+    return tuple(coefficients), tuple(remainders), tuple(switches[:-1])
 
 
 @lru_cache(maxsize=8)
@@ -266,22 +285,40 @@ def _half_log_2pi(prec: int):
     return iv.ln(2 * iv.pi) / 2
 
 
-def _bernoulli_terms(z, m: int):
-    """sum_{j=1}^{_EM_TERMS} c_j z^-(m+2j), widened by the first omitted
-    term, which bounds the remainder for z > 0."""
-    *coeffs, omitted = _bernoulli_coefficients(m, _PREC)
-    w = _ONE / (z * z)
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * w + c
-    remainder = abs(omitted * z ** (-m - 2 * _EM_TERMS - 2)).b
-    return acc * z ** (-m - 2) + iv.mpf([-remainder, remainder])
+def _power(u, e: int):
+    """u^e for e >= 1 by products: faster than iv's integer power."""
+    out = u
+    for _ in range(e - 1):
+        out *= u
+    return out
+
+
+def _bernoulli_terms(z, u, m: int):
+    """sum_{j=1}^{n} c_j z^-(m+2j) plus the remainder after n terms, for
+    z > 0 and u = 1/z.
+
+    n is the fewest terms, at most _EM_TERMS, whose first omitted term
+    c_{n+1} z^-(m+2n+2) is below 2^-prec z^-(m+1), which holds once
+    z > (|c_{n+1}| 2^prec)^(1/(2n+1)).  For z > 0 the remainder after any
+    n terms is bounded by the first omitted term, so the enclosure holds
+    whichever n the float comparison picks.  That term enters Horner's
+    scheme as the interval [-|c_{n+1}|, |c_{n+1}|], so the sum and its
+    remainder come out in one pass.
+    """
+    coefficients, remainders, switches = _bernoulli_series(m, _PREC)
+    zf = float(z.a)
+    n = next((n for n, switch in enumerate(switches, 1) if zf > switch), _EM_TERMS)
+    w = u * u
+    acc = remainders[n - 1]
+    for j in range(n - 1, -1, -1):
+        acc = acc * w + coefficients[j]
+    return acc * _power(u, m + 2)
 
 
 def _raise_count(x) -> int:
     """Recurrence steps that lift x to at least the raising threshold."""
-    lo = mpf(x.a, rounding="f")
-    return 0 if lo >= _RAISE_TO else int(mpmath.ceil(_RAISE_TO - lo))
+    lo = float(x.a)
+    return 0 if lo >= _RAISE_TO else ceil(_RAISE_TO - lo)
 
 
 def _positive_argument(fn: str, x: Scalar):
@@ -309,12 +346,11 @@ def _polygamma_series(m: int, x):
     """Direct series head + Euler-Maclaurin tail for m >= 1."""
     z, head = x, iv.mpf(0)
     for _ in range(_raise_count(x)):
-        u = term = _ONE / z
-        for _ in range(m):  # products: faster than iv's integer power
-            term *= u
-        head += term
+        head += _power(_ONE / z, m + 1)
         z += _ONE
-    tail = z ** -m / m + _HALF * z ** (-m - 1) + _bernoulli_terms(z, m)
+    u = _ONE / z
+    lead = _power(u, m)
+    tail = lead / m + _HALF * (lead * u) + _bernoulli_terms(z, u, m)
     total = (head + tail) * factorial(m)
     return -total if m % 2 == 0 else total
 
@@ -326,7 +362,8 @@ def _digamma(x):
     for _ in range(_raise_count(x)):
         head += _ONE / z
         z += _ONE
-    return iv.ln(z) - _HALF / z - _bernoulli_terms(z, 0) - head
+    u = _ONE / z
+    return iv.ln(z) - _HALF * u - _bernoulli_terms(z, u, 0) - head
 
 
 def log_gamma(x: Scalar, tol: float | None = None) -> BoundedFloat:
@@ -335,16 +372,20 @@ def log_gamma(x: Scalar, tol: float | None = None) -> BoundedFloat:
 
     `tol`, when given, is an absolute bound on the radius.
     """
-    xv = _positive_argument("log_gamma", x)
-    n_head = _raise_count(xv)
-    z, head = xv, _ONE
+    return _within_tol("log_gamma", _log_gamma(_positive_argument("log_gamma", x)), tol)
+
+
+def _log_gamma(x):
+    """log Gamma on an ``iv`` interval x > 0; the caller checks the domain."""
+    n_head = _raise_count(x)
+    z, head = x, _ONE
     for _ in range(n_head):
         head *= z
         z += _ONE
-    out = (z - _HALF) * iv.ln(z) - z + _half_log_2pi(_PREC) + _bernoulli_terms(z, -1)
+    out = (z - _HALF) * iv.ln(z) - z + _half_log_2pi(_PREC) + _bernoulli_terms(z, _ONE / z, -1)
     if n_head:
         out -= iv.ln(head)
-    return _within_tol("log_gamma", out, tol)
+    return out
 
 
 # ----------------------------------------------------------------------

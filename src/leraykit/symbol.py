@@ -25,7 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Tuple
+
+from mpmath import iv
 
 from .errors import (
     DegenerateGamma,
@@ -34,7 +37,14 @@ from .errors import (
     ToleranceUnreachable,
     UnboundedMode,
 )
-from .specialfn import DEFAULT_TOL, BoundedFloat, _require_finite, log_gamma
+from .specialfn import (
+    DEFAULT_TOL,
+    BoundedFloat,
+    _log_gamma,
+    _require_finite,
+    _to_iv,
+    precision_bits,
+)
 
 __all__ = [
     "SymbolQuery",
@@ -188,6 +198,13 @@ class HolderReparam:
         return abs(self.q) < gamma / abs(gamma - 2)
 
 
+@lru_cache(maxsize=64)
+def _gamma_logs(gamma: float, prec: int) -> tuple:
+    """gamma, ln(gamma/2) and ln(gamma-1) as ``iv`` intervals at `prec` bits."""
+    g = _to_iv(gamma)
+    return g, iv.ln(g / 2), iv.ln(g - 1)
+
+
 def symbol_value(query: "SymbolQuery | Tuple[float, float, int]", tol: float = DEFAULT_TOL) -> BoundedFloat:
     """J(d, gamma, k) > 0 with certified radius; the mode norm is its
     square root.  `tol` is an absolute bound on the radius.
@@ -203,14 +220,17 @@ def symbol_value(query: "SymbolQuery | Tuple[float, float, int]", tol: float = D
         raise UnboundedMode(
             f"d={d} outside the k={k} boundedness interval ({lo:.6g}, {hi:.6g}) for gamma={gamma}"
         )
-    g = BoundedFloat.exact(gamma)
-    a = (BoundedFloat.exact(d) + (2 * k + 1)) / g
+    # SymbolQuery has checked gamma > 1 and A, B > 0 in exact arithmetic, and
+    # from doubles at >= 80 bits their intervals stay positive, so the
+    # log-Gamma kernel runs without the public log_gamma's argument checks
+    g, log_half_g, log_g_minus_1 = _gamma_logs(gamma, precision_bits())
+    a = (_to_iv(d) + (2 * k + 1)) / g
     b = (2 * k + 2) - a
     log_j = (
-        log_gamma(a) + log_gamma(b) - log_gamma(k + 1) * 2
-        + (g / 2).log() * (2 * k + 2) - (g - 1).log() * b
+        _log_gamma(a) + _log_gamma(b) - _log_gamma(iv.mpf(k + 1)) * 2
+        + log_half_g * (2 * k + 2) - log_g_minus_1 * b
     )
-    out = log_j.exp()
+    out = BoundedFloat._of(iv.exp(log_j))
     if out.error_radius > tol:
         raise ToleranceUnreachable(
             f"symbol radius {float(out.error_radius):.3e} exceeds tol={tol}"

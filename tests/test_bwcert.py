@@ -161,6 +161,18 @@ def test_laplace_route_matches_high_precision_oracle():
             assert abs(value - _f_q_oracle(x, q)) < tol, (x, q)
 
 
+def test_f_q_radius_encloses_the_oracle_at_non_dyadic_q():
+    # x + q is not a double for these q; rounding it before theta shifts
+    # F_q by up to ~1e-15, far outside the ~1e-24 radius
+    misses = [
+        (x, q)
+        for q in (2.0 / 3.0, 0.1, 0.3)
+        for x in SUITE_X
+        if not f_q(x, q, cross_check=False).contains(_f_q_oracle(x, q))
+    ]
+    assert not misses, f"{len(misses)} of 18 radii miss the oracle, e.g. {misses[0]}"
+
+
 def test_cross_check_catches_a_shifted_polygamma_route(monkeypatch):
     tol = 1e-12
     f_q(0.5, 0.0, tol=tol)  # the unshifted routes agree

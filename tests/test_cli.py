@@ -270,6 +270,38 @@ def test_config_validation(tmp_path):
         build_config(ns)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figures", "--id", "j-sweep", "--k-max", "-1"),
+        ("norm", "--gamma", "3", "--d", "0.5", "--k-max", "-7"),
+        ("scan", "--gamma", "3", "--d", "0.5", "--k-max", "-2"),
+    ],
+)
+def test_negative_k_max_flag_exit_2(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    argv = argv + ("--out", str(out_dir)) if argv[0] == "figures" else argv
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "k_max must be non-negative" in err
+    assert not out_dir.exists()  # no header-only CSV
+
+
+@pytest.mark.parametrize("command", ["figures", "norm"])
+def test_negative_k_max_in_config_file_exit_2(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k_max = -3\n")
+    out_dir = tmp_path / "out"
+    if command == "figures":
+        argv = ("figures", "--id", "j-sweep", "--out", str(out_dir))
+    else:
+        argv = ("norm", "--gamma", "3", "--d", "0.5")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "k_max must be non-negative (got -3)" in err
+    assert not out_dir.exists()
+
+
 def test_bad_config_line_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no equals sign here\n")

@@ -2,11 +2,13 @@
 
 Each certified value must enclose mpmath's own loggamma, polygamma or a
 direct log-Gamma assembly of J computed at 400 bits, across scales from
-1e-3 to 1e300 and modes up to k = 2000.
+1e-3 to 1e300, on both sides of every point where the asymptotic series
+switch to fewer Bernoulli terms, and at modes up to k = 10^6.
 """
 
 import math
 import random
+import time
 
 import mpmath
 
@@ -20,6 +22,7 @@ from leraykit import (
     symbol_value,
     theta,
 )
+from leraykit.specialfn import _bernoulli_series
 
 ORACLE_BITS = 400
 
@@ -131,3 +134,45 @@ def test_precision_bits_drive_the_interval_arithmetic():
         set_precision_bits(saved)
     for coarse, fine in zip(radii[120], radii[200]):
         assert fine < coarse * 1e-15
+
+
+def _switch_arguments(m, bits):
+    """Arguments just below and just above each point where the number of
+    Bernoulli terms changes, plus 1e300, where one term suffices."""
+    *_, switches = _bernoulli_series(m, bits)
+    return [s * f for s in switches for f in (1 - 1e-9, 1 + 1e-9)] + [1e300]
+
+
+def test_truncation_switch_points_enclose_the_oracle():
+    saved = precision_bits()
+    try:
+        for bits in (120, 200):
+            set_precision_bits(bits)
+            cases = [
+                (f"log_gamma({x!r})", log_gamma(x), oracle_log_gamma(x))
+                for x in _switch_arguments(-1, bits)
+            ]
+            cases += [
+                (f"polygamma({m}, {x!r})", polygamma(m, x, tol=None), oracle_polygamma(m, x))
+                for m in range(4)
+                for x in _switch_arguments(m, bits)
+            ]
+            # radii are read at the precision they were computed at
+            misses, worst, worst_label = _enclosure_report(cases)
+            assert not misses, (
+                f"{len(misses)} of {len(cases)} radii miss the oracle at {bits} bits, "
+                f"e.g. {misses[0]}; worst err/radius {worst:.3g} at {worst_label}"
+            )
+    finally:
+        set_precision_bits(saved)
+
+
+def test_symbol_value_at_a_million_modes():
+    # ln Gamma(k+1) by argument raising and a short Stirling sum stays cheap
+    # at huge k, where summing ln k! term by term would take seconds
+    gamma, d, k = 3.0, 0.5, 10 ** 6
+    start = time.perf_counter()
+    value = symbol_value((gamma, d, k))
+    elapsed = time.perf_counter() - start
+    assert value.contains(oracle_symbol(gamma, d, k))
+    assert elapsed < 2.0, f"symbol_value at k = 10^6 took {elapsed:.2f} s"
