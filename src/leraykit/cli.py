@@ -66,6 +66,10 @@ class RunConfig:
             raise DomainError(f"k_max must be non-negative (got {self.k_max})")
         if self.grid_count < 2:
             raise DomainError("grid count must be at least 2")
+        for name in ("grid_min", "grid_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite (got {value})")
         if not self.grid_min < self.grid_max:
             raise DomainError("grid min must be below grid max")
         if self.grid_scale not in ("log", "linear"):
@@ -298,7 +302,6 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
 def _cmd_figures(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
     out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if ns.id == "j-sweep":
         d_set = [float(x) for x in ns.d_set.split(",")] if ns.d_set else list(J_SWEEP_D_SET)
         columns = ["k"] + [f"J_d{d:g}" for d in d_set]
@@ -323,6 +326,8 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
     else:
         raise DomainError(f"unknown figure id {ns.id!r} (expected j-sweep or phi-sweep)")
     text = "\n".join([",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+    # made only now, so a rejected input leaves no empty directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="")
     sys.stdout.write(f"wrote {path}\n")
     return 0

@@ -414,13 +414,6 @@ class BivariatePolynomial:
             acc = acc + RationalFunction(pk) * value ** k
         return acc
 
-    def eval(self, x: RationalLike, y: RationalLike) -> Fraction:
-        xv, yv = as_rational(x), as_rational(y)
-        total = Fraction(0)
-        for (j, k), c in self._terms.items():
-            total += c * xv ** j * yv ** k
-        return total
-
 
 # ----------------------------------------------------------------------
 # rational functions
@@ -455,10 +448,6 @@ class RationalFunction:
     @classmethod
     def zero(cls) -> "RationalFunction":
         return cls(RationalPolynomial.zero())
-
-    @classmethod
-    def from_scalar(cls, c: RationalLike) -> "RationalFunction":
-        return cls(RationalPolynomial.constant(c))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -508,10 +497,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError("pole of rational function")
         return self.num(xv) / d
-
-    def eval_float(self, x) -> float:
-        """Evaluate exactly at Fraction(x), then round once to float."""
-        return float(self(as_rational(x)))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFunction):

@@ -14,8 +14,17 @@ represented real number.  Its width has two sources:
   series' z^-(m+1) term, so large arguments sum fewer terms: at 120
   bits log-Gamma sums all 10 terms below z ~ 81, 5 from z ~ 1089 and 1
   beyond z ~ 1.5e11; and
-* rounding, which ``mpmath.iv`` bounds by rounding every operation
-  outward (directed rounding), so no operation count is kept anywhere.
+* rounding, bounded by rounding every operation outward (directed
+  rounding), so no operation count is kept anywhere.  The kernels
+  (log-Gamma, digamma, the polygamma series and their Bernoulli tails)
+  work on mpmath's raw interval values, the (a, b) endpoint pairs that
+  ``iv.mpf`` holds in ``_mpi_``, and call ``mpmath.libmp``'s ``mpi_*``
+  primitives (``mpi_add``, ``mpi_mul``, ``mpi_log``, ...) at the working
+  precision.  Those are the functions behind ``mpmath.iv``'s operators,
+  ``iv.ln`` and ``iv.exp``, so every endpoint is the one ``iv`` gives,
+  without its per-operation dispatch.  A result is wrapped once, as a
+  :class:`BoundedFloat`, when it leaves a kernel: that is the one public
+  type.
 
 One working precision, set by LERAYKIT_PRECISION_BITS or
 :func:`set_precision_bits`, drives both ``mpmath.mp`` and ``mpmath.iv``.
@@ -51,6 +60,19 @@ from typing import Tuple, Union
 
 import mpmath
 from mpmath import iv, mpf
+from mpmath.libmp import (
+    from_int,
+    mpf_neg,
+    mpi_add,
+    mpi_div,
+    mpi_log,
+    mpi_mul,
+    mpi_neg,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    to_float,
+)
 
 from .errors import CrossCheckFailure, DomainError, ToleranceUnreachable
 
@@ -82,8 +104,10 @@ def set_precision_bits(bits: int) -> None:
 
 Scalar = Union[int, float, Fraction, mpf, "BoundedFloat"]
 
-_ONE = iv.mpf(1)
-_HALF = iv.mpf(0.5)
+# raw intervals of exact constants: the (a, b) endpoint pairs that
+# iv.mpf(0), iv.mpf(1), iv.mpf(2) and iv.mpf(0.5) hold at any precision
+_RAW_ZERO, _RAW_ONE, _RAW_TWO = ((v, v) for v in map(from_int, (0, 1, 2)))
+_RAW_HALF = iv.mpf(0.5)._mpi_
 
 
 def _to_iv(x: Scalar):
@@ -116,7 +140,10 @@ class BoundedFloat:
     interval's midpoint and ``error_radius`` its half-width rounded up, so
     the real also lies in [value - error_radius, value + error_radius];
     both are rounded at the working precision in force when read.
-    Arithmetic is mpmath.iv's outward-rounded interval arithmetic.
+    Arithmetic is mpmath.iv's outward-rounded interval arithmetic.  The
+    special-function kernels compute on the interval's raw endpoint pair
+    with ``mpmath.libmp``'s ``mpi_*`` primitives, which round in the same
+    directions as ``iv``, and wrap the result in this type once.
     """
 
     __slots__ = ("interval",)
@@ -214,8 +241,9 @@ class BoundedFloat:
         return f"BoundedFloat({mpmath.nstr(self.value, 17)} ± {mpmath.nstr(self.error_radius, 3)})"
 
 
-def _within_tol(name: str, interval, tol: float | None) -> BoundedFloat:
-    out = BoundedFloat._of(interval)
+def _within_tol(name: str, raw, tol: float | None) -> BoundedFloat:
+    """Wrap a kernel's raw interval as the public type, checking `tol`."""
+    out = BoundedFloat._of(iv.make_mpf(raw))
     if tol is not None and out.error_radius > tol:
         raise ToleranceUnreachable(
             f"{name} radius {float(out.error_radius):.3e} exceeds tol={tol} "
@@ -256,46 +284,52 @@ def _bernoulli_coefficient(m: int, j: int) -> Fraction:
     return b * Fraction(perm(m + 2 * j - 1, 2 * j - 1), factorial(2 * j))
 
 
+def _raw_int(n: int) -> tuple:
+    """The raw interval ``iv.mpf(n)`` holds: n rounded down and up at the
+    working precision (the same point when |n| < 2^prec)."""
+    return from_int(n, _PREC, round_floor), from_int(n, _PREC, round_ceiling)
+
+
 @lru_cache(maxsize=64)
 def _bernoulli_series(m: int, prec: int) -> tuple:
     """(coefficients, remainders, switch points) at `prec` bits.
 
-    coefficients[j-1] encloses c_j for j = 1 .. _EM_TERMS, where
-    c_j z^-(m+2j) is the j-th Bernoulli term of the Stirling series of
-    log Gamma(z) (m = -1) or of the Euler-Maclaurin expansion of
-    sum_{i>=0} (z+i)^-(m+1) (m >= 0).  remainders[n-1] is
-    [-|c_{n+1}|, |c_{n+1}|], the remainder after n terms in units of
-    z^-(m+2n+2).  switches[n-1] is the float (|c_{n+1}| 2^prec)^(1/(2n+1))
-    for n < _EM_TERMS: above it the first omitted term is below
-    2^-prec z^-(m+1), so n terms suffice.
+    coefficients[j-1] is the raw interval enclosing c_j for
+    j = 1 .. _EM_TERMS, where c_j z^-(m+2j) is the j-th Bernoulli term of
+    the Stirling series of log Gamma(z) (m = -1) or of the Euler-Maclaurin
+    expansion of sum_{i>=0} (z+i)^-(m+1) (m >= 0).  remainders[n-1] is the
+    raw [-|c_{n+1}|, |c_{n+1}|], the remainder after n terms in units of
+    z^-(m+2n+2).  switches[n-1] is the float
+    (|c_{n+1}| 2^prec)^(1/(2n+1)) for n < _EM_TERMS: above it the first
+    omitted term is below 2^-prec z^-(m+1), so n terms suffice.
     """
     coefficients, remainders, switches = [], [], []
     for n in range(1, _EM_TERMS + 1):
-        coefficients.append(_to_iv(_bernoulli_coefficient(m, n)))
+        coefficients.append(_to_iv(_bernoulli_coefficient(m, n))._mpi_)
         omitted = abs(_bernoulli_coefficient(m, n + 1))
-        bound = _to_iv(omitted).b
-        remainders.append(iv.mpf([-bound, bound]))
+        bound = _to_iv(omitted)._mpi_[1]
+        remainders.append((mpf_neg(bound), bound))
         log2_switch = (log2(omitted.numerator) - log2(omitted.denominator) + prec) / (2 * n + 1)
         switches.append(2.0 ** log2_switch if log2_switch < 1000 else inf)
     return tuple(coefficients), tuple(remainders), tuple(switches[:-1])
 
 
 @lru_cache(maxsize=8)
-def _half_log_2pi(prec: int):
-    return iv.ln(2 * iv.pi) / 2
+def _half_log_2pi(prec: int) -> tuple:
+    return (iv.ln(2 * iv.pi) / 2)._mpi_
 
 
 def _power(u, e: int):
-    """u^e for e >= 1 by products: faster than iv's integer power."""
+    """u^e for e >= 1 by products: faster than an integer power."""
     out = u
     for _ in range(e - 1):
-        out *= u
+        out = mpi_mul(out, u, _PREC)
     return out
 
 
 def _bernoulli_terms(z, u, m: int):
     """sum_{j=1}^{n} c_j z^-(m+2j) plus the remainder after n terms, for
-    z > 0 and u = 1/z.
+    z > 0 and u = 1/z (raw intervals).
 
     n is the fewest terms, at most _EM_TERMS, whose first omitted term
     c_{n+1} z^-(m+2n+2) is below 2^-prec z^-(m+1), which holds once
@@ -305,28 +339,31 @@ def _bernoulli_terms(z, u, m: int):
     scheme as the interval [-|c_{n+1}|, |c_{n+1}|], so the sum and its
     remainder come out in one pass.
     """
-    coefficients, remainders, switches = _bernoulli_series(m, _PREC)
-    zf = float(z.a)
+    prec = _PREC
+    coefficients, remainders, switches = _bernoulli_series(m, prec)
+    zf = to_float(z[0])
     n = next((n for n, switch in enumerate(switches, 1) if zf > switch), _EM_TERMS)
-    w = u * u
+    w = mpi_mul(u, u, prec)
     acc = remainders[n - 1]
     for j in range(n - 1, -1, -1):
-        acc = acc * w + coefficients[j]
-    return acc * _power(u, m + 2)
+        acc = mpi_add(mpi_mul(acc, w, prec), coefficients[j], prec)
+    return mpi_mul(acc, _power(u, m + 2), prec)
 
 
 def _raise_count(x) -> int:
-    """Recurrence steps that lift x to at least the raising threshold."""
-    lo = float(x.a)
+    """Recurrence steps that lift the raw interval x to at least the
+    raising threshold."""
+    lo = to_float(x[0])
     return 0 if lo >= _RAISE_TO else ceil(_RAISE_TO - lo)
 
 
 def _positive_argument(fn: str, x: Scalar):
+    """x as a raw interval, after the finiteness and sign checks."""
     _require_finite("x", x)
     xv = _to_iv(x)
     if not xv > 0:
         raise DomainError(f"{fn} requires a positive argument")
-    return xv
+    return xv._mpi_
 
 
 def polygamma(m: int, x: Scalar, tol: float | None = DEFAULT_TOL) -> BoundedFloat:
@@ -343,27 +380,38 @@ def polygamma(m: int, x: Scalar, tol: float | None = DEFAULT_TOL) -> BoundedFloa
 
 
 def _polygamma_series(m: int, x):
-    """Direct series head + Euler-Maclaurin tail for m >= 1."""
-    z, head = x, iv.mpf(0)
+    """Direct series head + Euler-Maclaurin tail for m >= 1, on the raw
+    interval x > 0."""
+    prec = _PREC
+    z, head = x, _RAW_ZERO
     for _ in range(_raise_count(x)):
-        head += _power(_ONE / z, m + 1)
-        z += _ONE
-    u = _ONE / z
+        head = mpi_add(head, _power(mpi_div(_RAW_ONE, z, prec), m + 1), prec)
+        z = mpi_add(z, _RAW_ONE, prec)
+    u = mpi_div(_RAW_ONE, z, prec)
     lead = _power(u, m)
-    tail = lead / m + _HALF * (lead * u) + _bernoulli_terms(z, u, m)
-    total = (head + tail) * factorial(m)
-    return -total if m % 2 == 0 else total
+    tail = mpi_add(
+        mpi_div(lead, _raw_int(m), prec),
+        mpi_mul(_RAW_HALF, mpi_mul(lead, u, prec), prec),
+        prec,
+    )
+    tail = mpi_add(tail, _bernoulli_terms(z, u, m), prec)
+    total = mpi_mul(mpi_add(head, tail, prec), _raw_int(factorial(m)), prec)
+    return mpi_neg(total, prec) if m % 2 == 0 else total
 
 
 def _digamma(x):
     """Recurrence to x >= threshold, then the asymptotic expansion whose
-    remainder is bounded by the first omitted Bernoulli term."""
-    z, head = x, iv.mpf(0)
+    remainder is bounded by the first omitted Bernoulli term (raw
+    intervals)."""
+    prec = _PREC
+    z, head = x, _RAW_ZERO
     for _ in range(_raise_count(x)):
-        head += _ONE / z
-        z += _ONE
-    u = _ONE / z
-    return iv.ln(z) - _HALF * u - _bernoulli_terms(z, u, 0) - head
+        head = mpi_add(head, mpi_div(_RAW_ONE, z, prec), prec)
+        z = mpi_add(z, _RAW_ONE, prec)
+    u = mpi_div(_RAW_ONE, z, prec)
+    out = mpi_sub(mpi_log(z, prec), mpi_mul(_RAW_HALF, u, prec), prec)
+    out = mpi_sub(out, _bernoulli_terms(z, u, 0), prec)
+    return mpi_sub(out, head, prec)
 
 
 def log_gamma(x: Scalar, tol: float | None = None) -> BoundedFloat:
@@ -376,15 +424,18 @@ def log_gamma(x: Scalar, tol: float | None = None) -> BoundedFloat:
 
 
 def _log_gamma(x):
-    """log Gamma on an ``iv`` interval x > 0; the caller checks the domain."""
+    """log Gamma on a raw interval x > 0; the caller checks the domain."""
+    prec = _PREC
     n_head = _raise_count(x)
-    z, head = x, _ONE
+    z, head = x, _RAW_ONE
     for _ in range(n_head):
-        head *= z
-        z += _ONE
-    out = (z - _HALF) * iv.ln(z) - z + _half_log_2pi(_PREC) + _bernoulli_terms(z, _ONE / z, -1)
+        head = mpi_mul(head, z, prec)
+        z = mpi_add(z, _RAW_ONE, prec)
+    out = mpi_mul(mpi_sub(z, _RAW_HALF, prec), mpi_log(z, prec), prec)
+    out = mpi_add(mpi_sub(out, z, prec), _half_log_2pi(prec), prec)
+    out = mpi_add(out, _bernoulli_terms(z, mpi_div(_RAW_ONE, z, prec), -1), prec)
     if n_head:
-        out -= iv.ln(head)
+        out = mpi_sub(out, mpi_log(head, prec), prec)
     return out
 
 
@@ -395,14 +446,15 @@ _NEAR_THRESHOLD = 1e-6  # comparisons with 1 are open-interval claims in r > q
 
 
 def _shifted_argument(fn: str, r: Scalar, q: Scalar):
-    """(r, q, r + 1 - q) as intervals, after the finiteness and domain checks."""
+    """(r, q) as ``iv`` intervals and r + 1 - q as a raw interval, after the
+    finiteness and domain checks."""
     _require_finite("r", r)
     _require_finite("q", q)
     rv, qv = _to_iv(r), _to_iv(q)
-    x = rv + _ONE - qv
+    x = rv + 1 - qv
     if not x > 0:
         raise DomainError(f"{fn} requires r + 1 - q > 0 (got {float(x.mid)})")
-    return rv, qv, x
+    return rv, qv, x._mpi_
 
 
 def theta(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
@@ -411,7 +463,8 @@ def theta(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
     `tol` is an absolute bound on the radius.
     """
     rv, _, x = _shifted_argument("theta", r, q)
-    return _within_tol("theta", _polygamma_series(1, x) * (rv * rv), tol)
+    r_squared = mpi_mul(rv._mpi_, rv._mpi_, _PREC)
+    return _within_tol("theta", mpi_mul(_polygamma_series(1, x), r_squared, _PREC), tol)
 
 
 def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL, cross_check: bool = True) -> BoundedFloat:
@@ -425,7 +478,12 @@ def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL, cross_check: bool = True
     rv, qv, x = _shifted_argument("phi", r, q)
     if abs(rv - qv).b < _NEAR_THRESHOLD:
         raise DomainError("phi rejected: r within 1e-6 of q (endpoint not specified)")
-    value = _polygamma_series(1, x) * (2 * rv) + _polygamma_series(2, x) * (rv * rv)
+    prec, rv = _PREC, rv._mpi_
+    value = mpi_add(
+        mpi_mul(_polygamma_series(1, x), mpi_mul(_RAW_TWO, rv, prec), prec),
+        mpi_mul(_polygamma_series(2, x), mpi_mul(rv, rv, prec), prec),
+        prec,
+    )
     out = _within_tol("phi", value, tol)
     if cross_check:
         _phi_series_check(r, q, out)

@@ -29,6 +29,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from mpmath import iv
+from mpmath.libmp import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_sub
 
 from .errors import (
     DegenerateGamma,
@@ -40,7 +41,10 @@ from .errors import (
 from .specialfn import (
     DEFAULT_TOL,
     BoundedFloat,
+    _RAW_ONE,
+    _RAW_TWO,
     _log_gamma,
+    _raw_int,
     _require_finite,
     _to_iv,
     precision_bits,
@@ -200,9 +204,18 @@ class HolderReparam:
 
 @lru_cache(maxsize=64)
 def _gamma_logs(gamma: float, prec: int) -> tuple:
-    """gamma, ln(gamma/2) and ln(gamma-1) as ``iv`` intervals at `prec` bits."""
-    g = _to_iv(gamma)
-    return g, iv.ln(g / 2), iv.ln(g - 1)
+    """gamma, ln(gamma/2) and ln(gamma-1) as raw intervals at `prec` bits."""
+    g = _to_iv(gamma)._mpi_
+    return g, mpi_log(mpi_div(g, _RAW_TWO, prec), prec), mpi_log(mpi_sub(g, _RAW_ONE, prec), prec)
+
+
+@lru_cache(maxsize=256)
+def _log_factorial(k: int, prec: int) -> tuple:
+    """log Gamma(k + 1) = log k! as a raw interval at `prec` bits.
+
+    The columns of the `figures` j-sweep share their modes, so four in five
+    of its calls repeat; a norm search asks for each k once."""
+    return _log_gamma(_raw_int(k + 1))
 
 
 def symbol_value(query: "SymbolQuery | Tuple[float, float, int]", tol: float = DEFAULT_TOL) -> BoundedFloat:
@@ -223,14 +236,16 @@ def symbol_value(query: "SymbolQuery | Tuple[float, float, int]", tol: float = D
     # SymbolQuery has checked gamma > 1 and A, B > 0 in exact arithmetic, and
     # from doubles at >= 80 bits their intervals stay positive, so the
     # log-Gamma kernel runs without the public log_gamma's argument checks
-    g, log_half_g, log_g_minus_1 = _gamma_logs(gamma, precision_bits())
-    a = (_to_iv(d) + (2 * k + 1)) / g
-    b = (2 * k + 2) - a
-    log_j = (
-        _log_gamma(a) + _log_gamma(b) - _log_gamma(iv.mpf(k + 1)) * 2
-        + log_half_g * (2 * k + 2) - log_g_minus_1 * b
-    )
-    out = BoundedFloat._of(iv.exp(log_j))
+    prec = precision_bits()
+    g, log_half_g, log_g_minus_1 = _gamma_logs(gamma, prec)
+    two_k_plus_2 = _raw_int(2 * k + 2)
+    a = mpi_div(mpi_add(_to_iv(d)._mpi_, _raw_int(2 * k + 1), prec), g, prec)
+    b = mpi_sub(two_k_plus_2, a, prec)
+    log_j = mpi_add(_log_gamma(a), _log_gamma(b), prec)
+    log_j = mpi_sub(log_j, mpi_mul(_log_factorial(k, prec), _RAW_TWO, prec), prec)
+    log_j = mpi_add(log_j, mpi_mul(log_half_g, two_k_plus_2, prec), prec)
+    log_j = mpi_sub(log_j, mpi_mul(log_g_minus_1, b, prec), prec)
+    out = BoundedFloat._of(iv.make_mpf(mpi_exp(log_j, prec)))
     if out.error_radius > tol:
         raise ToleranceUnreachable(
             f"symbol radius {float(out.error_radius):.3e} exceeds tol={tol}"

@@ -287,6 +287,25 @@ def test_negative_k_max_flag_exit_2(tmp_path, capsys, argv):
     assert not out_dir.exists()  # no header-only CSV
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--id", "phi-sweep", "--q-set=0,nan"), "q must be finite (got nan)"),
+        (("--id", "j-sweep", "--d-set=1,50"), "d=50.0 outside the k=0 boundedness interval"),
+        (("--id", "phi-sweep", "--grid-max", "inf"), "grid_max must be finite (got inf)"),
+        (("--id", "phi-sweep", "--grid-min", "nan"), "grid_min must be finite (got nan)"),
+        (("--id", "phi-sweep", "--grid-min=-inf", "--grid-scale", "linear"),
+         "grid_min must be finite (got -inf)"),
+    ],
+)
+def test_figures_rejected_input_leaves_no_directory(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "figures", *argv, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert message in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["figures", "norm"])
 def test_negative_k_max_in_config_file_exit_2(tmp_path, capsys, command):
     cfg = tmp_path / "run.cfg"
