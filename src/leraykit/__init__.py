@@ -67,7 +67,6 @@ from .bwcert import (
     quadratic_roots,
 )
 from .emcert import (
-    em_first_order,
     em_lower_bound,
     phi_preferred_reconstruction,
     pr_poly,
@@ -128,7 +127,6 @@ __all__ = [
     "s_function",
     "pr_poly",
     "q_root",
-    "em_first_order",
     "em_lower_bound",
     "phi_preferred_reconstruction",
 ]

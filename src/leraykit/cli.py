@@ -72,6 +72,11 @@ class RunConfig:
                 raise DomainError(f"{name} must be finite (got {value})")
         if not self.grid_min < self.grid_max:
             raise DomainError("grid min must be below grid max")
+        if self.grid_scale == "linear" and not math.isfinite(self.grid_max - self.grid_min):
+            raise DomainError(
+                f"linear grid span grid_max - grid_min overflows "
+                f"(grid_min={self.grid_min}, grid_max={self.grid_max})"
+            )
         if self.grid_scale not in ("log", "linear"):
             raise DomainError("grid scale must be 'log' or 'linear'")
         if self.format not in ("csv", "json"):
@@ -286,11 +291,11 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
     measure = _measure_from_args(ns)
     d = measure.exponent(ns.gamma)
-    result = monotonicity_scan(ns.gamma, d, ns.k_max if ns.k_max else cfg.k_max, cfg.tolerance)
+    result = monotonicity_scan(ns.gamma, d, cfg.k_max, cfg.tolerance)
     lines = [
         f"gamma = {_fmt(ns.gamma)}",
         f"d = {_fmt(d)}",
-        f"k_max = {ns.k_max if ns.k_max else cfg.k_max}",
+        f"k_max = {cfg.k_max}",
         f"classification = {result.classification.value}",
     ]
     if result.witness_k is not None:

@@ -26,9 +26,11 @@ exact rational arithmetic and emits certificates:
   U, V, the degree-22 cleared polynomial P(r), its fourteen derivatives,
   and the exact endpoint evaluations.
 
-The numeric spot checks beside them (em_first_order and the quadrature
-oracle of the tail integral) use scipy's ``quad`` through
-:mod:`leraykit._quadrature`, which imports scipy on the first call.
+The one numeric spot check beside them, the quadrature oracle of the tail
+integral, uses scipy's ``quad`` through :mod:`leraykit._quadrature`, which
+imports scipy on the first call.  Each certificate records every check as
+a witness; any check that fails turns its verdict to ``failed`` and is
+named in ``inputs["failures"]``.
 
 Bracket coefficient note: the 1/r term of m(r) and M(r) is 3/25.  The
 bracket evaluation identities pin this down exactly (they fail for the
@@ -40,9 +42,8 @@ Q_r = 3r/2 + 1/6 + 3/(25r) - 21/(3125 r^3) + O(r^-5), agrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -69,8 +70,6 @@ __all__ = [
     "bracket_high",
     "q_root",
     "q_root_mp",
-    "em_first_order",
-    "EMDecomposition",
     "phi_preferred_reconstruction",
     "s_integral_tail",
     "s_integral_tail_quad",
@@ -138,29 +137,21 @@ def pr_poly(r) -> RationalPolynomial:
     """p_r(x) with the numeric (rationalized) r substituted; exactly one
     positive root for r > 2/3, located where S(r, .) peaks."""
     rv = Fraction(r)
-    return RationalPolynomial(
-        [
-            -4 + 39 * rv - 36 * rv ** 2 + 162 * rv ** 3,
-            18 + 18 * rv + 216 * rv ** 2,
-            54 - 54 * rv,
-            Fraction(-108),
-        ]
-    )
+    by_power = pr_bivariate().coefficients_in_y()
+    return RationalPolynomial([by_power[k](rv) for k in range(4)])
 
 
+# A Fraction constant meeting a float rounds to the nearest double first, so
+# float input gets the double expression 1.5 r + 1/6 + 0.12/r - ... bit for bit.
 def bracket_low(r):
     """m(r) = 3r/2 + 1/6 + 3/(25r) - 21/(3125 r^3) < Q_r.  Exact for
     Fraction input."""
-    if isinstance(r, Fraction):
-        return Fraction(3, 2) * r + Fraction(1, 6) + Fraction(3, 25) / r - Fraction(21, 3125) / r ** 3
-    return 1.5 * r + 1 / 6 + 0.12 / r - 0.00672 / r ** 3
+    return Fraction(3, 2) * r + Fraction(1, 6) + Fraction(3, 25) / r - Fraction(21, 3125) / r ** 3
 
 
 def bracket_high(r):
     """M(r) = 3r/2 + 1/6 + 3/(25r) > Q_r.  Exact for Fraction input."""
-    if isinstance(r, Fraction):
-        return Fraction(3, 2) * r + Fraction(1, 6) + Fraction(3, 25) / r
-    return 1.5 * r + 1 / 6 + 0.12 / r
+    return Fraction(3, 2) * r + Fraction(1, 6) + Fraction(3, 25) / r
 
 
 def q_root_mp(r) -> mpf:
@@ -187,81 +178,6 @@ def q_root_mp(r) -> mpf:
 def q_root(r: float) -> float:
     """Q_r as a double; see q_root_mp for the full-precision value."""
     return float(q_root_mp(r))
-
-
-# ----------------------------------------------------------------------
-# generic first-order Euler-Maclaurin summation
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EMDecomposition:
-    """The three right-hand components of
-
-        sum_{j=m+1}^n f(j) = integral_m^n f + (f(n) - f(m))/2
-                             + integral_m^n f'(x) P1(x) dx,
-
-    with P1 the periodized first Bernoulli polynomial x - floor(x) - 1/2,
-    plus a bound on the numerical error of the reported components."""
-
-    integral: float
-    boundary: float
-    bernoulli: float
-    error_bound: float
-
-    @property
-    def total(self) -> float:
-        return self.integral + self.boundary + self.bernoulli
-
-
-def em_first_order(
-    f: Callable[[float], float],
-    f_prime: Callable[[float], float],
-    m: int,
-    n: float,
-    tol: float = 1e-10,
-    f_limit: Optional[float] = None,
-    f_prime_abs_tail: Optional[Callable[[float], float]] = None,
-) -> EMDecomposition:
-    """First-order Euler-Maclaurin decomposition of sum_{j=m+1}^n f(j).
-
-    For n = inf the caller must supply ``f_limit`` (the limit of f) and
-    ``f_prime_abs_tail``, a bound on integral_a^inf |f'|; the Bernoulli
-    integral is then truncated once half that bound drops below tol
-    (|P1| <= 1/2).  TailUnbounded is raised when they are missing.
-    """
-    infinite = math.isinf(n)
-    if infinite and (f_limit is None or f_prime_abs_tail is None):
-        raise TailUnbounded("n = inf requires f_limit and f_prime_abs_tail")
-    err = 0.0
-
-    if infinite:
-        integral, int_err = quad(f, m, math.inf, limit=400)
-        f_n = f_limit
-    else:
-        n = int(n)
-        if n <= m:
-            raise DomainError("need n > m")
-        integral, int_err = quad(f, m, n, limit=400)
-        f_n = f(n)
-    err += abs(int_err)
-    boundary = (f_n - f(m)) / 2
-
-    bernoulli = 0.0
-    period = m
-    while True:
-        if not infinite and period >= n:
-            break
-        if infinite and f_prime_abs_tail is not None and period > m:
-            tail = f_prime_abs_tail(float(period)) / 2
-            if tail < tol / 2:
-                err += tail
-                break
-        if infinite and period - m > 200_000:
-            raise TailUnbounded("Bernoulli tail did not drop below tol within 200000 periods")
-        val, qerr = quad(lambda x: f_prime(x) * (x - period - 0.5), period, period + 1)
-        bernoulli += val
-        err += abs(qerr)
-        period += 1
-    return EMDecomposition(integral, boundary, bernoulli, err)
 
 
 # ----------------------------------------------------------------------
@@ -337,6 +253,32 @@ def em_lower_bound_d1(r: float) -> float:
 # ----------------------------------------------------------------------
 # exact certificates
 # ----------------------------------------------------------------------
+class _Checks:
+    """The witnesses and failure labels of one exact certificate."""
+
+    def __init__(self) -> None:
+        self.witnesses: Dict[str, Any] = {}
+        self._failed: List[str] = []
+
+    def check(self, key: Optional[str], ok: bool, label: str, witness: Any = None) -> None:
+        """Record `witness` (`ok` itself when None) under `key`, unless key
+        is None; a failing check adds `label` to the failure list."""
+        if key is not None:
+            self.witnesses[key] = ok if witness is None else witness
+        if not ok:
+            self._failed.append(label)
+
+    def certificate(self, claim_id: str, anchor: str) -> Certificate:
+        return Certificate(
+            claim_id=claim_id,
+            method="exact",
+            verdict="failed" if self._failed else "verified",
+            anchor=anchor,
+            witnesses=self.witnesses,
+            inputs={"failures": self._failed} if self._failed else {},
+        )
+
+
 def _rf(num: RationalPolynomial, den: RationalPolynomial) -> RationalFunction:
     return RationalFunction(num, den)
 
@@ -354,8 +296,7 @@ def series_decomposition_certificate() -> Certificate:
     integral_0^inf f_r, the derivative formula for f_r, the per-period
     Bernoulli integral equalling S(r, N), and the peel of the N = 0 term.
     """
-    witnesses = {}
-    failures = []
+    c = _Checks()
 
     r = BivariatePolynomial.x()
     x = BivariatePolynomial.y()
@@ -366,27 +307,17 @@ def series_decomposition_certificate() -> Certificate:
     # over u^3, the derivative identity reads num_a' u - 2 u' num_a == 18r(3x-2)
     num_a = -6 * r * u + 9 * r * r
     lhs = _biv_dx(num_a) * u - 2 * _biv_dx(u) * num_a
-    rhs = 18 * r * (3 * x - 2 * one)
-    ok_antideriv = lhs == rhs
-    witnesses["f_antiderivative_identity"] = ok_antideriv
-    if not ok_antideriv:
-        failures.append("f antiderivative")
+    c.check("f_antiderivative_identity", lhs == 18 * r * (3 * x - 2 * one), "f antiderivative")
 
     # integral_0^inf f_r dx = -A(0) = (9r^2 - 12r)/(3r-2)^2 == 1 - 4/(3r-2)^2
     lhs_rf = _rf(RationalPolynomial([0, -12, 9]), _linear(3, -2) ** 2)
     rhs_rf = RationalFunction(RationalPolynomial([1])) - _rf(RationalPolynomial([4]), _linear(3, -2) ** 2)
-    ok_integral = lhs_rf == rhs_rf
-    witnesses["f_integral_value"] = ok_integral
-    if not ok_integral:
-        failures.append("integral of f")
+    c.check("f_integral_value", lhs_rf == rhs_rf, "integral of f")
 
     # f_r'(x) = 54 r (4 + 3r - 6x)/u^4: cleared, 54r u - 162 r (3x-2) == 54 r (4+3r-6x)
     lhs_fp = 54 * r * u - 162 * r * (3 * x - 2 * one)
     rhs_fp = 54 * r * (4 * one + 3 * r - 6 * x)
-    ok_fprime = lhs_fp == rhs_fp
-    witnesses["f_derivative_formula"] = ok_fprime
-    if not ok_fprime:
-        failures.append("f derivative")
+    c.check("f_derivative_formula", lhs_fp == rhs_fp, "f derivative")
 
     # per-period Bernoulli integral (integration by parts):
     #   integral_0^1 f'(x+N) (x - 1/2) dx = (f(N+1)+f(N))/2 - A(N+1) + A(N)
@@ -405,10 +336,7 @@ def series_decomposition_certificate() -> Certificate:
         + anti_at_n * a * b ** 3
     )
     s_num = 81 * r * (9 * N * N - 3 * N - 9 * r * r - 2 * one)
-    ok_period = lhs_period == s_num
-    witnesses["bernoulli_period_equals_s"] = ok_period
-    if not ok_period:
-        failures.append("per-period Bernoulli integral")
+    c.check("bernoulli_period_equals_s", lhs_period == s_num, "per-period Bernoulli integral")
 
     # peel the N = 0 term:
     #   1 - 4/(3r-2)^2 + 18r/(3r-2)^3 + S(r,0) == 1 + (6r-1)/(3r+1)^3
@@ -425,18 +353,12 @@ def series_decomposition_certificate() -> Certificate:
     rhs_peel = RationalFunction(RationalPolynomial([1])) + _rf(
         RationalPolynomial([-1, 6]), _linear(3, 1) ** 3
     )
-    ok_peel = lhs_peel == rhs_peel
-    witnesses["peeled_n0_term"] = ok_peel
-    if not ok_peel:
-        failures.append("peeled N=0 term")
+    c.check("peeled_n0_term", lhs_peel == rhs_peel, "peeled N=0 term")
 
-    return Certificate(
-        claim_id="em.series.decomposition",
-        method="exact",
-        verdict="verified" if not failures else "failed",
-        anchor="Euler-Maclaurin rewrite of the preferred-mode series: "
+    return c.certificate(
+        "em.series.decomposition",
+        "Euler-Maclaurin rewrite of the preferred-mode series: "
         "antiderivative, boundary, per-period remainder, and peel identities",
-        witnesses=witnesses,
     )
 
 
@@ -462,13 +384,11 @@ def integral_antiderivative_certificate() -> Certificate:
     Both the derivative identity and the evaluation are checked by
     polynomial arithmetic after clearing denominators.
     """
-    witnesses = {}
-    failures = []
+    c = _Checks()
 
     r = BivariatePolynomial.x()
     v = BivariatePolynomial.y()
     one = BivariatePolynomial.constant(1)
-    half = Fraction(1, 2)
 
     # numerator transform: 81r(9x^2 - 3x - 9r^2 - 2) with x = (v - 3r + 2)/3
     # equals 81 r (v^2 + (3 - 6r) v - 9r); check in (r, x) variables:
@@ -476,10 +396,7 @@ def integral_antiderivative_certificate() -> Certificate:
     vx = 3 * x + 3 * r - 2 * one
     lhs_num = 81 * r * (9 * x * x - 3 * x - 9 * r * r - 2 * one)
     rhs_num = 81 * r * (vx * vx + (3 * one - 6 * r) * vx - 9 * r)
-    ok_transform = lhs_num == rhs_num
-    witnesses["numerator_in_v"] = ok_transform
-    if not ok_transform:
-        failures.append("numerator transform")
+    c.check("numerator_in_v", lhs_num == rhs_num, "numerator transform")
 
     # derivative identity: with lam = -2r,
     #   p'(v) v (v+3) - p(v)(4v + 6) + 3 lam v^2 (v+3)^2 == 27 r (v^2 + (3-6r) v - 9r)
@@ -487,19 +404,12 @@ def integral_antiderivative_certificate() -> Certificate:
     lam = -2 * r
     lhs_d = _biv_dx(p) * v * (v + 3 * one) - p * (4 * v + 6 * one) + 3 * lam * v * v * (v + 3 * one) ** 2
     rhs_d = 27 * r * (v * v + (3 * one - 6 * r) * v - 9 * r)
-    ok_deriv = lhs_d == rhs_d
-    witnesses["antiderivative_identity"] = ok_deriv
-    if not ok_deriv:
-        failures.append("antiderivative identity")
+    c.check("antiderivative_identity", lhs_d == rhs_d, "antiderivative identity")
 
     # evaluation: -p(3r+4) == (3/2) r (108 r^3 + 594 r^2 + 1035 r + 616)
-    v2 = _linear(3, 4)
-    p_at = p.substitute_y(v2)  # polynomial in r
+    p_at = p.substitute_y(_linear(3, 4))  # polynomial in r
     target = RationalPolynomial([0, Fraction(3, 2)]) * RationalPolynomial([616, 1035, 594, 108])
-    ok_eval = (-p_at) == target
-    witnesses["boundary_evaluation"] = ok_eval
-    if not ok_eval:
-        failures.append("boundary evaluation")
+    c.check("boundary_evaluation", (-p_at) == target, "boundary evaluation")
 
     # numeric spot check of the full closed form against quadrature
     rel_errs = {}
@@ -507,17 +417,12 @@ def integral_antiderivative_certificate() -> Certificate:
         closed = s_integral_tail(rv)
         oracle = s_integral_tail_quad(rv)
         rel_errs[rv] = abs(closed - oracle) / abs(oracle)
-    witnesses["quadrature_rel_err"] = rel_errs
-    if max(rel_errs.values()) > 1e-8:
-        failures.append("quadrature cross-check")
+    c.check("quadrature_rel_err", max(rel_errs.values()) <= 1e-8, "quadrature cross-check", rel_errs)
 
-    return Certificate(
-        claim_id="em.integral.tail-closed-form",
-        method="exact",
-        verdict="verified" if not failures else "failed",
-        anchor="closed form of the remainder tail integral over [2, inf): "
+    return c.certificate(
+        "em.integral.tail-closed-form",
+        "closed form of the remainder tail integral over [2, inf): "
         "rational part plus -2r log((3r+7)/(3r+4))",
-        witnesses=witnesses,
     )
 
 
@@ -536,76 +441,54 @@ def bracket_certificates() -> Certificate:
     sign claims at r = 2/3 exactly; and records that the 2/(25r) bracket
     variant fails the same identities (misprint witness).
     """
-    witnesses = {}
-    failures = []
+    c = _Checks()
     p_biv = pr_bivariate()
 
     # affine probes
     probe1 = p_biv.substitute_y(RationalPolynomial([Fraction(1, 6), Fraction(3, 2)]))
-    ok1 = probe1 == RationalPolynomial([0, 81])
-    witnesses["probe_at_3r/2+1/6"] = ok1
+    c.check("probe_at_3r/2+1/6", probe1 == RationalPolynomial([0, 81]), "affine probe 1/6")
     probe2 = p_biv.substitute_y(RationalPolynomial([Fraction(1, 3), Fraction(3, 2)]))
-    ok2 = probe2 == RationalPolynomial([4, 66, Fraction(-225, 2)])
-    witnesses["probe_at_3r/2+1/3"] = ok2
-    if not ok1:
-        failures.append("affine probe 1/6")
-    if not ok2:
-        failures.append("affine probe 1/3")
+    c.check("probe_at_3r/2+1/3", probe2 == RationalPolynomial([4, 66, Fraction(-225, 2)]), "affine probe 1/3")
 
     # rational brackets
-    m_rf = _bracket_low_rf()
-    mu_rf = _bracket_high_rf()
-    p_at_m = p_biv.substitute_y(m_rf)
+    p_at_m = p_biv.substitute_y(_bracket_low_rf())
     inner = RationalPolynomial([-5292, 0, 21000, 0, 1515625])
     target_m_num = 81 * (RationalPolynomial([12348]) + RationalPolynomial([0, 0, 125]) * inner)
     target_m = _rf(target_m_num, RationalPolynomial.monomial(5 ** 15, 9))
-    ok_m = p_at_m == target_m
-    witnesses["bracket_low_identity"] = ok_m
-    if not ok_m:
-        failures.append("low bracket identity")
+    c.check("bracket_low_identity", p_at_m == target_m, "low bracket identity")
 
-    p_at_mu = p_biv.substitute_y(mu_rf)
+    p_at_mu = p_biv.substitute_y(_bracket_high_rf())
     target_mu = _rf(RationalPolynomial([-36 * 81, 0, -875 * 81]), RationalPolynomial.monomial(5 ** 6, 3))
-    ok_mu = p_at_mu == target_mu
-    witnesses["bracket_high_identity"] = ok_mu
-    if not ok_mu:
-        failures.append("high bracket identity")
+    c.check("bracket_high_identity", p_at_mu == target_mu, "high bracket identity")
 
     # positivity of the inner quartic for r > 2/3: shift to s = r - 2/3 and
     # count sign changes (none) with a positive value at s = 0.
     shifted = inner.compose(RationalPolynomial([TWO_THIRDS, 1]))
     ok_pos = descartes_sign_changes(shifted) == 0 and inner(TWO_THIRDS) > 0
-    witnesses["inner_quartic_positive"] = ok_pos
-    witnesses["inner_quartic_at_2/3"] = inner(TWO_THIRDS)
-    if not ok_pos:
-        failures.append("inner quartic positivity")
+    c.check("inner_quartic_positive", ok_pos, "inner quartic positivity")
+    c.witnesses["inner_quartic_at_2/3"] = inner(TWO_THIRDS)
 
     # exact endpoint signs
-    r0 = TWO_THIRDS
-    p_m_val = p_at_m(r0)
-    p_mu_val = p_at_mu(r0)
-    ok_signs = p_m_val > 0 and p_mu_val < 0
-    witnesses["endpoint_values"] = {"p(m(2/3))": p_m_val, "p(M(2/3))": p_mu_val}
-    if not ok_signs:
-        failures.append("endpoint signs")
+    p_m_val = p_at_m(TWO_THIRDS)
+    p_mu_val = p_at_mu(TWO_THIRDS)
+    c.check(
+        "endpoint_values", p_m_val > 0 and p_mu_val < 0, "endpoint signs",
+        {"p(m(2/3))": p_m_val, "p(M(2/3))": p_mu_val},
+    )
 
     # misprint witness: the 2/(25r) variant does NOT satisfy the identities
-    m_wrong = _bracket_rf(Fraction(2, 25), with_cubic=True)
-    mu_wrong = _bracket_rf(Fraction(2, 25), with_cubic=False)
-    diff_m = p_biv.substitute_y(m_wrong) - target_m
-    diff_mu = p_biv.substitute_y(mu_wrong) - target_mu
-    witnesses["variant_2_25_fails"] = (not diff_m.is_zero()) and (not diff_mu.is_zero())
-    witnesses["variant_2_25_low_residual_degree"] = diff_m.num.degree - diff_m.den.degree
-    if diff_m.is_zero() or diff_mu.is_zero():
-        failures.append("misprint witness unexpectedly verified")
+    diff_m = p_biv.substitute_y(_bracket_rf(Fraction(2, 25), with_cubic=True)) - target_m
+    diff_mu = p_biv.substitute_y(_bracket_rf(Fraction(2, 25), with_cubic=False)) - target_mu
+    c.check(
+        "variant_2_25_fails", not diff_m.is_zero() and not diff_mu.is_zero(),
+        "misprint witness unexpectedly verified",
+    )
+    c.witnesses["variant_2_25_low_residual_degree"] = diff_m.num.degree - diff_m.den.degree
 
-    return Certificate(
-        claim_id="em.qroot.bracket",
-        method="exact",
-        verdict="verified" if not failures else "failed",
-        anchor="m(r) < Q_r < M(r) via exact bracket evaluations; "
+    return c.certificate(
+        "em.qroot.bracket",
+        "m(r) < Q_r < M(r) via exact bracket evaluations; "
         "1/r coefficient pinned to 3/25 (2/25 variant refuted)",
-        witnesses=witnesses,
     )
 
 
@@ -640,8 +523,7 @@ def h_pipeline() -> Certificate:
     Descartes sign change; evaluates H'' exactly at 1/3 and 2/3; and spot
     checks H > 0 with H, H' -> 0 numerically on a log grid.
     """
-    witnesses = {}
-    failures = []
+    c = _Checks()
 
     lin1, lin4, lin7 = _linear(3, 1), _linear(3, 4), _linear(3, 7)
     r_poly = RationalPolynomial.variable()
@@ -655,75 +537,54 @@ def h_pipeline() -> Certificate:
     )
     d1 = RationalPolynomial.monomial(6250, 3) * lin1 ** 3 * lin4 ** 3 * lin7 ** 3
     f1 = (h_rat * RationalFunction(d1)).as_polynomial()
-    ok_f1 = f1 == RationalPolynomial(tables.H_NUM_COEFFS)
-    witnesses["h_numerator_matches_table"] = ok_f1
-    if not ok_f1:
-        failures.append(_first_mismatch("H numerator", f1, RationalPolynomial(tables.H_NUM_COEFFS)))
+    _check_table(c, "h_numerator_matches_table", "H numerator", f1, tables.H_NUM_COEFFS)
 
     g1 = h_rat.derivative() + _rf(RationalPolynomial([0, 18]), lin4 * lin7)
     d2 = RationalPolynomial.monomial(3125, 4) * lin1 ** 4 * lin4 ** 4 * lin7 ** 4
     f2 = (g1 * RationalFunction(d2)).as_polynomial()
-    ok_f2 = f2 == RationalPolynomial(tables.H1_NUM_COEFFS)
-    witnesses["h1_numerator_matches_table"] = ok_f2
-    if not ok_f2:
-        failures.append(_first_mismatch("H' numerator", f2, RationalPolynomial(tables.H1_NUM_COEFFS)))
+    _check_table(c, "h1_numerator_matches_table", "H' numerator", f2, tables.H1_NUM_COEFFS)
 
     g2 = g1.derivative() + _rf(RationalPolynomial([18]), lin4 * lin7)
     d3 = RationalPolynomial.monomial(3125, 5) * lin1 ** 5 * lin4 ** 5 * lin7 ** 5
     f3 = (g2 * RationalFunction(d3)).as_polynomial()
-    ok_f3 = f3 == RationalPolynomial(tables.H2_NUM_COEFFS)
-    witnesses["h2_numerator_matches_table"] = ok_f3
-    if not ok_f3:
-        failures.append(_first_mismatch("H'' numerator", f3, RationalPolynomial(tables.H2_NUM_COEFFS)))
+    _check_table(c, "h2_numerator_matches_table", "H'' numerator", f3, tables.H2_NUM_COEFFS)
 
     pattern = sign_pattern(f3)
     ok_pattern = all(s == "-" for s in pattern[:8]) and all(s == "+" for s in pattern[8:])
-    witnesses["h2_sign_pattern"] = "".join(pattern)
-    ok_descartes = descartes_sign_changes(f3) == 1
-    witnesses["h2_descartes_count"] = descartes_sign_changes(f3)
-    if not ok_pattern:
-        failures.append("H'' sign pattern")
-    if not ok_descartes:
-        failures.append("H'' Descartes count")
+    c.check("h2_sign_pattern", ok_pattern, "H'' sign pattern", "".join(pattern))
+    changes = descartes_sign_changes(f3)
+    c.check("h2_descartes_count", changes == 1, "H'' Descartes count", changes)
 
-    val_third = g2(Fraction(1, 3))
-    val_two_thirds = g2(TWO_THIRDS)
+    c.witnesses["h2_at_1/3"] = val_third = g2(Fraction(1, 3))
+    c.witnesses["h2_at_2/3"] = val_two_thirds = g2(TWO_THIRDS)
     ok_vals = val_third == tables.H2_AT_ONE_THIRD and val_two_thirds == tables.H2_AT_TWO_THIRDS
-    witnesses["h2_at_1/3"] = val_third
-    witnesses["h2_at_2/3"] = val_two_thirds
-    if not ok_vals:
-        failures.append("H'' endpoint values")
+    c.check(None, ok_vals, "H'' endpoint values")
 
     # numeric behavior on a log grid
     grid = [2 / 3 + 0.005] + [2 / 3 * 10 ** (0.2 * i) for i in range(1, 22)]
     h_vals = [em_lower_bound(r) for r in grid]
-    ok_grid = all(v > 0 for v in h_vals)
-    witnesses["h_min_on_grid"] = min(h_vals)
-    witnesses["h_at_1e4"] = em_lower_bound(1e4)
-    witnesses["h1_at_1e4"] = em_lower_bound_d1(1e4)
-    if not ok_grid:
-        failures.append("H positivity on grid")
-    if not (0 < em_lower_bound(1e4) < 1e-6 and abs(em_lower_bound_d1(1e4)) < 1e-9):
-        failures.append("H decay at 1e4")
+    c.check("h_min_on_grid", all(v > 0 for v in h_vals), "H positivity on grid", min(h_vals))
+    c.witnesses["h_at_1e4"] = h_far = em_lower_bound(1e4)
+    c.witnesses["h1_at_1e4"] = h1_far = em_lower_bound_d1(1e4)
+    c.check(None, 0 < h_far < 1e-6 and abs(h1_far) < 1e-9, "H decay at 1e4")
 
-    return Certificate(
-        claim_id="em.h.pipeline",
-        method="exact",
-        verdict="verified" if not failures else "failed",
-        anchor="H, H', H'' numerators re-derived and equal to tables; "
+    return c.certificate(
+        "em.h.pipeline",
+        "H, H', H'' numerators re-derived and equal to tables; "
         "H''(1/3) = -437616243/25600000 < 0 < 49618/2278125 = H''(2/3); "
         "unique positive root of the H'' numerator",
-        witnesses=witnesses,
-        inputs={"failures": failures} if failures else {},
     )
 
 
-def _first_mismatch(label: str, got: RationalPolynomial, want: RationalPolynomial) -> str:
-    top = max(got.degree, want.degree)
-    for n in range(top + 1):
-        if got.coeff(n) != want.coeff(n):
-            return f"{label}: first mismatch at exponent {n} (got {got.coeff(n)}, want {want.coeff(n)})"
-    return f"{label}: degree mismatch"
+def _check_table(c: _Checks, key: str, label: str, got: RationalPolynomial, coeffs) -> None:
+    """Check a re-derived polynomial against its embedded coefficient table;
+    a failure names the first coefficient that differs."""
+    want = RationalPolynomial(coeffs)
+    ok = got == want
+    if not ok:
+        n = next(n for n in range(max(got.degree, want.degree) + 1) if got.coeff(n) != want.coeff(n))
+        label = f"{label}: first mismatch at exponent {n} (got {got.coeff(n)}, want {want.coeff(n)})"
+    c.check(key, ok, label)
 
 
 def s_bound_certificate() -> Certificate:
@@ -740,8 +601,7 @@ def s_bound_certificate() -> Certificate:
     derivative at 2/3.  Together these force P > 0 on (2/3, inf), hence
     U(r, Q_r) > V(r, Q_r) by the bracket monotonicity, hence the bound.
     """
-    witnesses = {}
-    failures = []
+    c = _Checks()
 
     r = BivariatePolynomial.x()
     q = BivariatePolynomial.y()
@@ -751,67 +611,39 @@ def s_bound_certificate() -> Certificate:
         - 253125 * r ** 4 * (9 * q * q - 3 * q - 9 * r * r - 2 * one)
     )
     u_part, v_part = w.split_by_sign()
-    ok_split = (u_part - v_part) == w
-    witnesses["w_equals_u_minus_v"] = ok_split
-    if not ok_split:
-        failures.append("sign split re-expansion")
+    c.check("w_equals_u_minus_v", (u_part - v_part) == w, "sign split re-expansion")
 
-    u_table = {k: RationalPolynomial(c) for k, c in tables.U_COEFFS_BY_QPOW.items()}
-    v_table = {k: RationalPolynomial(c) for k, c in tables.V_COEFFS_BY_QPOW.items()}
-    ok_u = u_part.coefficients_in_y() == u_table
-    ok_v = v_part.coefficients_in_y() == v_table
-    witnesses["u_coefficients_match_table"] = ok_u
-    witnesses["v_coefficients_match_table"] = ok_v
-    if not ok_u:
-        failures.append("U table")
-    if not ok_v:
-        failures.append("V table")
+    u_table = {k: RationalPolynomial(v) for k, v in tables.U_COEFFS_BY_QPOW.items()}
+    v_table = {k: RationalPolynomial(v) for k, v in tables.V_COEFFS_BY_QPOW.items()}
+    c.check("u_coefficients_match_table", u_part.coefficients_in_y() == u_table, "U table")
+    c.check("v_coefficients_match_table", v_part.coefficients_in_y() == v_table, "V table")
 
     p_rf = (u_part.substitute_y(_bracket_low_rf()) - v_part.substitute_y(_bracket_high_rf())) * RationalFunction(
         RationalPolynomial.monomial(1, 18)
     )
     p_poly = p_rf.as_polynomial()
-    table_poly = RationalPolynomial(tables.P_COEFFS)
-    ok_p = p_poly == table_poly
-    witnesses["p_coefficients_match_table"] = ok_p
-    if not ok_p:
-        failures.append(_first_mismatch("P coefficients", p_poly, table_poly))
+    _check_table(c, "p_coefficients_match_table", "P coefficients", p_poly, tables.P_COEFFS)
 
     ok_zeros = p_poly.coeff(1) == 0 and p_poly.coeff(21) == 0
-    witnesses["beta1_beta21_zero"] = ok_zeros
+    c.check("beta1_beta21_zero", ok_zeros, "beta_1/beta_21 zero entries")
     changes = descartes_sign_changes(p_poly)
-    witnesses["p_sign_changes"] = changes
-    if not ok_zeros:
-        failures.append("beta_1/beta_21 zero entries")
-    if changes != tables.P_SIGN_CHANGES:
-        failures.append(f"P sign changes: got {changes}")
+    c.check("p_sign_changes", changes == tables.P_SIGN_CHANGES, f"P sign changes: got {changes}", changes)
 
     p14 = p_poly.derivative(14)
-    ok_p14_changes = descartes_sign_changes(p14) == 1
-    witnesses["p14_sign_changes"] = descartes_sign_changes(p14)
-    p14_zero = p14(Fraction(0))
-    p14_two_thirds = p14(TWO_THIRDS)
+    p14_changes = descartes_sign_changes(p14)
+    c.check("p14_sign_changes", p14_changes == 1, "P14 Descartes count", p14_changes)
+    c.witnesses["p14_at_0"] = p14_zero = p14(Fraction(0))
+    c.witnesses["p14_at_2/3"] = p14_two_thirds = p14(TWO_THIRDS)
     ok_p14_vals = p14_zero == tables.P14_AT_ZERO and p14_two_thirds == tables.P14_AT_TWO_THIRDS
-    witnesses["p14_at_0"] = p14_zero
-    witnesses["p14_at_2/3"] = p14_two_thirds
-    if not ok_p14_changes:
-        failures.append("P14 Descartes count")
-    if not ok_p14_vals:
-        failures.append("P14 endpoint values")
+    c.check(None, ok_p14_vals, "P14 endpoint values")
 
     lower_orders_positive = all(p_poly.derivative(n)(TWO_THIRDS) > 0 for n in range(14))
-    witnesses["lower_derivatives_positive_at_2/3"] = lower_orders_positive
-    if not lower_orders_positive:
-        failures.append("derivative positivity at 2/3")
+    c.check("lower_derivatives_positive_at_2/3", lower_orders_positive, "derivative positivity at 2/3")
 
-    return Certificate(
-        claim_id="em.s.peak-bound",
-        method="exact",
-        verdict="verified" if not failures else "failed",
-        anchor="S(r, Q_r) < 16/(3125 r^3) for r > 2/3 via the positivity "
+    return c.certificate(
+        "em.s.peak-bound",
+        "S(r, Q_r) < 16/(3125 r^3) for r > 2/3 via the positivity "
         "chain of the degree-22 cleared polynomial",
-        witnesses=witnesses,
-        inputs={"failures": failures} if failures else {},
     )
 
 

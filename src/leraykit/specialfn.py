@@ -467,13 +467,14 @@ def theta(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
     return _within_tol("theta", mpi_mul(_polygamma_series(1, x), r_squared, _PREC), tol)
 
 
-def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL, cross_check: bool = True) -> BoundedFloat:
+def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
     """phi(r, q) = 2r psi'(r+1-q) + r^2 psi''(r+1-q).
 
     Equals sum_{j>=1} 2r(j-q)/(r+j-q)^3.  Inputs with r within 1e-6 of q
     are rejected: every comparison against 1 downstream is an open-interval
     claim on r > q, and no behavior is specified at the endpoint.  `tol` is
-    an absolute bound on the radius.
+    an absolute bound on the radius.  Every value is cross-checked against
+    the double-precision series bracket of `phi_series_partial`.
     """
     rv, qv, x = _shifted_argument("phi", r, q)
     if abs(rv - qv).b < _NEAR_THRESHOLD:
@@ -485,8 +486,7 @@ def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL, cross_check: bool = True
         prec,
     )
     out = _within_tol("phi", value, tol)
-    if cross_check:
-        _phi_series_check(r, q, out)
+    _phi_series_check(r, q, out)
     return out
 
 

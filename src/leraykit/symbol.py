@@ -28,14 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from mpmath import iv
 from mpmath.libmp import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_sub
 
 from .errors import (
     DegenerateGamma,
     DomainError,
     InconclusiveComparison,
-    ToleranceUnreachable,
     UnboundedMode,
 )
 from .specialfn import (
@@ -47,6 +45,7 @@ from .specialfn import (
     _raw_int,
     _require_finite,
     _to_iv,
+    _within_tol,
     precision_bits,
 )
 
@@ -245,12 +244,7 @@ def symbol_value(query: "SymbolQuery | Tuple[float, float, int]", tol: float = D
     log_j = mpi_sub(log_j, mpi_mul(_log_factorial(k, prec), _RAW_TWO, prec), prec)
     log_j = mpi_add(log_j, mpi_mul(log_half_g, two_k_plus_2, prec), prec)
     log_j = mpi_sub(log_j, mpi_mul(log_g_minus_1, b, prec), prec)
-    out = BoundedFloat._of(iv.make_mpf(mpi_exp(log_j, prec)))
-    if out.error_radius > tol:
-        raise ToleranceUnreachable(
-            f"symbol radius {float(out.error_radius):.3e} exceeds tol={tol}"
-        )
-    return out
+    return _within_tol("symbol", mpi_exp(log_j, prec), tol)
 
 
 def holder_conjugate(gamma: float) -> float:
@@ -372,18 +366,20 @@ class NormResult:
     stabilized: Optional[bool] = None
 
 
+_STABILIZATION_TOL = 1e-4
+_STABILIZATION_RUN = 20
+
+
 def sup_search(
     gamma: float,
     d: float,
     k_cap: int = 2000,
     tol: float = DEFAULT_TOL,
-    stabilization_tol: float = 1e-4,
-    consecutive: int = 20,
 ) -> Tuple[BoundedFloat, Optional[int], int, bool]:
     """Scan sqrt(J(d, gamma, k)) for k = 0.. and bracket the supremum.
 
-    Stops once `consecutive` successive values approach the high-frequency
-    limit one-sidedly within `stabilization_tol`, or at k_cap.  Returns
+    Stops once 20 successive values approach the high-frequency limit
+    one-sidedly within 1e-4, or at k_cap.  Returns
     (sup value, argmax index or None when the limit dominates, number of
     modes scanned, stabilized flag).
     """
@@ -399,13 +395,13 @@ def sup_search(
         if best is None or v.value > best.value:
             best, best_k = v, k
         diff = v.value - limit.value
-        if abs(diff) < stabilization_tol:
+        if abs(diff) < _STABILIZATION_TOL:
             sign = 1 if diff > 0 else -1
             if run_sign == sign:
                 run += 1
             else:
                 run_sign, run = sign, 1
-            if run >= consecutive:
+            if run >= _STABILIZATION_RUN:
                 stabilized = True
                 break
         else:
@@ -423,7 +419,6 @@ def leray_norm(
     measure: "MeasureTag | float",
     tol: float = DEFAULT_TOL,
     k_cap: int = 2000,
-    stabilization_tol: float = 1e-4,
 ) -> NormResult:
     """Norm of the full transform on L^2(M_gamma, r^d dr dtheta ds).
 
@@ -460,9 +455,7 @@ def leray_norm(
         value = symbol_value(SymbolQuery(gamma, d, 0), tol).sqrt()
         return NormResult(value, "closed-form", gamma, d, attained_at=0)
 
-    value, argmax, scanned, stabilized = sup_search(
-        gamma, d, k_cap=k_cap, tol=tol, stabilization_tol=stabilization_tol
-    )
+    value, argmax, scanned, stabilized = sup_search(gamma, d, k_cap=k_cap, tol=tol)
     return NormResult(
         value,
         "sup-search",

@@ -296,6 +296,8 @@ def test_negative_k_max_flag_exit_2(tmp_path, capsys, argv):
         (("--id", "phi-sweep", "--grid-min", "nan"), "grid_min must be finite (got nan)"),
         (("--id", "phi-sweep", "--grid-min=-inf", "--grid-scale", "linear"),
          "grid_min must be finite (got -inf)"),
+        (("--id", "phi-sweep", "--grid-scale", "linear", "--grid-min=-1e308", "--grid-max=1e308"),
+         "linear grid span grid_max - grid_min overflows (grid_min=-1e+308, grid_max=1e+308)"),
     ],
 )
 def test_figures_rejected_input_leaves_no_directory(tmp_path, capsys, argv, message):

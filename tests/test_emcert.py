@@ -1,18 +1,16 @@
 """Euler-Maclaurin machinery and the exact certificate pipeline."""
 
-import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from leraykit import tables
+from leraykit import emcert, tables
 from leraykit.emcert import (
     bracket_certificates,
     bracket_high,
     bracket_low,
     em_certificate_suite,
-    em_first_order,
     em_lower_bound,
     em_lower_bound_d1,
     h_pipeline,
@@ -29,8 +27,8 @@ from leraykit.emcert import (
     s_supremum_bound,
     series_decomposition_certificate,
 )
-from leraykit.errors import DomainError, TailUnbounded
-from leraykit.exactpoly import RationalPolynomial, descartes_sign_changes
+from leraykit.errors import DomainError
+from leraykit.exactpoly import BivariatePolynomial, RationalPolynomial, descartes_sign_changes
 from leraykit.specialfn import phi
 
 
@@ -100,32 +98,15 @@ def test_peak_bound_example():
 
 
 # ----------------------------------------------------------------------
-# Euler-Maclaurin utility
+# the reconstruction identity and the tail integral
 # ----------------------------------------------------------------------
-def test_em_first_order_linear():
-    dec = em_first_order(lambda x: x, lambda x: 1.0, 0, 10)
-    assert dec.integral == pytest.approx(50.0, abs=1e-9)
-    assert dec.boundary == pytest.approx(5.0, abs=1e-12)
-    assert dec.bernoulli == pytest.approx(0.0, abs=1e-9)
-    assert dec.total == pytest.approx(55.0, abs=1e-8)
-
-
-def test_em_first_order_series_term_components():
-    r = 1.0
-    f = lambda x: preferred_series_term(r, x)
-    fp = lambda x: 54 * r * (4 + 3 * r - 6 * x) / (3 * x + 3 * r - 2) ** 4
-    dec = em_first_order(
-        f, fp, 0, math.inf, f_limit=0.0, f_prime_abs_tail=lambda a: f(a)
-    )
-    # components: integral = 1 - 4/(3r-2)^2 -> -3, boundary -> 18r/(3r-2)^3 = 18
-    assert dec.integral == pytest.approx(-3.0, abs=1e-7)
-    assert dec.boundary == pytest.approx(18.0, abs=1e-12)
-    assert dec.total == pytest.approx(float(phi(1.0, 2.0 / 3.0).value), abs=1e-8)
-
-
-def test_em_first_order_requires_tail_data():
-    with pytest.raises(TailUnbounded):
-        em_first_order(lambda x: 1 / (1 + x) ** 2, lambda x: -2 / (1 + x) ** 3, 0, math.inf)
+def test_preferred_series_sums_to_phi():
+    # every term is positive and below 2r/j^2, so the tail past N is below 2r/N
+    r, n = 1.0, 2000
+    assert preferred_series_term(Fraction(1), 1) == Fraction(9, 32)
+    partial = sum(preferred_series_term(r, j) for j in range(1, n + 1))
+    value = float(phi(r, 2.0 / 3.0).value)
+    assert partial < value <= partial + 2 * r / n
 
 
 def test_reconstruction_identity():
@@ -215,4 +196,32 @@ def test_em_certificate_suite_all_verified():
     suite = em_certificate_suite()
     assert [c.verdict for c in suite] == ["verified"] * 5
     for cert in suite:
+        assert cert.inputs == {}
         cert.to_json()
+
+
+def _bump_constant_term(coeffs):
+    return [coeffs[0] + 1] + list(coeffs[1:])
+
+
+@pytest.mark.parametrize(
+    "certificate, owner, name, corrupt, label",
+    [
+        (series_decomposition_certificate, emcert, "_biv_dx",
+         lambda dx: lambda p: 2 * dx(p), "f antiderivative"),
+        (integral_antiderivative_certificate, emcert, "s_integral_tail",
+         lambda tail: lambda r: 1.01 * tail(r), "quadrature cross-check"),
+        (bracket_certificates, emcert, "pr_bivariate",
+         lambda pr: lambda: pr() + BivariatePolynomial.constant(1), "affine probe 1/6"),
+        (h_pipeline, tables, "H2_NUM_COEFFS", _bump_constant_term,
+         "H'' numerator: first mismatch at exponent 0"),
+        (s_bound_certificate, tables, "P_COEFFS", _bump_constant_term,
+         "P coefficients: first mismatch at exponent 0"),
+    ],
+    ids=["series", "integral", "bracket", "h-pipeline", "s-bound"],
+)
+def test_exact_certificate_records_a_failed_check(monkeypatch, certificate, owner, name, corrupt, label):
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    cert = certificate()
+    assert cert.verdict == "failed" and not cert.passed
+    assert any(f.startswith(label) for f in cert.inputs["failures"])
