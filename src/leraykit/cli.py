@@ -217,6 +217,16 @@ def _parse_k_range(text: str) -> List[int]:
     return [int(text)]
 
 
+def _value_set(text: Optional[str], flag: str, default: Sequence[float]) -> List[float]:
+    """The comma-separated values of `flag`; the default set only when the
+    flag is absent, not when it is given empty."""
+    if text is None:
+        return list(default)
+    if not text.strip():
+        raise DomainError(f"{flag} is empty: give comma-separated values or leave the flag out")
+    return [float(x) for x in text.split(",")]
+
+
 def _measure_from_args(ns: argparse.Namespace) -> MeasureTag:
     if ns.measure is not None and ns.d is not None:
         raise DomainError("give either --d or --measure, not both")
@@ -308,7 +318,7 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
     out_dir = Path(ns.out)
     if ns.id == "j-sweep":
-        d_set = [float(x) for x in ns.d_set.split(",")] if ns.d_set else list(J_SWEEP_D_SET)
+        d_set = _value_set(ns.d_set, "--d-set", J_SWEEP_D_SET)
         columns = ["k"] + [f"J_d{d:g}" for d in d_set]
         rows = []
         for k in range(cfg.k_max + 1):
@@ -319,7 +329,7 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
             rows.append(row)
         path = out_dir / "j_sweep.csv"
     elif ns.id == "phi-sweep":
-        q_set = [float(x) for x in ns.q_set.split(",")] if ns.q_set else list(PHI_SWEEP_Q_SET)
+        q_set = _value_set(ns.q_set, "--q-set", PHI_SWEEP_Q_SET)
         columns = ["r"] + [f"Phi_q{q:g}" for q in q_set]
         rows = []
         for r in cfg.grid():

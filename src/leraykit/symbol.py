@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import exp, fsum, inf, lgamma, log, nextafter
 from typing import List, Optional, Tuple
 
-from mpmath.libmp import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_sub
+from mpmath.libmp import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_sub, to_float
 
 from .errors import (
     DegenerateGamma,
@@ -38,9 +39,12 @@ from .errors import (
 )
 from .specialfn import (
     DEFAULT_TOL,
+    _EM_TERMS,
+    _RAISE_TO,
     BoundedFloat,
     _RAW_ONE,
     _RAW_TWO,
+    _bernoulli_series,
     _log_gamma,
     _raw_int,
     _require_finite,
@@ -354,7 +358,10 @@ class NormResult:
     'sup-search', which scans modes until they stabilize near the
     high-frequency limit.  The stabilization cutoff is a heuristic: the
     limit is proven but no uniform rate is, so the result records how far
-    the scan went and whether it stabilized.
+    the scan went and whether it stabilized.  `value` is always a certified
+    interval, from `symbol_value` at the reported mode or from the limit's
+    closed form; the search only uses double-precision brackets to decide
+    which mode that is (see `sup_search`).
     """
 
     value: BoundedFloat
@@ -369,6 +376,97 @@ class NormResult:
 _STABILIZATION_TOL = 1e-4
 _STABILIZATION_RUN = 20
 
+# Relative error allowed for the double-precision screen of sup_search: on
+# log J it scales the magnitude sum of `_sqrt_j_bracket`, and it pads every
+# double bracket and every float difference of brackets.  The rounding part
+# of the certified log-J radius is allowed 2^_SCREEN_ROUNDING_BITS times the
+# same magnitude sum in units of 2^-prec.
+_SCREEN_PAD = 2.0 ** -40
+_SCREEN_ROUNDING_BITS = 20
+
+
+def _require_k_cap(k_cap: int) -> None:
+    if not isinstance(k_cap, int) or k_cap < 0:
+        raise DomainError(f"k_cap must be a non-negative integer (got {k_cap!r})")
+
+
+@lru_cache(maxsize=8)
+def _log_j_floor(prec: int) -> float:
+    """Truncation part of the certified radius of log J at `prec` bits.
+
+    `_log_gamma` raises its argument to z >= _RAISE_TO and sums at most
+    _EM_TERMS Stirling terms; the remainder interval [-|c_11|, |c_11|] of
+    `_bernoulli_series(-1, prec)` then enters with the factor
+    z^-(2 _EM_TERMS + 1) <= 16^-21, about 7e-25, whatever the precision.
+    (With fewer terms the remainder is below 2^-prec and counts as
+    rounding.)  log J adds log Gamma(A) and log Gamma(B) and subtracts
+    twice log Gamma(k+1), so four such remainders.  The bound is reached
+    when all four arguments land on z = 16 (gamma = 2.5, d = 2, k = 1 has
+    A = B = k+1 = 2, and a radius 0.99999999999 times the four), so it is
+    doubled: the double-precision slack alone must not decide a tolerance.
+    """
+    _, remainders, _ = _bernoulli_series(-1, prec)
+    return 2 * 4 * to_float(remainders[-1][1]) * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
+
+
+def _sqrt_j_bracket(
+    gamma: float, d: float, k: int, tol: Optional[float]
+) -> Optional[Tuple[float, float]]:
+    """Doubles (lo, hi) around the midpoint of
+    ``symbol_value(SymbolQuery(gamma, d, k), tol).sqrt()``, or None.
+
+    log J = lgamma(A) + lgamma(B) - 2 lgamma(k+1) + (2k+2) log(gamma/2)
+    - B log(gamma-1) is summed with ``math.fsum``; its error is bounded by
+    _SCREEN_PAD times mag, the sum of the terms' magnitudes plus
+    A(|log A|+1) + B(|log B|+1) + 1 (the lgamma errors, and their
+    sensitivity to the rounding of A and B).  B is formed as
+    ((2k+2)(gamma-1) + 1 - d)/gamma, which keeps its relative accuracy
+    when B is near zero.
+
+    The certified log J has radius at most rho = `_log_j_floor` +
+    (mag + cond) 2^(_SCREEN_ROUNDING_BITS - prec), where
+    cond = (2k+2)(1/B + |log B| + |log(gamma-1)| + 1) covers
+    symbol_value's subtraction B = 2k+2 - A.  Its midpoint therefore lies
+    within _SCREEN_PAD mag + 2 rho of the float log J, and the returned
+    bracket is that range halved and exponentiated,
+    padded by the relative _SCREEN_PAD.  The radius of J is at most
+    J_hi rho; None is returned when that could reach `tol` (so the
+    certified value decides, and raises ToleranceUnreachable where it
+    must), and when J is outside double range.
+    """
+    prec = precision_bits()
+    a = (2 * k + 1 + d) / gamma
+    b = fsum(((2 * k + 2) * (gamma - 1), 1.0, -d)) / gamma
+    if not (a > 0 and b > 0):
+        return None
+    log_g1 = log(gamma - 1)
+    terms = (lgamma(a), lgamma(b), -2 * lgamma(k + 1), (2 * k + 2) * log(gamma / 2), -b * log_g1)
+    log_j = fsum(terms)
+    mag = fsum(map(abs, terms)) + a * (abs(log(a)) + 1) + b * (abs(log(b)) + 1) + 1
+    cond = (2 * k + 2) * (1 / b + abs(log(b)) + abs(log_g1) + 1)
+    rho = _log_j_floor(prec) + (mag + cond) * 2.0 ** (_SCREEN_ROUNDING_BITS - prec)
+    spread = _SCREEN_PAD * mag + 2 * rho
+    if not log_j + spread < 709:  # exp would overflow
+        return None
+    if tol is not None and exp(log_j + spread) * rho >= tol:
+        return None
+    return (
+        exp((log_j - spread) / 2) * (1 - _SCREEN_PAD),
+        exp((log_j + spread) / 2) * (1 + _SCREEN_PAD),
+    )
+
+
+def _enclose(x) -> Tuple[float, float]:
+    """The doubles on either side of float(x): a bracket of the mpf x."""
+    f = float(x)
+    return nextafter(f, -inf), nextafter(f, inf)
+
+
+def _band(x) -> int:
+    """Where x = v - limit lies: 0 at or below -1e-4, 1 in (-1e-4, 0],
+    2 in (0, 1e-4), 3 at or above 1e-4."""
+    return (x > -_STABILIZATION_TOL) + (x > 0) + (x >= _STABILIZATION_TOL)
+
 
 def sup_search(
     gamma: float,
@@ -382,21 +480,72 @@ def sup_search(
     one-sidedly within 1e-4, or at k_cap.  Returns
     (sup value, argmax index or None when the limit dominates, number of
     modes scanned, stabilized flag).
+
+    Every decision is the one the certified midpoints of sqrt J give: is
+    mode k a new best (midpoint strictly greater), is it within 1e-4 of
+    the limit, and on which side.  Mode 0 is certified first.  Each later
+    mode is screened by `_sqrt_j_bracket`, a double-precision bracket of
+    its certified midpoint; a question the brackets settle by their
+    margin (_SCREEN_PAD = 2^-40 relative) needs no certified value, and
+    any other is decided by certified midpoints, computed at most once per
+    mode.  The returned value is always certified: `symbol_value` at the
+    argmax, or the closed-form limit.
+
+    Raises DomainError for a gamma <= 1, a non-finite d or a k_cap that is
+    not a non-negative integer, UnboundedMode when d is outside I_0(gamma),
+    and ToleranceUnreachable at the first mode whose radius exceeds `tol`.
     """
+    _require_gamma(gamma)
+    _require_finite("d", d)
+    _require_k_cap(k_cap)
     limit = _hf_limit_bf(gamma)
-    best: BoundedFloat | None = None
+    certified = {None: limit}  # mode -> certified sqrt J; None keys the limit
+    brackets = {None: _enclose(limit.value)}
+
+    def certify(k: int) -> BoundedFloat:
+        if k not in certified:
+            certified[k] = symbol_value(SymbolQuery(gamma, d, k), tol).sqrt()
+            brackets[k] = _enclose(certified[k].value)
+        return certified[k]
+
+    def exceeds(j: Optional[int], k: int) -> bool:
+        """Is the midpoint of j strictly above that of k?"""
+        (j_lo, j_hi), (k_lo, k_hi) = brackets[j], brackets[k]
+        if j_lo > k_hi:
+            return True
+        if j_hi <= k_lo:
+            return False
+        return certify(j).value > certify(k).value
+
+    def band(k: int) -> int:
+        """`_band` of the midpoint of k minus that of the limit."""
+        (lo, hi), (l_lo, l_hi) = brackets[k], brackets[None]
+        # the pad covers the float subtractions and the rounding of the
+        # certified difference at the working precision
+        pad = _SCREEN_PAD * (hi + l_hi)
+        low, high = _band(lo - l_hi - pad), _band(hi - l_lo + pad)
+        if low == high:
+            return low
+        return _band(certify(k).value - limit.value)
+
+    certify(0)
     best_k = 0
     run = 0
     run_sign = 0
     k = 0
     stabilized = False
     while k <= k_cap:
-        v = symbol_value(SymbolQuery(gamma, d, k), tol).sqrt()
-        if best is None or v.value > best.value:
-            best, best_k = v, k
-        diff = v.value - limit.value
-        if abs(diff) < _STABILIZATION_TOL:
-            sign = 1 if diff > 0 else -1
+        if k not in brackets:
+            bracket = _sqrt_j_bracket(gamma, d, k, tol)
+            if bracket is None:
+                certify(k)
+            else:
+                brackets[k] = bracket
+        if exceeds(k, best_k):
+            best_k = k
+        side = band(k)
+        if side in (1, 2):
+            sign = 1 if side == 2 else -1
             if run_sign == sign:
                 run += 1
             else:
@@ -408,10 +557,9 @@ def sup_search(
             run = 0
             run_sign = 0
         k += 1
-    assert best is not None
-    if limit.value > best.value:
+    if exceeds(None, best_k):
         return limit, None, k, stabilized
-    return best, best_k, k, stabilized
+    return certify(best_k), best_k, k, stabilized
 
 
 def leray_norm(
@@ -430,9 +578,12 @@ def leray_norm(
     * d = (gamma+1)/3 (preferred): sqrt(gamma/(2 sqrt(gamma-1)))        (supremum = HF limit)
 
     Everything else falls back to the mode scan (method 'sup-search').
-    Raises UnboundedMode when d is outside I_0(gamma).
+    Raises UnboundedMode when d is outside I_0(gamma), and DomainError
+    for a gamma <= 1, a non-finite d or a k_cap that is not a
+    non-negative integer.
     """
     _require_gamma(gamma)
+    _require_k_cap(k_cap)
     if isinstance(measure, MeasureTag):
         d = measure.exponent(gamma)
         kind = measure.kind

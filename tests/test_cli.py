@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from leraykit.cli import build_config, build_parser, load_config_file, main
+from leraykit.specialfn import precision_bits, set_precision_bits
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +249,29 @@ def test_phi_command(capsys):
     assert "sandwich_lower" in out
 
 
+@pytest.mark.parametrize(
+    "args, interval",
+    [
+        (("--r", "5e-324", "--q", "1"), "[0, 1.50463e-36]"),
+        (("--r", "0.5", "--q", "3"), "[-1.5, -1.5]"),
+    ],
+)
+def test_phi_uncertified_shift_names_interval(capsys, args, interval):
+    # r + 1 - q rounds to an interval reaching zero: the message must not
+    # quote a positive number as the violation
+    saved = precision_bits()
+    set_precision_bits(120)
+    try:
+        code, out, err = run_cli(capsys, "phi", *args)
+    finally:
+        set_precision_bits(saved)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: phi requires r + 1 - q > 0, which cannot be certified at 120-bit "
+        f"precision: r + 1 - q lies in {interval}\n"
+    )
+
+
 def test_config_file_layering(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tolerance = 1e-10\nk_max = 17\ngrid_scale = log  # comment\n")
@@ -298,6 +322,9 @@ def test_negative_k_max_flag_exit_2(tmp_path, capsys, argv):
          "grid_min must be finite (got -inf)"),
         (("--id", "phi-sweep", "--grid-scale", "linear", "--grid-min=-1e308", "--grid-max=1e308"),
          "linear grid span grid_max - grid_min overflows (grid_min=-1e+308, grid_max=1e+308)"),
+        (("--id", "phi-sweep", "--q-set="), "--q-set is empty"),
+        (("--id", "j-sweep", "--d-set="), "--d-set is empty"),
+        (("--id", "j-sweep", "--d-set", " "), "--d-set is empty"),
     ],
 )
 def test_figures_rejected_input_leaves_no_directory(tmp_path, capsys, argv, message):

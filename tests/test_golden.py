@@ -46,6 +46,11 @@ def _sha256(data: bytes) -> str:
          "ea8d85a581ed7ed5bd60ba840133291fa0c6c4003d99aa0630f9b77bd06095c1"),
         (("symbol", "--gamma", "3", "--d", "0.5", "--k", "0..60"),
          "cb69d70b15ccc14ed8d19270e61336d177eea35d1e820149e6ac87df0028d831"),
+        # sup-search attained at k = 1, and won by the high-frequency limit
+        (("norm", "--gamma", "6", "--d", "1.4", "--k-max", "2000"),
+         "68cf57c7065f2f8f04f7ca0d650d2fb08a95ba6e8b8587b0048a47e2b8a792c5"),
+        (("norm", "--gamma", "5", "--d", "2.5", "--k-max", "2000"),
+         "b8beeb8a3cdee158efc9b1f04685c49cbc17262869562d085c96c9eaaab7da8b"),
     ],
 )
 def test_stdout_bytes(argv, digest):

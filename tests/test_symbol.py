@@ -6,7 +6,8 @@ import random
 import mpmath
 import pytest
 
-from leraykit.errors import DegenerateGamma, DomainError, UnboundedMode
+from leraykit.errors import DegenerateGamma, DomainError, LeraykitError, UnboundedMode
+from leraykit.specialfn import precision_bits, set_precision_bits
 from leraykit.symbol import (
     MeasureTag,
     Monotonicity,
@@ -20,6 +21,7 @@ from leraykit.symbol import (
     sup_search,
     symbol_value,
 )
+from leraykit.symbol import _hf_limit_bf, _sqrt_j_bracket
 
 
 def J(gamma, d, k, tol=1e-12):
@@ -274,3 +276,126 @@ def test_non_finite_exponents_rejected(bad):
     for call in calls:
         with pytest.raises(DomainError, match="must be finite"):
             call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: sup_search(1.0, 1.0), DomainError, "gamma must exceed 1 (got 1.0)"),
+        (lambda: sup_search(0.5, 1), DomainError, "gamma must exceed 1 (got 0.5)"),
+        (lambda: sup_search(math.nan, 1.0), DomainError, "gamma must be finite"),
+        (lambda: sup_search(3.0, math.inf), DomainError, "d must be finite"),
+        (lambda: sup_search(3.0, 0.5, k_cap=-1), DomainError, "k_cap must be a non-negative integer (got -1)"),
+        (lambda: sup_search(3.0, 0.5, k_cap=2.5), DomainError, "k_cap must be a non-negative integer (got 2.5)"),
+        (lambda: sup_search(3.0, 0.5, k_cap=math.inf), DomainError, "k_cap must be a non-negative integer"),
+        (lambda: leray_norm(3.0, 0.5, k_cap=-1), DomainError, "k_cap must be a non-negative integer (got -1)"),
+        (lambda: leray_norm(3.0, MeasureTag.pairing(), k_cap=-1), DomainError, "k_cap must be"),
+        (lambda: sup_search(3.0, 10.0), UnboundedMode, "d=10.0 outside the k=0 boundedness interval"),
+    ],
+)
+def test_sup_search_rejects_hostile_input(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and message in str(info.value)
+
+
+# ----------------------------------------------------------------------
+# the double-precision screen of sup_search
+# ----------------------------------------------------------------------
+@pytest.fixture
+def restore_precision():
+    saved = precision_bits()
+    yield
+    set_precision_bits(saved)
+
+
+def _certified_sup_search(gamma, d, k_cap, tol):
+    """sup_search decided by certified midpoints alone, mode by mode."""
+    limit = _hf_limit_bf(gamma)
+    best, best_k, run, run_sign, k, stabilized = None, 0, 0, 0, 0, False
+    while k <= k_cap:
+        v = symbol_value(SymbolQuery(gamma, d, k), tol).sqrt()
+        if best is None or v.value > best.value:
+            best, best_k = v, k
+        diff = v.value - limit.value
+        if abs(diff) < 1e-4:
+            sign = 1 if diff > 0 else -1
+            run, run_sign = (run + 1, sign) if run_sign == sign else (1, sign)
+            if run >= 20:
+                stabilized = True
+                break
+        else:
+            run, run_sign = 0, 0
+        k += 1
+    if limit.value > best.value:
+        return limit, None, k, stabilized
+    return best, best_k, k, stabilized
+
+
+def _outcome(search, gamma, d, k_cap, tol):
+    try:
+        value, argmax, scanned, stabilized = search(gamma, d, k_cap, tol)
+    except LeraykitError as exc:
+        return type(exc).__name__, str(exc)
+    return value.interval.a, value.interval.b, argmax, scanned, stabilized
+
+
+def _screen_cases():
+    rng = random.Random(2024)
+    cases = [
+        (1e20, 5.0, 3, 1.0),          # J ~ 1e19: the absolute tol needs a large value
+        (1e20, 5.0, 2, 1e-12),        # ... and fails at mode 0 otherwise
+        (6.0, 1.4, 40, 1e-12),        # attained at k = 1
+        (2.0001, 1.0, 60, 1e-12),     # stabilizes after 20 modes
+        (5.0, 2.0001, 30, 1e-12),     # near the preferred line: the limit wins
+        (3.0, 0.5, 25, 1e-25),
+        (3.0, 0.5, 25, 1e-40),
+        (1 + 2.0 ** -40, 0.5, 12, 1e-12),   # B far below 1 at every mode
+        (2.5, 2.0, 6, 1e-23),         # A = B = k+1 = 2 at k = 1
+        (5.0, 2.0, 60, "tight"),      # J increases with k, and so does its radius
+    ]
+    for _ in range(31):
+        gamma = rng.choice((rng.uniform(1.05, 9.0), 1 + 10 ** rng.uniform(-12, -1), 10 ** rng.uniform(1, 20)))
+        hi = 2 * (gamma - 1) + 1
+        d = rng.choice((rng.uniform(-1, hi),) * 5 + ((gamma + 1) / 3 + rng.uniform(-1e-3, 1e-3),) * 2 + (hi + 0.5,))
+        tol = rng.choice((1e-12, 1e-12, 1e-6, 1.0, 1e-20, 1e-25, 1e-40, "tight", "tight"))
+        k_cap = rng.choice((rng.randint(0, 40),) * 3 + (rng.randint(100, 300),))
+        cases.append((gamma, d, k_cap, tol))
+    return cases
+
+
+@pytest.mark.parametrize("bits", [80, 120, 200])
+def test_sup_search_screen_matches_certified_search(bits, restore_precision):
+    set_precision_bits(bits)
+    for gamma, d, k_cap, tol in _screen_cases():
+        if tol == "tight":  # the radius of mode 0 passes; a larger one later raises
+            try:
+                tol = 1.01 * float(symbol_value(SymbolQuery(gamma, d, 0), None).error_radius)
+            except UnboundedMode:
+                tol = 1e-12
+        case = (bits, gamma, d, k_cap, tol)
+        assert _outcome(sup_search, gamma, d, k_cap, tol) == _outcome(
+            _certified_sup_search, gamma, d, k_cap, tol
+        ), case
+
+
+@pytest.mark.parametrize("bits", [80, 120, 200, 400])
+def test_sqrt_j_bracket_bounds_radius_and_encloses_midpoint(bits, restore_precision):
+    set_precision_bits(bits)
+    rng = random.Random(bits)
+    modes = [(2.5, 2.0, 1), (3.0, 0.5, 2000), (1 + 2.0 ** -50, 1.0, 7), (1e300, 0.0, 3)]
+    for _ in range(40):
+        gamma = rng.choice((rng.uniform(1.05, 9.0), 1 + 10 ** rng.uniform(-15, -1), 10 ** rng.uniform(1, 300)))
+        d = rng.uniform(-1, 2 * (gamma - 1) + 1)
+        modes.append((gamma, d, rng.choice((1, 2, rng.randint(1, 3000), rng.randint(1, 10 ** 6)))))
+    screened = 0
+    for gamma, d, k in modes:
+        j = symbol_value(SymbolQuery(gamma, d, k), None)
+        # the bound on the radius of J: a tol at the certified radius must
+        # leave the decision to the certified value
+        assert _sqrt_j_bracket(gamma, d, k, float(j.error_radius)) is None, (gamma, d, k)
+        bracket = _sqrt_j_bracket(gamma, d, k, math.inf)
+        if bracket is not None:
+            screened += 1
+            assert bracket[0] <= j.sqrt().value <= bracket[1], (gamma, d, k)
+    assert screened >= 30
