@@ -27,14 +27,13 @@ evidence, not proof; the exact-arithmetic burden lives in
 :mod:`leraykit.emcert`.
 
 The two F_q routes are the certified polygamma value and the Laplace
-integral, taken by double-precision QUADPACK (scipy's ``quad``) on [0, T]
-with a breakpoint at t = 1 and an explicit bound on the tail beyond T.
-scipy is imported on the first such call (:mod:`leraykit._quadrature`),
-not when this module loads.
-The integrand is written so that no exponential in it grows.  QUADPACK's
-error estimate must stay below tol, or ToleranceUnreachable is raised;
-the routes must then agree within 10*tol + tail + radius, or
-CrossCheckFailure is raised.
+integral, taken by a double-precision adaptive 21-point Gauss-Kronrod rule
+(QUADPACK's QK21, :mod:`leraykit._quadrature`) on [0, T] with a breakpoint
+at t = 1 and an explicit bound on the tail beyond T.  The integrand is
+written so that no exponential in it grows.  The quadrature's error
+estimate must stay below tol, or ToleranceUnreachable is raised; the
+routes must then agree within 10*tol + tail + radius, or CrossCheckFailure
+is raised.
 """
 
 from __future__ import annotations
@@ -277,19 +276,17 @@ def _tail_cutoff(x: float, q: float, target: float) -> Tuple[float, float]:
 def _laplace_route(x: float, q: float, tol: float) -> Tuple[float, float]:
     """(integral of the Laplace integrand over [0, T], bound on the rest).
 
-    QUADPACK in double precision with a breakpoint at t = 1.  Any failure
-    QUADPACK reports, or an error estimate above tol, raises
-    ToleranceUnreachable rather than passing a value it cannot vouch for.
+    Adaptive 21-point Gauss-Kronrod in double precision
+    (:mod:`leraykit._quadrature`) with a breakpoint at t = 1.  An error
+    estimate above tol, or a non-finite one, raises ToleranceUnreachable
+    rather than passing a value the quadrature cannot vouch for.
     """
     T, tail = _tail_cutoff(x, q, tol)
-    value, error, _, *failure = quad(
-        _integrand, 0.0, T, args=(float(q), float(x)), points=[1.0],
-        epsabs=tol / 10, epsrel=0, limit=200, full_output=1,
-    )
-    if failure or error > tol:
-        reason = " ".join(failure[0].split()) if failure else f"error estimate {error:.3e}"
+    qf, xf = float(q), float(x)
+    value, error = quad(lambda t: _integrand(t, qf, xf), (0.0, 1.0, T), epsabs=tol / 10, limit=200)
+    if not error <= tol:
         raise ToleranceUnreachable(
-            f"f_q({x}, {q}) quadrature cannot reach tol={tol}: {reason}"
+            f"f_q({x}, {q}) quadrature cannot reach tol={tol}: error estimate {error:.3e}"
         )
     return value, tail
 
@@ -303,14 +300,15 @@ def f_q(
     """F_q(x) = theta(x+q, q) - x - 2q + 1/2, with certified radius.
 
     Computed from the polygamma route.  When cross_check is set, the
-    Laplace-integral route (double-precision QUADPACK on [0, T] plus an
-    explicit exponential tail bound) must agree within
+    Laplace-integral route (double-precision adaptive Gauss-Kronrod on
+    [0, T] plus an explicit exponential tail bound) must agree within
     10*tol + tail + radius, else CrossCheckFailure.  The quadrature cannot
     resolve much below 1e-13, so a tol under about that raises
-    ToleranceUnreachable instead.
+    ToleranceUnreachable instead.  A non-finite tol is a DomainError.
     """
     _require_finite("x", x)
     _require_finite("q", q)
+    _require_finite("tol", tol)
     if not x > 0:
         raise DomainError("f_q requires x > 0")
     # x + q as an interval: rounding it to a double would shift the argument

@@ -60,8 +60,8 @@ class RunConfig:
     output: Optional[str] = None
 
     def validate(self) -> None:
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be positive and finite (got {self.tolerance})")
         if self.k_max < 0:
             raise DomainError(f"k_max must be non-negative (got {self.k_max})")
         if self.grid_count < 2:

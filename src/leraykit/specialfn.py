@@ -247,6 +247,8 @@ class BoundedFloat:
 
 def _within_tol(name: str, raw, tol: float | None) -> BoundedFloat:
     """Wrap a kernel's raw interval as the public type, checking `tol`."""
+    if tol is not None:
+        _require_finite("tol", tol)
     out = BoundedFloat._of(iv.make_mpf(raw))
     if tol is not None and out.error_radius > tol:
         raise ToleranceUnreachable(

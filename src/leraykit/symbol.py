@@ -221,9 +221,12 @@ def _log_factorial(k: int, prec: int) -> tuple:
     return _log_gamma(_raw_int(k + 1))
 
 
-def symbol_value(query: "SymbolQuery | Tuple[float, float, int]", tol: float = DEFAULT_TOL) -> BoundedFloat:
+def symbol_value(
+    query: "SymbolQuery | Tuple[float, float, int]", tol: Optional[float] = DEFAULT_TOL
+) -> BoundedFloat:
     """J(d, gamma, k) > 0 with certified radius; the mode norm is its
-    square root.  `tol` is an absolute bound on the radius.
+    square root.  `tol` is an absolute bound on the radius (None skips
+    the check).
 
     Raises UnboundedMode when d lies outside I_k(gamma) (the mode norm is
     infinite there).

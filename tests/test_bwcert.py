@@ -140,6 +140,13 @@ def test_f_q_rejects_non_finite_arguments_by_name(bad):
         f_q(1.0, bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_f_q_rejects_non_finite_tol(bad):
+    # a gate of 10*inf would pass any disagreement
+    with pytest.raises(DomainError, match=r"^tol must be finite \(got "):
+        f_q(0.5, 0.0, tol=bad)
+
+
 SUITE_Q = (-2.0, 0.0, 1.0, 3.0, 2.0 / 3.0)
 SUITE_X = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 

@@ -135,6 +135,14 @@ def test_phi_non_finite_arguments_exit_2(capsys, args, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1"])
+def test_non_finite_or_non_positive_tolerance_exits_2(capsys, tol):
+    code, out, err = run_cli(capsys, "phi", "--r", "1", "--q", "0", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance must be positive and finite (got ")
+
+
 def test_phi_non_finite_argument_no_traceback_in_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "leraykit.cli", "phi", "--r=inf", "--q=0"],
@@ -369,25 +377,24 @@ def test_console_script_installed():
     assert proc.returncode == 0 and "leraykit" in proc.stdout
 
 
-_SCIPY_PROBE = """
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
-loaded = {}
 import leraykit.cli as cli
-loaded["import"] = "scipy" in sys.modules
+codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    loaded[" ".join(argv)] = [code, "scipy" in sys.modules]
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["certify", "--suite", "em"])
-loaded["certify"] = [code, "scipy.integrate" in sys.modules]
+        codes.append(cli.main(argv))
 from leraykit import bwcert, emcert
-loaded["shared_quad"] = bwcert.quad is emcert.quad
-print(json.dumps(loaded))
+print(json.dumps({
+    "codes": codes,
+    "loaded": sorted(m for m in ("scipy", "numpy") if m in sys.modules),
+    "shared_quad": bwcert.quad is emcert.quad,
+}))
 """
 
 
-def test_scipy_is_imported_only_by_certify_quadratures(tmp_path):
+def test_no_command_loads_scipy_or_numpy(tmp_path):
+    # certify --suite all runs both quadrature cross-checks
     commands = [
         ["version"],
         ["phi", "--r", "1", "--q", "0"],
@@ -395,18 +402,19 @@ def test_scipy_is_imported_only_by_certify_quadratures(tmp_path):
         ["norm", "--gamma", "5", "--d", "4"],
         ["scan", "--gamma", "3", "--d", "2", "--k-max", "10"],
         ["figures", "--id", "j-sweep", "--out", str(tmp_path), "--k-max", "5"],
+        ["certify", "--suite", "all"],
     ]
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded.pop("import") is False
-    assert loaded.pop("certify") == [0, True]
-    assert loaded.pop("shared_quad") is True
-    assert loaded == {" ".join(argv): [0, False] for argv in commands}
+    assert json.loads(proc.stdout) == {
+        "codes": [0] * len(commands),
+        "loaded": [],
+        "shared_quad": True,
+    }
 
 
 def test_precision_env_override():

@@ -211,6 +211,8 @@ def _bump_constant_term(coeffs):
          lambda dx: lambda p: 2 * dx(p), "f antiderivative"),
         (integral_antiderivative_certificate, emcert, "s_integral_tail",
          lambda tail: lambda r: 1.01 * tail(r), "quadrature cross-check"),
+        (integral_antiderivative_certificate, emcert, "quad",
+         lambda quad: lambda *a, **k: (quad(*a, **k)[0], 1e-9), "quadrature cross-check"),
         (bracket_certificates, emcert, "pr_bivariate",
          lambda pr: lambda: pr() + BivariatePolynomial.constant(1), "affine probe 1/6"),
         (h_pipeline, tables, "H2_NUM_COEFFS", _bump_constant_term,
@@ -218,7 +220,7 @@ def _bump_constant_term(coeffs):
         (s_bound_certificate, tables, "P_COEFFS", _bump_constant_term,
          "P coefficients: first mismatch at exponent 0"),
     ],
-    ids=["series", "integral", "bracket", "h-pipeline", "s-bound"],
+    ids=["series", "integral", "integral-estimate", "bracket", "h-pipeline", "s-bound"],
 )
 def test_exact_certificate_records_a_failed_check(monkeypatch, certificate, owner, name, corrupt, label):
     monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))

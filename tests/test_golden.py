@@ -41,7 +41,7 @@ def _sha256(data: bytes) -> str:
     "argv, digest",
     [
         (("certify", "--suite", "all", "--format", "json"),
-         "a9d92bc5a46c1a50041990fee1398681eaee8e058a0156310f14a97ff4fd26d9"),
+         "23e3e3dd7d8317bf1ba88d3bb5f480bcb46012eafb74f7fc9aa73b4af26bcf9b"),
         (("norm", "--gamma", "3", "--d", "0.5", "--k-max", "2000"),
          "ea8d85a581ed7ed5bd60ba840133291fa0c6c4003d99aa0630f9b77bd06095c1"),
         (("symbol", "--gamma", "3", "--d", "0.5", "--k", "0..60"),

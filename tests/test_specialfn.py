@@ -165,6 +165,29 @@ def test_non_finite_argument_is_a_domain_error(call, name, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: phi(1.0, 0.0, tol=tol),
+        lambda tol: theta(2.0, 0.5, tol=tol),
+        lambda tol: polygamma(1, 1.5, tol=tol),
+        lambda tol: log_gamma(1.5, tol=tol),
+    ],
+    ids=["phi", "theta", "polygamma", "log_gamma"],
+)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_tol_is_a_domain_error(call, bad):
+    # `radius > nan` is False, so an unchecked nan tol would skip the gate
+    with pytest.raises(DomainError, match=r"^tol must be finite \(got "):
+        call(bad)
+
+
+def test_non_positive_tol_is_unreachable():
+    for tol in (0.0, -1.0):
+        with pytest.raises(ToleranceUnreachable):
+            phi(1.0, 0.0, tol=tol)
+
+
 def test_finite_check_accepts_values_beyond_double_range():
     # an mpf or int past float range is finite; only the domain check may reject it
     with pytest.raises(DomainError, match=r"r \+ 1 - q > 0"):

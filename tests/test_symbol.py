@@ -278,6 +278,14 @@ def test_non_finite_exponents_rejected(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_tol_rejected(bad):
+    # `radius > nan` is False, so an unchecked nan tol would skip the gate
+    for call in (lambda: symbol_value((3.0, 0.5, 2), bad), lambda: leray_norm(3.0, 0.5, tol=bad)):
+        with pytest.raises(DomainError, match=r"^tol must be finite \(got "):
+            call()
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
