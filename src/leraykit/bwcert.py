@@ -30,10 +30,12 @@ The two F_q routes are the certified polygamma value and the Laplace
 integral, taken by a double-precision adaptive 21-point Gauss-Kronrod rule
 (QUADPACK's QK21, :mod:`leraykit._quadrature`) on [0, T] with a breakpoint
 at t = 1 and an explicit bound on the tail beyond T.  The integrand is
-written so that no exponential in it grows.  The quadrature's error
-estimate must stay below tol, or ToleranceUnreachable is raised; the
+written so that no exponential in it grows.  `f_q`'s tol is the
+quadrature's target, the one tolerance left in the library: the error
+estimate must stay below tol, or ToleranceUnreachable is raised, and the
 routes must then agree within 10*tol + tail + radius, or CrossCheckFailure
-is raised.
+is raised.  The polygamma route's radius is returned as it is, like every
+certified value in the package.
 """
 
 from __future__ import annotations
@@ -302,9 +304,11 @@ def f_q(
     Computed from the polygamma route.  When cross_check is set, the
     Laplace-integral route (double-precision adaptive Gauss-Kronrod on
     [0, T] plus an explicit exponential tail bound) must agree within
-    10*tol + tail + radius, else CrossCheckFailure.  The quadrature cannot
-    resolve much below 1e-13, so a tol under about that raises
-    ToleranceUnreachable instead.  A non-finite tol is a DomainError.
+    10*tol + tail + radius, else CrossCheckFailure.  `tol` is the
+    quadrature's target and sizes that gate; it does not bound the radius
+    of the returned value.  The quadrature cannot resolve much below 1e-13,
+    so a tol under about that raises ToleranceUnreachable instead.  A tol
+    that is None or not finite is a DomainError.
     """
     _require_finite("x", x)
     _require_finite("q", q)
@@ -313,7 +317,7 @@ def f_q(
         raise DomainError("f_q requires x > 0")
     # x + q as an interval: rounding it to a double would shift the argument
     # of theta by up to half an ulp, far more than the certified radius
-    out = theta(BoundedFloat.exact(x) + q, q, tol=tol) - x - 2 * q + Fraction(1, 2)
+    out = theta(BoundedFloat.exact(x) + q, q) - x - 2 * q + Fraction(1, 2)
     if cross_check:
         quad_val, tail = _laplace_route(x, q, tol)
         disagreement = abs(out.value - quad_val)

@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 certificate failure, 2 usage or domain error.
 A line-oriented config file (``key = value``) can seed the run; explicit
 command-line flags override file values.  Working precision is controlled
 by the LERAYKIT_PRECISION_BITS environment variable (read at import).
+
+``--tolerance`` is enforced here only: the library returns its certified
+enclosures as they are, and a command exits 2 when a value it prints (J, a
+norm or phi) has a larger radius.  A subcommand registers only flags it reads.
 """
 
 from __future__ import annotations
@@ -19,15 +23,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, bwcert, emcert
-from .errors import CertificateFailure, DomainError, LeraykitError
+from .errors import CertificateFailure, DomainError, LeraykitError, ToleranceUnreachable
 from .certificates import Certificate, first_failure
+from .specialfn import DEFAULT_TOL, BoundedFloat, phi_sandwich, precision_bits
 from .specialfn import phi as phi_fn
-from .specialfn import phi_sandwich
 from .symbol import (
     MeasureTag,
     SymbolQuery,
@@ -50,7 +54,7 @@ PHI_SWEEP_Q_SET = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: float = 1e-12
+    tolerance: float = DEFAULT_TOL
     k_max: int = 200
     grid_min: float = 0.75
     grid_max: float = 1000.0
@@ -95,27 +99,12 @@ class RunConfig:
     def as_dict(self) -> Dict[str, Any]:
         # the output destination is not part of the computation; leaving it
         # out keeps reports byte-identical across target paths
-        return {
-            "tolerance": self.tolerance,
-            "k_max": self.k_max,
-            "grid_min": self.grid_min,
-            "grid_max": self.grid_max,
-            "grid_count": self.grid_count,
-            "grid_scale": self.grid_scale,
-            "format": self.format,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output"}
 
 
-_CONFIG_CASTS = {
-    "tolerance": float,
-    "k_max": int,
-    "grid_min": float,
-    "grid_max": float,
-    "grid_count": int,
-    "grid_scale": str,
-    "format": str,
-    "output": str,
-}
+# config-file key -> cast, from the annotations (strings under the
+# __future__ import): int and float fields parse as such, the rest as text
+_CONFIG_CASTS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> Dict[str, Any]:
@@ -206,6 +195,16 @@ def _write_out(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _within_tolerance(name: str, value: BoundedFloat, cfg: RunConfig) -> BoundedFloat:
+    """`value`, after checking that its error radius is at most --tolerance."""
+    if value.error_radius > cfg.tolerance:
+        raise ToleranceUnreachable(
+            f"{name} radius {float(value.error_radius):.3e} exceeds tol={cfg.tolerance} "
+            f"at {precision_bits()}-bit precision"
+        )
+    return value
+
+
 def _parse_k_range(text: str) -> List[int]:
     """'7' or '0..60' (inclusive)."""
     if ".." in text:
@@ -255,7 +254,7 @@ def _cmd_symbol(ns: argparse.Namespace) -> int:
     rows: List[List[Any]] = []
     for k, ok in zip(ks, bounded_flags):
         if ok:
-            j = symbol_value(SymbolQuery(ns.gamma, d, k), cfg.tolerance)
+            j = _within_tolerance("symbol", symbol_value(SymbolQuery(ns.gamma, d, k)), cfg)
             rows.append([k, float(j.value), float(j.sqrt().value), True, float(j.error_radius)])
         else:
             rows.append([k, None, None, False, None])
@@ -266,13 +265,13 @@ def _cmd_symbol(ns: argparse.Namespace) -> int:
 def _cmd_norm(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
     measure = _measure_from_args(ns)
-    k_cap = max(cfg.k_max, 200)
-    result = leray_norm(ns.gamma, measure, tol=cfg.tolerance, k_cap=k_cap)
+    result = leray_norm(ns.gamma, measure, k_cap=cfg.k_max)
+    _within_tolerance("norm", result.value, cfg)
     if result.stabilized is False:
         # stderr only: the report stays byte-identical
         sys.stderr.write(
             f"warning: sup-search did not stabilize: k_scanned = {result.k_scanned} "
-            f"reached the mode cap k <= {k_cap}\n"
+            f"reached the mode cap k <= {cfg.k_max}\n"
         )
     rows = [[
         ns.gamma,
@@ -301,7 +300,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
     measure = _measure_from_args(ns)
     d = measure.exponent(ns.gamma)
-    result = monotonicity_scan(ns.gamma, d, cfg.k_max, cfg.tolerance)
+    result = monotonicity_scan(ns.gamma, d, cfg.k_max)
     lines = [
         f"gamma = {_fmt(ns.gamma)}",
         f"d = {_fmt(d)}",
@@ -324,7 +323,7 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
         for k in range(cfg.k_max + 1):
             row: List[Any] = [k]
             for d in d_set:
-                j = symbol_value(SymbolQuery(J_SWEEP_GAMMA, d, k), cfg.tolerance)
+                j = _within_tolerance("symbol", symbol_value(SymbolQuery(J_SWEEP_GAMMA, d, k)), cfg)
                 row.append(float(j.value))
             rows.append(row)
         path = out_dir / "j_sweep.csv"
@@ -335,7 +334,7 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
         for r in cfg.grid():
             row = [r]
             for q in q_set:
-                row.append(float(phi_fn(r, q, cfg.tolerance).value))
+                row.append(float(_within_tolerance("phi", phi_fn(r, q), cfg).value))
             rows.append(row)
         path = out_dir / "phi_sweep.csv"
     else:
@@ -350,6 +349,9 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
 
 def _cmd_certify(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
+    if cfg.tolerance != DEFAULT_TOL:  # the report's config must state the suites' tolerance
+        raise DomainError(f"certify runs its suites at tolerance {DEFAULT_TOL}; "
+                          f"the config file sets {cfg.tolerance}")
     certificates: List[Certificate] = []
     if ns.suite in ("bw", "all"):
         certificates += bwcert.bw_certificate_suite()
@@ -375,7 +377,7 @@ def _cmd_certify(ns: argparse.Namespace) -> int:
 
 def _cmd_phi(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
-    value = phi_fn(ns.r, ns.q, cfg.tolerance)
+    value = _within_tolerance("phi", phi_fn(ns.r, ns.q), cfg)
     lines = [
         f"r = {_fmt(ns.r)}",
         f"q = {_fmt(ns.q)}",
@@ -398,11 +400,16 @@ def _cmd_version(ns: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    """--config plus those of --tolerance, --format and --output in `names`."""
     p.add_argument("--config", help="config file with 'key = value' lines")
-    p.add_argument("--tolerance", "--tol", dest="tolerance", type=float, help="error-radius target")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
-    p.add_argument("--output", help="output path (default stdout)")
+    if "tolerance" in names:
+        p.add_argument("--tolerance", "--tol", dest="tolerance", type=float,
+                       help="largest error radius a printed value may have")
+    if "format" in names:
+        p.add_argument("--format", choices=("csv", "json"), help="output format")
+    if "output" in names:
+        p.add_argument("--output", help="output path (default stdout)")
 
 
 def _add_measure_args(p: argparse.ArgumentParser) -> None:
@@ -425,19 +432,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symbol", help="symbol values J(d, gamma, k) over a mode range")
     _add_measure_args(p)
     p.add_argument("--k", required=True, help="mode index or inclusive range, e.g. 3 or 0..60")
-    _add_common(p)
+    _add_common(p, "tolerance", "format", "output")
     p.set_defaults(func=_cmd_symbol)
 
     p = sub.add_parser("norm", help="operator norm (closed form or mode search)")
     _add_measure_args(p)
     p.add_argument("--k-max", dest="k_max", type=int, help="mode-scan budget")
-    _add_common(p)
+    _add_common(p, "tolerance", "format", "output")
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("scan", help="monotonicity classification of k -> J(d, gamma, k)")
     _add_measure_args(p)
     p.add_argument("--k-max", dest="k_max", type=int, help="last mode index (default from config)")
-    _add_common(p)
+    _add_common(p, "output")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("figures", help="emit sweep data as CSV files")
@@ -450,18 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-max", dest="grid_max", type=float)
     p.add_argument("--grid-count", dest="grid_count", type=int)
     p.add_argument("--grid-scale", dest="grid_scale", choices=("log", "linear"))
-    _add_common(p)
+    _add_common(p, "tolerance")
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("certify", help="run certificate suites")
     p.add_argument("--suite", default="all", choices=("bw", "em", "all"))
-    _add_common(p)
+    _add_common(p, "format", "output")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("phi", help="evaluate phi(r, q) with error radius and sandwich bounds")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    _add_common(p)
+    _add_common(p, "tolerance", "output")
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("version", help="print version")

@@ -46,4 +46,5 @@ class TailUnbounded(LeraykitError):
 
 class InconclusiveComparison(LeraykitError):
     """Adjacent values could not be strictly ordered because their error
-    radii overlap; retry with a smaller tolerance."""
+    radii overlap; retry at a higher LERAYKIT_PRECISION_BITS, which narrows
+    the rounding part of the radii."""

@@ -32,7 +32,10 @@ represented real number.  Its width has two sources:
 
 One working precision, set by LERAYKIT_PRECISION_BITS or
 :func:`set_precision_bits`, drives both ``mpmath.mp`` and ``mpmath.iv``.
-Every ``tol`` argument is an absolute bound on the returned error radius.
+No function here takes a tolerance: each returns its certified enclosure
+at the working precision, whatever its radius, and a caller that needs a
+bound on the radius checks it (the command line rejects a radius above
+``--tolerance``).  More bits narrow only the rounding part of a radius.
 
 The polygamma functions psi^(m) for m >= 1 are evaluated from their series
 
@@ -78,14 +81,14 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .errors import CrossCheckFailure, DomainError, ToleranceUnreachable
+from .errors import CrossCheckFailure, DomainError
 
 # ----------------------------------------------------------------------
 # working precision
 # ----------------------------------------------------------------------
 _MIN_PREC = 80
 DEFAULT_PRECISION_BITS = 120
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-12  # the CLI's --tolerance and f_q's quadrature target
 
 _env = os.environ.get("LERAYKIT_PRECISION_BITS")
 _PREC = max(_MIN_PREC, int(_env)) if _env else DEFAULT_PRECISION_BITS
@@ -125,11 +128,12 @@ def _to_iv(x: Scalar):
 
 def _require_finite(name: str, value: Scalar) -> None:
     # inf and nan would otherwise reach int(), Fraction() or overflow in
-    # log-Gamma.  Only floats take math.isfinite: on an int or mpf beyond
-    # double range it raises or reads inf although the value is finite.
+    # log-Gamma, and None would raise a bare TypeError.  Only floats take
+    # math.isfinite: on an int or mpf beyond double range it raises or reads
+    # inf although the value is finite.
     if isinstance(value, BoundedFloat):
         value = value.value
-    finite = isfinite(value) if isinstance(value, float) else mpmath.isfinite(value)
+    finite = isfinite(value) if isinstance(value, float) else value is not None and mpmath.isfinite(value)
     if not finite:
         raise DomainError(f"{name} must be finite (got {value})")
 
@@ -245,17 +249,9 @@ class BoundedFloat:
         return f"BoundedFloat({mpmath.nstr(self.value, 17)} ± {mpmath.nstr(self.error_radius, 3)})"
 
 
-def _within_tol(name: str, raw, tol: float | None) -> BoundedFloat:
-    """Wrap a kernel's raw interval as the public type, checking `tol`."""
-    if tol is not None:
-        _require_finite("tol", tol)
-    out = BoundedFloat._of(iv.make_mpf(raw))
-    if tol is not None and out.error_radius > tol:
-        raise ToleranceUnreachable(
-            f"{name} radius {float(out.error_radius):.3e} exceeds tol={tol} "
-            f"at {_PREC}-bit precision"
-        )
-    return out
+def _wrap(raw) -> BoundedFloat:
+    """A kernel's raw interval as the public type."""
+    return BoundedFloat._of(iv.make_mpf(raw))
 
 
 # ----------------------------------------------------------------------
@@ -372,17 +368,13 @@ def _positive_argument(fn: str, x: Scalar):
     return xv._mpi_
 
 
-def polygamma(m: int, x: Scalar, tol: float | None = DEFAULT_TOL) -> BoundedFloat:
-    """psi^(m)(x) for x > 0 with a certified error radius.
-
-    `tol` is an absolute bound on the radius; ToleranceUnreachable is
-    raised if the working precision cannot honor it (None skips the check).
-    """
+def polygamma(m: int, x: Scalar) -> BoundedFloat:
+    """psi^(m)(x) for x > 0 with a certified error radius."""
     xv = _positive_argument("polygamma", x)
     m = int(m)
     if m < 0:
         raise DomainError("polygamma order must be non-negative")
-    return _within_tol("polygamma", _digamma(xv) if m == 0 else _polygamma_series(m, xv), tol)
+    return _wrap(_digamma(xv) if m == 0 else _polygamma_series(m, xv))
 
 
 def _polygamma_series(m: int, x):
@@ -420,13 +412,10 @@ def _digamma(x):
     return mpi_sub(out, head, prec)
 
 
-def log_gamma(x: Scalar, tol: float | None = None) -> BoundedFloat:
+def log_gamma(x: Scalar) -> BoundedFloat:
     """log Gamma(x) for x > 0 via argument raising and the Stirling series
-    (remainder bounded by the first omitted term).
-
-    `tol`, when given, is an absolute bound on the radius.
-    """
-    return _within_tol("log_gamma", _log_gamma(_positive_argument("log_gamma", x)), tol)
+    (remainder bounded by the first omitted term)."""
+    return _wrap(_log_gamma(_positive_argument("log_gamma", x)))
 
 
 def _log_gamma(x):
@@ -466,24 +455,21 @@ def _shifted_argument(fn: str, r: Scalar, q: Scalar):
     return rv, qv, x._mpi_
 
 
-def theta(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
-    """theta(r, q) = r^2 psi'(r + 1 - q); its r-derivative is phi(r, q).
-
-    `tol` is an absolute bound on the radius.
-    """
+def theta(r: Scalar, q: Scalar) -> BoundedFloat:
+    """theta(r, q) = r^2 psi'(r + 1 - q); its r-derivative is phi(r, q)."""
     rv, _, x = _shifted_argument("theta", r, q)
     r_squared = mpi_mul(rv._mpi_, rv._mpi_, _PREC)
-    return _within_tol("theta", mpi_mul(_polygamma_series(1, x), r_squared, _PREC), tol)
+    return _wrap(mpi_mul(_polygamma_series(1, x), r_squared, _PREC))
 
 
-def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
+def phi(r: Scalar, q: Scalar) -> BoundedFloat:
     """phi(r, q) = 2r psi'(r+1-q) + r^2 psi''(r+1-q).
 
     Equals sum_{j>=1} 2r(j-q)/(r+j-q)^3.  Inputs with r within 1e-6 of q
     are rejected: every comparison against 1 downstream is an open-interval
-    claim on r > q, and no behavior is specified at the endpoint.  `tol` is
-    an absolute bound on the radius.  Every value is cross-checked against
-    the double-precision series bracket of `phi_series_partial`.
+    claim on r > q, and no behavior is specified at the endpoint.  Every
+    value is cross-checked against the double-precision series bracket of
+    `phi_series_partial`.
     """
     rv, qv, x = _shifted_argument("phi", r, q)
     if abs(rv - qv).b < _NEAR_THRESHOLD:
@@ -494,7 +480,7 @@ def phi(r: Scalar, q: Scalar, tol: float = DEFAULT_TOL) -> BoundedFloat:
         mpi_mul(_polygamma_series(2, x), mpi_mul(rv, rv, prec), prec),
         prec,
     )
-    out = _within_tol("phi", value, tol)
+    out = _wrap(value)
     _phi_series_check(r, q, out)
     return out
 

@@ -17,7 +17,9 @@ sqrt(gamma / (2 sqrt(gamma-1))) regardless of d.
 
 Everything is computed in log-Gamma space with certified error radii (see
 :mod:`leraykit.specialfn`), so strict comparisons between modes can be made
-with the radii separating the values.
+with the radii separating the values.  No function here takes a tolerance:
+each returns its certified enclosure at the working precision, and the
+command line rejects a printed radius above ``--tolerance``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
     UnboundedMode,
 )
 from .specialfn import (
-    DEFAULT_TOL,
     _EM_TERMS,
     _RAISE_TO,
     BoundedFloat,
@@ -49,7 +50,7 @@ from .specialfn import (
     _raw_int,
     _require_finite,
     _to_iv,
-    _within_tol,
+    _wrap,
     precision_bits,
 )
 
@@ -221,12 +222,9 @@ def _log_factorial(k: int, prec: int) -> tuple:
     return _log_gamma(_raw_int(k + 1))
 
 
-def symbol_value(
-    query: "SymbolQuery | Tuple[float, float, int]", tol: Optional[float] = DEFAULT_TOL
-) -> BoundedFloat:
+def symbol_value(query: "SymbolQuery | Tuple[float, float, int]") -> BoundedFloat:
     """J(d, gamma, k) > 0 with certified radius; the mode norm is its
-    square root.  `tol` is an absolute bound on the radius (None skips
-    the check).
+    square root.
 
     Raises UnboundedMode when d lies outside I_k(gamma) (the mode norm is
     infinite there).
@@ -251,7 +249,7 @@ def symbol_value(
     log_j = mpi_sub(log_j, mpi_mul(_log_factorial(k, prec), _RAW_TWO, prec), prec)
     log_j = mpi_add(log_j, mpi_mul(log_half_g, two_k_plus_2, prec), prec)
     log_j = mpi_sub(log_j, mpi_mul(log_g_minus_1, b, prec), prec)
-    return _within_tol("symbol", mpi_exp(log_j, prec), tol)
+    return _wrap(mpi_exp(log_j, prec))
 
 
 def holder_conjugate(gamma: float) -> float:
@@ -306,12 +304,13 @@ class ScanResult:
     witness_k: Optional[int] = None  # first turning index for NON_MONOTONE
 
 
-def monotonicity_scan(gamma: float, d: float, k_max: int, tol: float = DEFAULT_TOL) -> ScanResult:
+def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
     """Classify k |-> J(d, gamma, k) on 0..k_max with strict comparisons
     separated by the error radii.
 
     CONSTANT is claimed only for the exactly-constant case gamma = 2, d = 1.
-    Raises InconclusiveComparison when adjacent radii overlap (lower tol).
+    Raises InconclusiveComparison when adjacent radii overlap; a higher
+    LERAYKIT_PRECISION_BITS narrows the rounding part of the radii.
     """
     _require_gamma(gamma)
     _require_finite("d", d)
@@ -322,7 +321,7 @@ def monotonicity_scan(gamma: float, d: float, k_max: int, tol: float = DEFAULT_T
         raise UnboundedMode(
             f"d={d} outside ({lo:.6g}, {hi:.6g}); some scanned modes are unbounded"
         )
-    values = [symbol_value(SymbolQuery(gamma, d, k), tol) for k in range(k_max + 1)]
+    values = [symbol_value(SymbolQuery(gamma, d, k)) for k in range(k_max + 1)]
 
     if gamma == 2 and d == 1:
         for k, v in enumerate(values):
@@ -339,7 +338,7 @@ def monotonicity_scan(gamma: float, d: float, k_max: int, tol: float = DEFAULT_T
             step = -1
         else:
             raise InconclusiveComparison(
-                f"J at k={k} and k={k + 1} not separated by radii; lower tol"
+                f"J at k={k} and k={k + 1} not separated by radii; raise LERAYKIT_PRECISION_BITS"
             )
         if direction == 0:
             direction = step
@@ -406,17 +405,15 @@ def _log_j_floor(prec: int) -> float:
     twice log Gamma(k+1), so four such remainders.  The bound is reached
     when all four arguments land on z = 16 (gamma = 2.5, d = 2, k = 1 has
     A = B = k+1 = 2, and a radius 0.99999999999 times the four), so it is
-    doubled: the double-precision slack alone must not decide a tolerance.
+    doubled rather than left to the rounding allowance to cover.
     """
     _, remainders, _ = _bernoulli_series(-1, prec)
     return 2 * 4 * to_float(remainders[-1][1]) * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
 
 
-def _sqrt_j_bracket(
-    gamma: float, d: float, k: int, tol: Optional[float]
-) -> Optional[Tuple[float, float]]:
-    """Doubles (lo, hi) around the midpoint of
-    ``symbol_value(SymbolQuery(gamma, d, k), tol).sqrt()``, or None.
+def _log_j_screen(gamma: float, d: float, k: int) -> Optional[Tuple[float, float, float]]:
+    """(log J in doubles, spread, rho) for mode k, or None when A or B is
+    not positive in doubles.
 
     log J = lgamma(A) + lgamma(B) - 2 lgamma(k+1) + (2k+2) log(gamma/2)
     - B log(gamma-1) is summed with ``math.fsum``; its error is bounded by
@@ -426,16 +423,12 @@ def _sqrt_j_bracket(
     ((2k+2)(gamma-1) + 1 - d)/gamma, which keeps its relative accuracy
     when B is near zero.
 
-    The certified log J has radius at most rho = `_log_j_floor` +
-    (mag + cond) 2^(_SCREEN_ROUNDING_BITS - prec), where
+    rho bounds the radius of the certified log J of `symbol_value`:
+    `_log_j_floor` + (mag + cond) 2^(_SCREEN_ROUNDING_BITS - prec), where
     cond = (2k+2)(1/B + |log B| + |log(gamma-1)| + 1) covers
-    symbol_value's subtraction B = 2k+2 - A.  Its midpoint therefore lies
-    within _SCREEN_PAD mag + 2 rho of the float log J, and the returned
-    bracket is that range halved and exponentiated,
-    padded by the relative _SCREEN_PAD.  The radius of J is at most
-    J_hi rho; None is returned when that could reach `tol` (so the
-    certified value decides, and raises ToleranceUnreachable where it
-    must), and when J is outside double range.
+    symbol_value's subtraction B = 2k+2 - A.  The certified midpoint of
+    log J therefore lies within spread = _SCREEN_PAD mag + 2 rho of the
+    float log J.
     """
     prec = precision_bits()
     a = (2 * k + 1 + d) / gamma
@@ -444,15 +437,24 @@ def _sqrt_j_bracket(
         return None
     log_g1 = log(gamma - 1)
     terms = (lgamma(a), lgamma(b), -2 * lgamma(k + 1), (2 * k + 2) * log(gamma / 2), -b * log_g1)
-    log_j = fsum(terms)
     mag = fsum(map(abs, terms)) + a * (abs(log(a)) + 1) + b * (abs(log(b)) + 1) + 1
     cond = (2 * k + 2) * (1 / b + abs(log(b)) + abs(log_g1) + 1)
     rho = _log_j_floor(prec) + (mag + cond) * 2.0 ** (_SCREEN_ROUNDING_BITS - prec)
-    spread = _SCREEN_PAD * mag + 2 * rho
-    if not log_j + spread < 709:  # exp would overflow
+    return fsum(terms), _SCREEN_PAD * mag + 2 * rho, rho
+
+
+def _sqrt_j_bracket(gamma: float, d: float, k: int) -> Optional[Tuple[float, float]]:
+    """Doubles (lo, hi) around the midpoint of
+    ``symbol_value(SymbolQuery(gamma, d, k)).sqrt()``, or None.
+
+    The range of `_log_j_screen` halved and exponentiated, padded by the
+    relative _SCREEN_PAD.  None when `_log_j_screen` gives none and when J
+    is outside double range, so the certified value decides.
+    """
+    screen = _log_j_screen(gamma, d, k)
+    if screen is None or not screen[0] + screen[1] < 709:  # exp would overflow
         return None
-    if tol is not None and exp(log_j + spread) * rho >= tol:
-        return None
+    log_j, spread, _ = screen
     return (
         exp((log_j - spread) / 2) * (1 - _SCREEN_PAD),
         exp((log_j + spread) / 2) * (1 + _SCREEN_PAD),
@@ -472,10 +474,7 @@ def _band(x) -> int:
 
 
 def sup_search(
-    gamma: float,
-    d: float,
-    k_cap: int = 2000,
-    tol: float = DEFAULT_TOL,
+    gamma: float, d: float, k_cap: int = 2000
 ) -> Tuple[BoundedFloat, Optional[int], int, bool]:
     """Scan sqrt(J(d, gamma, k)) for k = 0.. and bracket the supremum.
 
@@ -495,8 +494,8 @@ def sup_search(
     argmax, or the closed-form limit.
 
     Raises DomainError for a gamma <= 1, a non-finite d or a k_cap that is
-    not a non-negative integer, UnboundedMode when d is outside I_0(gamma),
-    and ToleranceUnreachable at the first mode whose radius exceeds `tol`.
+    not a non-negative integer, and UnboundedMode when d is outside
+    I_0(gamma).
     """
     _require_gamma(gamma)
     _require_finite("d", d)
@@ -507,7 +506,7 @@ def sup_search(
 
     def certify(k: int) -> BoundedFloat:
         if k not in certified:
-            certified[k] = symbol_value(SymbolQuery(gamma, d, k), tol).sqrt()
+            certified[k] = symbol_value(SymbolQuery(gamma, d, k)).sqrt()
             brackets[k] = _enclose(certified[k].value)
         return certified[k]
 
@@ -539,7 +538,7 @@ def sup_search(
     stabilized = False
     while k <= k_cap:
         if k not in brackets:
-            bracket = _sqrt_j_bracket(gamma, d, k, tol)
+            bracket = _sqrt_j_bracket(gamma, d, k)
             if bracket is None:
                 certify(k)
             else:
@@ -565,12 +564,7 @@ def sup_search(
     return certify(best_k), best_k, k, stabilized
 
 
-def leray_norm(
-    gamma: float,
-    measure: "MeasureTag | float",
-    tol: float = DEFAULT_TOL,
-    k_cap: int = 2000,
-) -> NormResult:
+def leray_norm(gamma: float, measure: "MeasureTag | float", k_cap: int = 2000) -> NormResult:
     """Norm of the full transform on L^2(M_gamma, r^d dr dtheta ds).
 
     Closed forms (mode of attainment in parentheses):
@@ -606,10 +600,10 @@ def leray_norm(
     if kind == "preferred" or _close(d, (gamma + 1) / 3):
         return NormResult(_hf_limit_bf(gamma), "closed-form", gamma, d, attained_at=None)
     if gamma == 2 or kind == "pairing" or kind == "lebesgue" or _close(d, gamma - 1) or _close(d, 1.0):
-        value = symbol_value(SymbolQuery(gamma, d, 0), tol).sqrt()
+        value = symbol_value(SymbolQuery(gamma, d, 0)).sqrt()
         return NormResult(value, "closed-form", gamma, d, attained_at=0)
 
-    value, argmax, scanned, stabilized = sup_search(gamma, d, k_cap=k_cap, tol=tol)
+    value, argmax, scanned, stabilized = sup_search(gamma, d, k_cap=k_cap)
     return NormResult(
         value,
         "sup-search",

@@ -49,16 +49,17 @@ def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
 
 def test_criterion_1_heisenberg_constancy():
     start = time.perf_counter()
-    worst = 0.0
+    worst = worst_radius = 0.0
     for k in range(51):
-        v = symbol_value(SymbolQuery(2.0, 1.0, k), 1e-12)
+        v = symbol_value(SymbolQuery(2.0, 1.0, k))
         worst = max(worst, abs(float(v.value) - 1.0))
+        worst_radius = max(worst_radius, float(v.error_radius))
     elapsed = time.perf_counter() - start
     _report(
         1,
-        "J(1,2,k) = 1 for k = 0..50 within 1e-12, under 1 s",
-        worst <= 1e-12 and elapsed < 1.0,
-        f"max deviation {worst:.2e}, {elapsed:.3f}s",
+        "J(1,2,k) = 1 for k = 0..50 within 1e-12, radii within 1e-12, under 1 s",
+        worst <= 1e-12 and worst_radius <= 1e-12 and elapsed < 1.0,
+        f"max deviation {worst:.2e}, max radius {worst_radius:.2e}, {elapsed:.3f}s",
     )
 
 

@@ -140,9 +140,9 @@ def test_f_q_rejects_non_finite_arguments_by_name(bad):
         f_q(1.0, bad)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, None])
 def test_f_q_rejects_non_finite_tol(bad):
-    # a gate of 10*inf would pass any disagreement
+    # a gate of 10*inf would pass any disagreement, and None has no gate
     with pytest.raises(DomainError, match=r"^tol must be finite \(got "):
         f_q(0.5, 0.0, tol=bad)
 
@@ -184,16 +184,14 @@ def test_cross_check_catches_a_shifted_polygamma_route(monkeypatch):
     tol = 1e-12
     f_q(0.5, 0.0, tol=tol)  # the unshifted routes agree
     original = bwcert.theta
-    monkeypatch.setattr(
-        bwcert, "theta", lambda r, q, tol=tol: original(r, q, tol=tol) + 100 * tol
-    )
+    monkeypatch.setattr(bwcert, "theta", lambda r, q: original(r, q) + 100 * tol)
     with pytest.raises(CrossCheckFailure):
         f_q(0.5, 0.0, tol=tol)
 
 
 def test_cross_check_below_quadrature_resolution_is_unreachable():
-    # the polygamma route alone reaches tol=1e-14; QUADPACK cannot
-    f_q(0.5, -2.0, tol=1e-14, cross_check=False)
+    # the polygamma route alone reaches a radius below 1e-14; QUADPACK cannot
+    assert f_q(0.5, -2.0, tol=1e-14, cross_check=False).error_radius <= 1e-14
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ToleranceUnreachable):

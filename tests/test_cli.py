@@ -143,6 +143,74 @@ def test_non_finite_or_non_positive_tolerance_exits_2(capsys, tol):
     assert err.startswith("error: tolerance must be positive and finite (got ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("symbol", "--gamma", "3", "--d", "0.5", "--k", "0..3", "--tol", "1e-30"),
+         "symbol radius 2.639e-24 exceeds tol=1e-30"),
+        (("norm", "--gamma", "3", "--measure", "preferred", "--tol", "1e-40"),
+         "norm radius 1.505e-36 exceeds tol=1e-40"),
+        (("norm", "--gamma", "3", "--measure", "pairing", "--tol", "1e-30"),
+         "norm radius 1.470e-24 exceeds tol=1e-30"),
+        (("phi", "--r", "1", "--q", "0", "--tol", "1e-60"), "phi radius 4.299e-24 exceeds tol=1e-60"),
+        (("figures", "--id", "j-sweep", "--out", "{out}", "--tol", "1e-30"),
+         "symbol radius 2.855e-24 exceeds tol=1e-30"),
+        (("figures", "--id", "phi-sweep", "--out", "{out}", "--tol", "1e-30"),
+         "phi radius 9.908e-25 exceeds tol=1e-30"),
+    ],
+    ids=["symbol", "norm-preferred", "norm-pairing", "phi", "j-sweep", "phi-sweep"],
+)
+def test_printed_radius_above_tolerance_exits_2(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    saved = precision_bits()
+    set_precision_bits(120)
+    try:
+        code, out, err = run_cli(capsys, *(a.format(out=out_dir) for a in argv))
+    finally:
+        set_precision_bits(saved)
+    assert code == 2 and out == ""
+    assert err == f"error: {message} at 120-bit precision\n"
+    assert not out_dir.exists()
+
+
+def test_norm_checks_the_radius_it_prints(capsys):
+    # sqrt J(2, 3, 0) has radius 1.47e-24 while J's is 3.12e-24
+    code, out, _ = run_cli(capsys, "norm", "--gamma", "3", "--measure", "pairing", "--tol", "2e-24")
+    assert code == 0
+    radius = float(out.split("error_radius = ")[1].split("\n")[0])
+    assert 1e-24 < radius <= 2e-24
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scan", "--gamma", "5", "--d", "4", "--format", "json"), "unrecognized arguments: --format json"),
+        (("scan", "--gamma", "5", "--d", "4", "--tol", "1e-3"), "unrecognized arguments: --tol 1e-3"),
+        (("phi", "--r", "1", "--q", "0", "--format", "json"), "unrecognized arguments: --format json"),
+        (("figures", "--id", "j-sweep", "--out", "{out}", "--format", "json"),
+         "unrecognized arguments: --format json"),
+        (("figures", "--id", "j-sweep", "--out", "{out}", "--output", "{out}/j.csv"),
+         "unrecognized arguments: --output"),
+        (("certify", "--suite", "em", "--tol", "1e-3"), "unrecognized arguments: --tol 1e-3"),
+        (("certify", "--suite", "em", "--config", "{cfg}"),
+         "error: certify runs its suites at tolerance 1e-12; the config file sets 0.001"),
+    ],
+    ids=["scan-format", "scan-tol", "phi-format", "figures-format", "figures-output",
+         "certify-tol", "certify-config-tolerance"],
+)
+def test_flag_the_subcommand_would_ignore_exits_2(tmp_path, capsys, argv, message):
+    out_dir, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 1e-3\n")
+    try:
+        code = main([a.format(out=out_dir, cfg=cfg) for a in argv])
+    except SystemExit as exc:  # argparse's exit on an unregistered flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err
+    assert not out_dir.exists()
+
+
 def test_phi_non_finite_argument_no_traceback_in_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "leraykit.cli", "phi", "--r=inf", "--q=0"],
@@ -166,6 +234,15 @@ def test_norm_warns_when_sup_search_does_not_stabilize(capsys):
     # a closed-form norm has nothing to stabilize and stays silent
     code, _, err = run_cli(capsys, "norm", "--gamma", "3", "--measure", "pairing")
     assert code == 0 and err == ""
+
+
+def test_norm_mode_cap_is_k_max(capsys):
+    code, out, err = run_cli(capsys, "norm", "--gamma", "3", "--d", "0.5", "--k-max", "20")
+    assert code == 0
+    assert "k_scanned = 21" in out and "stabilized = false" in out
+    assert err == (
+        "warning: sup-search did not stabilize: k_scanned = 21 reached the mode cap k <= 20\n"
+    )
 
 
 def test_scan_output(capsys):

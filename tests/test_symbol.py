@@ -21,11 +21,13 @@ from leraykit.symbol import (
     sup_search,
     symbol_value,
 )
-from leraykit.symbol import _hf_limit_bf, _sqrt_j_bracket
+from leraykit.symbol import _hf_limit_bf, _log_j_screen, _sqrt_j_bracket
 
 
-def J(gamma, d, k, tol=1e-12):
-    return symbol_value(SymbolQuery(gamma, d, k), tol)
+def J(gamma, d, k):
+    v = symbol_value(SymbolQuery(gamma, d, k))
+    assert v.error_radius <= 1e-12
+    return v
 
 
 def test_heisenberg_lebesgue_is_one():
@@ -278,14 +280,6 @@ def test_non_finite_exponents_rejected(bad):
             call()
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_non_finite_tol_rejected(bad):
-    # `radius > nan` is False, so an unchecked nan tol would skip the gate
-    for call in (lambda: symbol_value((3.0, 0.5, 2), bad), lambda: leray_norm(3.0, 0.5, tol=bad)):
-        with pytest.raises(DomainError, match=r"^tol must be finite \(got "):
-            call()
-
-
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -317,12 +311,12 @@ def restore_precision():
     set_precision_bits(saved)
 
 
-def _certified_sup_search(gamma, d, k_cap, tol):
+def _certified_sup_search(gamma, d, k_cap):
     """sup_search decided by certified midpoints alone, mode by mode."""
     limit = _hf_limit_bf(gamma)
     best, best_k, run, run_sign, k, stabilized = None, 0, 0, 0, 0, False
     while k <= k_cap:
-        v = symbol_value(SymbolQuery(gamma, d, k), tol).sqrt()
+        v = symbol_value(SymbolQuery(gamma, d, k)).sqrt()
         if best is None or v.value > best.value:
             best, best_k = v, k
         diff = v.value - limit.value
@@ -340,9 +334,9 @@ def _certified_sup_search(gamma, d, k_cap, tol):
     return best, best_k, k, stabilized
 
 
-def _outcome(search, gamma, d, k_cap, tol):
+def _outcome(search, gamma, d, k_cap):
     try:
-        value, argmax, scanned, stabilized = search(gamma, d, k_cap, tol)
+        value, argmax, scanned, stabilized = search(gamma, d, k_cap)
     except LeraykitError as exc:
         return type(exc).__name__, str(exc)
     return value.interval.a, value.interval.b, argmax, scanned, stabilized
@@ -351,40 +345,35 @@ def _outcome(search, gamma, d, k_cap, tol):
 def _screen_cases():
     rng = random.Random(2024)
     cases = [
-        (1e20, 5.0, 3, 1.0),          # J ~ 1e19: the absolute tol needs a large value
-        (1e20, 5.0, 2, 1e-12),        # ... and fails at mode 0 otherwise
-        (6.0, 1.4, 40, 1e-12),        # attained at k = 1
-        (2.0001, 1.0, 60, 1e-12),     # stabilizes after 20 modes
-        (5.0, 2.0001, 30, 1e-12),     # near the preferred line: the limit wins
-        (3.0, 0.5, 25, 1e-25),
-        (3.0, 0.5, 25, 1e-40),
-        (1 + 2.0 ** -40, 0.5, 12, 1e-12),   # B far below 1 at every mode
-        (2.5, 2.0, 6, 1e-23),         # A = B = k+1 = 2 at k = 1
-        (5.0, 2.0, 60, "tight"),      # J increases with k, and so does its radius
+        (1e20, 5.0, 3),               # J ~ 1e19: screened like any other mode
+        (1e20, 5.0, 60),
+        (1e300, 0.0, 10),             # lgamma(A) of an A near 1e-300
+        (6.0, 1.4, 40),               # attained at k = 1
+        (2.0001, 1.0, 60),            # stabilizes after 20 modes
+        (5.0, 2.0001, 30),            # near the preferred line: the limit wins
+        (3.0, 0.5, 25),
+        (1 + 2.0 ** -40, 0.5, 12),    # B far below 1 at every mode
+        (2.5, 2.0, 6),                # A = B = k+1 = 2 at k = 1
+        (5.0, 2.0, 60),               # J increases with k, and so does its radius
     ]
     for _ in range(31):
         gamma = rng.choice((rng.uniform(1.05, 9.0), 1 + 10 ** rng.uniform(-12, -1), 10 ** rng.uniform(1, 20)))
         hi = 2 * (gamma - 1) + 1
         d = rng.choice((rng.uniform(-1, hi),) * 5 + ((gamma + 1) / 3 + rng.uniform(-1e-3, 1e-3),) * 2 + (hi + 0.5,))
-        tol = rng.choice((1e-12, 1e-12, 1e-6, 1.0, 1e-20, 1e-25, 1e-40, "tight", "tight"))
         k_cap = rng.choice((rng.randint(0, 40),) * 3 + (rng.randint(100, 300),))
-        cases.append((gamma, d, k_cap, tol))
+        cases.append((gamma, d, k_cap))
     return cases
 
 
 @pytest.mark.parametrize("bits", [80, 120, 200])
 def test_sup_search_screen_matches_certified_search(bits, restore_precision):
     set_precision_bits(bits)
-    for gamma, d, k_cap, tol in _screen_cases():
-        if tol == "tight":  # the radius of mode 0 passes; a larger one later raises
-            try:
-                tol = 1.01 * float(symbol_value(SymbolQuery(gamma, d, 0), None).error_radius)
-            except UnboundedMode:
-                tol = 1e-12
-        case = (bits, gamma, d, k_cap, tol)
-        assert _outcome(sup_search, gamma, d, k_cap, tol) == _outcome(
-            _certified_sup_search, gamma, d, k_cap, tol
-        ), case
+    cases = _screen_cases()
+    assert len(cases) == 41
+    for gamma, d, k_cap in cases:
+        assert _outcome(sup_search, gamma, d, k_cap) == _outcome(
+            _certified_sup_search, gamma, d, k_cap
+        ), (bits, gamma, d, k_cap)
 
 
 @pytest.mark.parametrize("bits", [80, 120, 200, 400])
@@ -398,11 +387,12 @@ def test_sqrt_j_bracket_bounds_radius_and_encloses_midpoint(bits, restore_precis
         modes.append((gamma, d, rng.choice((1, 2, rng.randint(1, 3000), rng.randint(1, 10 ** 6)))))
     screened = 0
     for gamma, d, k in modes:
-        j = symbol_value(SymbolQuery(gamma, d, k), None)
-        # the bound on the radius of J: a tol at the certified radius must
-        # leave the decision to the certified value
-        assert _sqrt_j_bracket(gamma, d, k, float(j.error_radius)) is None, (gamma, d, k)
-        bracket = _sqrt_j_bracket(gamma, d, k, math.inf)
+        j = symbol_value(SymbolQuery(gamma, d, k))
+        # rho bounds the radius of the certified log J, which the bracket's
+        # spread of 2 rho must cover
+        _, _, rho = _log_j_screen(gamma, d, k)
+        assert j.log().error_radius <= rho, (gamma, d, k)
+        bracket = _sqrt_j_bracket(gamma, d, k)
         if bracket is not None:
             screened += 1
             assert bracket[0] <= j.sqrt().value <= bracket[1], (gamma, d, k)
