@@ -9,7 +9,8 @@ timestamps or environment fingerprints are embedded.
 Exit codes: 0 success, 1 certificate failure, 2 usage or domain error.
 
 A line-oriented config file (``key = value``) can seed the run; explicit
-command-line flags override file values.  Working precision is controlled
+command-line flags override file values.  A subcommand accepts only the
+keys of the flags it registers.  Working precision is controlled
 by the LERAYKIT_PRECISION_BITS environment variable (read at import).
 
 ``--tolerance`` is enforced here only: the library returns its certified
@@ -123,10 +124,16 @@ def load_config_file(path: str) -> Dict[str, Any]:
     return values
 
 
-def build_config(ns: argparse.Namespace) -> RunConfig:
+def build_config(ns: argparse.Namespace, file_only: Tuple[str, ...] = ()) -> RunConfig:
+    """Defaults, then the --config file, then the flags.  A config-file key
+    must name a flag the subcommand registers, or be one of `file_only`."""
     cfg = RunConfig()
     if getattr(ns, "config", None):
-        cfg = replace(cfg, **load_config_file(ns.config))
+        values = load_config_file(ns.config)
+        for key in values:
+            if not hasattr(ns, key) and key not in file_only:
+                raise DomainError(f"{ns.config}: key {key!r} is not read by the {ns.command} subcommand")
+        cfg = replace(cfg, **values)
     overrides = {}
     for key in _CONFIG_CASTS:
         flag = getattr(ns, key, None)
@@ -348,8 +355,10 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
 
 
 def _cmd_certify(ns: argparse.Namespace) -> int:
-    cfg = build_config(ns)
-    if cfg.tolerance != DEFAULT_TOL:  # the report's config must state the suites' tolerance
+    # the report's config states the suites' tolerance, so a config file may
+    # name it only at that value
+    cfg = build_config(ns, file_only=("tolerance",))
+    if cfg.tolerance != DEFAULT_TOL:
         raise DomainError(f"certify runs its suites at tolerance {DEFAULT_TOL}; "
                           f"the config file sets {cfg.tolerance}")
     certificates: List[Certificate] = []

@@ -11,7 +11,10 @@ and an upper estimate on the peak of the per-period remainder
     S(r, N) = 81 r (9N^2 - 3N - 9r^2 - 2) / ((3r+3N+1)^3 (3r+3N-2)^3).
 
 This module reconstructs every computational step of that argument in
-exact rational arithmetic and emits certificates:
+exact rational arithmetic and emits certificates.  Every identity between
+rational functions is checked as a polynomial identity after multiplying
+through by the denominator the argument already knows, so no rational
+function is formed or reduced.  The certificates cover:
 
 * the Euler-Maclaurin decomposition identities of the series (antiderivative
   witnesses, the peeled N = 0 term, the per-period Bernoulli integral);
@@ -55,7 +58,6 @@ from .certificates import Certificate
 from .errors import DomainError, TailUnbounded, ToleranceUnreachable
 from .exactpoly import (
     BivariatePolynomial,
-    RationalFunction,
     RationalPolynomial,
     descartes_sign_changes,
     sign_pattern,
@@ -162,14 +164,20 @@ def q_root_mp(r) -> mpf:
         alpha = (125 r^3 + 36 r - 3 sqrt(375 r^4 + 69 r^2 - 3))^(1/3),
 
     polished with two Newton steps (the bracket width shrinks like r^-5,
-    far below double resolution, so high precision is not optional)."""
+    far below double resolution, so high precision is not optional).  The
+    steps use p_r at the exact value of r: a Fraction as given, any other
+    input at the dyadic value of its working-precision mpf."""
     rv = mpf(r) if not isinstance(r, Fraction) else mpf(r.numerator) / r.denominator
-    if not rv > mpf(2) / 3:
-        raise DomainError(f"q_root requires r > 2/3 (got {float(rv)})")
+    if not (rv > mpf(2) / 3 and mpmath.isfinite(rv)):
+        raise DomainError(f"q_root requires finite r > 2/3 (got {float(rv)})")
     disc = 375 * rv ** 4 + 69 * rv ** 2 - 3
     alpha = (125 * rv ** 3 + 36 * rv - 3 * mpmath.sqrt(disc)) ** (mpf(1) / 3)
     q = (3 + 25 * rv ** 2 + (1 - rv) * alpha + alpha ** 2) / (6 * alpha)
-    p = pr_poly(Fraction(float(rv)) if not isinstance(r, Fraction) else r)
+    if isinstance(r, Fraction):
+        p = pr_poly(r)
+    else:
+        man, exp = rv.man_exp
+        p = pr_poly(Fraction(man) * Fraction(2) ** exp)
     dp = p.derivative()
     for _ in range(2):
         q = q - p(q) / dp(q)
@@ -297,10 +305,6 @@ class _Checks:
         )
 
 
-def _rf(num: RationalPolynomial, den: RationalPolynomial) -> RationalFunction:
-    return RationalFunction(num, den)
-
-
 def _linear(a: int, b: int) -> RationalPolynomial:
     """The polynomial a*r + b."""
     return RationalPolynomial([b, a])
@@ -327,10 +331,10 @@ def series_decomposition_certificate() -> Certificate:
     lhs = _biv_dx(num_a) * u - 2 * _biv_dx(u) * num_a
     c.check("f_antiderivative_identity", lhs == 18 * r * (3 * x - 2 * one), "f antiderivative")
 
-    # integral_0^inf f_r dx = -A(0) = (9r^2 - 12r)/(3r-2)^2 == 1 - 4/(3r-2)^2
-    lhs_rf = _rf(RationalPolynomial([0, -12, 9]), _linear(3, -2) ** 2)
-    rhs_rf = RationalFunction(RationalPolynomial([1])) - _rf(RationalPolynomial([4]), _linear(3, -2) ** 2)
-    c.check("f_integral_value", lhs_rf == rhs_rf, "integral of f")
+    # integral_0^inf f_r dx = -A(0) = (9r^2 - 12r)/(3r-2)^2 == 1 - 4/(3r-2)^2;
+    # cleared over (3r-2)^2: 9r^2 - 12r == (3r-2)^2 - 4
+    lin_m2 = _linear(3, -2)
+    c.check("f_integral_value", RationalPolynomial([0, -12, 9]) == lin_m2 ** 2 - 4, "integral of f")
 
     # f_r'(x) = 54 r (4 + 3r - 6x)/u^4: cleared, 54r u - 162 r (3x-2) == 54 r (4+3r-6x)
     lhs_fp = 54 * r * u - 162 * r * (3 * x - 2 * one)
@@ -357,20 +361,17 @@ def series_decomposition_certificate() -> Certificate:
     c.check("bernoulli_period_equals_s", lhs_period == s_num, "per-period Bernoulli integral")
 
     # peel the N = 0 term:
-    #   1 - 4/(3r-2)^2 + 18r/(3r-2)^3 + S(r,0) == 1 + (6r-1)/(3r+1)^3
-    s0 = _rf(
-        RationalPolynomial([0, -162, 0, -729]),  # 81r(-9r^2 - 2)
-        (_linear(3, 1) ** 3) * (_linear(3, -2) ** 3),
-    )
+    #   1 - 4/(3r-2)^2 + 18r/(3r-2)^3 + S(r,0) == 1 + (6r-1)/(3r+1)^3,
+    # S(r,0) = 81r(-9r^2 - 2)/((3r+1)^3 (3r-2)^3); cleared over (3r-2)^3 (3r+1)^3:
+    lin1 = _linear(3, 1)
+    den = lin_m2 ** 3 * lin1 ** 3
     lhs_peel = (
-        RationalFunction(RationalPolynomial([1]))
-        - _rf(RationalPolynomial([4]), _linear(3, -2) ** 2)
-        + _rf(RationalPolynomial([0, 18]), _linear(3, -2) ** 3)
-        + s0
+        den
+        - 4 * lin_m2 * lin1 ** 3
+        + RationalPolynomial([0, 18]) * lin1 ** 3
+        + RationalPolynomial([0, -162, 0, -729])
     )
-    rhs_peel = RationalFunction(RationalPolynomial([1])) + _rf(
-        RationalPolynomial([-1, 6]), _linear(3, 1) ** 3
-    )
+    rhs_peel = den + RationalPolynomial([-1, 6]) * lin_m2 ** 3
     c.check("peeled_n0_term", lhs_peel == rhs_peel, "peeled N=0 term")
 
     return c.certificate(
@@ -461,10 +462,12 @@ def bracket_certificates() -> Certificate:
         p_r(m(r)) = 81 (12348 + 125 r^2 (1515625 r^4 + 21000 r^2 - 5292)) / (5^15 r^9)
         p_r(M(r)) = -81 (36 + 875 r^2) / (5^6 r^3)
 
-    with m, M carrying the 3/(25r) term; certifies positivity of the inner
-    quartic for r > 2/3 by a shift-and-Descartes argument; evaluates the
-    sign claims at r = 2/3 exactly; and records that the 2/(25r) bracket
-    variant fails the same identities (misprint witness).
+    with m, M carrying the 3/(25r) term.  Both brackets are n(r)/(18750 r^3)
+    for a quartic n, so the last two identities are checked multiplied by
+    (18750 r^3)^3, with no rational function built.  It also certifies
+    positivity of the inner quartic for r > 2/3 by a shift-and-Descartes
+    argument; evaluates the sign claims at r = 2/3 exactly; and records that
+    the 2/(25r) bracket variant fails the same identities (misprint witness).
     """
     c = _Checks()
     p_biv = pr_bivariate()
@@ -475,15 +478,17 @@ def bracket_certificates() -> Certificate:
     probe2 = p_biv.substitute_y(RationalPolynomial([Fraction(1, 3), Fraction(3, 2)]))
     c.check("probe_at_3r/2+1/3", probe2 == RationalPolynomial([4, 66, Fraction(-225, 2)]), "affine probe 1/3")
 
-    # rational brackets
-    p_at_m = p_biv.substitute_y(_bracket_low_rf())
+    # rational brackets, both sides times (18750 r^3)^3
+    p_at_m = _clear_bracket(p_biv, _bracket_numerator(Fraction(3, 25), with_cubic=True), 3)
     inner = RationalPolynomial([-5292, 0, 21000, 0, 1515625])
     target_m_num = 81 * (RationalPolynomial([12348]) + RationalPolynomial([0, 0, 125]) * inner)
-    target_m = _rf(target_m_num, RationalPolynomial.monomial(5 ** 15, 9))
+    target_m = target_m_num * Fraction(_BRACKET_SCALE ** 3, 5 ** 15)  # over r^9
     c.check("bracket_low_identity", p_at_m == target_m, "low bracket identity")
 
-    p_at_mu = p_biv.substitute_y(_bracket_high_rf())
-    target_mu = _rf(RationalPolynomial([-36 * 81, 0, -875 * 81]), RationalPolynomial.monomial(5 ** 6, 3))
+    p_at_mu = _clear_bracket(p_biv, _bracket_numerator(Fraction(3, 25), with_cubic=False), 3)
+    target_mu = RationalPolynomial.monomial(Fraction(_BRACKET_SCALE ** 3, 5 ** 6), 6) * RationalPolynomial(
+        [-36 * 81, 0, -875 * 81]
+    )  # over r^3
     c.check("bracket_high_identity", p_at_mu == target_mu, "high bracket identity")
 
     # positivity of the inner quartic for r > 2/3: shift to s = r - 2/3 and
@@ -493,22 +498,25 @@ def bracket_certificates() -> Certificate:
     c.check("inner_quartic_positive", ok_pos, "inner quartic positivity")
     c.witnesses["inner_quartic_at_2/3"] = inner(TWO_THIRDS)
 
-    # exact endpoint signs
-    p_m_val = p_at_m(TWO_THIRDS)
-    p_mu_val = p_at_mu(TWO_THIRDS)
+    # exact endpoint signs of p_r(m(r)) and p_r(M(r))
+    cleared_den = (_BRACKET_SCALE * TWO_THIRDS ** 3) ** 3
+    p_m_val = p_at_m(TWO_THIRDS) / cleared_den
+    p_mu_val = p_at_mu(TWO_THIRDS) / cleared_den
     c.check(
         "endpoint_values", p_m_val > 0 and p_mu_val < 0, "endpoint signs",
         {"p(m(2/3))": p_m_val, "p(M(2/3))": p_mu_val},
     )
 
     # misprint witness: the 2/(25r) variant does NOT satisfy the identities
-    diff_m = p_biv.substitute_y(_bracket_rf(Fraction(2, 25), with_cubic=True)) - target_m
-    diff_mu = p_biv.substitute_y(_bracket_rf(Fraction(2, 25), with_cubic=False)) - target_mu
+    diff_m = _clear_bracket(p_biv, _bracket_numerator(Fraction(2, 25), with_cubic=True), 3) - target_m
+    diff_mu = _clear_bracket(p_biv, _bracket_numerator(Fraction(2, 25), with_cubic=False), 3) - target_mu
     c.check(
         "variant_2_25_fails", not diff_m.is_zero() and not diff_mu.is_zero(),
         "misprint witness unexpectedly verified",
     )
-    c.witnesses["variant_2_25_low_residual_degree"] = diff_m.num.degree - diff_m.den.degree
+    # degree of the residual p_r(m(r)) - target as a rational function: its
+    # numerator here stands over the degree-9 denominator (18750 r^3)^3
+    c.witnesses["variant_2_25_low_residual_degree"] = diff_m.degree - 9
 
     return c.certificate(
         "em.qroot.bracket",
@@ -517,61 +525,72 @@ def bracket_certificates() -> Certificate:
     )
 
 
-def _bracket_rf(c_inv: Fraction, with_cubic: bool) -> RationalFunction:
-    """3r/2 + 1/6 + c_inv/r (- 21/(3125 r^3) when with_cubic)."""
-    num = (
-        RationalPolynomial([0, 0, 0, Fraction(1, 6), Fraction(3, 2)])
-        + RationalPolynomial([0, 0, c_inv])
-    )
-    if with_cubic:
-        num = num + RationalPolynomial([Fraction(-21, 3125)])
-    return _rf(num, RationalPolynomial.monomial(1, 3))
+# m(r) and M(r) are each a quartic over this multiple of r^3
+_BRACKET_SCALE = 18750
 
 
-def _bracket_low_rf() -> RationalFunction:
-    return _bracket_rf(Fraction(3, 25), with_cubic=True)
+def _bracket_numerator(c_inv: Fraction, with_cubic: bool) -> RationalPolynomial:
+    """18750 r^3 (3r/2 + 1/6 + c_inv/r (- 21/(3125 r^3) when with_cubic))."""
+    return RationalPolynomial([-126 if with_cubic else 0, 0, _BRACKET_SCALE * c_inv, 3125, 28125])
 
 
-def _bracket_high_rf() -> RationalFunction:
-    return _bracket_rf(Fraction(3, 25), with_cubic=False)
+def _clear_bracket(p: BivariatePolynomial, numerator: RationalPolynomial, n: int) -> RationalPolynomial:
+    """(18750 r^3)^n p(r, numerator/(18750 r^3)) = sum_k p_k(r) numerator^k
+    (18750 r^3)^(n-k), for n at least the y-degree of p."""
+    by_k = p.coefficients_in_y()
+    total, power = RationalPolynomial.zero(), RationalPolynomial.constant(1)
+    for k in range(max(by_k) + 1):
+        if k in by_k:
+            total = total + by_k[k] * RationalPolynomial.monomial(_BRACKET_SCALE ** (n - k), 3 * (n - k)) * power
+        power = power * numerator
+    return total
 
 
 def h_pipeline() -> Certificate:
     """Exact reconstruction of H, H', H''.
 
-    Combines the rational pieces of H over the common denominator D1 and
-    asserts the numerator equals the embedded table; differentiates (the
-    log term differentiates to rational form: d/dr[-2r log((3r+7)/(3r+4))]
-    = -2 log(...) + 18r/((3r+4)(3r+7)), and once more the log is gone),
-    asserting the H' and H'' numerators; certifies the H'' numerator's
-    sign pattern (negative through r^7, positive from r^8) and its single
-    Descartes sign change; evaluates H'' exactly at 1/3 and 2/3; and spot
-    checks H > 0 with H, H' -> 0 numerically on a log grid.
+    Writes the rational part of H over the common denominator D1 directly
+    as a numerator polynomial and asserts it equals the embedded table.
+    With s = r(3r+1)(3r+4)(3r+7) the denominators are D1 = 6250 s^3,
+    D2 = 3125 s^4 and D3 = 3125 s^5, so s D1'/D1 = 3 s' and s D2'/D2 = 4 s'
+    and the quotient rule stays in polynomials.  The log term
+    differentiates to rational form (d/dr[-2r log((3r+7)/(3r+4))] =
+    -2 log(...) + 18r/((3r+4)(3r+7)), and once more the log is gone), so
+
+        2 F2 = F1' s - 3 s' F1 + 36 r D2/((3r+4)(3r+7)),
+        F3 = F2' s - 4 s' F2 + 18 D3/((3r+4)(3r+7)),
+
+    are the numerators of H' and H'' over D2 and D3, asserted against their
+    tables.  No rational function is formed or reduced.  It then certifies
+    the H'' numerator's sign pattern (negative through r^7, positive from
+    r^8) and its single Descartes sign change; evaluates H'' = F3/D3
+    exactly at 1/3 and 2/3; and spot checks H > 0 with H, H' -> 0
+    numerically on a log grid.
     """
     c = _Checks()
 
     lin1, lin4, lin7 = _linear(3, 1), _linear(3, 4), _linear(3, 7)
     r_poly = RationalPolynomial.variable()
+    s = r_poly * lin1 * lin4 * lin7
+    ds = s.derivative()
 
-    h_rat = (
-        _rf(RationalPolynomial([-1, 6]), lin1 ** 3)
-        + _rf(81 * r_poly * RationalPolynomial([4, 0, -9]), lin1 ** 3 * lin4 ** 3)
-        + _rf(81 * r_poly * RationalPolynomial([28, 0, -9]), lin4 ** 3 * lin7 ** 3)
-        + _rf(3 * r_poly * RationalPolynomial([616, 1035, 594, 108]), 2 * (lin4 ** 2 * lin7 ** 2))
-        + _rf(RationalPolynomial([-16]), RationalPolynomial.monomial(3125, 3))
+    # each rational piece of H times D1 = 6250 r^3 (3r+1)^3 (3r+4)^3 (3r+7)^3
+    r3 = RationalPolynomial.monomial(6250, 3)
+    f1 = (
+        RationalPolynomial([-1, 6]) * r3 * lin4 ** 3 * lin7 ** 3  # (6r-1)/(3r+1)^3
+        + 81 * r_poly * RationalPolynomial([4, 0, -9]) * r3 * lin7 ** 3  # S(r, 1)
+        + 81 * r_poly * RationalPolynomial([28, 0, -9]) * r3 * lin1 ** 3  # S(r, 2)
+        + Fraction(3, 2) * r_poly * RationalPolynomial([616, 1035, 594, 108])
+        * r3 * lin1 ** 3 * lin4 * lin7  # rational part of the tail integral
+        - 32 * (lin1 * lin4 * lin7) ** 3  # -16/(3125 r^3)
     )
-    d1 = RationalPolynomial.monomial(6250, 3) * lin1 ** 3 * lin4 ** 3 * lin7 ** 3
-    f1 = (h_rat * RationalFunction(d1)).as_polynomial()
     _check_table(c, "h_numerator_matches_table", "H numerator", f1, tables.H_NUM_COEFFS)
 
-    g1 = h_rat.derivative() + _rf(RationalPolynomial([0, 18]), lin4 * lin7)
-    d2 = RationalPolynomial.monomial(3125, 4) * lin1 ** 4 * lin4 ** 4 * lin7 ** 4
-    f2 = (g1 * RationalFunction(d2)).as_polynomial()
+    d2_over_47 = RationalPolynomial.monomial(3125, 4) * lin1 ** 4 * lin4 ** 3 * lin7 ** 3
+    f2 = (f1.derivative() * s - 3 * ds * f1) * Fraction(1, 2) + 18 * r_poly * d2_over_47
     _check_table(c, "h1_numerator_matches_table", "H' numerator", f2, tables.H1_NUM_COEFFS)
 
-    g2 = g1.derivative() + _rf(RationalPolynomial([18]), lin4 * lin7)
-    d3 = RationalPolynomial.monomial(3125, 5) * lin1 ** 5 * lin4 ** 5 * lin7 ** 5
-    f3 = (g2 * RationalFunction(d3)).as_polynomial()
+    f3 = f2.derivative() * s - 4 * ds * f2 + 18 * d2_over_47 * s
     _check_table(c, "h2_numerator_matches_table", "H'' numerator", f3, tables.H2_NUM_COEFFS)
 
     pattern = sign_pattern(f3)
@@ -580,8 +599,8 @@ def h_pipeline() -> Certificate:
     changes = descartes_sign_changes(f3)
     c.check("h2_descartes_count", changes == 1, "H'' Descartes count", changes)
 
-    c.witnesses["h2_at_1/3"] = val_third = g2(Fraction(1, 3))
-    c.witnesses["h2_at_2/3"] = val_two_thirds = g2(TWO_THIRDS)
+    c.witnesses["h2_at_1/3"] = val_third = f3(Fraction(1, 3)) / (3125 * s(Fraction(1, 3)) ** 5)
+    c.witnesses["h2_at_2/3"] = val_two_thirds = f3(TWO_THIRDS) / (3125 * s(TWO_THIRDS) ** 5)
     ok_vals = val_third == tables.H2_AT_ONE_THIRD and val_two_thirds == tables.H2_AT_TWO_THIRDS
     c.check(None, ok_vals, "H'' endpoint values")
 
@@ -618,10 +637,15 @@ def s_bound_certificate() -> Certificate:
     Expands W(r, Q) = 16 (3r+3Q+1)^3 (3r+3Q-2)^3 - 253125 r^4 (9Q^2 - 3Q
     - 9r^2 - 2), whose positivity at Q = Q_r is equivalent to the bound;
     splits it by coefficient sign into U - V (tables checked both ways);
-    forms P(r) = r^18 (U(r, m(r)) - V(r, M(r))) and asserts all 23
-    coefficients against the embedded table (including the two zero
-    entries); counts six sign changes; differentiates fourteen times,
-    after which a single sign change remains; and pins the endpoint
+    forms P(r) = r^18 (U(r, m(r)) - V(r, M(r))) over the brackets' common
+    denominator: with m = n_m/(18750 r^3) and M = n_M/(18750 r^3),
+
+        18750^6 P = sum_k U_k(r) n_m^k 18750^(6-k) r^(18-3k)
+                    - sum_k V_k(r) n_M^k 18750^(6-k) r^(18-3k),
+
+    and asserts all 23 coefficients against the embedded table (including
+    the two zero entries); counts six sign changes; differentiates fourteen
+    times, after which a single sign change remains; and pins the endpoint
     values P14(0) < 0 < P14(2/3) plus positivity of every lower-order
     derivative at 2/3.  Together these force P > 0 on (2/3, inf), hence
     U(r, Q_r) > V(r, Q_r) by the bracket monotonicity, hence the bound.
@@ -643,10 +667,11 @@ def s_bound_certificate() -> Certificate:
     c.check("u_coefficients_match_table", u_part.coefficients_in_y() == u_table, "U table")
     c.check("v_coefficients_match_table", v_part.coefficients_in_y() == v_table, "V table")
 
-    p_rf = (u_part.substitute_y(_bracket_low_rf()) - v_part.substitute_y(_bracket_high_rf())) * RationalFunction(
-        RationalPolynomial.monomial(1, 18)
+    cleared = (
+        _clear_bracket(u_part, _bracket_numerator(Fraction(3, 25), with_cubic=True), 6)
+        - _clear_bracket(v_part, _bracket_numerator(Fraction(3, 25), with_cubic=False), 6)
     )
-    p_poly = p_rf.as_polynomial()
+    p_poly = cleared * Fraction(1, _BRACKET_SCALE ** 6)
     _check_table(c, "p_coefficients_match_table", "P coefficients", p_poly, tables.P_COEFFS)
 
     ok_zeros = p_poly.coeff(1) == 0 and p_poly.coeff(21) == 0
@@ -654,7 +679,12 @@ def s_bound_certificate() -> Certificate:
     changes = descartes_sign_changes(p_poly)
     c.check("p_sign_changes", changes == tables.P_SIGN_CHANGES, f"P sign changes: got {changes}", changes)
 
-    p14 = p_poly.derivative(14)
+    # P and its first 13 derivatives are positive at 2/3; P14 is the next
+    lower_orders_positive = True
+    p14 = p_poly
+    for _ in range(14):
+        lower_orders_positive = lower_orders_positive and p14(TWO_THIRDS) > 0
+        p14 = p14.derivative()
     p14_changes = descartes_sign_changes(p14)
     c.check("p14_sign_changes", p14_changes == 1, "P14 Descartes count", p14_changes)
     c.witnesses["p14_at_0"] = p14_zero = p14(Fraction(0))
@@ -662,7 +692,6 @@ def s_bound_certificate() -> Certificate:
     ok_p14_vals = p14_zero == tables.P14_AT_ZERO and p14_two_thirds == tables.P14_AT_TWO_THIRDS
     c.check(None, ok_p14_vals, "P14 endpoint values")
 
-    lower_orders_positive = all(p_poly.derivative(n)(TWO_THIRDS) > 0 for n in range(14))
     c.check("lower_derivatives_positive_at_2/3", lower_orders_positive, "derivative positivity at 2/3")
 
     return c.certificate(

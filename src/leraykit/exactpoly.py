@@ -3,9 +3,11 @@
 Coefficients are `fractions.Fraction` (arbitrary precision, always in
 canonical lowest terms), so every operation in this module is exact.  This
 is the engine underneath the exact certificates: polynomial identities are
-checked by structural equality of canonical forms, positive-root counting
-uses Descartes' rule of signs on the coefficient sign sequence, and rational
-functions are reduced by polynomial gcd.
+checked by structural equality of canonical forms (an identity between
+rational functions is first multiplied through by its known denominator),
+and positive-root counting uses Descartes' rule of signs on the coefficient
+sign sequence.  ``RationalFunction`` reduces by polynomial gcd after every
+operation; the certificates do not use it.
 
 Representation conventions:
 

@@ -435,6 +435,27 @@ def test_negative_k_max_in_config_file_exit_2(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, keys, message",
+    [
+        (("scan", "--gamma", "3", "--d", "0.5"), "format = json\n",
+         "key 'format' is not read by the scan subcommand"),
+        (("figures", "--id", "phi-sweep", "--out", "{out}"), "format = json\noutput = x\n",
+         "key 'format' is not read by the figures subcommand"),
+        (("figures", "--id", "phi-sweep", "--out", "{out}"), "output = x\n",
+         "key 'output' is not read by the figures subcommand"),
+    ],
+    ids=["scan-format", "figures-format-output", "figures-output"],
+)
+def test_config_key_the_subcommand_would_ignore_exits_2(tmp_path, capsys, argv, keys, message):
+    out_dir, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    cfg.write_text(keys)
+    code, out, err = run_cli(capsys, *(a.format(out=out_dir) for a in argv), "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_bad_config_line_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no equals sign here\n")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from leraykit import emcert, tables
+from leraykit import emcert, exactpoly, tables
 from leraykit.emcert import (
     bracket_certificates,
     bracket_high,
@@ -204,6 +204,15 @@ def _bump_constant_term(coeffs):
     return [coeffs[0] + 1] + list(coeffs[1:])
 
 
+def _bump_middle_term(coeffs):
+    mid = len(coeffs) // 2
+    return list(coeffs[:mid]) + [coeffs[mid] + 1] + list(coeffs[mid + 1:])
+
+
+def _bump_q2_constant(table):
+    return {k: _bump_constant_term(v) if k == 2 else v for k, v in table.items()}
+
+
 @pytest.mark.parametrize(
     "certificate, owner, name, corrupt, label",
     [
@@ -217,13 +226,41 @@ def _bump_constant_term(coeffs):
          lambda pr: lambda: pr() + BivariatePolynomial.constant(1), "affine probe 1/6"),
         (h_pipeline, tables, "H2_NUM_COEFFS", _bump_constant_term,
          "H'' numerator: first mismatch at exponent 0"),
+        (h_pipeline, tables, "H_NUM_COEFFS", _bump_constant_term,
+         "H numerator: first mismatch at exponent 0 (got -702464, want -702463)"),
+        (h_pipeline, tables, "H1_NUM_COEFFS", _bump_middle_term,
+         "H' numerator: first mismatch at exponent 8 (got 1512143688033, want 1512143688034)"),
         (s_bound_certificate, tables, "P_COEFFS", _bump_constant_term,
          "P coefficients: first mismatch at exponent 0"),
+        (s_bound_certificate, tables, "P_COEFFS", _bump_middle_term,
+         "P coefficients: first mismatch at exponent 11 (got 17635968/48828125, want 66464093/48828125)"),
+        (s_bound_certificate, tables, "U_COEFFS_BY_QPOW", _bump_q2_constant, "U table"),
+        (s_bound_certificate, tables, "V_COEFFS_BY_QPOW", _bump_q2_constant, "V table"),
     ],
-    ids=["series", "integral", "integral-estimate", "bracket", "h-pipeline", "s-bound"],
+    ids=["series", "integral", "integral-estimate", "bracket", "h-pipeline", "h-numerator",
+         "h1-numerator", "s-bound", "s-bound-middle", "u-table", "v-table"],
 )
 def test_exact_certificate_records_a_failed_check(monkeypatch, certificate, owner, name, corrupt, label):
     monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
     cert = certificate()
     assert cert.verdict == "failed" and not cert.passed
     assert any(f.startswith(label) for f in cert.inputs["failures"])
+
+
+def test_exact_suite_never_reduces_a_rational_function(monkeypatch):
+    # every identity is cross-multiplied over its known denominator, so no
+    # polynomial gcd runs anywhere in the suite
+    def no_gcd(*args):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(exactpoly, "poly_gcd", no_gcd)
+    assert [c.verdict for c in em_certificate_suite()] == ["verified"] * 5
+
+
+def test_q_root_mp_polishes_against_the_exact_mpf_value():
+    # 1/3 + 1 at 200 bits is 4/3 to 2^-200; rounding it to a double first
+    # moved the root by ~5e-17 relative
+    with mpmath.workprec(200):
+        from_mpf = q_root_mp(mpmath.mpf(1) / 3 + 1)
+        from_fraction = q_root_mp(Fraction(4, 3))
+        assert abs(from_mpf - from_fraction) <= mpmath.mpf(2) ** -150 * from_fraction
