@@ -97,7 +97,7 @@ def quad(
     interval [a, inf) onto (0, 1] by x = a + (1 - s)/s.  Subintervals are
     bisected, largest estimate first, until the summed estimate is at most
     ``epsabs`` or ``limit`` subintervals are in use.  Callers test the
-    estimate as ``not error <= tol``: if f returned a non-finite value the
+    estimate as ``not error <= target``: if f returned a non-finite value the
     estimate is ``math.inf`` and the value ``math.nan``.
     """
     pieces = []  # (error, a, b, value, integrand), oldest first

@@ -30,11 +30,11 @@ The two F_q routes are the certified polygamma value and the Laplace
 integral, taken by a double-precision adaptive 21-point Gauss-Kronrod rule
 (QUADPACK's QK21, :mod:`leraykit._quadrature`) on [0, T] with a breakpoint
 at t = 1 and an explicit bound on the tail beyond T.  The integrand is
-written so that no exponential in it grows.  `f_q`'s tol is the
-quadrature's target, the one tolerance left in the library: the error
-estimate must stay below tol, or ToleranceUnreachable is raised, and the
-routes must then agree within 10*tol + tail + radius, or CrossCheckFailure
-is raised.  The polygamma route's radius is returned as it is, like every
+written so that no exponential in it grows.  The quadrature's target is
+the constant DEFAULT_TOL = 1e-12, not a parameter: the error estimate must
+stay below it, or ToleranceUnreachable is raised, and the routes must then
+agree within 10*DEFAULT_TOL + tail + radius, or CrossCheckFailure is
+raised.  The polygamma route's radius is returned as it is, like every
 certified value in the package.
 """
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -257,71 +257,69 @@ def _integrand(t: float, q: float, x: float) -> float:
     return (a + (b + c * emt) * emt) / (-math.expm1(-t)) ** 3 * math.exp(-(1 + x) * t)
 
 
-def _tail_cutoff(x: float, q: float, target: float) -> Tuple[float, float]:
-    """(T, tail_bound) with the integral over [T, inf) below target.
-
-    Uses |M(t, q)| <= C_q t e^(2t) for t >= 1 with C_q measured as a coarse
-    supremum (inflated 2x), and (e^t - 1)^3 >= e^(3t) (1 - e^-1)^3 there.
-    """
-    grid = [1 + 0.5 * i for i in range(79)]
-    c_q = 2.0 * max(abs(m_kernel(t, q)) / (t * math.exp(2 * t)) for t in grid)
-    scale = c_q / (1 - math.exp(-1)) ** 3
+def _tail_cutoff(x: float, q: float) -> Tuple[float, float]:
+    """(T, tail_bound) with the integral over [T, inf) below DEFAULT_TOL,
+    from |M(t, q)| <= C_q t e^(2t) and (e^t - 1)^3 >= e^(3t) (1 - e^-1)^3
+    on t >= 1."""
+    scale = _tail_constant(q) / (1 - math.exp(-1)) ** 3
     s = 1 + x
     T = max(4.0, 40.0 / s)
     while True:
         bound = scale * math.exp(-s * T) * (T / s + 1 / s ** 2)
-        if bound < target or T > 1e4:
+        if bound < DEFAULT_TOL or T > 1e4:
             return T, bound
         T *= 1.5
 
 
-def _laplace_route(x: float, q: float, tol: float) -> Tuple[float, float]:
+def _tail_constant(q: float) -> float:
+    """C_q = (1-q)^2 + 2|1-q| + (3 + 2|q| + 2q^2)/e + (q^2 + 2|q|)/e^2, so
+    that |M(t, q)| <= C_q t e^(2t) for every t >= 1: bound |a|/t, |b|/t and
+    |c|/t in M = a e^(2t) + b e^t + c by 1/t <= 1 and |t - 2|/t <= 1, and
+    e^-t by e^-1."""
+    p, aq = abs(1 - q), abs(q)
+    return p * p + 2 * p + (3 + 2 * aq + 2 * q * q) * math.exp(-1) + (q * q + 2 * aq) * math.exp(-2)
+
+
+def _laplace_route(x: float, q: float) -> Tuple[float, float]:
     """(integral of the Laplace integrand over [0, T], bound on the rest).
 
     Adaptive 21-point Gauss-Kronrod in double precision
     (:mod:`leraykit._quadrature`) with a breakpoint at t = 1.  An error
-    estimate above tol, or a non-finite one, raises ToleranceUnreachable
-    rather than passing a value the quadrature cannot vouch for.
+    estimate above DEFAULT_TOL, or a non-finite one, raises
+    ToleranceUnreachable rather than passing a value the quadrature cannot
+    vouch for.
     """
-    T, tail = _tail_cutoff(x, q, tol)
+    T, tail = _tail_cutoff(x, q)
     qf, xf = float(q), float(x)
-    value, error = quad(lambda t: _integrand(t, qf, xf), (0.0, 1.0, T), epsabs=tol / 10, limit=200)
-    if not error <= tol:
+    value, error = quad(lambda t: _integrand(t, qf, xf), (0.0, 1.0, T), epsabs=DEFAULT_TOL / 10, limit=200)
+    if not error <= DEFAULT_TOL:
         raise ToleranceUnreachable(
-            f"f_q({x}, {q}) quadrature cannot reach tol={tol}: error estimate {error:.3e}"
+            f"f_q({x}, {q}) quadrature cannot reach tol={DEFAULT_TOL}: error estimate {error:.3e}"
         )
     return value, tail
 
 
-def f_q(
-    x: float,
-    q: float,
-    tol: float = DEFAULT_TOL,
-    cross_check: bool = True,
-) -> BoundedFloat:
+def f_q(x: float, q: float, cross_check: bool = True) -> BoundedFloat:
     """F_q(x) = theta(x+q, q) - x - 2q + 1/2, with certified radius.
 
     Computed from the polygamma route.  When cross_check is set, the
     Laplace-integral route (double-precision adaptive Gauss-Kronrod on
     [0, T] plus an explicit exponential tail bound) must agree within
-    10*tol + tail + radius, else CrossCheckFailure.  `tol` is the
-    quadrature's target and sizes that gate; it does not bound the radius
-    of the returned value.  The quadrature cannot resolve much below 1e-13,
-    so a tol under about that raises ToleranceUnreachable instead.  A tol
-    that is None or not finite is a DomainError.
+    10*DEFAULT_TOL + tail + radius, else CrossCheckFailure.  DEFAULT_TOL is
+    the quadrature's target and sizes that gate; it does not bound the
+    radius of the returned value.
     """
     _require_finite("x", x)
     _require_finite("q", q)
-    _require_finite("tol", tol)
     if not x > 0:
         raise DomainError("f_q requires x > 0")
     # x + q as an interval: rounding it to a double would shift the argument
     # of theta by up to half an ulp, far more than the certified radius
     out = theta(BoundedFloat.exact(x) + q, q) - x - 2 * q + Fraction(1, 2)
     if cross_check:
-        quad_val, tail = _laplace_route(x, q, tol)
+        quad_val, tail = _laplace_route(x, q)
         disagreement = abs(out.value - quad_val)
-        if disagreement > 10 * tol + tail + out.error_radius:
+        if disagreement > 10 * DEFAULT_TOL + tail + out.error_radius:
             raise CrossCheckFailure(
                 f"f_q({x}, {q}): theta route {float(out.value)} vs quadrature "
                 f"{float(quad_val)} differ by {float(disagreement):.3e}"
@@ -332,7 +330,8 @@ def f_q(
 # ----------------------------------------------------------------------
 # complete-monotonicity evidence
 # ----------------------------------------------------------------------
-_DEFAULT_CM_GRID = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+_CM_GRID = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+_CM_ORDERS = 4  # finite differences up to this order
 _FD_STEP = 0.5
 _KERNEL_T_GRID = [10 ** (-3 + 4.5 * i / 79) for i in range(80)]  # log grid 1e-3 .. ~30
 _KERNEL_NEG_THRESHOLD = -1e-18
@@ -347,33 +346,23 @@ def _forward_difference(values: List[BoundedFloat], order: int) -> BoundedFloat:
     return acc
 
 
-def cm_numeric_certificate(
-    q: float,
-    orders: int = 4,
-    grid: Optional[Iterable[float]] = None,
-) -> Certificate:
+def cm_numeric_certificate(q: float) -> Certificate:
     """Numeric evidence for/against strict complete monotonicity of F_q.
 
-    Checks (-1)^m Delta_h^m F_q(x) > 0 for m = 0..orders at each grid
-    point (signs separated from zero by the propagated error radii), and
-    scans the kernel sign M(t, q) on a log t-grid.  Any certified sign
+    Checks (-1)^m Delta_h^m F_q(x) > 0 for m = 0.._CM_ORDERS at each point
+    of _CM_GRID (signs separated from zero by the propagated error radii),
+    and scans the kernel sign M(t, q) on a log t-grid.  Any certified sign
     violation refutes; a clean sweep supports; otherwise inconclusive.
     Evidence only: no finite computation proves complete monotonicity.
     """
-    if orders < 0 or orders > 4:
-        raise DomainError("orders must be between 0 and 4")
-    pts = sorted(grid) if grid is not None else list(_DEFAULT_CM_GRID)
-    if not pts or any(x <= 0 for x in pts):
-        raise DomainError("grid must be non-empty with positive x")
-
     fd_violations: List[dict] = []
     fd_inconclusive: List[dict] = []
-    for x in pts:
+    for x in _CM_GRID:
         values = [
             f_q(x + i * _FD_STEP, q, cross_check=(i == 0))
-            for i in range(orders + 1)
+            for i in range(_CM_ORDERS + 1)
         ]
-        for m in range(orders + 1):
+        for m in range(_CM_ORDERS + 1):
             fd = _forward_difference(values[: m + 1], m)
             signed = fd if m % 2 == 0 else -fd
             if signed.separated_above(0):
@@ -412,8 +401,8 @@ def cm_numeric_certificate(
         verdict=verdict,
         anchor=f"strict complete monotonicity of F_q on x>0 at q={q:g} "
         "(finite differences to order "
-        f"{orders} plus kernel sign scan)",
-        inputs={"q": q, "orders": orders, "grid": pts},
+        f"{_CM_ORDERS} plus kernel sign scan)",
+        inputs={"q": q, "orders": _CM_ORDERS, "grid": list(_CM_GRID)},
         witnesses=witnesses,
     )
 

@@ -157,19 +157,13 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
-def _emit_table(
-    name: str,
-    columns: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    cfg: RunConfig,
-    certificates: Sequence[Certificate] = (),
-) -> None:
+def _emit_table(name: str, columns: Sequence[str], rows: Sequence[Sequence[Any]], cfg: RunConfig) -> None:
     if cfg.format == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = _bundle_json(cfg, certificates, [(name, columns, rows)])
+        text = _bundle_json(cfg, (), [(name, columns, rows)])
     _write_out(text, cfg.output)
 
 

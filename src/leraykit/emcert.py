@@ -192,17 +192,20 @@ def q_root(r: float) -> float:
 # ----------------------------------------------------------------------
 # the reconstruction identity and the tail integral
 # ----------------------------------------------------------------------
-def phi_preferred_reconstruction(r: float, tail_target: float = 1e-11) -> Tuple[float, float]:
+_RECONSTRUCTION_TAIL = 1e-11  # target of the truncation bound
+
+
+def phi_preferred_reconstruction(r: float) -> Tuple[float, float]:
     """(value, tail_bound) for 1 + (6r-1)/(3r+1)^3 + sum_{N>=1} S(r, N).
 
     Truncates the sum when the integral-comparison bound on the discarded
     tail (|S(r, N)| <= (20/9) r N^-4 for N >= max(r, 3)) is below
-    tail_target.  The value equals phi(r, 2/3) exactly; the returned bound
-    covers only the truncation.
+    _RECONSTRUCTION_TAIL.  The value equals phi(r, 2/3) exactly; the
+    returned bound covers only the truncation.
     """
     _require_r(r)
     n_min = max(3, math.ceil(r))
-    n_stop = max(n_min, math.ceil((20 * r / (27 * tail_target)) ** (1 / 3)))
+    n_stop = max(n_min, math.ceil((20 * r / (27 * _RECONSTRUCTION_TAIL)) ** (1 / 3)))
     if n_stop > 10_000_000:
         raise TailUnbounded("tail target requires more than 1e7 terms")
     total = 1 + (6 * r - 1) / (3 * r + 1) ** 3

@@ -300,9 +300,9 @@ class BivariatePolynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Dict[Tuple[int, int], RationalLike] | None = None) -> None:
+    def __init__(self, coefficients: Dict[Tuple[int, int], RationalLike] | None = None) -> None:
         clean: Dict[Tuple[int, int], Fraction] = {}
-        for key, c in (terms or {}).items():
+        for key, c in (coefficients or {}).items():
             c = as_rational(c)
             if c != 0:
                 clean[(int(key[0]), int(key[1]))] = c
@@ -399,21 +399,11 @@ class BivariatePolynomial:
                 neg[key] = -c
         return BivariatePolynomial(pos), BivariatePolynomial(neg)
 
-    def substitute_y(self, value: "RationalPolynomial | RationalFunction"):
-        """Substitute a polynomial or rational function of x for y.
-
-        Returns a RationalPolynomial when value is a polynomial, otherwise a
-        RationalFunction.
-        """
-        by_k = self.coefficients_in_y()
-        if isinstance(value, RationalPolynomial):
-            acc_p = RationalPolynomial.zero()
-            for k, pk in by_k.items():
-                acc_p = acc_p + pk * value ** k
-            return acc_p
-        acc = RationalFunction.zero()
-        for k, pk in by_k.items():
-            acc = acc + RationalFunction(pk) * value ** k
+    def substitute_y(self, value: RationalPolynomial) -> RationalPolynomial:
+        """Substitute a polynomial of x for y."""
+        acc = RationalPolynomial.zero()
+        for k, pk in self.coefficients_in_y().items():
+            acc = acc + pk * value ** k
         return acc
 
 

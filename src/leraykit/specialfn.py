@@ -62,7 +62,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, fsum, inf, isfinite, log2, perm
+from math import ceil, factorial, fsum, inf, isfinite, log2, nextafter, perm
 from typing import Tuple, Union
 
 import mpmath
@@ -88,7 +88,7 @@ from .errors import CrossCheckFailure, DomainError
 # ----------------------------------------------------------------------
 _MIN_PREC = 80
 DEFAULT_PRECISION_BITS = 120
-DEFAULT_TOL = 1e-12  # the CLI's --tolerance and f_q's quadrature target
+DEFAULT_TOL = 1e-12  # the CLI's default --tolerance and bwcert.f_q's fixed quadrature target
 
 _env = os.environ.get("LERAYKIT_PRECISION_BITS")
 _PREC = max(_MIN_PREC, int(_env)) if _env else DEFAULT_PRECISION_BITS
@@ -485,8 +485,12 @@ def phi(r: Scalar, q: Scalar) -> BoundedFloat:
     return out
 
 
-def phi_series_partial(r: Scalar, q: Scalar, terms: int = 300) -> Tuple[float, float, float]:
-    """Partial sum of the phi series plus a two-sided bracket for its tail.
+_PHI_SERIES_TERMS = 300
+
+
+def phi_series_partial(r: Scalar, q: Scalar) -> Tuple[float, float, float]:
+    """Partial sum of the first _PHI_SERIES_TERMS terms of the phi series
+    plus a two-sided bracket for its tail.
 
     Returns (partial, tail_lo, tail_hi) in double precision: the true value
     at the doubles nearest r and q lies in [partial + tail_lo,
@@ -499,10 +503,14 @@ def phi_series_partial(r: Scalar, q: Scalar, terms: int = 300) -> Tuple[float, f
     rf, qf = float(r), float(q)
     if not (isfinite(rf) and isfinite(qf)):
         raise DomainError("phi series check needs r and q within double range")
-    x = fsum((rf, 1.0, -qf))  # r + 1 - q rounded once, so no cancellation below
+    try:
+        x = fsum((rf, 1.0, -qf))  # r + 1 - q rounded once, so no cancellation below
+    except OverflowError:
+        raise DomainError("phi series check needs r + 1 - q within double range") from None
     if not x > 0:
         raise DomainError("phi series requires r + 1 - q > 0")
     # term j is 2r (j - q) / d^3 with d = x + j - 1 = r + j - q > 0
+    terms = _PHI_SERIES_TERMS
     partial = magnitude = 0.0
     for j in range(1, terms + 1):
         d = x + (j - 1)
@@ -521,8 +529,8 @@ def phi_series_partial(r: Scalar, q: Scalar, terms: int = 300) -> Tuple[float, f
     return partial, lo1 + lo2 - pad, hi1 + hi2 + pad
 
 
-def _phi_series_check(r: Scalar, q: Scalar, out: BoundedFloat, terms: int = 300) -> None:
-    partial, tail_lo, tail_hi = phi_series_partial(r, q, terms)
+def _phi_series_check(r: Scalar, q: Scalar, out: BoundedFloat) -> None:
+    partial, tail_lo, tail_hi = phi_series_partial(r, q)
     lo, hi = partial + tail_lo, partial + tail_hi
     if out.upper < lo or out.lower > hi:
         raise CrossCheckFailure(
@@ -532,8 +540,23 @@ def _phi_series_check(r: Scalar, q: Scalar, out: BoundedFloat, terms: int = 300)
 
 
 # ----------------------------------------------------------------------
-# closed-form sandwich bounds
+# closed-form sandwich bounds, each evaluated exactly at the double
+# arguments and rounded outward
 # ----------------------------------------------------------------------
+def _outward(lower: Fraction, upper: Fraction) -> Tuple[float, float]:
+    """Doubles lo <= lower and hi >= upper: each exact bound rounded to
+    nearest, then moved one ulp outward unless that was exact."""
+    try:
+        lo, hi = float(lower), float(upper)
+    except OverflowError:
+        raise DomainError("sandwich bound outside double range") from None
+    lo = nextafter(lo, -inf) if lo > lower else lo
+    hi = nextafter(hi, inf) if hi < upper else hi
+    if not (isfinite(lo) and isfinite(hi)):
+        raise DomainError("sandwich bound outside double range")
+    return lo, hi
+
+
 def polygamma_sandwich(m: int, x: float) -> Tuple[float, float]:
     """Two-sided closed-form bounds on (-1)^(m+1) psi^(m)(x) for x > 0:
 
@@ -545,9 +568,10 @@ def polygamma_sandwich(m: int, x: float) -> Tuple[float, float]:
         raise DomainError("sandwich bounds require order m >= 1")
     if not x > 0:
         raise DomainError("sandwich bounds require x > 0")
-    base = factorial(m - 1) / x ** m
-    corr = factorial(m) / x ** (m + 1)
-    return base + corr / 2, base + corr
+    xf = Fraction(x)
+    base = factorial(m - 1) / xf ** m
+    corr = factorial(m) / xf ** (m + 1)
+    return _outward(base + corr / 2, base + corr)
 
 
 def phi_sandwich(r: float, q: float) -> Tuple[float, float]:
@@ -560,10 +584,8 @@ def phi_sandwich(r: float, q: float) -> Tuple[float, float]:
     _require_finite("q", q)
     if not r > max(q - 1, 0.0):
         raise DomainError("phi sandwich requires r > max(q - 1, 0)")
-    # divided through by (r+1-q)^3 as powers of rho = r/(r+1-q), so a large
-    # r cannot overflow
-    x = r + 1 - q
-    rho = r / x
-    lower = rho * (rho * rho + ((2 - 3 * q) * rho + (3 - 5 * q + 2 * q * q) / x) / x)
-    upper = rho * (rho * rho + ((4 - 3 * q) * rho + (4 - 6 * q + 2 * q * q) / x) / x)
-    return lower, upper
+    rf, qf = Fraction(r), Fraction(q)
+    cube = (rf + 1 - qf) ** 3
+    lower = rf * (rf * rf + (2 - 3 * qf) * rf + 3 - 5 * qf + 2 * qf * qf) / cube
+    upper = rf * (rf * rf + (4 - 3 * qf) * rf + 4 - 6 * qf + 2 * qf * qf) / cube
+    return _outward(lower, upper)

@@ -208,7 +208,7 @@ def test_criterion_8_em_reconstruction():
     ok = True
     worst = 0.0
     for r in (0.7, 1.0, 2.0, 5.0, 20.0):
-        recon, tail = phi_preferred_reconstruction(r, tail_target=1e-11)
+        recon, tail = phi_preferred_reconstruction(r)
         diff = abs(float(phi(r, 2.0 / 3.0).value) - recon)
         worst = max(worst, diff)
         ok = ok and diff <= 1e-10 and tail <= 1e-10

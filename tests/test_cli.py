@@ -135,6 +135,24 @@ def test_phi_non_finite_arguments_exit_2(capsys, args, name):
     assert "Traceback" not in err
 
 
+def test_phi_shift_past_double_range_exit_2(capsys):
+    # r + 1 - q overflows a double, so the series cross-check cannot run
+    code, out, err = run_cli(capsys, "phi", "--r=1e308", "--q=-1e308")
+    assert code == 2
+    assert out == ""
+    assert err == "error: phi series check needs r + 1 - q within double range\n"
+    assert "Traceback" not in err
+
+
+def test_phi_sandwich_bounds_bracket_phi_at_huge_negative_q(capsys):
+    code, out, _ = run_cli(capsys, "phi", "--r=1", "--q=-1e155")
+    assert code == 0
+    kv = dict(line.split(" = ") for line in out.splitlines())
+    lo, value, hi = (float(kv[k]) for k in ("sandwich_lower", "phi", "sandwich_upper"))
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert 0 < lo <= value <= hi
+
+
 @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1"])
 def test_non_finite_or_non_positive_tolerance_exits_2(capsys, tol):
     code, out, err = run_cli(capsys, "phi", "--r", "1", "--q", "0", f"--tol={tol}")

@@ -118,6 +118,27 @@ def test_huge_arguments_keep_a_relative_radius():
     assert t.contains(expected)
 
 
+def test_sandwich_bounds_bracket_the_oracle_out_to_double_range():
+    # phi - 1 falls to about -1e-290 on this grid (r = 1e300, q = 1e155), so
+    # the oracle needs more than 400 bits to tell phi from 1
+    qs = (-1e300, -1e200, -1e155, -1e50, -1e10, -3.0, 0.0, 0.5, 2.0 / 3.0, 1.0, 4.5, 1e10, 1e155)
+    misses, checked = [], 0
+    for q in qs:
+        for r in (1e-3, 0.5, 3.0, 1e3, 1e50, 1e155, 1e300, 2 * q):
+            if not r > max(q - 1, 0.0):
+                continue
+            checked += 1
+            lo, hi = phi_sandwich(r, q)
+            with mpmath.workprec(1200):
+                rm, qm = mpmath.mpf(r), mpmath.mpf(q)
+                x = rm + 1 - qm
+                expected = 2 * rm * mpmath.psi(1, x) + rm * rm * mpmath.psi(2, x)
+            if not lo < expected < hi:
+                misses.append((r, q, lo, hi))
+    assert checked == 84
+    assert not misses, misses
+
+
 def test_precision_bits_drive_the_interval_arithmetic():
     # arguments where rounding, not a series remainder, sets the radius
     phi_args, symbol_args = (1e4, 0.25), (5.0, 2.5, 2000)

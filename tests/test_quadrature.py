@@ -39,7 +39,7 @@ def test_suite_integrals_take_quadpacks_evaluation_count(monkeypatch):
     monkeypatch.setattr(bwcert, "_integrand", lambda t, q, x: calls.append(t) or original(t, q, x))
     for q in (-2.0, 0.0, 1.0, 3.0, 2.0 / 3.0):
         for x in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-            bwcert._laplace_route(x, q, 1e-12)
+            bwcert._laplace_route(x, q)
     assert len(calls) == 3528
 
 
@@ -111,8 +111,8 @@ def test_estimate_and_tail_bound_the_laplace_route_error(monkeypatch):
     for _ in range(80):
         q = rng.uniform(-3.0, 4.0)
         x = math.exp(rng.uniform(math.log(0.25), math.log(32.0)))
-        value, tail = bwcert._laplace_route(x, q, 1e-12)
-        T, _ = bwcert._tail_cutoff(x, q, 1e-12)
+        value, tail = bwcert._laplace_route(x, q)
+        T, _ = bwcert._tail_cutoff(x, q)
         scale, _ = quad(
             lambda t: _sample_rounding_scale(t, q, x), (0.0, 1.0, T), epsabs=1e-20, limit=50
         )

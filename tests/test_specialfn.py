@@ -177,7 +177,7 @@ def test_finite_check_accepts_values_beyond_double_range():
 def test_phi_series_bracket_contains_value():
     for r, q in ((0.8, 2.0 / 3.0), (3.0, 0.0), (50.0, 1.0), (-1.5, -2.0)):
         v = phi(r, q)
-        partial, lo, hi = phi_series_partial(r, q, terms=400)
+        partial, lo, hi = phi_series_partial(r, q)
         assert partial + float(lo) - float(v.error_radius) <= float(v.value)
         assert float(v.value) <= partial + float(hi) + float(v.error_radius)
 
@@ -239,6 +239,18 @@ def test_sandwich_containment_grid():
             lo, hi = phi_sandwich(r, q)
             val = float(phi(r, q).value)
             assert lo < val < hi, (r, q)
+
+
+def test_sandwich_bounds_stay_finite_or_raise():
+    # the bounds are exact rationals rounded outward, so a huge |q| cannot
+    # overflow an intermediate and a bound past double range is a DomainError
+    lo, hi = phi_sandwich(5.0, -1e300)
+    assert lo == pytest.approx(1e-299, rel=1e-15) and hi == pytest.approx(1e-299, rel=1e-15)
+    lo, hi = phi_sandwich(1.0, -1e155)
+    assert 0 < lo < hi and math.isfinite(hi)
+    with pytest.raises(DomainError, match="outside double range"):
+        polygamma_sandwich(1, 1e-200)
+    assert polygamma_sandwich(3, 1e200) == (0.0, 5e-324)
 
 
 def test_phi_monotone_tails():

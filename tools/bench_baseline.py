@@ -1,0 +1,115 @@
+"""Timings for the layer table of ROADMAP.md (aim 1), from one checkout.
+
+    python tools/bench_baseline.py [--src SRC] [--runs 5] [--tier1] [--out BENCH.json]
+
+In process, in a fresh interpreter: each L1-L4 call, as the median of
+--runs calls after one warm-up call.  As subprocesses: `import leraykit`,
+`leraykit version`, `certify --suite bw` and `--suite em` and `figures
+--id phi-sweep`, wall clock from spawn to exit, median of --runs.  With
+--tier1, one run of the tier-1 suite from the checkout holding SRC.  The
+JSON result (seconds) goes to --out (default stdout).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Dict, List
+
+IN_PROCESS = r"""
+import json, statistics, sys, time
+from leraykit import leray_norm, log_gamma, monotonicity_scan, phi, polygamma, symbol_value
+from leraykit.bwcert import bw_certificate_suite, cm_numeric_certificate, f_q
+from leraykit.emcert import em_certificate_suite
+from leraykit.specialfn import phi_series_partial
+runs = int(sys.argv[1])
+calls = {
+    "L1 log_gamma(7.5)": lambda: log_gamma(7.5),
+    "L1 polygamma(1, 7.5)": lambda: polygamma(1, 7.5),
+    "L1 phi(2.5, 0.25), with its series cross-check": lambda: phi(2.5, 0.25),
+    "L1 phi_series_partial(2.5, 0.25), the cross-check alone": lambda: phi_series_partial(2.5, 0.25),
+    "L2 symbol_value(3, 0.5, 7)": lambda: symbol_value((3.0, 0.5, 7)),
+    "L2 monotonicity_scan(3, 0.5, 200)": lambda: monotonicity_scan(3.0, 0.5, 200),
+    "L2 leray_norm(5, 2.5)": lambda: leray_norm(5.0, 2.5),
+    "L2 leray_norm(3, 0.5)": lambda: leray_norm(3.0, 0.5),
+    "L3 f_q(2, 0.5), with quadrature cross-check": lambda: f_q(2.0, 0.5),
+    "L3 f_q(2, 0.5), without": lambda: f_q(2.0, 0.5, cross_check=False),
+    "L3 cm_numeric_certificate(0)": lambda: cm_numeric_certificate(0.0),
+    "L3 bw_certificate_suite": bw_certificate_suite,
+    "L4 em_certificate_suite": em_certificate_suite,
+}
+out = {}
+for name, call in calls.items():
+    call()
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    out[name] = statistics.median(times)
+print(json.dumps(out))
+"""
+
+
+def _env(src: Path) -> Dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+def _wall(argv: List[str], src: Path, runs: int) -> float:
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *argv], env=_env(src), capture_output=True, check=True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
+    parser.add_argument("--runs", type=int, default=5, help="timed calls or processes per row")
+    parser.add_argument("--tier1", action="store_true", help="also time one tier-1 run")
+    parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
+    args = parser.parse_args()
+    src = args.src.resolve()
+
+    proc = subprocess.run([sys.executable, "-c", IN_PROCESS, str(args.runs)],
+                          env=_env(src), capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(proc.stderr)
+    result: Dict[str, float] = json.loads(proc.stdout)
+    cli = ["-m", "leraykit.cli"]
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocesses = {
+            "L0 import leraykit": ["-c", "import leraykit"],
+            "L0 leraykit version": cli + ["version"],
+            "L5 certify --suite bw": cli + ["certify", "--suite", "bw"],
+            "L5 certify --suite em": cli + ["certify", "--suite", "em"],
+            "L5 figures --id phi-sweep": cli + ["figures", "--id", "phi-sweep", "--out", tmp],
+        }
+        for name, argv in subprocesses.items():
+            result[name] = _wall(argv, src, args.runs)
+    if args.tier1:
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                       cwd=src.parent, env=_env(src), capture_output=True)
+        result["tier-1"] = time.perf_counter() - start
+
+    text = json.dumps({"python": sys.version.split()[0], "runs": args.runs, "seconds": result},
+                      indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
