@@ -12,9 +12,8 @@ Environment: LERAYKIT_PRECISION_BITS overrides the working significand
 precision (default 120 bits, minimum 80); read once at import.
 """
 
-from .certificates import Certificate, all_passed, first_failure
+from .certificates import Certificate, first_failure
 from .errors import (
-    CertificateFailure,
     CrossCheckFailure,
     DegenerateGamma,
     DomainError,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Certificate",
-    "all_passed",
     "first_failure",
     "LeraykitError",
     "DomainError",
@@ -88,7 +86,6 @@ __all__ = [
     "ToleranceUnreachable",
     "ZeroPolynomial",
     "CrossCheckFailure",
-    "CertificateFailure",
     "TailUnbounded",
     "InconclusiveComparison",
     "RationalPolynomial",

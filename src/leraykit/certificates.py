@@ -68,10 +68,6 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
-def all_passed(certificates: List[Certificate]) -> bool:
-    return all(c.passed for c in certificates)
-
-
 def first_failure(certificates: List[Certificate]) -> Certificate | None:
     for c in certificates:
         if not c.passed:

@@ -29,11 +29,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, bwcert, emcert
-from .errors import CertificateFailure, DomainError, LeraykitError, ToleranceUnreachable
+from .errors import DomainError, LeraykitError, ToleranceUnreachable
 from .certificates import Certificate, first_failure
 from .specialfn import DEFAULT_TOL, BoundedFloat, phi_sandwich, precision_bits
 from .specialfn import phi as phi_fn
 from .symbol import (
+    DISTINGUISHED_MEASURES,
     MeasureTag,
     SymbolQuery,
     boundedness_interval,
@@ -206,6 +207,13 @@ def _within_tolerance(name: str, value: BoundedFloat, cfg: RunConfig) -> Bounded
     return value
 
 
+def _radius(value: BoundedFloat) -> float:
+    """The error radius as a double rounded up, so that a radius below the
+    smallest subnormal prints as that, not as 0."""
+    radius = float(value.error_radius)
+    return math.nextafter(radius, math.inf) if radius < value.error_radius else radius
+
+
 def _parse_k_range(text: str) -> List[int]:
     """'7' or '0..60' (inclusive)."""
     if ".." in text:
@@ -256,7 +264,7 @@ def _cmd_symbol(ns: argparse.Namespace) -> int:
     for k, ok in zip(ks, bounded_flags):
         if ok:
             j = _within_tolerance("symbol", symbol_value(SymbolQuery(ns.gamma, d, k)), cfg)
-            rows.append([k, float(j.value), float(j.sqrt().value), True, float(j.error_radius)])
+            rows.append([k, float(j.value), float(j.sqrt().value), True, _radius(j)])
         else:
             rows.append([k, None, None, False, None])
     _emit_table("symbol", ["k", "J", "sqrt_J", "bounded", "error_radius"], rows, cfg)
@@ -279,7 +287,7 @@ def _cmd_norm(ns: argparse.Namespace) -> int:
         result.d,
         measure.kind,
         float(result.value.value),
-        float(result.value.error_radius),
+        _radius(result.value),
         result.method,
         result.attained_at,
         result.k_scanned,
@@ -385,7 +393,7 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
         f"r = {_fmt(ns.r)}",
         f"q = {_fmt(ns.q)}",
         f"phi = {_fmt(float(value.value))}",
-        f"error_radius = {_fmt(float(value.error_radius))}",
+        f"error_radius = {_fmt(_radius(value))}",
     ]
     if ns.r > max(ns.q - 1, 0.0):
         lo, hi = phi_sandwich(ns.r, ns.q)
@@ -420,7 +428,7 @@ def _add_measure_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=float, help="measure exponent")
     p.add_argument(
         "--measure",
-        choices=("pairing", "preferred", "dual_preferred", "lebesgue"),
+        choices=tuple(DISTINGUISHED_MEASURES),
         help="named measure (alternative to --d)",
     )
 
@@ -485,9 +493,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except CertificateFailure as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except (LeraykitError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -34,11 +34,6 @@ class CrossCheckFailure(LeraykitError):
     """Two independent evaluation routes disagreed beyond tolerance."""
 
 
-class CertificateFailure(LeraykitError):
-    """An exact certificate check failed; the message names the first
-    mismatched witness."""
-
-
 class TailUnbounded(LeraykitError):
     """An infinite summation/integration was requested without the tail
     bounds needed to truncate it rigorously."""

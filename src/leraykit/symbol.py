@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, fsum, inf, lgamma, log, nextafter
+from math import exp, fsum, inf, isfinite, lgamma, log, nextafter
 from typing import List, Optional, Tuple
 
 from mpmath.libmp import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_sub, to_float
@@ -61,6 +61,7 @@ __all__ = [
     "Monotonicity",
     "ScanResult",
     "NormResult",
+    "DISTINGUISHED_MEASURES",
     "boundedness_interval",
     "symbol_value",
     "holder_conjugate",
@@ -80,7 +81,8 @@ def _require_gamma(gamma: float) -> None:
 
 def boundedness_interval(gamma: float, k: int) -> Tuple[float, float]:
     """Open interval I_k(gamma) of measure exponents d for which the k-th
-    mode operator is bounded.  Nested: I_k is contained in I_{k+1}."""
+    mode operator is bounded.  Nested: I_k is contained in I_{k+1}.  A
+    Fraction gamma gives the exact endpoints."""
     _require_gamma(gamma)
     if k < 0:
         raise DomainError("mode index k must be non-negative")
@@ -88,9 +90,17 @@ def boundedness_interval(gamma: float, k: int) -> Tuple[float, float]:
 
 
 def _in_interval_exact(d: float, gamma: float, k: int) -> bool:
-    # exact check via Fractions (floats convert exactly)
-    dF, gF = Fraction(d), Fraction(gamma)
-    return Fraction(-2 * k - 1) < dF < (2 * k + 2) * (gF - 1) + 1
+    # doubles convert to Fractions exactly
+    lo, hi = boundedness_interval(Fraction(gamma), k)
+    return lo < Fraction(d) < hi
+
+
+def _require_bounded(gamma: float, d: float, k: int) -> None:
+    if not _in_interval_exact(d, gamma, k):
+        lo, hi = boundedness_interval(gamma, k)
+        raise UnboundedMode(
+            f"d={d} outside the k={k} boundedness interval ({lo:.6g}, {hi:.6g}) for gamma={gamma}"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,12 +121,24 @@ class SymbolQuery:
         return _in_interval_exact(self.d, self.gamma, self.k)
 
 
+# The distinguished measures r^d dr dtheta ds: kind -> (the exponent d as a
+# function of gamma, and the closed form of the norm: attained at mode 0,
+# the high-frequency "limit", or None where no closed form is proven).  A
+# double gamma takes the float operations, a Fraction gives the exact d.
+DISTINGUISHED_MEASURES = {
+    "pairing": (lambda g: g - 1, "mode 0"),
+    "preferred": (lambda g: (g + 1) / 3, "limit"),
+    "dual_preferred": (lambda g: (5 * g - 7) / 3, None),
+    "lebesgue": (lambda g: 1, "mode 0"),
+}
+
+
 @dataclass(frozen=True)
 class MeasureTag:
     """A named measure r^d dr dtheta ds.
 
-    kind 'generic' carries an explicit exponent; the distinguished kinds
-    resolve their exponent from gamma:
+    kind 'generic' carries an explicit exponent; every other kind is a key
+    of DISTINGUISHED_MEASURES and resolves its exponent from gamma:
 
         pairing        d = gamma - 1
         preferred      d = (gamma + 1)/3
@@ -127,10 +149,8 @@ class MeasureTag:
     kind: str
     d: Optional[float] = None
 
-    _KINDS = ("generic", "pairing", "preferred", "dual_preferred", "lebesgue")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind != "generic" and self.kind not in DISTINGUISHED_MEASURES:
             raise DomainError(f"unknown measure kind {self.kind!r}")
         if self.kind == "generic" and self.d is None:
             raise DomainError("generic measure requires an explicit exponent d")
@@ -161,13 +181,7 @@ class MeasureTag:
         _require_gamma(gamma)
         if self.kind == "generic":
             return float(self.d)  # type: ignore[arg-type]
-        if self.kind == "pairing":
-            return gamma - 1
-        if self.kind == "preferred":
-            return (gamma + 1) / 3
-        if self.kind == "dual_preferred":
-            return (5 * gamma - 7) / 3
-        return 1.0
+        return float(DISTINGUISHED_MEASURES[self.kind][0](gamma))
 
 
 @dataclass(frozen=True)
@@ -177,8 +191,10 @@ class HolderReparam:
     The map is a bijection in d for every gamma != 2, and carrying `a`
     across gamma -> gamma* realizes the conjugation symmetry of the symbol.
     The companion parameter q = 1 - a controls the polygamma comparison:
-    J(d, gamma, k) is finite for every mode k exactly when
-    |q| < gamma / |gamma - 2|.
+    J(d, gamma, k) is finite for every mode k exactly when d lies in
+    I_0(gamma), i.e. |q| < gamma / |gamma - 2|.  `all_modes_finite` decides
+    that with the exact test of `symbol_value`, at the double d that
+    `exponent` returns.
     """
 
     a: float
@@ -200,10 +216,8 @@ class HolderReparam:
         return cls((d - 1) / (gamma - 2))
 
     def all_modes_finite(self, gamma: float) -> bool:
-        _require_gamma(gamma)
-        if gamma == 2:
-            return True  # d = 1 sits inside every interval
-        return abs(self.q) < gamma / abs(gamma - 2)
+        d = self.exponent(gamma)
+        return isfinite(d) and _in_interval_exact(d, gamma, 0)
 
 
 @lru_cache(maxsize=64)
@@ -232,11 +246,7 @@ def symbol_value(query: "SymbolQuery | Tuple[float, float, int]") -> BoundedFloa
     if not isinstance(query, SymbolQuery):
         query = SymbolQuery(*query)
     gamma, d, k = query.gamma, query.d, query.k
-    if not query.is_finite():
-        lo, hi = boundedness_interval(gamma, k)
-        raise UnboundedMode(
-            f"d={d} outside the k={k} boundedness interval ({lo:.6g}, {hi:.6g}) for gamma={gamma}"
-        )
+    _require_bounded(gamma, d, k)
     # SymbolQuery has checked gamma > 1 and A, B > 0 in exact arithmetic, and
     # from doubles at >= 80 bits their intervals stay positive, so the
     # log-Gamma kernel runs without the public log_gamma's argument checks
@@ -260,18 +270,14 @@ def holder_conjugate(gamma: float) -> float:
 
 def holder_partner(gamma: float, d: float) -> Tuple[float, float]:
     """The unique (gamma*, d') whose symbol function matches (gamma, d)
-    mode for mode: with a = (d-1)/(gamma-2), d' = a(gamma*-2)+1.
+    mode for mode: d' is the exponent at gamma* of
+    ``HolderReparam.from_exponent(gamma, d)``.
 
     gamma = 2 is degenerate (every exponent reparameterizes to d = 1), so
     no unique partner exists there.
     """
-    _require_gamma(gamma)
-    _require_finite("d", d)
-    if gamma == 2:
-        raise DegenerateGamma("gamma = 2: partner exponent is not unique")
     gs = holder_conjugate(gamma)
-    a = (d - 1) / (gamma - 2)
-    return gs, a * (gs - 2) + 1
+    return gs, HolderReparam.from_exponent(gamma, d).exponent(gs)
 
 
 def hf_limit(gamma: float) -> float:
@@ -316,11 +322,7 @@ def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
     _require_finite("d", d)
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    if not _in_interval_exact(d, gamma, 0):
-        lo, hi = boundedness_interval(gamma, 0)
-        raise UnboundedMode(
-            f"d={d} outside ({lo:.6g}, {hi:.6g}); some scanned modes are unbounded"
-        )
+    _require_bounded(gamma, d, 0)
     values = [symbol_value(SymbolQuery(gamma, d, k)) for k in range(k_max + 1)]
 
     if gamma == 2 and d == 1:
@@ -356,14 +358,17 @@ def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
 class NormResult:
     """Operator norm value with provenance.
 
-    method is 'closed-form' when a proven formula applies; otherwise
-    'sup-search', which scans modes until they stabilize near the
-    high-frequency limit.  The stabilization cutoff is a heuristic: the
-    limit is proven but no uniform rate is, so the result records how far
-    the scan went and whether it stabilized.  `value` is always a certified
-    interval, from `symbol_value` at the reported mode or from the limit's
-    closed form; the search only uses double-precision brackets to decide
-    which mode that is (see `sup_search`).
+    method is 'closed-form' when a proven formula applies: gamma = 2, a
+    named measure with a closed form in DISTINGUISHED_MEASURES, or a
+    generic d that equals such a measure's exponent exactly, as rationals
+    at the double gamma.  Otherwise it is 'sup-search', which scans modes
+    until they stabilize near the high-frequency limit.  The stabilization
+    cutoff is a heuristic: the limit is proven but no uniform rate is, so
+    the result records how far the scan went and whether it stabilized.
+    `value` is always a certified interval, from `symbol_value` at the
+    reported mode or from the limit's closed form; the search only uses
+    double-precision brackets to decide which mode that is (see
+    `sup_search`).
     """
 
     value: BoundedFloat
@@ -574,32 +579,32 @@ def leray_norm(gamma: float, measure: "MeasureTag | float", k_cap: int = 2000) -
     * d = gamma - 1 (pairing): sqrt(J(d, gamma, 0)) = gamma/(2 sqrt(gamma-1))     (k=0)
     * d = (gamma+1)/3 (preferred): sqrt(gamma/(2 sqrt(gamma-1)))        (supremum = HF limit)
 
-    Everything else falls back to the mode scan (method 'sup-search').
-    Raises UnboundedMode when d is outside I_0(gamma), and DomainError
-    for a gamma <= 1, a non-finite d or a k_cap that is not a
+    A named measure takes its closed form at the double exponent
+    `MeasureTag.exponent` gives.  A generic d takes one only when it equals
+    the exponent exactly: Fraction(d) == (Fraction(gamma) + 1)/3, say, and
+    not when it is merely within rounding of it.  Everything else,
+    dual_preferred included, falls back to the mode scan (method
+    'sup-search').  Raises UnboundedMode when d is outside I_0(gamma), and
+    DomainError for a gamma <= 1, a non-finite d or a k_cap that is not a
     non-negative integer.
     """
     _require_gamma(gamma)
     _require_k_cap(k_cap)
-    if isinstance(measure, MeasureTag):
-        d = measure.exponent(gamma)
-        kind = measure.kind
-    else:
-        d = float(measure)
-        kind = "generic"
+    if not isinstance(measure, MeasureTag):
+        measure = MeasureTag.generic(measure)
+    d = measure.exponent(gamma)
     _require_finite("d", d)
-    if not _in_interval_exact(d, gamma, 0):
-        lo, hi = boundedness_interval(gamma, 0)
-        raise UnboundedMode(
-            f"d={d} outside ({lo:.6g}, {hi:.6g}); the transform is unbounded on this space"
-        )
+    _require_bounded(gamma, d, 0)
 
-    def _close(x: float, y: float) -> bool:
-        return abs(x - y) < 1e-12
-
-    if kind == "preferred" or _close(d, (gamma + 1) / 3):
+    # a named kind has its own closed form, a generic d that of the first
+    # distinguished measure whose exponent it equals as a rational
+    generic = measure.kind == "generic"
+    exact_gamma, exact_d = Fraction(gamma), Fraction(d)
+    form = next((form for kind, (exponent, form) in DISTINGUISHED_MEASURES.items()
+                 if kind == measure.kind or generic and exponent(exact_gamma) == exact_d), None)
+    if form == "limit":
         return NormResult(_hf_limit_bf(gamma), "closed-form", gamma, d, attained_at=None)
-    if gamma == 2 or kind == "pairing" or kind == "lebesgue" or _close(d, gamma - 1) or _close(d, 1.0):
+    if form == "mode 0" or gamma == 2:
         value = symbol_value(SymbolQuery(gamma, d, 0)).sqrt()
         return NormResult(value, "closed-form", gamma, d, attained_at=0)
 

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from leraykit.cli import build_config, build_parser, load_config_file, main
+from leraykit.specialfn import phi as phi_fn
 from leraykit.specialfn import precision_bits, set_precision_bits
+from leraykit.symbol import DISTINGUISHED_MEASURES
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +153,16 @@ def test_phi_sandwich_bounds_bracket_phi_at_huge_negative_q(capsys):
     lo, value, hi = (float(kv[k]) for k in ("sandwich_lower", "phi", "sandwich_upper"))
     assert math.isfinite(lo) and math.isfinite(hi)
     assert 0 < lo <= value <= hi
+
+
+def test_phi_prints_a_tiny_radius_rounded_up_not_as_zero(capsys):
+    # the certified radius, 3.59e-335, is below the smallest subnormal double
+    code, out, _ = run_cli(capsys, "phi", "--r=5", "--q=-1e300")
+    assert code == 0
+    kv = dict(line.split(" = ") for line in out.splitlines())
+    radius = float(kv["error_radius"])
+    assert radius == 5e-324
+    assert radius >= phi_fn(5.0, -1e300).error_radius
 
 
 @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1"])
@@ -484,6 +496,13 @@ def test_bad_config_line_exit_code(tmp_path, capsys):
 def test_mutually_exclusive_measure_args(capsys):
     code, _, err = run_cli(capsys, "norm", "--gamma", "2", "--d", "0", "--measure", "pairing")
     assert code == 2
+
+
+def test_measure_choices_are_the_distinguished_measures():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    for name in ("symbol", "norm", "scan"):
+        (action,) = [a for a in subcommands[name]._actions if a.dest == "measure"]
+        assert tuple(action.choices) == tuple(DISTINGUISHED_MEASURES)
 
 
 def test_console_script_installed():

@@ -9,6 +9,7 @@ import pytest
 from leraykit.errors import DegenerateGamma, DomainError, LeraykitError, UnboundedMode
 from leraykit.specialfn import precision_bits, set_precision_bits
 from leraykit.symbol import (
+    HolderReparam,
     MeasureTag,
     Monotonicity,
     SymbolQuery,
@@ -146,6 +147,7 @@ def test_norm_pairing():
     assert res.method == "closed-form" and res.attained_at == 0
     res = leray_norm(2.0, MeasureTag.pairing())
     assert float(res.value.value) == pytest.approx(1.0, abs=1e-12)
+    assert res.method == "closed-form" and res.attained_at == 0
 
 
 def test_norm_preferred():
@@ -178,6 +180,29 @@ def test_norm_sup_search_fallback():
     # supremum bounded below by every scanned mode and by the HF limit
     assert float(res.value.value) >= hf_limit(5.0) - 1e-12
     assert float(res.value.value) >= float(J(5.0, 3.0, 0).sqrt().value) - 1e-15
+
+
+@pytest.mark.parametrize("gamma, d, attained_at", [(3.0, 2.0, 0), (5.0, 2.0, None)])
+def test_norm_exact_distinguished_exponent_is_closed_form(gamma, d, attained_at):
+    # d = gamma - 1 at gamma = 3 and d = (gamma + 1)/3 at gamma = 5, exactly
+    res = leray_norm(gamma, d)
+    assert res.method == "closed-form" and res.attained_at == attained_at
+
+
+@pytest.mark.parametrize("gamma, d", [(3.0, 2.0000000000004), (4.0, 1.6666666666667667)])
+def test_norm_near_distinguished_exponent_is_searched(gamma, d):
+    # within 1e-12 of the pairing or preferred exponent, but not equal to it
+    res = leray_norm(gamma, d)
+    assert res.method == "sup-search" and res.stabilized
+
+
+def test_norm_one_ulp_off_pairing_matches_the_closed_form():
+    d = math.nextafter(2.0, 3.0)
+    res = leray_norm(3.0, d)
+    assert res.method == "sup-search" and res.attained_at == 0
+    closed = J(3.0, d, 0).sqrt()
+    assert abs(res.value.value - closed.value) <= res.value.error_radius + closed.error_radius
+    assert float(res.value.value) == pytest.approx(3 / (2 * math.sqrt(2)), abs=1e-15)
 
 
 def test_norm_unbounded():
@@ -249,8 +274,6 @@ def test_symbol_value_matches_direct_mpmath():
 
 
 def test_holder_reparam():
-    from leraykit.symbol import HolderReparam
-
     rep = HolderReparam(1 / 3)  # the preferred-measure line
     assert rep.exponent(5.0) == pytest.approx(2.0, abs=1e-15)
     assert rep.q == pytest.approx(2 / 3)
@@ -262,6 +285,26 @@ def test_holder_reparam():
     assert not wide.all_modes_finite(5.0)
     with pytest.raises(DegenerateGamma):
         HolderReparam.from_exponent(2.0, 1.5)
+
+
+def test_all_modes_finite_is_the_exact_mode_0_test():
+    # |q| < gamma/|gamma - 2| in doubles said False here, yet d is in I_0
+    rep = HolderReparam(-1.818181818181818)
+    assert rep.all_modes_finite(3.1)
+    assert float(symbol_value(SymbolQuery(3.1, rep.exponent(3.1), 0)).value) > 1e15
+    rng = random.Random(11)
+    cases = [(3.1, -1.818181818181818)]
+    for _ in range(2000):
+        gamma = round(rng.uniform(1.05, 6.0), rng.randint(1, 4))
+        if gamma == 2:
+            continue
+        # a just inside or outside the band edge d = -1 or d = 2 gamma - 1
+        edge = rng.choice((-1.0, 2 * gamma - 1))
+        a = (edge - 1) / (gamma - 2) * (1 + rng.uniform(-4e-16, 4e-16))
+        cases.append((gamma, a))
+    for gamma, a in cases:
+        rep = HolderReparam(a)
+        assert rep.all_modes_finite(gamma) == SymbolQuery(gamma, rep.exponent(gamma), 0).is_finite(), (gamma, a)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

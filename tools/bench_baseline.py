@@ -2,10 +2,11 @@
 
     python tools/bench_baseline.py [--src SRC] [--runs 5] [--tier1] [--out BENCH.json]
 
-In process, in a fresh interpreter: each L1-L4 call, as the median of
---runs calls after one warm-up call.  As subprocesses: `import leraykit`,
-`leraykit version`, `certify --suite bw` and `--suite em` and `figures
---id phi-sweep`, wall clock from spawn to exit, median of --runs.  With
+In process, in a fresh interpreter: each L1-L4 call, each `emcert`
+certificate among them, as the median of --runs calls after one warm-up
+call.  As subprocesses: `import leraykit`, `leraykit version`, `certify
+--suite bw` and `--suite em` and `figures --id phi-sweep`, wall clock
+from spawn to exit, median of --runs.  With
 --tier1, one run of the tier-1 suite from the checkout holding SRC.  The
 JSON result (seconds) goes to --out (default stdout).
 """
@@ -25,9 +26,8 @@ from typing import Dict, List
 
 IN_PROCESS = r"""
 import json, statistics, sys, time
-from leraykit import leray_norm, log_gamma, monotonicity_scan, phi, polygamma, symbol_value
+from leraykit import emcert, leray_norm, log_gamma, monotonicity_scan, phi, polygamma, symbol_value
 from leraykit.bwcert import bw_certificate_suite, cm_numeric_certificate, f_q
-from leraykit.emcert import em_certificate_suite
 from leraykit.specialfn import phi_series_partial
 runs = int(sys.argv[1])
 calls = {
@@ -43,7 +43,10 @@ calls = {
     "L3 f_q(2, 0.5), without": lambda: f_q(2.0, 0.5, cross_check=False),
     "L3 cm_numeric_certificate(0)": lambda: cm_numeric_certificate(0.0),
     "L3 bw_certificate_suite": bw_certificate_suite,
-    "L4 em_certificate_suite": em_certificate_suite,
+    **{f"L4 {name}": getattr(emcert, name) for name in (
+        "series_decomposition_certificate", "integral_antiderivative_certificate",
+        "bracket_certificates", "h_pipeline", "s_bound_certificate", "em_certificate_suite",
+    )},
 }
 out = {}
 for name, call in calls.items():
