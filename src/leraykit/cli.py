@@ -37,7 +37,7 @@ from .symbol import (
     DISTINGUISHED_MEASURES,
     MeasureTag,
     SymbolQuery,
-    boundedness_interval,
+    _require_bounded,
     leray_norm,
     monotonicity_scan,
     symbol_value,
@@ -49,6 +49,7 @@ TOOL_NAME = "leraykit"
 J_SWEEP_GAMMA = 5.0
 J_SWEEP_D_SET = (1.0, 2.0, 2.5, 3.0, 4.0)
 PHI_SWEEP_Q_SET = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)
+MAX_K_RANGE = 10_000  # most modes one `symbol --k lo..hi` may ask for
 
 
 # ----------------------------------------------------------------------
@@ -215,12 +216,14 @@ def _radius(value: BoundedFloat) -> float:
 
 
 def _parse_k_range(text: str) -> List[int]:
-    """'7' or '0..60' (inclusive)."""
+    """'7' or '0..60' (inclusive), at most MAX_K_RANGE modes."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise DomainError(f"empty mode range {text!r}")
+        if hi - lo >= MAX_K_RANGE:
+            raise DomainError(f"mode range {text!r} has {hi - lo + 1} modes; at most {MAX_K_RANGE} allowed")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -253,20 +256,16 @@ def _cmd_symbol(ns: argparse.Namespace) -> int:
     measure = _measure_from_args(ns)
     d = measure.exponent(ns.gamma)
     ks = _parse_k_range(ns.k)
-    bounded_flags = [SymbolQuery(ns.gamma, d, k).is_finite() for k in ks]
-    if not any(bounded_flags):
-        lo, hi = boundedness_interval(ns.gamma, min(ks))
-        raise DomainError(
-            f"d={d:g} outside the k={min(ks)} boundedness interval "
-            f"({lo:g}, {hi:g}) for gamma={ns.gamma:g}"
-        )
+    queries = [SymbolQuery(ns.gamma, d, k) for k in ks]
+    # I_k is nested, so the largest k decides whether any mode is bounded
+    _require_bounded(ns.gamma, d, max(ks))
     rows: List[List[Any]] = []
-    for k, ok in zip(ks, bounded_flags):
-        if ok:
-            j = _within_tolerance("symbol", symbol_value(SymbolQuery(ns.gamma, d, k)), cfg)
-            rows.append([k, float(j.value), float(j.sqrt().value), True, _radius(j)])
+    for query in queries:
+        if query.is_finite():
+            j = _within_tolerance("symbol", symbol_value(query), cfg)
+            rows.append([query.k, float(j.value), float(j.sqrt().value), True, _radius(j)])
         else:
-            rows.append([k, None, None, False, None])
+            rows.append([query.k, None, None, False, None])
     _emit_table("symbol", ["k", "J", "sqrt_J", "bounded", "error_radius"], rows, cfg)
     return 0
 

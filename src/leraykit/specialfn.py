@@ -1,8 +1,8 @@
 """High-precision special functions with guaranteed absolute error bounds.
 
-Everything here returns a :class:`BoundedFloat`: a closed interval of
-mpmath's interval context ``mpmath.iv`` that provably encloses the
-represented real number.  Its width has two sources:
+Everything here returns a :class:`BoundedFloat`: a closed interval that
+provably encloses the represented real number.  Its width has two
+sources:
 
 * analytic truncation remainders, which are the package's own: each
   asymptotic series is cut after n Bernoulli terms and widened by the
@@ -19,20 +19,17 @@ represented real number.  Its width has two sources:
   narrow it.  phi(3, 0.5) has radius 1.14e-23 and log_gamma(1.5) 3.6e-25
   at 120, 200 and 400 bits alike; and
 * rounding, bounded by rounding every operation outward (directed
-  rounding), so no operation count is kept anywhere.  The kernels
-  (log-Gamma, digamma, the polygamma series and their Bernoulli tails)
-  work on mpmath's raw interval values, the (a, b) endpoint pairs that
-  ``iv.mpf`` holds in ``_mpi_``, and call ``mpmath.libmp``'s ``mpi_*``
-  primitives (``mpi_add``, ``mpi_mul``, ``mpi_log``, ...) at the working
-  precision.  Those are the functions behind ``mpmath.iv``'s operators,
-  ``iv.ln`` and ``iv.exp``, so every endpoint is the one ``iv`` gives,
-  without its per-operation dispatch.  A result is wrapped once, as a
-  :class:`BoundedFloat`, when it leaves a kernel: that is the one public
-  type.
+  rounding), so no operation count is kept anywhere.  A BoundedFloat
+  holds the raw (a, b) endpoint pair of ``mpmath.libmp``, and it and the
+  kernels (log-Gamma, digamma, the polygamma series and their Bernoulli
+  tails) compute with that library's ``mpi_*`` primitives at the working
+  precision: the functions behind ``mpmath.iv``'s operators, so every
+  endpoint is the one ``iv`` gives, without its per-operation dispatch.
+  No other module touches a raw pair.
 
 One working precision, set by LERAYKIT_PRECISION_BITS or
-:func:`set_precision_bits`, drives both ``mpmath.mp`` and ``mpmath.iv``.
-No function here takes a tolerance: each returns its certified enclosure
+:func:`set_precision_bits`, drives the interval arithmetic and
+``mpmath.mp``.  No function here takes a tolerance: each returns its certified enclosure
 at the working precision, whatever its radius, and a caller that needs a
 bound on the radius checks it (the command line rejects a radius above
 ``--tolerance``).  More bits narrow only the rounding part of a radius.
@@ -66,20 +63,32 @@ from math import ceil, factorial, fsum, inf, isfinite, log2, nextafter, perm
 from typing import Tuple, Union
 
 import mpmath
-from mpmath import iv, mpf
+from mpmath import mpf
 from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    from_float,
     from_int,
+    mpf_le,
+    mpf_lt,
     mpf_neg,
+    mpf_sign,
+    mpi_abs,
     mpi_add,
     mpi_div,
+    mpi_exp,
     mpi_log,
+    mpi_mid,
     mpi_mul,
     mpi_neg,
+    mpi_sqrt,
     mpi_sub,
     round_ceiling,
     round_floor,
     to_float,
 )
+from mpmath.libmp.libmpi import mpi_pi
 
 from .errors import CrossCheckFailure, DomainError
 
@@ -92,7 +101,7 @@ DEFAULT_TOL = 1e-12  # the CLI's default --tolerance and bwcert.f_q's fixed quad
 
 _env = os.environ.get("LERAYKIT_PRECISION_BITS")
 _PREC = max(_MIN_PREC, int(_env)) if _env else DEFAULT_PRECISION_BITS
-mpmath.mp.prec = iv.prec = _PREC
+mpmath.mp.prec = _PREC
 
 
 def precision_bits() -> int:
@@ -106,24 +115,28 @@ def set_precision_bits(bits: int) -> None:
     if bits < _MIN_PREC:
         raise ValueError(f"precision must be at least {_MIN_PREC} bits")
     _PREC = int(bits)
-    mpmath.mp.prec = iv.prec = _PREC
+    mpmath.mp.prec = _PREC
 
 
 Scalar = Union[int, float, Fraction, mpf, "BoundedFloat"]
 
-# raw intervals of exact constants: the (a, b) endpoint pairs that
-# iv.mpf(0), iv.mpf(1), iv.mpf(2) and iv.mpf(0.5) hold at any precision
-_RAW_ZERO, _RAW_ONE, _RAW_TWO = ((v, v) for v in map(from_int, (0, 1, 2)))
-_RAW_HALF = iv.mpf(0.5)._mpi_
+# raw intervals of exact constants, the same at every precision
+_RAW_ZERO, _RAW_ONE, _RAW_TWO, _RAW_HALF = ((v, v) for v in map(from_float, (0.0, 1.0, 2.0, 0.5)))
 
 
-def _to_iv(x: Scalar):
-    """The narrowest ``iv`` interval enclosing x at the working precision."""
+def _raw(x: Scalar) -> tuple:
+    """The narrowest raw interval enclosing x at the working precision, as
+    ``mpmath.iv`` converts it: an int or float rounded outward, an mpf as
+    it is, NaN as the whole line, a Fraction as numerator / denominator."""
     if isinstance(x, BoundedFloat):
-        return x.interval
+        return x.endpoints
     if isinstance(x, Fraction):
-        return iv.mpf(x.numerator) / x.denominator
-    return iv.mpf(x)
+        return mpi_div(_raw(x.numerator), _raw(x.denominator), _PREC)
+    if isinstance(x, int):
+        return from_int(x, _PREC, round_floor), from_int(x, _PREC, round_ceiling)
+    # a double is exact at the working precision (at least 80 bits)
+    a = from_float(x) if isinstance(x, float) else x._mpf_
+    return (fninf, finf) if a == fnan else (a, a)
 
 
 def _require_finite(name: str, value: Scalar) -> None:
@@ -142,116 +155,112 @@ def _require_finite(name: str, value: Scalar) -> None:
 # BoundedFloat
 # ----------------------------------------------------------------------
 class BoundedFloat:
-    """A real number enclosed by a closed ``mpmath.iv`` interval.
+    """A real number enclosed by a closed interval.
 
     The represented real lies in [lower, upper].  ``value`` is the
     interval's midpoint and ``error_radius`` its half-width rounded up, so
     the real also lies in [value - error_radius, value + error_radius];
     both are rounded at the working precision in force when read.
-    Arithmetic is mpmath.iv's outward-rounded interval arithmetic.  The
-    special-function kernels compute on the interval's raw endpoint pair
-    with ``mpmath.libmp``'s ``mpi_*`` primitives, which round in the same
-    directions as ``iv``, and wrap the result in this type once.
+    ``endpoints`` is the raw (a, b) pair of ``mpmath.libmp``, and every
+    operation is one outward-rounded ``mpi_*`` call on it at the working
+    precision, giving the endpoints ``mpmath.iv`` gives.
     """
 
-    __slots__ = ("interval",)
+    __slots__ = ("endpoints",)
 
     def __init__(self, value: Scalar, error_radius: Scalar) -> None:
         if error_radius < 0:
             raise ValueError("error radius must be non-negative")
-        radius = _to_iv(error_radius).b
-        self.interval = _to_iv(value) + iv.mpf([-radius, radius])
+        radius = _raw(error_radius)[1]
+        self.endpoints = mpi_add(_raw(value), (mpf_neg(radius, _PREC, round_floor), radius), _PREC)
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def _of(cls, interval) -> "BoundedFloat":
+    def _of(cls, endpoints: tuple) -> "BoundedFloat":
         out = object.__new__(cls)
-        out.interval = interval
+        out.endpoints = endpoints
         return out
 
     @classmethod
     def exact(cls, x: Scalar) -> "BoundedFloat":
         """x itself, widened only when the working precision cannot hold it
         (a non-dyadic Fraction, say)."""
-        return cls._of(_to_iv(x))
+        return cls._of(_raw(x))
 
     # -- interval accessors ---------------------------------------------
     @property
     def value(self) -> mpf:
-        return mpf(self.interval.mid)
+        return mpf(mpi_mid(self.endpoints, _PREC))
 
     @property
     def error_radius(self) -> mpf:
-        return mpf(abs(self.interval - self.interval.mid).b, rounding="c")
+        mid = mpi_mid(self.endpoints, _PREC)
+        return mpf(mpi_abs(mpi_sub(self.endpoints, (mid, mid), _PREC), _PREC)[1], rounding="c")
 
     @property
     def lower(self) -> mpf:
-        return mpf(self.interval.a, rounding="f")
+        return mpf(self.endpoints[0], rounding="f")
 
     @property
     def upper(self) -> mpf:
-        return mpf(self.interval.b, rounding="c")
+        return mpf(self.endpoints[1], rounding="c")
 
     def contains(self, x: Scalar) -> bool:
-        return _to_iv(x) in self.interval
+        a, b = _raw(x)
+        return mpf_le(self.endpoints[0], a) and mpf_le(b, self.endpoints[1])
 
     def separated_below(self, c: Scalar) -> bool:
         """Certified strict inequality (self < c)."""
-        return self.interval.b < _to_iv(c).a
+        return mpf_lt(self.endpoints[1], _raw(c)[0])
 
     def separated_above(self, c: Scalar) -> bool:
         """Certified strict inequality (self > c)."""
-        return self.interval.a > _to_iv(c).b
+        return mpf_lt(_raw(c)[1], self.endpoints[0])
 
     def __float__(self) -> float:
         return float(self.value)
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other) -> "BoundedFloat":
-        return BoundedFloat._of(self.interval + _to_iv(other))
+        return BoundedFloat._of(mpi_add(self.endpoints, _raw(other), _PREC))
 
     __radd__ = __add__
 
     def __neg__(self) -> "BoundedFloat":
-        return BoundedFloat._of(-self.interval)
+        return BoundedFloat._of(mpi_neg(self.endpoints, _PREC))
 
     def __sub__(self, other) -> "BoundedFloat":
-        return BoundedFloat._of(self.interval - _to_iv(other))
+        return BoundedFloat._of(mpi_sub(self.endpoints, _raw(other), _PREC))
 
     def __rsub__(self, other) -> "BoundedFloat":
-        return BoundedFloat._of(_to_iv(other) - self.interval)
+        return BoundedFloat._of(mpi_sub(_raw(other), self.endpoints, _PREC))
 
     def __mul__(self, other) -> "BoundedFloat":
-        return BoundedFloat._of(self.interval * _to_iv(other))
+        return BoundedFloat._of(mpi_mul(self.endpoints, _raw(other), _PREC))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "BoundedFloat":
-        divisor = _to_iv(other)
-        if 0 in divisor:
+        divisor = _raw(other)
+        if mpf_sign(divisor[0]) <= 0 <= mpf_sign(divisor[1]):
             raise ZeroDivisionError("divisor interval contains zero")
-        return BoundedFloat._of(self.interval / divisor)
+        return BoundedFloat._of(mpi_div(self.endpoints, divisor, _PREC))
 
     def sqrt(self) -> "BoundedFloat":
         if self.lower < 0:
             raise DomainError("sqrt of an interval reaching below zero")
-        return BoundedFloat._of(iv.sqrt(self.interval))
+        return BoundedFloat._of(mpi_sqrt(self.endpoints, _PREC))
 
     def exp(self) -> "BoundedFloat":
-        return BoundedFloat._of(iv.exp(self.interval))
+        return BoundedFloat._of(mpi_exp(self.endpoints, _PREC))
 
     def log(self) -> "BoundedFloat":
         if not self.lower > 0:
             raise DomainError("log of an interval reaching zero or below")
-        return BoundedFloat._of(iv.ln(self.interval))
+        return BoundedFloat._of(mpi_log(self.endpoints, _PREC))
 
     def __repr__(self) -> str:
         return f"BoundedFloat({mpmath.nstr(self.value, 17)} ± {mpmath.nstr(self.error_radius, 3)})"
-
-
-def _wrap(raw) -> BoundedFloat:
-    """A kernel's raw interval as the public type."""
-    return BoundedFloat._of(iv.make_mpf(raw))
 
 
 # ----------------------------------------------------------------------
@@ -286,12 +295,6 @@ def _bernoulli_coefficient(m: int, j: int) -> Fraction:
     return b * Fraction(perm(m + 2 * j - 1, 2 * j - 1), factorial(2 * j))
 
 
-def _raw_int(n: int) -> tuple:
-    """The raw interval ``iv.mpf(n)`` holds: n rounded down and up at the
-    working precision (the same point when |n| < 2^prec)."""
-    return from_int(n, _PREC, round_floor), from_int(n, _PREC, round_ceiling)
-
-
 @lru_cache(maxsize=64)
 def _bernoulli_series(m: int, prec: int) -> tuple:
     """(coefficients, remainders, switch points) at `prec` bits.
@@ -307,9 +310,9 @@ def _bernoulli_series(m: int, prec: int) -> tuple:
     """
     coefficients, remainders, switches = [], [], []
     for n in range(1, _EM_TERMS + 1):
-        coefficients.append(_to_iv(_bernoulli_coefficient(m, n))._mpi_)
+        coefficients.append(_raw(_bernoulli_coefficient(m, n)))
         omitted = abs(_bernoulli_coefficient(m, n + 1))
-        bound = _to_iv(omitted)._mpi_[1]
+        bound = _raw(omitted)[1]
         remainders.append((mpf_neg(bound), bound))
         log2_switch = (log2(omitted.numerator) - log2(omitted.denominator) + prec) / (2 * n + 1)
         switches.append(2.0 ** log2_switch if log2_switch < 1000 else inf)
@@ -318,7 +321,20 @@ def _bernoulli_series(m: int, prec: int) -> tuple:
 
 @lru_cache(maxsize=8)
 def _half_log_2pi(prec: int) -> tuple:
-    return (iv.ln(2 * iv.pi) / 2)._mpi_
+    return mpi_div(mpi_log(mpi_mul(_RAW_TWO, mpi_pi(prec), prec), prec), _RAW_TWO, prec)
+
+
+@lru_cache(maxsize=8)
+def _log_gamma_floor(prec: int) -> float:
+    """The truncation part of a `log_gamma` radius at `prec` bits, whatever
+    the argument: `_log_gamma` raises its argument to z >= _RAISE_TO and
+    sums at most _EM_TERMS Stirling terms, and the remainder interval
+    [-|c_11|, |c_11|] of `_bernoulli_series(-1, prec)` enters with the
+    factor z^-(2 _EM_TERMS + 1) <= 16^-21, about 7e-25 at every precision.
+    (With fewer terms the remainder is below 2^-prec and counts as
+    rounding.)"""
+    _, remainders, _ = _bernoulli_series(-1, prec)
+    return to_float(remainders[-1][1]) * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
 
 
 def _power(u, e: int):
@@ -359,22 +375,22 @@ def _raise_count(x) -> int:
     return 0 if lo >= _RAISE_TO else ceil(_RAISE_TO - lo)
 
 
-def _positive_argument(fn: str, x: Scalar):
-    """x as a raw interval, after the finiteness and sign checks."""
+def _positive_argument(fn: str, x: Scalar) -> BoundedFloat:
+    """x, after the finiteness and sign checks."""
     _require_finite("x", x)
-    xv = _to_iv(x)
-    if not xv > 0:
+    xv = BoundedFloat.exact(x)
+    if not xv.separated_above(0):
         raise DomainError(f"{fn} requires a positive argument")
-    return xv._mpi_
+    return xv
 
 
 def polygamma(m: int, x: Scalar) -> BoundedFloat:
     """psi^(m)(x) for x > 0 with a certified error radius."""
-    xv = _positive_argument("polygamma", x)
+    xv = _positive_argument("polygamma", x).endpoints
     m = int(m)
     if m < 0:
         raise DomainError("polygamma order must be non-negative")
-    return _wrap(_digamma(xv) if m == 0 else _polygamma_series(m, xv))
+    return BoundedFloat._of(_digamma(xv) if m == 0 else _polygamma_series(m, xv))
 
 
 def _polygamma_series(m: int, x):
@@ -388,12 +404,12 @@ def _polygamma_series(m: int, x):
     u = mpi_div(_RAW_ONE, z, prec)
     lead = _power(u, m)
     tail = mpi_add(
-        mpi_div(lead, _raw_int(m), prec),
+        mpi_div(lead, _raw(m), prec),
         mpi_mul(_RAW_HALF, mpi_mul(lead, u, prec), prec),
         prec,
     )
     tail = mpi_add(tail, _bernoulli_terms(z, u, m), prec)
-    total = mpi_mul(mpi_add(head, tail, prec), _raw_int(factorial(m)), prec)
+    total = mpi_mul(mpi_add(head, tail, prec), _raw(factorial(m)), prec)
     return mpi_neg(total, prec) if m % 2 == 0 else total
 
 
@@ -415,12 +431,13 @@ def _digamma(x):
 def log_gamma(x: Scalar) -> BoundedFloat:
     """log Gamma(x) for x > 0 via argument raising and the Stirling series
     (remainder bounded by the first omitted term)."""
-    return _wrap(_log_gamma(_positive_argument("log_gamma", x)))
+    return _log_gamma(_positive_argument("log_gamma", x))
 
 
-def _log_gamma(x):
-    """log Gamma on a raw interval x > 0; the caller checks the domain."""
-    prec = _PREC
+def _log_gamma(x: BoundedFloat) -> BoundedFloat:
+    """log Gamma of an interval the caller has proven positive, without
+    `log_gamma`'s argument checks."""
+    prec, x = _PREC, x.endpoints
     n_head = _raise_count(x)
     z, head = x, _RAW_ONE
     for _ in range(n_head):
@@ -431,7 +448,7 @@ def _log_gamma(x):
     out = mpi_add(out, _bernoulli_terms(z, mpi_div(_RAW_ONE, z, prec), -1), prec)
     if n_head:
         out = mpi_sub(out, mpi_log(head, prec), prec)
-    return out
+    return BoundedFloat._of(out)
 
 
 # ----------------------------------------------------------------------
@@ -441,25 +458,25 @@ _NEAR_THRESHOLD = 1e-6  # comparisons with 1 are open-interval claims in r > q
 
 
 def _shifted_argument(fn: str, r: Scalar, q: Scalar):
-    """(r, q) as ``iv`` intervals and r + 1 - q as a raw interval, after the
-    finiteness and domain checks."""
+    """r, q and r + 1 - q as raw intervals, after the finiteness and domain
+    checks."""
     _require_finite("r", r)
     _require_finite("q", q)
-    rv, qv = _to_iv(r), _to_iv(q)
-    x = rv + 1 - qv
-    if not x > 0:
+    prec, rv, qv = _PREC, _raw(r), _raw(q)
+    x = mpi_sub(mpi_add(rv, _RAW_ONE, prec), qv, prec)
+    if not mpf_sign(x[0]) > 0:
         raise DomainError(
-            f"{fn} requires r + 1 - q > 0, which cannot be certified at {_PREC}-bit "
-            f"precision: r + 1 - q lies in [{float(x.a):.6g}, {float(x.b):.6g}]"
+            f"{fn} requires r + 1 - q > 0, which cannot be certified at {prec}-bit "
+            f"precision: r + 1 - q lies in [{to_float(x[0]):.6g}, {to_float(x[1]):.6g}]"
         )
-    return rv, qv, x._mpi_
+    return rv, qv, x
 
 
 def theta(r: Scalar, q: Scalar) -> BoundedFloat:
     """theta(r, q) = r^2 psi'(r + 1 - q); its r-derivative is phi(r, q)."""
     rv, _, x = _shifted_argument("theta", r, q)
-    r_squared = mpi_mul(rv._mpi_, rv._mpi_, _PREC)
-    return _wrap(mpi_mul(_polygamma_series(1, x), r_squared, _PREC))
+    r_squared = mpi_mul(rv, rv, _PREC)
+    return BoundedFloat._of(mpi_mul(_polygamma_series(1, x), r_squared, _PREC))
 
 
 def phi(r: Scalar, q: Scalar) -> BoundedFloat:
@@ -472,15 +489,15 @@ def phi(r: Scalar, q: Scalar) -> BoundedFloat:
     `phi_series_partial`.
     """
     rv, qv, x = _shifted_argument("phi", r, q)
-    if abs(rv - qv).b < _NEAR_THRESHOLD:
+    prec = _PREC
+    if mpf_lt(mpi_abs(mpi_sub(rv, qv, prec), prec)[1], from_float(_NEAR_THRESHOLD)):
         raise DomainError("phi rejected: r within 1e-6 of q (endpoint not specified)")
-    prec, rv = _PREC, rv._mpi_
     value = mpi_add(
         mpi_mul(_polygamma_series(1, x), mpi_mul(_RAW_TWO, rv, prec), prec),
         mpi_mul(_polygamma_series(2, x), mpi_mul(rv, rv, prec), prec),
         prec,
     )
-    out = _wrap(value)
+    out = BoundedFloat._of(value)
     _phi_series_check(r, q, out)
     return out
 

@@ -31,8 +31,6 @@ from functools import lru_cache
 from math import exp, fsum, inf, isfinite, lgamma, log, nextafter
 from typing import List, Optional, Tuple
 
-from mpmath.libmp import mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_sub, to_float
-
 from .errors import (
     DegenerateGamma,
     DomainError,
@@ -40,17 +38,10 @@ from .errors import (
     UnboundedMode,
 )
 from .specialfn import (
-    _EM_TERMS,
-    _RAISE_TO,
     BoundedFloat,
-    _RAW_ONE,
-    _RAW_TWO,
-    _bernoulli_series,
     _log_gamma,
-    _raw_int,
+    _log_gamma_floor,
     _require_finite,
-    _to_iv,
-    _wrap,
     precision_bits,
 )
 
@@ -222,18 +213,18 @@ class HolderReparam:
 
 @lru_cache(maxsize=64)
 def _gamma_logs(gamma: float, prec: int) -> tuple:
-    """gamma, ln(gamma/2) and ln(gamma-1) as raw intervals at `prec` bits."""
-    g = _to_iv(gamma)._mpi_
-    return g, mpi_log(mpi_div(g, _RAW_TWO, prec), prec), mpi_log(mpi_sub(g, _RAW_ONE, prec), prec)
+    """gamma, ln(gamma/2) and ln(gamma-1) at `prec` bits."""
+    g = BoundedFloat.exact(gamma)
+    return g, (g / 2).log(), (g - 1).log()
 
 
 @lru_cache(maxsize=256)
-def _log_factorial(k: int, prec: int) -> tuple:
-    """log Gamma(k + 1) = log k! as a raw interval at `prec` bits.
+def _log_factorial(k: int, prec: int) -> BoundedFloat:
+    """log Gamma(k + 1) = log k! at `prec` bits.
 
     The columns of the `figures` j-sweep share their modes, so four in five
     of its calls repeat; a norm search asks for each k once."""
-    return _log_gamma(_raw_int(k + 1))
+    return _log_gamma(BoundedFloat.exact(k + 1))
 
 
 def symbol_value(query: "SymbolQuery | Tuple[float, float, int]") -> BoundedFloat:
@@ -248,30 +239,38 @@ def symbol_value(query: "SymbolQuery | Tuple[float, float, int]") -> BoundedFloa
     gamma, d, k = query.gamma, query.d, query.k
     _require_bounded(gamma, d, k)
     # SymbolQuery has checked gamma > 1 and A, B > 0 in exact arithmetic, and
-    # from doubles at >= 80 bits their intervals stay positive, so the
-    # log-Gamma kernel runs without the public log_gamma's argument checks
+    # from doubles at >= 80 bits their intervals stay positive, so log Gamma
+    # runs without the public log_gamma's argument checks
     prec = precision_bits()
     g, log_half_g, log_g_minus_1 = _gamma_logs(gamma, prec)
-    two_k_plus_2 = _raw_int(2 * k + 2)
-    a = mpi_div(mpi_add(_to_iv(d)._mpi_, _raw_int(2 * k + 1), prec), g, prec)
-    b = mpi_sub(two_k_plus_2, a, prec)
-    log_j = mpi_add(_log_gamma(a), _log_gamma(b), prec)
-    log_j = mpi_sub(log_j, mpi_mul(_log_factorial(k, prec), _RAW_TWO, prec), prec)
-    log_j = mpi_add(log_j, mpi_mul(log_half_g, two_k_plus_2, prec), prec)
-    log_j = mpi_sub(log_j, mpi_mul(log_g_minus_1, b, prec), prec)
-    return _wrap(mpi_exp(log_j, prec))
+    a = (BoundedFloat.exact(d) + (2 * k + 1)) / g
+    b = (2 * k + 2) - a
+    log_j = (_log_gamma(a) + _log_gamma(b) - _log_factorial(k, prec) * 2
+             + log_half_g * (2 * k + 2) - log_g_minus_1 * b)
+    return log_j.exp()
 
 
 def holder_conjugate(gamma: float) -> float:
-    """gamma* = gamma/(gamma - 1); an involution on (1, infinity)."""
+    """gamma* = gamma/(gamma - 1); an involution on (1, infinity).  A
+    double gamma above about 2^53, where gamma* rounds to 1, is a
+    DomainError."""
     _require_gamma(gamma)
-    return gamma / (gamma - 1)
+    conjugate = gamma / (gamma - 1)
+    if not conjugate > 1:
+        raise DomainError(f"gamma* = gamma/(gamma - 1) rounds to {conjugate} for gamma={gamma}")
+    return conjugate
 
 
 def holder_partner(gamma: float, d: float) -> Tuple[float, float]:
     """The unique (gamma*, d') whose symbol function matches (gamma, d)
     mode for mode: d' is the exponent at gamma* of
     ``HolderReparam.from_exponent(gamma, d)``.
+
+    For doubles, gamma* and d' are computed in doubles and can differ from
+    the exact partner by rounding: ``holder_partner(1.5, 0.3)`` gives
+    d' = 2.4, about 1.1e-16 from the exact partner of those two doubles.
+    Fraction arguments give the exact partner, which is what a comparison
+    of norms across the map needs.
 
     gamma = 2 is degenerate (every exponent reparameterizes to d = 1), so
     no unique partner exists there.
@@ -397,25 +396,6 @@ def _require_k_cap(k_cap: int) -> None:
         raise DomainError(f"k_cap must be a non-negative integer (got {k_cap!r})")
 
 
-@lru_cache(maxsize=8)
-def _log_j_floor(prec: int) -> float:
-    """Truncation part of the certified radius of log J at `prec` bits.
-
-    `_log_gamma` raises its argument to z >= _RAISE_TO and sums at most
-    _EM_TERMS Stirling terms; the remainder interval [-|c_11|, |c_11|] of
-    `_bernoulli_series(-1, prec)` then enters with the factor
-    z^-(2 _EM_TERMS + 1) <= 16^-21, about 7e-25, whatever the precision.
-    (With fewer terms the remainder is below 2^-prec and counts as
-    rounding.)  log J adds log Gamma(A) and log Gamma(B) and subtracts
-    twice log Gamma(k+1), so four such remainders.  The bound is reached
-    when all four arguments land on z = 16 (gamma = 2.5, d = 2, k = 1 has
-    A = B = k+1 = 2, and a radius 0.99999999999 times the four), so it is
-    doubled rather than left to the rounding allowance to cover.
-    """
-    _, remainders, _ = _bernoulli_series(-1, prec)
-    return 2 * 4 * to_float(remainders[-1][1]) * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
-
-
 def _log_j_screen(gamma: float, d: float, k: int) -> Optional[Tuple[float, float, float]]:
     """(log J in doubles, spread, rho) for mode k, or None when A or B is
     not positive in doubles.
@@ -429,11 +409,14 @@ def _log_j_screen(gamma: float, d: float, k: int) -> Optional[Tuple[float, float
     when B is near zero.
 
     rho bounds the radius of the certified log J of `symbol_value`:
-    `_log_j_floor` + (mag + cond) 2^(_SCREEN_ROUNDING_BITS - prec), where
-    cond = (2k+2)(1/B + |log B| + |log(gamma-1)| + 1) covers
+    2 * 4 `_log_gamma_floor` + (mag + cond) 2^(_SCREEN_ROUNDING_BITS - prec),
+    where cond = (2k+2)(1/B + |log B| + |log(gamma-1)| + 1) covers
     symbol_value's subtraction B = 2k+2 - A.  The certified midpoint of
     log J therefore lies within spread = _SCREEN_PAD mag + 2 rho of the
-    float log J.
+    float log J.  The first term bounds the four log-Gamma truncation
+    remainders of log J (A, B and twice k+1), doubled: all four reach the
+    floor when the arguments land on z = 16 (gamma = 2.5, d = 2, k = 1
+    has A = B = k+1 = 2, and a radius 0.99999999999 times the four).
     """
     prec = precision_bits()
     a = (2 * k + 1 + d) / gamma
@@ -444,7 +427,7 @@ def _log_j_screen(gamma: float, d: float, k: int) -> Optional[Tuple[float, float
     terms = (lgamma(a), lgamma(b), -2 * lgamma(k + 1), (2 * k + 2) * log(gamma / 2), -b * log_g1)
     mag = fsum(map(abs, terms)) + a * (abs(log(a)) + 1) + b * (abs(log(b)) + 1) + 1
     cond = (2 * k + 2) * (1 / b + abs(log(b)) + abs(log_g1) + 1)
-    rho = _log_j_floor(prec) + (mag + cond) * 2.0 ** (_SCREEN_ROUNDING_BITS - prec)
+    rho = 2 * 4 * _log_gamma_floor(prec) + (mag + cond) * 2.0 ** (_SCREEN_ROUNDING_BITS - prec)
     return fsum(terms), _SCREEN_PAD * mag + 2 * rho, rho
 
 

@@ -54,6 +54,25 @@ def test_symbol_domain_error_exit_2(capsys):
     assert "(-1, 2)" in err and "k=0" in err
 
 
+def test_symbol_unbounded_range_names_the_largest_mode(capsys):
+    # I_k is nested, so the error names I_3(3) = (-7, 17), not I_0 = (-1, 5)
+    code, out, err = run_cli(capsys, "symbol", "--gamma", "3", "--d", "50", "--k", "0..3")
+    assert code == 2 and out == ""
+    assert "k=3" in err and "(-7, 17)" in err
+
+
+def test_symbol_huge_k_range_exit_2_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "leraykit.cli", "symbol", "--gamma", "3", "--d", "0.5",
+         "--k", "0..1000000000000"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: mode range '0..1000000000000' has 1000000000001 modes")
+    assert "Traceback" not in proc.stderr
+
+
 def test_symbol_partial_range_marks_unbounded(capsys):
     # d = 4 is outside I_0(1.5) = (-1, 2) but inside I_2(1.5) = (-5, 6)
     code, out, _ = run_cli(capsys, "symbol", "--gamma", "1.5", "--d", "4", "--k", "0..3")

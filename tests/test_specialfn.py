@@ -1,6 +1,8 @@
 """Verified special functions against independent summation oracles."""
 
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -278,6 +280,75 @@ def test_bounded_float_arithmetic():
     assert a.separated_below(3) and b.separated_above(2.5)
     with pytest.raises(ValueError):
         BoundedFloat(mpmath.mpf(1), mpmath.mpf(-1))
+
+
+def _iv_of(x):
+    """The mpmath.iv interval a BoundedFloat operand is checked against: a
+    Fraction as its numerator's interval divided by its denominator."""
+    if isinstance(x, Fraction):
+        return mpmath.iv.mpf(x.numerator) / x.denominator
+    return mpmath.iv.mpf(x)
+
+
+def _operands(rng, bits):
+    """int, float, Fraction and mpf operands, including an int and an mpf
+    wider than the working precision, which the conversion rounds or keeps."""
+    with mpmath.workprec(bits + 60):
+        wide = mpmath.sqrt(mpmath.mpf(rng.randint(2, 99)))
+    return [
+        rng.randint(-50, 50) or 7,
+        2 ** (bits + 3) + rng.randrange(1, 2 ** bits),
+        rng.uniform(-40, 40),
+        rng.uniform(1e-6, 1e-3),
+        Fraction(rng.choice((-1, 1)) * rng.randint(1, 999), rng.randint(1, 999)),
+        Fraction(1, 3),
+        mpmath.mpf(rng.uniform(-10, 10)),
+        wide,
+    ]
+
+
+@pytest.mark.parametrize("bits", (80, 120, 200))
+def test_bounded_float_endpoints_match_mpmath_iv(bits):
+    """Every BoundedFloat operation gives the endpoints mpmath.iv gives."""
+    saved_bits, saved_iv = sf.precision_bits(), mpmath.iv.prec
+    sf.set_precision_bits(bits)
+    mpmath.iv.prec = bits
+    try:
+        rng = random.Random(bits)
+        for _ in range(6):
+            operands = _operands(rng, bits)
+            for x in operands:
+                bx, ix = BoundedFloat.exact(x), _iv_of(x)
+                assert bx.endpoints == ix._mpi_, x
+                assert (-bx).endpoints == (-ix)._mpi_
+                assert (bx.value, bx.lower, bx.upper, bx.error_radius) == (
+                    mpmath.mpf(ix.mid),
+                    mpmath.mpf(ix.a, rounding="f"),
+                    mpmath.mpf(ix.b, rounding="c"),
+                    mpmath.mpf(abs(ix - ix.mid).b, rounding="c"),
+                )
+                if bx.lower >= 0:
+                    assert bx.sqrt().endpoints == mpmath.iv.sqrt(ix)._mpi_
+                if bx.lower > 0:
+                    assert bx.log().endpoints == mpmath.iv.ln(ix)._mpi_
+                if abs(bx.value) < 50:
+                    assert bx.exp().endpoints == mpmath.iv.exp(ix)._mpi_
+                for y in operands:
+                    iy = _iv_of(y)
+                    assert (bx + y).endpoints == (ix + iy)._mpi_, (x, y)
+                    assert (bx - y).endpoints == (ix - iy)._mpi_, (x, y)
+                    assert (y - bx).endpoints == (iy - ix)._mpi_, (x, y)
+                    assert (bx * y).endpoints == (ix * iy)._mpi_, (x, y)
+                    assert (bx / y).endpoints == (ix / iy)._mpi_, (x, y)
+                    assert bx.contains(y) == (iy in ix), (x, y)
+                    assert bx.separated_below(y) == bool(ix.b < iy.a), (x, y)
+                    assert bx.separated_above(y) == bool(ix.a > iy.b), (x, y)
+                    radius = abs(y)
+                    made = BoundedFloat(x, radius).endpoints
+                    assert made == (ix + mpmath.iv.mpf([-_iv_of(radius).b, _iv_of(radius).b]))._mpi_
+    finally:
+        sf.set_precision_bits(saved_bits)
+        mpmath.iv.prec = saved_iv
 
 
 def test_phi_cross_check_guards_corruption():

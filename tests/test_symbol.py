@@ -94,6 +94,14 @@ def test_holder_conjugate():
         holder_conjugate(0.9)
 
 
+def test_holder_conjugate_rounding_to_one_names_gamma_star():
+    # gamma/(gamma - 1) rounds to 1.0 for a double gamma above about 2^53
+    for call in (lambda: holder_conjugate(1e17), lambda: holder_partner(1e17, 5.0)):
+        with pytest.raises(DomainError, match=r"gamma\* = gamma/\(gamma - 1\) rounds to 1.0 for gamma=1e\+17"):
+            call()
+    assert holder_conjugate(2.0 ** 52) > 1
+
+
 def test_holder_partner_fixed_measures():
     # pairing maps to pairing, preferred to preferred, lebesgue to lebesgue
     for gamma in (1.5, 3.0, 5.0):
@@ -382,7 +390,7 @@ def _outcome(search, gamma, d, k_cap):
         value, argmax, scanned, stabilized = search(gamma, d, k_cap)
     except LeraykitError as exc:
         return type(exc).__name__, str(exc)
-    return value.interval.a, value.interval.b, argmax, scanned, stabilized
+    return value.lower, value.upper, argmax, scanned, stabilized
 
 
 def _screen_cases():
