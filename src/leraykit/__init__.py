@@ -8,11 +8,17 @@ finite-difference complete-monotonicity evidence) and exactly (big-rational
 polynomial arithmetic, Descartes sign counting, Euler-Maclaurin
 decomposition identities).
 
+Importing the package loads only ``__version__`` and the error classes.
+Every other public name, and each submodule, is imported on first access
+(PEP 562), so a process loads only the layers it uses.
+
 Environment: LERAYKIT_PRECISION_BITS overrides the working significand
-precision (default 120 bits, minimum 80); read once at import.
+precision (default 120 bits, minimum 80); read once, when the numerics are
+first imported.
 """
 
-from .certificates import Certificate, first_failure
+from importlib import import_module
+
 from .errors import (
     CrossCheckFailure,
     DegenerateGamma,
@@ -24,61 +30,55 @@ from .errors import (
     UnboundedMode,
     ZeroPolynomial,
 )
-from .exactpoly import (
-    BivariatePolynomial,
-    RationalFunction,
-    RationalPolynomial,
-    descartes_sign_changes,
-    sign_pattern,
-)
-from .specialfn import (
-    DEFAULT_TOL,
-    BoundedFloat,
-    log_gamma,
-    phi,
-    phi_sandwich,
-    polygamma,
-    polygamma_sandwich,
-    precision_bits,
-    set_precision_bits,
-    theta,
-)
-from .symbol import (
-    HolderReparam,
-    MeasureTag,
-    Monotonicity,
-    NormResult,
-    ScanResult,
-    SymbolQuery,
-    boundedness_interval,
-    hf_limit,
-    holder_conjugate,
-    holder_partner,
-    leray_norm,
-    monotonicity_scan,
-    sup_search,
-    symbol_value,
-)
-from .bwcert import (
-    cm_numeric_certificate,
-    f_q,
-    m_kernel,
-    quadratic_roots,
-)
-from .emcert import (
-    em_lower_bound,
-    phi_preferred_reconstruction,
-    pr_poly,
-    q_root,
-    s_function,
-)
 
 __version__ = "0.1.0"
 
+# submodule -> the public names it defines, each imported on first access
+_LAZY = {
+    "certificates": ("Certificate", "first_failure"),
+    "exactpoly": (
+        "RationalPolynomial",
+        "BivariatePolynomial",
+        "RationalFunction",
+        "descartes_sign_changes",
+        "sign_pattern",
+    ),
+    "specialfn": (
+        "DEFAULT_TOL",
+        "BoundedFloat",
+        "polygamma",
+        "log_gamma",
+        "theta",
+        "phi",
+        "polygamma_sandwich",
+        "phi_sandwich",
+        "precision_bits",
+        "set_precision_bits",
+    ),
+    "symbol": (
+        "SymbolQuery",
+        "MeasureTag",
+        "HolderReparam",
+        "Monotonicity",
+        "ScanResult",
+        "NormResult",
+        "boundedness_interval",
+        "symbol_value",
+        "holder_conjugate",
+        "holder_partner",
+        "hf_limit",
+        "leray_norm",
+        "monotonicity_scan",
+        "sup_search",
+    ),
+    "bwcert": ("m_kernel", "quadratic_roots", "f_q", "cm_numeric_certificate"),
+    "emcert": ("s_function", "pr_poly", "q_root", "em_lower_bound", "phi_preferred_reconstruction"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_SUBMODULES = (*_LAZY, "measures", "tables")
+
 __all__ = [
     "__version__",
-    "Certificate",
-    "first_failure",
     "LeraykitError",
     "DomainError",
     "UnboundedMode",
@@ -88,42 +88,20 @@ __all__ = [
     "CrossCheckFailure",
     "TailUnbounded",
     "InconclusiveComparison",
-    "RationalPolynomial",
-    "BivariatePolynomial",
-    "RationalFunction",
-    "descartes_sign_changes",
-    "sign_pattern",
-    "DEFAULT_TOL",
-    "BoundedFloat",
-    "polygamma",
-    "log_gamma",
-    "theta",
-    "phi",
-    "polygamma_sandwich",
-    "phi_sandwich",
-    "precision_bits",
-    "set_precision_bits",
-    "SymbolQuery",
-    "MeasureTag",
-    "HolderReparam",
-    "Monotonicity",
-    "ScanResult",
-    "NormResult",
-    "boundedness_interval",
-    "symbol_value",
-    "holder_conjugate",
-    "holder_partner",
-    "hf_limit",
-    "leray_norm",
-    "monotonicity_scan",
-    "sup_search",
-    "m_kernel",
-    "quadratic_roots",
-    "f_q",
-    "cm_numeric_certificate",
-    "s_function",
-    "pr_poly",
-    "q_root",
-    "em_lower_bound",
-    "phi_preferred_reconstruction",
+    *_HOME,
 ]
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

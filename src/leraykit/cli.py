@@ -11,37 +11,36 @@ Exit codes: 0 success, 1 certificate failure, 2 usage or domain error.
 A line-oriented config file (``key = value``) can seed the run; explicit
 command-line flags override file values.  A subcommand accepts only the
 keys of the flags it registers.  Working precision is controlled
-by the LERAYKIT_PRECISION_BITS environment variable (read at import).
+by the LERAYKIT_PRECISION_BITS environment variable (read when the numerics
+are first imported).
 
 ``--tolerance`` is enforced here only: the library returns its certified
 enclosures as they are, and a command exits 2 when a value it prints (J, a
 norm or phi) has a larger radius.  A subcommand registers only flags it reads.
+
+Building the parser and running ``version`` load no numerics (no mpmath).
+Each other subcommand imports the layers it runs when it is called, and
+looks its functions up in their modules at call time: ``phi`` loads
+``specialfn``; ``symbol``, ``norm``, ``scan`` and the j-sweep of
+``figures`` also ``symbol``; ``certify`` the certificate suites.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
 
-from . import __version__, bwcert, emcert
+from . import __version__
 from .errors import DomainError, LeraykitError, ToleranceUnreachable
-from .certificates import Certificate, first_failure
-from .specialfn import DEFAULT_TOL, BoundedFloat, phi_sandwich, precision_bits
-from .specialfn import phi as phi_fn
-from .symbol import (
-    DISTINGUISHED_MEASURES,
-    MeasureTag,
-    SymbolQuery,
-    _require_bounded,
-    leray_norm,
-    monotonicity_scan,
-    symbol_value,
-)
+from .measures import DISTINGUISHED_MEASURES
+
+if TYPE_CHECKING:
+    from .certificates import Certificate
+    from .specialfn import BoundedFloat
+    from .symbol import MeasureTag
 
 TOOL_NAME = "leraykit"
 
@@ -49,15 +48,17 @@ TOOL_NAME = "leraykit"
 J_SWEEP_GAMMA = 5.0
 J_SWEEP_D_SET = (1.0, 2.0, 2.5, 3.0, 4.0)
 PHI_SWEEP_Q_SET = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)
-MAX_K_RANGE = 10_000  # most modes one `symbol --k lo..hi` may ask for
+MAX_K_RANGE = 10_000  # most modes one `symbol --k`, `scan` or j-sweep may ask for
 
 
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = DEFAULT_TOL
+class RunConfig(NamedTuple):
+    """The settings of one run.  `tolerance` has no default here:
+    `build_config` starts from ``specialfn.DEFAULT_TOL``."""
+
+    tolerance: float
     k_max: int = 200
     grid_min: float = 0.75
     grid_max: float = 1000.0
@@ -102,12 +103,13 @@ class RunConfig:
     def as_dict(self) -> Dict[str, Any]:
         # the output destination is not part of the computation; leaving it
         # out keeps reports byte-identical across target paths
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output"}
+        return {name: getattr(self, name) for name in self._fields if name != "output"}
 
 
-# config-file key -> cast, from the annotations (strings under the
-# __future__ import): int and float fields parse as such, the rest as text
-_CONFIG_CASTS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
+# config-file key -> cast, from the field types: int and float fields
+# parse as such, the rest as text
+_CONFIG_CASTS = {name: kind if kind in (int, float) else str
+                 for name, kind in get_type_hints(RunConfig).items()}
 
 
 def load_config_file(path: str) -> Dict[str, Any]:
@@ -129,19 +131,21 @@ def load_config_file(path: str) -> Dict[str, Any]:
 def build_config(ns: argparse.Namespace, file_only: Tuple[str, ...] = ()) -> RunConfig:
     """Defaults, then the --config file, then the flags.  A config-file key
     must name a flag the subcommand registers, or be one of `file_only`."""
-    cfg = RunConfig()
+    from .specialfn import DEFAULT_TOL
+
+    cfg = RunConfig(DEFAULT_TOL)
     if getattr(ns, "config", None):
         values = load_config_file(ns.config)
         for key in values:
             if not hasattr(ns, key) and key not in file_only:
                 raise DomainError(f"{ns.config}: key {key!r} is not read by the {ns.command} subcommand")
-        cfg = replace(cfg, **values)
+        cfg = cfg._replace(**values)
     overrides = {}
     for key in _CONFIG_CASTS:
         flag = getattr(ns, key, None)
         if flag is not None:
             overrides[key] = flag
-    cfg = replace(cfg, **overrides)
+    cfg = cfg._replace(**overrides)
     cfg.validate()
     return cfg
 
@@ -174,6 +178,8 @@ def _bundle_json(
     certificates: Sequence[Certificate],
     tables: Sequence[Tuple[str, Sequence[str], Sequence[Sequence[Any]]]],
 ) -> str:
+    import json
+
     payload = {
         "version": __version__,
         "config": cfg.as_dict(),
@@ -201,6 +207,8 @@ def _write_out(text: str, output: Optional[str]) -> None:
 def _within_tolerance(name: str, value: BoundedFloat, cfg: RunConfig) -> BoundedFloat:
     """`value`, after checking that its error radius is at most --tolerance."""
     if value.error_radius > cfg.tolerance:
+        from .specialfn import precision_bits
+
         raise ToleranceUnreachable(
             f"{name} radius {float(value.error_radius):.3e} exceeds tol={cfg.tolerance} "
             f"at {precision_bits()}-bit precision"
@@ -238,7 +246,16 @@ def _value_set(text: Optional[str], flag: str, default: Sequence[float]) -> List
     return [float(x) for x in text.split(",")]
 
 
+def _require_mode_count(k_max: int) -> None:
+    """`scan` and the j-sweep compute every mode 0..k_max: at most
+    MAX_K_RANGE of them."""
+    if k_max >= MAX_K_RANGE:
+        raise DomainError(f"k_max = {k_max} asks for {k_max + 1} modes; at most {MAX_K_RANGE} allowed")
+
+
 def _measure_from_args(ns: argparse.Namespace) -> MeasureTag:
+    from .symbol import MeasureTag
+
     if ns.measure is not None and ns.d is not None:
         raise DomainError("give either --d or --measure, not both")
     if ns.measure is not None:
@@ -252,6 +269,8 @@ def _measure_from_args(ns: argparse.Namespace) -> MeasureTag:
 # subcommands
 # ----------------------------------------------------------------------
 def _cmd_symbol(ns: argparse.Namespace) -> int:
+    from .symbol import SymbolQuery, _require_bounded, symbol_value
+
     cfg = build_config(ns)
     measure = _measure_from_args(ns)
     d = measure.exponent(ns.gamma)
@@ -271,6 +290,8 @@ def _cmd_symbol(ns: argparse.Namespace) -> int:
 
 
 def _cmd_norm(ns: argparse.Namespace) -> int:
+    from .symbol import leray_norm
+
     cfg = build_config(ns)
     measure = _measure_from_args(ns)
     result = leray_norm(ns.gamma, measure, k_cap=cfg.k_max)
@@ -305,7 +326,10 @@ def _cmd_norm(ns: argparse.Namespace) -> int:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> int:
+    from .symbol import monotonicity_scan
+
     cfg = build_config(ns)
+    _require_mode_count(cfg.k_max)
     measure = _measure_from_args(ns)
     d = measure.exponent(ns.gamma)
     result = monotonicity_scan(ns.gamma, d, cfg.k_max)
@@ -325,6 +349,9 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
     out_dir = Path(ns.out)
     if ns.id == "j-sweep":
+        from .symbol import SymbolQuery, symbol_value
+
+        _require_mode_count(cfg.k_max)
         d_set = _value_set(ns.d_set, "--d-set", J_SWEEP_D_SET)
         columns = ["k"] + [f"J_d{d:g}" for d in d_set]
         rows = []
@@ -336,6 +363,8 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
             rows.append(row)
         path = out_dir / "j_sweep.csv"
     elif ns.id == "phi-sweep":
+        from .specialfn import phi as phi_fn
+
         q_set = _value_set(ns.q_set, "--q-set", PHI_SWEEP_Q_SET)
         columns = ["r"] + [f"Phi_q{q:g}" for q in q_set]
         rows = []
@@ -356,6 +385,10 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
 
 
 def _cmd_certify(ns: argparse.Namespace) -> int:
+    from . import bwcert, emcert
+    from .certificates import first_failure
+    from .specialfn import DEFAULT_TOL
+
     # the report's config states the suites' tolerance, so a config file may
     # name it only at that value
     cfg = build_config(ns, file_only=("tolerance",))
@@ -386,6 +419,9 @@ def _cmd_certify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_phi(ns: argparse.Namespace) -> int:
+    from .specialfn import phi as phi_fn
+    from .specialfn import phi_sandwich
+
     cfg = build_config(ns)
     value = _within_tolerance("phi", phi_fn(ns.r, ns.q), cfg)
     lines = [

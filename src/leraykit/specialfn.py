@@ -25,7 +25,11 @@ sources:
   tails) compute with that library's ``mpi_*`` primitives at the working
   precision: the functions behind ``mpmath.iv``'s operators, so every
   endpoint is the one ``iv`` gives, without its per-operation dispatch.
-  No other module touches a raw pair.
+  Where the kernels' loops know an operand's sign (1/z, its powers and the
+  raising products are positive), they call the ``mpf_*`` floor/ceiling
+  pair that ``mpi_*`` would select, which gives the same endpoints.  phi
+  takes psi' and psi'' from one raising pass.  No other module touches a
+  raw pair.
 
 One working precision, set by LERAYKIT_PRECISION_BITS or
 :func:`set_precision_bits`, drives the interval arithmetic and
@@ -68,10 +72,14 @@ from mpmath.libmp import (
     finf,
     fnan,
     fninf,
+    fone,
     from_float,
     from_int,
+    mpf_add,
+    mpf_div,
     mpf_le,
     mpf_lt,
+    mpf_mul,
     mpf_neg,
     mpf_sign,
     mpi_abs,
@@ -337,17 +345,42 @@ def _log_gamma_floor(prec: int) -> float:
     return to_float(remainders[-1][1]) * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
 
 
-def _power(u, e: int):
-    """u^e for e >= 1 by products: faster than an integer power."""
-    out = u
+# Raw-interval operations for operands of known sign, used by the kernels'
+# inner loops: each gives the endpoints of the mpi_* call it replaces (the
+# floor/ceiling pair of the branch those signs select), without the sign
+# dispatch on every operand.
+def _add(s, t):
+    """s + t, as mpi_add for finite endpoints."""
+    return mpf_add(s[0], t[0], _PREC, round_floor), mpf_add(s[1], t[1], _PREC, round_ceiling)
+
+
+def _scale(s, t):
+    """s * t for t > 0, as mpi_mul; an s straddling 0 takes its general case."""
+    a, b = s
+    if mpf_sign(a) >= 0:
+        return mpf_mul(a, t[0], _PREC, round_floor), mpf_mul(b, t[1], _PREC, round_ceiling)
+    if mpf_sign(b) <= 0:
+        return mpf_mul(a, t[1], _PREC, round_floor), mpf_mul(b, t[0], _PREC, round_ceiling)
+    return mpf_mul(a, t[1], _PREC, round_floor), mpf_mul(b, t[1], _PREC, round_ceiling)
+
+
+def _recip(z):
+    """1 / z for z > 0, as mpi_div."""
+    return mpf_div(fone, z[1], _PREC, round_floor), mpf_div(fone, z[0], _PREC, round_ceiling)
+
+
+def _powers(u, e: int) -> list:
+    """[1, u, u^2, ..., u^e] for u > 0, each power the one before times u."""
+    out = [_RAW_ONE, u]
     for _ in range(e - 1):
-        out = mpi_mul(out, u, _PREC)
+        out.append(_scale(out[-1], u))
     return out
 
 
-def _bernoulli_terms(z, u, m: int):
+def _bernoulli_terms(z, u_powers: list, m: int):
     """sum_{j=1}^{n} c_j z^-(m+2j) plus the remainder after n terms, for
-    z > 0 and u = 1/z (raw intervals).
+    z > 0 and u_powers = `_powers(1/z, e)` with e >= max(2, m + 2) (raw
+    intervals).
 
     n is the fewest terms, at most _EM_TERMS, whose first omitted term
     c_{n+1} z^-(m+2n+2) is below 2^-prec z^-(m+1), which holds once
@@ -357,15 +390,14 @@ def _bernoulli_terms(z, u, m: int):
     scheme as the interval [-|c_{n+1}|, |c_{n+1}|], so the sum and its
     remainder come out in one pass.
     """
-    prec = _PREC
-    coefficients, remainders, switches = _bernoulli_series(m, prec)
+    coefficients, remainders, switches = _bernoulli_series(m, _PREC)
     zf = to_float(z[0])
     n = next((n for n, switch in enumerate(switches, 1) if zf > switch), _EM_TERMS)
-    w = mpi_mul(u, u, prec)
+    w = u_powers[2]
     acc = remainders[n - 1]
     for j in range(n - 1, -1, -1):
-        acc = mpi_add(mpi_mul(acc, w, prec), coefficients[j], prec)
-    return mpi_mul(acc, _power(u, m + 2), prec)
+        acc = _add(_scale(acc, w), coefficients[j])
+    return _scale(acc, u_powers[m + 2])
 
 
 def _raise_count(x) -> int:
@@ -390,27 +422,28 @@ def polygamma(m: int, x: Scalar) -> BoundedFloat:
     m = int(m)
     if m < 0:
         raise DomainError("polygamma order must be non-negative")
-    return BoundedFloat._of(_digamma(xv) if m == 0 else _polygamma_series(m, xv))
+    return BoundedFloat._of(_digamma(xv) if m == 0 else _polygamma_series((m,), xv)[0])
 
 
-def _polygamma_series(m: int, x):
-    """Direct series head + Euler-Maclaurin tail for m >= 1, on the raw
-    interval x > 0."""
+def _polygamma_series(orders: Tuple[int, ...], x) -> list:
+    """psi^(m)(x) for each order m >= 1 of `orders` (ascending), on the raw
+    interval x > 0: direct series head + Euler-Maclaurin tail.  The orders
+    share one raising pass and the powers of 1/z, and each gets the
+    endpoints its own pass would give."""
     prec = _PREC
-    z, head = x, _RAW_ZERO
+    z, heads = x, [_RAW_ZERO] * len(orders)
     for _ in range(_raise_count(x)):
-        head = mpi_add(head, _power(mpi_div(_RAW_ONE, z, prec), m + 1), prec)
-        z = mpi_add(z, _RAW_ONE, prec)
-    u = mpi_div(_RAW_ONE, z, prec)
-    lead = _power(u, m)
-    tail = mpi_add(
-        mpi_div(lead, _raw(m), prec),
-        mpi_mul(_RAW_HALF, mpi_mul(lead, u, prec), prec),
-        prec,
-    )
-    tail = mpi_add(tail, _bernoulli_terms(z, u, m), prec)
-    total = mpi_mul(mpi_add(head, tail, prec), _raw(factorial(m)), prec)
-    return mpi_neg(total, prec) if m % 2 == 0 else total
+        r = _powers(_recip(z), orders[-1] + 1)
+        heads = [_add(head, r[m + 1]) for head, m in zip(heads, orders)]
+        z = _add(z, _RAW_ONE)
+    u = _powers(_recip(z), orders[-1] + 2)
+    out = []
+    for head, m in zip(heads, orders):
+        tail = mpi_add(mpi_div(u[m], _raw(m), prec), mpi_mul(_RAW_HALF, u[m + 1], prec), prec)
+        tail = mpi_add(tail, _bernoulli_terms(z, u, m), prec)
+        total = mpi_mul(mpi_add(head, tail, prec), _raw(factorial(m)), prec)
+        out.append(mpi_neg(total, prec) if m % 2 == 0 else total)
+    return out
 
 
 def _digamma(x):
@@ -420,11 +453,11 @@ def _digamma(x):
     prec = _PREC
     z, head = x, _RAW_ZERO
     for _ in range(_raise_count(x)):
-        head = mpi_add(head, mpi_div(_RAW_ONE, z, prec), prec)
-        z = mpi_add(z, _RAW_ONE, prec)
-    u = mpi_div(_RAW_ONE, z, prec)
+        head = _add(head, _recip(z))
+        z = _add(z, _RAW_ONE)
+    u = _recip(z)
     out = mpi_sub(mpi_log(z, prec), mpi_mul(_RAW_HALF, u, prec), prec)
-    out = mpi_sub(out, _bernoulli_terms(z, u, 0), prec)
+    out = mpi_sub(out, _bernoulli_terms(z, _powers(u, 2), 0), prec)
     return mpi_sub(out, head, prec)
 
 
@@ -441,11 +474,11 @@ def _log_gamma(x: BoundedFloat) -> BoundedFloat:
     n_head = _raise_count(x)
     z, head = x, _RAW_ONE
     for _ in range(n_head):
-        head = mpi_mul(head, z, prec)
-        z = mpi_add(z, _RAW_ONE, prec)
+        head = _scale(head, z)
+        z = _add(z, _RAW_ONE)
     out = mpi_mul(mpi_sub(z, _RAW_HALF, prec), mpi_log(z, prec), prec)
     out = mpi_add(mpi_sub(out, z, prec), _half_log_2pi(prec), prec)
-    out = mpi_add(out, _bernoulli_terms(z, mpi_div(_RAW_ONE, z, prec), -1), prec)
+    out = mpi_add(out, _bernoulli_terms(z, _powers(_recip(z), 2), -1), prec)
     if n_head:
         out = mpi_sub(out, mpi_log(head, prec), prec)
     return BoundedFloat._of(out)
@@ -476,7 +509,7 @@ def theta(r: Scalar, q: Scalar) -> BoundedFloat:
     """theta(r, q) = r^2 psi'(r + 1 - q); its r-derivative is phi(r, q)."""
     rv, _, x = _shifted_argument("theta", r, q)
     r_squared = mpi_mul(rv, rv, _PREC)
-    return BoundedFloat._of(mpi_mul(_polygamma_series(1, x), r_squared, _PREC))
+    return BoundedFloat._of(mpi_mul(_polygamma_series((1,), x)[0], r_squared, _PREC))
 
 
 def phi(r: Scalar, q: Scalar) -> BoundedFloat:
@@ -492,9 +525,10 @@ def phi(r: Scalar, q: Scalar) -> BoundedFloat:
     prec = _PREC
     if mpf_lt(mpi_abs(mpi_sub(rv, qv, prec), prec)[1], from_float(_NEAR_THRESHOLD)):
         raise DomainError("phi rejected: r within 1e-6 of q (endpoint not specified)")
+    trigamma, tetragamma = _polygamma_series((1, 2), x)
     value = mpi_add(
-        mpi_mul(_polygamma_series(1, x), mpi_mul(_RAW_TWO, rv, prec), prec),
-        mpi_mul(_polygamma_series(2, x), mpi_mul(rv, rv, prec), prec),
+        mpi_mul(trigamma, mpi_mul(_RAW_TWO, rv, prec), prec),
+        mpi_mul(tetragamma, mpi_mul(rv, rv, prec), prec),
         prec,
     )
     out = BoundedFloat._of(value)

@@ -37,6 +37,7 @@ from .errors import (
     InconclusiveComparison,
     UnboundedMode,
 )
+from .measures import DISTINGUISHED_MEASURES
 from .specialfn import (
     BoundedFloat,
     _log_gamma,
@@ -110,18 +111,6 @@ class SymbolQuery:
 
     def is_finite(self) -> bool:
         return _in_interval_exact(self.d, self.gamma, self.k)
-
-
-# The distinguished measures r^d dr dtheta ds: kind -> (the exponent d as a
-# function of gamma, and the closed form of the norm: attained at mode 0,
-# the high-frequency "limit", or None where no closed form is proven).  A
-# double gamma takes the float operations, a Fraction gives the exact d.
-DISTINGUISHED_MEASURES = {
-    "pairing": (lambda g: g - 1, "mode 0"),
-    "preferred": (lambda g: (g + 1) / 3, "limit"),
-    "dual_preferred": (lambda g: (5 * g - 7) / 3, None),
-    "lebesgue": (lambda g: 1, "mode 0"),
-}
 
 
 @dataclass(frozen=True)

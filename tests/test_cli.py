@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, config layering, exit codes,
 determinism."""
 
+import ast
 import json
 import math
 import subprocess
@@ -8,7 +9,14 @@ import sys
 
 import pytest
 
-from leraykit.cli import build_config, build_parser, load_config_file, main
+from leraykit.cli import (
+    MAX_K_RANGE,
+    _require_mode_count,
+    build_config,
+    build_parser,
+    load_config_file,
+    main,
+)
 from leraykit.specialfn import phi as phi_fn
 from leraykit.specialfn import precision_bits, set_precision_bits
 from leraykit.symbol import DISTINGUISHED_MEASURES
@@ -71,6 +79,30 @@ def test_symbol_huge_k_range_exit_2_without_traceback():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: mode range '0..1000000000000' has 1000000000001 modes")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("sub", [
+    ("scan", "--gamma", "3", "--d", "0.5"),
+    ("figures", "--id", "j-sweep", "--out", "{out}"),
+])
+def test_huge_k_max_exit_2_without_traceback(tmp_path, sub):
+    argv = [a.format(out=tmp_path / "out") for a in sub] + ["--k-max", "1000000000000"]
+    # the cap is checked before any mode is computed, so the command returns
+    # at once rather than filling memory with k_max + 1 values
+    proc = subprocess.run(
+        [sys.executable, "-m", "leraykit.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: k_max = 1000000000000 asks for 1000000000001 modes; at most {MAX_K_RANGE} allowed\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_k_max_cap_is_max_k_range_modes(capsys):
+    code, _, err = run_cli(capsys, "scan", "--gamma", "3", "--d", "0.5", "--k-max", str(MAX_K_RANGE))
+    assert code == 2 and f"asks for {MAX_K_RANGE + 1} modes" in err
+    _require_mode_count(MAX_K_RANGE - 1)  # 0..MAX_K_RANGE - 1 is allowed
 
 
 def test_symbol_partial_range_marks_unbounded(capsys):
@@ -582,3 +614,62 @@ def test_precision_env_override():
         env=env,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "200"
+
+
+_LOADED_PROBE = """
+import runpy, sys
+before = set(sys.modules)
+out, sys.argv = sys.argv[1], ["leraykit", *sys.argv[2:]]
+try:
+    runpy.run_module("leraykit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+with open(out, "w") as fh:
+    fh.write(repr((code, sorted(set(sys.modules) - before))))
+"""
+
+
+def _loaded(tmp_path, *argv):
+    """Exit code and the modules that `leraykit argv`, run as
+    ``python -m leraykit.cli``, loads beyond the interpreter's start-up."""
+    out = tmp_path / "loaded.txt"
+    subprocess.run([sys.executable, "-c", _LOADED_PROBE, str(out), *argv], capture_output=True, timeout=120)
+    code, names = ast.literal_eval(out.read_text())
+    return code, set(names)
+
+
+_PARSER_PATH = {"leraykit", "leraykit.errors", "leraykit.measures"}
+_SUITES = {"leraykit.bwcert", "leraykit.emcert", "leraykit.exactpoly", "leraykit.tables",
+           "leraykit.certificates", "leraykit._quadrature"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (("version",), set()),
+    (("phi", "--r", "3", "--q", "0.5"), {"leraykit.specialfn"}),
+    (("figures", "--id", "phi-sweep", "--out", "{out}", "--grid-count", "3"), {"leraykit.specialfn"}),
+    (("symbol", "--gamma", "3", "--d", "0.5", "--k", "0..2"), {"leraykit.specialfn", "leraykit.symbol"}),
+    (("norm", "--gamma", "3", "--measure", "pairing"), {"leraykit.specialfn", "leraykit.symbol"}),
+    (("scan", "--gamma", "3", "--d", "2", "--k-max", "5"), {"leraykit.specialfn", "leraykit.symbol"}),
+    (("figures", "--id", "j-sweep", "--out", "{out}", "--k-max", "3"),
+     {"leraykit.specialfn", "leraykit.symbol"}),
+    (("certify", "--suite", "em"), {"leraykit.specialfn"} | _SUITES),
+])
+def test_each_command_imports_only_its_layers(tmp_path, argv, layers):
+    code, names = _loaded(tmp_path, *(a.format(out=tmp_path) for a in argv))
+    assert code == 0
+    assert {n for n in names if n.startswith("leraykit")} == _PARSER_PATH | layers
+    assert ("mpmath" in names) == bool(layers)
+    if argv == ("version",):
+        assert not names & {"json", "dataclasses"}
+
+
+def test_package_names_resolve_lazily():
+    import leraykit
+
+    listed = dir(leraykit)
+    for name in leraykit.__all__:
+        assert name in listed, name
+        assert getattr(leraykit, name) is not None, name
+    assert leraykit.symbol.leray_norm is leraykit.leray_norm
+    with pytest.raises(AttributeError):
+        leraykit.no_such_name

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -356,3 +357,117 @@ def test_phi_cross_check_guards_corruption():
     corrupted = BoundedFloat(good.value + 1e-3, good.error_radius)
     with pytest.raises(CrossCheckFailure):
         sf._phi_series_check(mpmath.mpf(2.0), mpmath.mpf(0.25), corrupted)
+
+
+# ----------------------------------------------------------------------
+# reference kernels: every step a general mpi_* call, as the kernels were
+# written before they dispatched on known signs and fused psi' with psi''
+# ----------------------------------------------------------------------
+def _ref_power(u, e, prec):
+    out = u
+    for _ in range(e - 1):
+        out = libmp.mpi_mul(out, u, prec)
+    return out
+
+
+def _ref_bernoulli_terms(z, u, m, prec):
+    coefficients, remainders, switches = sf._bernoulli_series(m, prec)
+    zf = libmp.to_float(z[0])
+    n = next((n for n, switch in enumerate(switches, 1) if zf > switch), sf._EM_TERMS)
+    w = libmp.mpi_mul(u, u, prec)
+    acc = remainders[n - 1]
+    for j in range(n - 1, -1, -1):
+        acc = libmp.mpi_add(libmp.mpi_mul(acc, w, prec), coefficients[j], prec)
+    return libmp.mpi_mul(acc, _ref_power(u, m + 2, prec), prec)
+
+
+def _ref_polygamma_series(m, x, prec):
+    one = sf._RAW_ONE
+    z, head = x, sf._RAW_ZERO
+    for _ in range(sf._raise_count(x)):
+        head = libmp.mpi_add(head, _ref_power(libmp.mpi_div(one, z, prec), m + 1, prec), prec)
+        z = libmp.mpi_add(z, one, prec)
+    u = libmp.mpi_div(one, z, prec)
+    lead = _ref_power(u, m, prec)
+    tail = libmp.mpi_add(
+        libmp.mpi_div(lead, sf._raw(m), prec),
+        libmp.mpi_mul(sf._RAW_HALF, libmp.mpi_mul(lead, u, prec), prec),
+        prec,
+    )
+    tail = libmp.mpi_add(tail, _ref_bernoulli_terms(z, u, m, prec), prec)
+    total = libmp.mpi_mul(libmp.mpi_add(head, tail, prec), sf._raw(math.factorial(m)), prec)
+    return libmp.mpi_neg(total, prec) if m % 2 == 0 else total
+
+
+def _ref_digamma(x, prec):
+    one = sf._RAW_ONE
+    z, head = x, sf._RAW_ZERO
+    for _ in range(sf._raise_count(x)):
+        head = libmp.mpi_add(head, libmp.mpi_div(one, z, prec), prec)
+        z = libmp.mpi_add(z, one, prec)
+    u = libmp.mpi_div(one, z, prec)
+    out = libmp.mpi_sub(libmp.mpi_log(z, prec), libmp.mpi_mul(sf._RAW_HALF, u, prec), prec)
+    out = libmp.mpi_sub(out, _ref_bernoulli_terms(z, u, 0, prec), prec)
+    return libmp.mpi_sub(out, head, prec)
+
+
+def _ref_log_gamma(x, prec):
+    one = sf._RAW_ONE
+    n_head = sf._raise_count(x)
+    z, head = x, one
+    for _ in range(n_head):
+        head = libmp.mpi_mul(head, z, prec)
+        z = libmp.mpi_add(z, one, prec)
+    out = libmp.mpi_mul(libmp.mpi_sub(z, sf._RAW_HALF, prec), libmp.mpi_log(z, prec), prec)
+    out = libmp.mpi_add(libmp.mpi_sub(out, z, prec), sf._half_log_2pi(prec), prec)
+    out = libmp.mpi_add(out, _ref_bernoulli_terms(z, libmp.mpi_div(one, z, prec), -1, prec), prec)
+    if n_head:
+        out = libmp.mpi_sub(out, libmp.mpi_log(head, prec), prec)
+    return out
+
+
+def _ref_phi(r, q, prec):
+    rv, qv = sf._raw(r), sf._raw(q)
+    x = libmp.mpi_sub(libmp.mpi_add(rv, sf._RAW_ONE, prec), qv, prec)
+    return libmp.mpi_add(
+        libmp.mpi_mul(_ref_polygamma_series(1, x, prec), libmp.mpi_mul(sf._RAW_TWO, rv, prec), prec),
+        libmp.mpi_mul(_ref_polygamma_series(2, x, prec), libmp.mpi_mul(rv, rv, prec), prec),
+        prec,
+    )
+
+
+@pytest.mark.parametrize("bits", (80, 120, 200, 300))
+def test_kernels_match_general_interval_reference(bits):
+    """The sign-specialised, fused kernels give exactly the endpoints of
+    the same steps taken with general mpi_* calls, on seeded arguments
+    below, at and far above the raising threshold."""
+    saved = sf.precision_bits()
+    sf.set_precision_bits(bits)
+    try:
+        rng = random.Random(bits)
+        for _ in range(200):
+            # the primitives themselves, on operands of every sign pattern
+            ends = [libmp.from_float(v) for v in sorted(rng.uniform(-5.0, 5.0) for _ in range(2))]
+            s = rng.choice([tuple(ends), (ends[0], ends[0]), (libmp.fzero, ends[1])])
+            t = sf._raw(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+            assert sf._scale(s, t) == libmp.mpi_mul(s, t, bits), (s, t)
+            assert sf._add(s, t) == libmp.mpi_add(s, t, bits), (s, t)
+            assert sf._recip(t) == libmp.mpi_div(sf._RAW_ONE, t, bits), t
+            assert sf._powers(t, 4)[1:] == [_ref_power(t, e, bits) for e in range(1, 5)], t
+        for _ in range(60):
+            x = rng.choice([
+                rng.uniform(1e-3, 40.0),
+                10 ** rng.uniform(-5, 9),
+                Fraction(rng.randint(1, 500), rng.randint(1, 97)),
+                rng.randint(1, 60),
+            ])
+            raw = sf._raw(x)
+            assert log_gamma(x).endpoints == _ref_log_gamma(raw, bits), x
+            assert polygamma(0, x).endpoints == _ref_digamma(raw, bits), x
+            for m in (1, 2, 3):
+                assert polygamma(m, x).endpoints == _ref_polygamma_series(m, raw, bits), (m, x)
+            q = rng.uniform(-3.0, 3.0)
+            r = rng.uniform(max(q - 0.99, 0.0) + 1e-3, 60.0)
+            assert phi(r, q).endpoints == _ref_phi(r, q, bits), (r, q)
+    finally:
+        sf.set_precision_bits(saved)

@@ -4,9 +4,10 @@
 
 In process, in a fresh interpreter: each L1-L4 call, each `emcert`
 certificate among them, as the median of --runs calls after one warm-up
-call.  As subprocesses: `import leraykit`, `leraykit version`, `certify
---suite bw` and `--suite em` and `figures --id phi-sweep`, wall clock
-from spawn to exit, median of --runs.  With
+call.  As subprocesses: `import leraykit`, `leraykit version`, `phi --r 3
+--q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw` and `--suite em`
+and `figures --id phi-sweep`, wall clock from spawn to exit, median of
+--runs.  With
 --tier1, one run of the tier-1 suite from the checkout holding SRC.  The
 JSON result (seconds) goes to --out (default stdout).
 """
@@ -93,6 +94,8 @@ def main() -> int:
         subprocesses = {
             "L0 import leraykit": ["-c", "import leraykit"],
             "L0 leraykit version": cli + ["version"],
+            "L5 phi --r 3 --q 0.5": cli + ["phi", "--r", "3", "--q", "0.5"],
+            "L5 norm --gamma 3 --d 0.5": cli + ["norm", "--gamma", "3", "--d", "0.5"],
             "L5 certify --suite bw": cli + ["certify", "--suite", "bw"],
             "L5 certify --suite em": cli + ["certify", "--suite", "em"],
             "L5 figures --id phi-sweep": cli + ["figures", "--id", "phi-sweep", "--out", tmp],
