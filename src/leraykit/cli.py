@@ -48,7 +48,7 @@ TOOL_NAME = "leraykit"
 J_SWEEP_GAMMA = 5.0
 J_SWEEP_D_SET = (1.0, 2.0, 2.5, 3.0, 4.0)
 PHI_SWEEP_Q_SET = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)
-MAX_K_RANGE = 10_000  # most modes one `symbol --k`, `scan` or j-sweep may ask for
+MAX_K_RANGE = 10_000  # most modes a `symbol --k`, `scan` or j-sweep, and most points a grid, may ask for
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +74,8 @@ class RunConfig(NamedTuple):
             raise DomainError(f"k_max must be non-negative (got {self.k_max})")
         if self.grid_count < 2:
             raise DomainError("grid count must be at least 2")
+        if self.grid_count > MAX_K_RANGE:
+            raise DomainError(f"grid count must be at most {MAX_K_RANGE} (got {self.grid_count})")
         for name in ("grid_min", "grid_max"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -124,7 +126,10 @@ def load_config_file(path: str) -> Dict[str, Any]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_CASTS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _CONFIG_CASTS[key](value)
+        try:
+            values[key] = _CONFIG_CASTS[key](value)
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 

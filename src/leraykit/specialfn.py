@@ -272,31 +272,21 @@ class BoundedFloat:
 
 
 # ----------------------------------------------------------------------
-# Bernoulli numbers B_2..B_28 (exact)
+# Bernoulli terms of the asymptotic tails
 # ----------------------------------------------------------------------
-_BERNOULLI: dict[int, Fraction] = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
-    18: Fraction(43867, 798),
-    20: Fraction(-174611, 330),
-    22: Fraction(854513, 138),
-    24: Fraction(-236364091, 2730),
-    26: Fraction(8553103, 6),
-    28: Fraction(-23749461029, 870),
-}
-
 _RAISE_TO = 16          # argument-raising threshold for the asymptotic tails
 _EM_TERMS = 10          # most Bernoulli terms summed; remainder bounded by the next
 
 
+@lru_cache(maxsize=32)
+def _bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n, exact.  Cached: every series order m reads
+    the same few, and `mpmath.bernfrac` computes each one anew."""
+    return Fraction(*mpmath.bernfrac(n))
+
+
 def _bernoulli_coefficient(m: int, j: int) -> Fraction:
-    b = _BERNOULLI[2 * j]
+    b = _bernoulli(2 * j)
     if m < 0:
         return b / ((2 * j) * (2 * j - 1))
     # rising factorial (m+1)(m+2)...(m+2j-1) over (2j)!

@@ -311,8 +311,8 @@ def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     _require_bounded(gamma, d, 0)
-    values = [symbol_value(SymbolQuery(gamma, d, k)) for k in range(k_max + 1)]
-
+    # one mode at a time, so a turning index ends the scan
+    values = (symbol_value(SymbolQuery(gamma, d, k)) for k in range(k_max + 1))
     if gamma == 2 and d == 1:
         for k, v in enumerate(values):
             if not v.contains(1):
@@ -320,8 +320,8 @@ def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
         return ScanResult(Monotonicity.CONSTANT)
 
     direction = 0  # +1 increasing, -1 decreasing
-    for k in range(k_max):
-        a, b = values[k], values[k + 1]
+    a = next(values)
+    for k, b in enumerate(values):
         if b.lower > a.upper:
             step = 1
         elif b.upper < a.lower:
@@ -334,6 +334,7 @@ def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
             direction = step
         elif step != direction:
             return ScanResult(Monotonicity.NON_MONOTONE, witness_k=k)
+        a = b
     return ScanResult(
         Monotonicity.STRICTLY_INCREASING if direction > 0 else Monotonicity.STRICTLY_DECREASING
     )
@@ -352,7 +353,10 @@ class NormResult:
     at the double gamma.  Otherwise it is 'sup-search', which scans modes
     until they stabilize near the high-frequency limit.  The stabilization
     cutoff is a heuristic: the limit is proven but no uniform rate is, so
-    the result records how far the scan went and whether it stabilized.
+    the result records how far the scan went and whether it stabilized:
+    `k_scanned` is the third element of `sup_search`, the index of the mode
+    a stabilized search stopped at (one fewer than the modes it examined),
+    or k_cap + 1, the modes examined, when the search reached the cap.
     `value` is always a certified interval, from `symbol_value` at the
     reported mode or from the limit's closed form; the search only uses
     double-precision brackets to decide which mode that is (see
@@ -450,15 +454,54 @@ def _band(x) -> int:
     return (x > -_STABILIZATION_TOL) + (x > 0) + (x >= _STABILIZATION_TOL)
 
 
+class _Mode:
+    """A mode k of `sup_search` (k = None: the high-frequency limit, whose
+    `value` is given): a double bracket of the midpoint of its certified
+    sqrt J and, once a question needs it, that certified value.  A mode is
+    certified at most once, and at once when `_sqrt_j_bracket` gives none."""
+
+    def __init__(self, gamma: float, d: float, k: Optional[int], value: Optional[BoundedFloat] = None):
+        self.gamma, self.d, self.k, self.value = gamma, d, k, value
+        self.bracket = _sqrt_j_bracket(gamma, d, k) if value is None else _enclose(value.value)
+        if self.bracket is None:
+            self.certified()
+
+    def certified(self) -> BoundedFloat:
+        if self.value is None:
+            self.value = symbol_value(SymbolQuery(self.gamma, self.d, self.k)).sqrt()
+            self.bracket = _enclose(self.value.value)
+        return self.value
+
+    def exceeds(self, other: "_Mode") -> bool:
+        """Is the midpoint of this mode strictly above that of `other`?"""
+        (lo, hi), (o_lo, o_hi) = self.bracket, other.bracket
+        if lo > o_hi or hi <= o_lo:  # the brackets settle it
+            return lo > o_hi
+        return self.certified().value > other.certified().value
+
+    def band(self, limit: "_Mode") -> int:
+        """`_band` of the midpoint of this mode minus that of the limit."""
+        (lo, hi), (l_lo, l_hi) = self.bracket, limit.bracket
+        # the pad covers the float subtractions and the rounding of the
+        # certified difference at the working precision
+        pad = _SCREEN_PAD * (hi + l_hi)
+        low, high = _band(lo - l_hi - pad), _band(hi - l_lo + pad)
+        if low == high:
+            return low
+        return _band(self.certified().value - limit.value.value)
+
+
 def sup_search(
     gamma: float, d: float, k_cap: int = 2000
 ) -> Tuple[BoundedFloat, Optional[int], int, bool]:
     """Scan sqrt(J(d, gamma, k)) for k = 0.. and bracket the supremum.
 
     Stops once 20 successive values approach the high-frequency limit
-    one-sidedly within 1e-4, or at k_cap.  Returns
-    (sup value, argmax index or None when the limit dominates, number of
-    modes scanned, stabilized flag).
+    one-sidedly within 1e-4, or at k_cap.  Returns (sup value, argmax
+    index or None when the limit dominates, k, stabilized flag), where k
+    is the index of the mode the search stopped at when it stabilized, one
+    fewer than the modes it examined, and k_cap + 1, the modes examined,
+    when it reached the cap.
 
     Every decision is the one the certified midpoints of sqrt J give: is
     mode k a new best (midpoint strictly greater), is it within 1e-4 of
@@ -467,8 +510,10 @@ def sup_search(
     its certified midpoint; a question the brackets settle by their
     margin (_SCREEN_PAD = 2^-40 relative) needs no certified value, and
     any other is decided by certified midpoints, computed at most once per
-    mode.  The returned value is always certified: `symbol_value` at the
-    argmax, or the closed-form limit.
+    mode.  The search holds three modes, the limit, the best so far and
+    the current one, so its memory does not grow with k_cap.  The returned
+    value is always certified: `symbol_value` at the argmax, or the
+    closed-form limit.
 
     Raises DomainError for a gamma <= 1, a non-finite d or a k_cap that is
     not a non-negative integer, and UnboundedMode when d is outside
@@ -477,68 +522,27 @@ def sup_search(
     _require_gamma(gamma)
     _require_finite("d", d)
     _require_k_cap(k_cap)
-    limit = _hf_limit_bf(gamma)
-    certified = {None: limit}  # mode -> certified sqrt J; None keys the limit
-    brackets = {None: _enclose(limit.value)}
-
-    def certify(k: int) -> BoundedFloat:
-        if k not in certified:
-            certified[k] = symbol_value(SymbolQuery(gamma, d, k)).sqrt()
-            brackets[k] = _enclose(certified[k].value)
-        return certified[k]
-
-    def exceeds(j: Optional[int], k: int) -> bool:
-        """Is the midpoint of j strictly above that of k?"""
-        (j_lo, j_hi), (k_lo, k_hi) = brackets[j], brackets[k]
-        if j_lo > k_hi:
-            return True
-        if j_hi <= k_lo:
-            return False
-        return certify(j).value > certify(k).value
-
-    def band(k: int) -> int:
-        """`_band` of the midpoint of k minus that of the limit."""
-        (lo, hi), (l_lo, l_hi) = brackets[k], brackets[None]
-        # the pad covers the float subtractions and the rounding of the
-        # certified difference at the working precision
-        pad = _SCREEN_PAD * (hi + l_hi)
-        low, high = _band(lo - l_hi - pad), _band(hi - l_lo + pad)
-        if low == high:
-            return low
-        return _band(certify(k).value - limit.value)
-
-    certify(0)
-    best_k = 0
-    run = 0
-    run_sign = 0
+    limit = _Mode(gamma, d, None, _hf_limit_bf(gamma))
+    best = _Mode(gamma, d, 0, symbol_value(SymbolQuery(gamma, d, 0)).sqrt())
+    run = 0  # n (-n): the last n modes lay within 1e-4 above (at or below) the limit
     k = 0
-    stabilized = False
     while k <= k_cap:
-        if k not in brackets:
-            bracket = _sqrt_j_bracket(gamma, d, k)
-            if bracket is None:
-                certify(k)
-            else:
-                brackets[k] = bracket
-        if exceeds(k, best_k):
-            best_k = k
-        side = band(k)
+        mode = _Mode(gamma, d, k) if k else best
+        if mode.exceeds(best):
+            best = mode
+        side = mode.band(limit)
         if side in (1, 2):
             sign = 1 if side == 2 else -1
-            if run_sign == sign:
-                run += 1
-            else:
-                run_sign, run = sign, 1
-            if run >= _STABILIZATION_RUN:
-                stabilized = True
+            run = run + sign if run * sign > 0 else sign
+            if abs(run) >= _STABILIZATION_RUN:
                 break
         else:
             run = 0
-            run_sign = 0
         k += 1
-    if exceeds(None, best_k):
-        return limit, None, k, stabilized
-    return certify(best_k), best_k, k, stabilized
+    stabilized = k <= k_cap
+    if limit.exceeds(best):
+        return limit.value, None, k, stabilized
+    return best.certified(), best.k, k, stabilized
 
 
 def leray_norm(gamma: float, measure: "MeasureTag | float", k_cap: int = 2000) -> NormResult:

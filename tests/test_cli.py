@@ -334,6 +334,12 @@ def test_scan_output(capsys):
     assert "classification = constant" in out
 
 
+def test_scan_prints_the_turning_index(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--gamma", "5", "--d", "3", "--k-max", "120")
+    assert code == 0
+    assert out == "gamma = 5\nd = 3\nk_max = 120\nclassification = non-monotone\nturning_k = 1\n"
+
+
 def test_figures_j_sweep(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "figures", "--id", "j-sweep", "--out", str(tmp_path), "--k-max", "40"
@@ -364,6 +370,42 @@ def test_figures_phi_sweep(tmp_path, capsys):
     # every column approaches 1 at the large-r end
     last = [float(x) for x in lines[-1].split(",")[1:]]
     assert all(abs(v - 1) < 0.01 for v in last)
+
+
+def test_figures_phi_sweep_linear_grid(tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys,
+        "figures", "--id", "phi-sweep", "--out", str(tmp_path), "--q-set=0",
+        "--grid-scale", "linear", "--grid-min", "1", "--grid-max", "3", "--grid-count", "3",
+    )
+    assert code == 0
+    lines = (tmp_path / "phi_sweep.csv").read_text().strip().split("\n")
+    assert lines[0] == "r,Phi_q0"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+
+
+def test_figures_huge_grid_count_exit_2_without_traceback(tmp_path):
+    # the bound is checked before the grid is built
+    proc = subprocess.run(
+        [sys.executable, "-m", "leraykit.cli", "figures", "--id", "phi-sweep",
+         "--out", str(tmp_path / "out"), "--grid-count", "1000000000"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: grid count must be at most {MAX_K_RANGE} (got 1000000000)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_failure_exits_1(capsys, monkeypatch):
+    from leraykit import emcert
+    from leraykit.certificates import Certificate
+
+    failed = Certificate("em.test.failing", "exact", "failed", "a claim that does not hold")
+    monkeypatch.setattr(emcert, "em_certificate_suite", lambda: [failed])
+    code, out, err = run_cli(capsys, "certify", "--suite", "em")
+    assert code == 1
+    assert out == "[FAIL] em.test.failing (failed) - a claim that does not hold\n"
+    assert err == "certificate failure: em.test.failing\n"
 
 
 def test_certify_bundle(tmp_path, capsys):
@@ -535,6 +577,14 @@ def test_config_key_the_subcommand_would_ignore_exits_2(tmp_path, capsys, argv, 
     assert code == 2 and out == ""
     assert err == f"error: {cfg}: {message}\n"
     assert not out_dir.exists()
+
+
+def test_config_value_that_does_not_parse_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# budget\nk_max = 1e3\n")
+    code, out, err = run_cli(capsys, "norm", "--gamma", "3", "--d", "0.5", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:2: k_max: invalid literal for int() with base 10: '1e3'\n"
 
 
 def test_bad_config_line_exit_code(tmp_path, capsys):

@@ -471,3 +471,23 @@ def test_kernels_match_general_interval_reference(bits):
             assert phi(r, q).endpoints == _ref_phi(r, q, bits), (r, q)
     finally:
         sf.set_precision_bits(saved)
+
+
+# B_2 .. B_22, as the library once typed them by hand
+_TYPED_BERNOULLI = {
+    2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30),
+    10: Fraction(5, 66), 12: Fraction(-691, 2730), 14: Fraction(7, 6),
+    16: Fraction(-3617, 510), 18: Fraction(43867, 798), 20: Fraction(-174611, 330),
+    22: Fraction(854513, 138),
+}
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1, 2])
+def test_bernoulli_coefficients_match_the_typed_table(m):
+    for j in range(1, 12):
+        b = _TYPED_BERNOULLI[2 * j]
+        if m < 0:
+            expected = b / ((2 * j) * (2 * j - 1))
+        else:
+            expected = b * Fraction(math.perm(m + 2 * j - 1, 2 * j - 1), math.factorial(2 * j))
+        assert sf._bernoulli_coefficient(m, j) == expected, (m, j)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -246,6 +247,33 @@ def test_monotonicity_non_monotone_witness():
     assert res.witness_k is not None and res.witness_k >= 0
 
 
+def test_monotonicity_scan_stops_at_the_turning_index(monkeypatch):
+    import leraykit.symbol as symbol
+
+    calls = []
+
+    def counting(query):
+        calls.append(query.k)
+        return symbol_value(query)
+
+    monkeypatch.setattr(symbol, "symbol_value", counting)
+    res = monotonicity_scan(5.0, 3.0, 2000)
+    assert (res.classification, res.witness_k) == (Monotonicity.NON_MONOTONE, 1)
+    assert calls == [0, 1, 2]
+
+
+def test_sup_search_memory_does_not_grow_with_k_cap():
+    # a line that does not settle: every one of the 20,001 modes is scanned
+    tracemalloc.start()
+    try:
+        value, argmax, scanned, stabilized = sup_search(60.0, 100.0, k_cap=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (argmax, scanned, stabilized) == (0, 20001, False)
+    assert peak < 0.5e6
+
+
 def test_continuity_of_gamma2_norm_at_d1():
     for d in (1 - 1e-6, 1 + 1e-6):
         res = leray_norm(2.0, MeasureTag.generic(d))
@@ -406,6 +434,7 @@ def _screen_cases():
         (1 + 2.0 ** -40, 0.5, 12),    # B far below 1 at every mode
         (2.5, 2.0, 6),                # A = B = k+1 = 2 at k = 1
         (5.0, 2.0, 60),               # J increases with k, and so does its radius
+        (1e300, 1.5e300, 10),         # J ~ e^1035 beyond double range: every mode certified
     ]
     for _ in range(31):
         gamma = rng.choice((rng.uniform(1.05, 9.0), 1 + 10 ** rng.uniform(-12, -1), 10 ** rng.uniform(1, 20)))
@@ -420,7 +449,7 @@ def _screen_cases():
 def test_sup_search_screen_matches_certified_search(bits, restore_precision):
     set_precision_bits(bits)
     cases = _screen_cases()
-    assert len(cases) == 41
+    assert len(cases) == 42
     for gamma, d, k_cap in cases:
         assert _outcome(sup_search, gamma, d, k_cap) == _outcome(
             _certified_sup_search, gamma, d, k_cap

@@ -27,7 +27,7 @@ from typing import Dict, List
 
 IN_PROCESS = r"""
 import json, statistics, sys, time
-from leraykit import emcert, leray_norm, log_gamma, monotonicity_scan, phi, polygamma, symbol_value
+from leraykit import emcert, leray_norm, log_gamma, monotonicity_scan, phi, polygamma, sup_search, symbol_value
 from leraykit.bwcert import bw_certificate_suite, cm_numeric_certificate, f_q
 from leraykit.specialfn import phi_series_partial
 runs = int(sys.argv[1])
@@ -38,6 +38,8 @@ calls = {
     "L1 phi_series_partial(2.5, 0.25), the cross-check alone": lambda: phi_series_partial(2.5, 0.25),
     "L2 symbol_value(3, 0.5, 7)": lambda: symbol_value((3.0, 0.5, 7)),
     "L2 monotonicity_scan(3, 0.5, 200)": lambda: monotonicity_scan(3.0, 0.5, 200),
+    "L2 monotonicity_scan(5, 3, 2000), non-monotone": lambda: monotonicity_scan(5.0, 3.0, 2000),
+    "L2 sup_search(60, 100, k_cap=20000)": lambda: sup_search(60.0, 100.0, k_cap=20000),
     "L2 leray_norm(5, 2.5)": lambda: leray_norm(5.0, 2.5),
     "L2 leray_norm(3, 0.5)": lambda: leray_norm(3.0, 0.5),
     "L3 f_q(2, 0.5), with quadrature cross-check": lambda: f_q(2.0, 0.5),
