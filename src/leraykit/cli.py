@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 certificate failure, 2 usage or domain error.
 
 A line-oriented config file (``key = value``) can seed the run; explicit
 command-line flags override file values.  A subcommand accepts only the
-keys of the flags it registers.  Working precision is controlled
+keys of the flags it registers, and ``figures`` only those of the figure it
+draws.  Working precision is controlled
 by the LERAYKIT_PRECISION_BITS environment variable (read when the numerics
 are first imported).
 
@@ -133,16 +134,16 @@ def load_config_file(path: str) -> Dict[str, Any]:
     return values
 
 
-def build_config(ns: argparse.Namespace, file_only: Tuple[str, ...] = ()) -> RunConfig:
+def build_config(ns: argparse.Namespace) -> RunConfig:
     """Defaults, then the --config file, then the flags.  A config-file key
-    must name a flag the subcommand registers, or be one of `file_only`."""
+    must name a flag the subcommand registers."""
     from .specialfn import DEFAULT_TOL
 
     cfg = RunConfig(DEFAULT_TOL)
     if getattr(ns, "config", None):
         values = load_config_file(ns.config)
         for key in values:
-            if not hasattr(ns, key) and key not in file_only:
+            if not hasattr(ns, key):
                 raise DomainError(f"{ns.config}: key {key!r} is not read by the {ns.command} subcommand")
         cfg = cfg._replace(**values)
     overrides = {}
@@ -215,10 +216,20 @@ def _within_tolerance(name: str, value: BoundedFloat, cfg: RunConfig) -> Bounded
         from .specialfn import precision_bits
 
         raise ToleranceUnreachable(
-            f"{name} radius {float(value.error_radius):.3e} exceeds tol={cfg.tolerance} "
+            f"{name} radius {_format_e3(value.error_radius)} exceeds tol={cfg.tolerance} "
             f"at {precision_bits()}-bit precision"
         )
     return value
+
+
+def _format_e3(x: Any) -> str:
+    """`x` as format(float(x), ".3e") prints it, also past the double range,
+    where float(x) is inf (mpf has no format spec of its own)."""
+    if math.isfinite(float(x)):
+        return format(float(x), ".3e")
+    from decimal import Decimal
+
+    return format(Decimal(str(x)), ".3e")
 
 
 def _radius(value: BoundedFloat) -> float:
@@ -350,7 +361,28 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     return 0
 
 
+# the flags and config keys each figure reads besides --tolerance; the
+# figures parser registers both sets
+FIGURE_SETTINGS = {
+    "j-sweep": ("d_set", "k_max"),
+    "phi-sweep": ("q_set", "grid_min", "grid_max", "grid_count", "grid_scale"),
+}
+
+
+def _reject_other_figure_settings(ns: argparse.Namespace) -> None:
+    """A flag or config key of the other figure is exit 2, not ignored."""
+    other = [key for figure, keys in FIGURE_SETTINGS.items() if figure != ns.id for key in keys]
+    for key in other:
+        if getattr(ns, key) is not None:
+            raise DomainError(f"--{key.replace('_', '-')} is not read by figure {ns.id}")
+    if ns.config:
+        for key in load_config_file(ns.config):
+            if key in other:
+                raise DomainError(f"{ns.config}: key {key!r} is not read by figure {ns.id}")
+
+
 def _cmd_figures(ns: argparse.Namespace) -> int:
+    _reject_other_figure_settings(ns)
     cfg = build_config(ns)
     out_dir = Path(ns.out)
     if ns.id == "j-sweep":
@@ -367,7 +399,7 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
                 row.append(float(j.value))
             rows.append(row)
         path = out_dir / "j_sweep.csv"
-    elif ns.id == "phi-sweep":
+    else:
         from .specialfn import phi as phi_fn
 
         q_set = _value_set(ns.q_set, "--q-set", PHI_SWEEP_Q_SET)
@@ -379,8 +411,6 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
                 row.append(float(_within_tolerance("phi", phi_fn(r, q), cfg).value))
             rows.append(row)
         path = out_dir / "phi_sweep.csv"
-    else:
-        raise DomainError(f"unknown figure id {ns.id!r} (expected j-sweep or phi-sweep)")
     text = "\n".join([",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
     # made only now, so a rejected input leaves no empty directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -392,14 +422,8 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
 def _cmd_certify(ns: argparse.Namespace) -> int:
     from . import bwcert, emcert
     from .certificates import first_failure
-    from .specialfn import DEFAULT_TOL
 
-    # the report's config states the suites' tolerance, so a config file may
-    # name it only at that value
-    cfg = build_config(ns, file_only=("tolerance",))
-    if cfg.tolerance != DEFAULT_TOL:
-        raise DomainError(f"certify runs its suites at tolerance {DEFAULT_TOL}; "
-                          f"the config file sets {cfg.tolerance}")
+    cfg = build_config(ns)
     certificates: List[Certificate] = []
     if ns.suite in ("bw", "all"):
         certificates += bwcert.bw_certificate_suite()
@@ -499,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("figures", help="emit sweep data as CSV files")
-    p.add_argument("--id", required=True, choices=("j-sweep", "phi-sweep"))
+    p.add_argument("--id", required=True, choices=tuple(FIGURE_SETTINGS))
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--d-set", help="comma-separated d values for j-sweep")
     p.add_argument("--q-set", help="comma-separated q values for phi-sweep")

@@ -127,21 +127,19 @@ def s_supremum_bound(r):
 def pr_bivariate() -> BivariatePolynomial:
     """The cubic p_r(x) as a polynomial in (r, x): the numerator bracket of
     243 r p_r(x) / ((3r+3x+1)^4 (3r+3x-2)^4) = dS/dx."""
-    terms = {
+    return BivariatePolynomial({
         (0, 0): -4, (1, 0): 39, (2, 0): -36, (3, 0): 162,
         (0, 1): 18, (1, 1): 18, (2, 1): 216,
         (0, 2): 54, (1, 2): -54,
         (0, 3): -108,
-    }
-    return BivariatePolynomial({k: Fraction(v) for k, v in terms.items()})
+    })
 
 
 def pr_poly(r) -> RationalPolynomial:
     """p_r(x) with the numeric (rationalized) r substituted; exactly one
     positive root for r > 2/3, located where S(r, .) peaks."""
     rv = Fraction(r)
-    by_power = pr_bivariate().coefficients_in_y()
-    return RationalPolynomial([by_power[k](rv) for k in range(4)])
+    return RationalPolynomial([pk(rv) for pk in pr_bivariate().coefficients])
 
 
 # A Fraction constant meeting a float rounds to the nearest double first, so
@@ -325,14 +323,13 @@ def series_decomposition_certificate() -> Certificate:
 
     r = BivariatePolynomial.x()
     x = BivariatePolynomial.y()
-    one = BivariatePolynomial.constant(1)
-    u = 3 * r + 3 * x - 2 * one  # denominator base of f_r
+    u = 3 * r + 3 * x - 2  # denominator base of f_r
 
     # f_r = 18r(3x-2)/u^3 has antiderivative (-6r u + 9 r^2)/u^2; cleared
     # over u^3, the derivative identity reads num_a' u - 2 u' num_a == 18r(3x-2)
     num_a = -6 * r * u + 9 * r * r
-    lhs = _biv_dx(num_a) * u - 2 * _biv_dx(u) * num_a
-    c.check("f_antiderivative_identity", lhs == 18 * r * (3 * x - 2 * one), "f antiderivative")
+    lhs = num_a.derivative() * u - 2 * u.derivative() * num_a
+    c.check("f_antiderivative_identity", lhs == 18 * r * (3 * x - 2), "f antiderivative")
 
     # integral_0^inf f_r dx = -A(0) = (9r^2 - 12r)/(3r-2)^2 == 1 - 4/(3r-2)^2;
     # cleared over (3r-2)^2: 9r^2 - 12r == (3r-2)^2 - 4
@@ -340,19 +337,19 @@ def series_decomposition_certificate() -> Certificate:
     c.check("f_integral_value", RationalPolynomial([0, -12, 9]) == lin_m2 ** 2 - 4, "integral of f")
 
     # f_r'(x) = 54 r (4 + 3r - 6x)/u^4: cleared, 54r u - 162 r (3x-2) == 54 r (4+3r-6x)
-    lhs_fp = 54 * r * u - 162 * r * (3 * x - 2 * one)
-    rhs_fp = 54 * r * (4 * one + 3 * r - 6 * x)
+    lhs_fp = 54 * r * u - 162 * r * (3 * x - 2)
+    rhs_fp = 54 * r * (4 + 3 * r - 6 * x)
     c.check("f_derivative_formula", lhs_fp == rhs_fp, "f derivative")
 
     # per-period Bernoulli integral (integration by parts):
     #   integral_0^1 f'(x+N) (x - 1/2) dx = (f(N+1)+f(N))/2 - A(N+1) + A(N)
     # equals S(r, N); cleared over a^3 b^3 with a = 3r+3N-2, b = a+3:
     N = BivariatePolynomial.y()
-    a = 3 * r + 3 * N - 2 * one
-    b = a + 3 * one
+    a = 3 * r + 3 * N - 2
+    b = a + 3
     half = Fraction(1, 2)
-    f_at_n = 18 * r * (3 * N - 2 * one)          # / a^3
-    f_at_n1 = 18 * r * (3 * N + one)             # / b^3
+    f_at_n = 18 * r * (3 * N - 2)                # / a^3
+    f_at_n1 = 18 * r * (3 * N + 1)               # / b^3
     anti_at_n = -6 * r * a + 9 * r * r           # / a^2
     anti_at_n1 = -6 * r * b + 9 * r * r          # / b^2
     lhs_period = (
@@ -360,7 +357,7 @@ def series_decomposition_certificate() -> Certificate:
         + (-1) * anti_at_n1 * a ** 3 * b
         + anti_at_n * a * b ** 3
     )
-    s_num = 81 * r * (9 * N * N - 3 * N - 9 * r * r - 2 * one)
+    s_num = 81 * r * (9 * N * N - 3 * N - 9 * r * r - 2)
     c.check("bernoulli_period_equals_s", lhs_period == s_num, "per-period Bernoulli integral")
 
     # peel the N = 0 term:
@@ -384,15 +381,6 @@ def series_decomposition_certificate() -> Certificate:
     )
 
 
-def _biv_dx(p: BivariatePolynomial) -> BivariatePolynomial:
-    """Formal derivative of a bivariate polynomial in its second variable."""
-    out = {}
-    for (j, k), c in p.terms.items():
-        if k >= 1:
-            out[(j, k - 1)] = out.get((j, k - 1), Fraction(0)) + c * k
-    return BivariatePolynomial(out)
-
-
 def integral_antiderivative_certificate() -> Certificate:
     """Exact witness for integral_2^inf S(r, x) dx.
 
@@ -410,22 +398,21 @@ def integral_antiderivative_certificate() -> Certificate:
 
     r = BivariatePolynomial.x()
     v = BivariatePolynomial.y()
-    one = BivariatePolynomial.constant(1)
 
     # numerator transform: 81r(9x^2 - 3x - 9r^2 - 2) with x = (v - 3r + 2)/3
     # equals 81 r (v^2 + (3 - 6r) v - 9r); check in (r, x) variables:
     x = v  # reuse the second slot as x for this sub-check
-    vx = 3 * x + 3 * r - 2 * one
-    lhs_num = 81 * r * (9 * x * x - 3 * x - 9 * r * r - 2 * one)
-    rhs_num = 81 * r * (vx * vx + (3 * one - 6 * r) * vx - 9 * r)
+    vx = 3 * x + 3 * r - 2
+    lhs_num = 81 * r * (9 * x * x - 3 * x - 9 * r * r - 2)
+    rhs_num = 81 * r * (vx * vx + (3 - 6 * r) * vx - 9 * r)
     c.check("numerator_in_v", lhs_num == rhs_num, "numerator transform")
 
     # derivative identity: with lam = -2r,
     #   p'(v) v (v+3) - p(v)(4v + 6) + 3 lam v^2 (v+3)^2 == 27 r (v^2 + (3-6r) v - 9r)
     p = BivariatePolynomial({(2, 0): Fraction(81, 2), (1, 1): -27, (1, 2): -27, (1, 3): -6})
     lam = -2 * r
-    lhs_d = _biv_dx(p) * v * (v + 3 * one) - p * (4 * v + 6 * one) + 3 * lam * v * v * (v + 3 * one) ** 2
-    rhs_d = 27 * r * (v * v + (3 * one - 6 * r) * v - 9 * r)
+    lhs_d = p.derivative() * v * (v + 3) - p * (4 * v + 6) + 3 * lam * v * v * (v + 3) ** 2
+    rhs_d = 27 * r * (v * v + (3 - 6 * r) * v - 9 * r)
     c.check("antiderivative_identity", lhs_d == rhs_d, "antiderivative identity")
 
     # evaluation: -p(3r+4) == (3/2) r (108 r^3 + 594 r^2 + 1035 r + 616)
@@ -540,11 +527,9 @@ def _bracket_numerator(c_inv: Fraction, with_cubic: bool) -> RationalPolynomial:
 def _clear_bracket(p: BivariatePolynomial, numerator: RationalPolynomial, n: int) -> RationalPolynomial:
     """(18750 r^3)^n p(r, numerator/(18750 r^3)) = sum_k p_k(r) numerator^k
     (18750 r^3)^(n-k), for n at least the y-degree of p."""
-    by_k = p.coefficients_in_y()
     total, power = RationalPolynomial.zero(), RationalPolynomial.constant(1)
-    for k in range(max(by_k) + 1):
-        if k in by_k:
-            total = total + by_k[k] * RationalPolynomial.monomial(_BRACKET_SCALE ** (n - k), 3 * (n - k)) * power
+    for k, pk in enumerate(p.coefficients):
+        total = total + pk * RationalPolynomial.monomial(_BRACKET_SCALE ** (n - k), 3 * (n - k)) * power
         power = power * numerator
     return total
 
@@ -657,10 +642,9 @@ def s_bound_certificate() -> Certificate:
 
     r = BivariatePolynomial.x()
     q = BivariatePolynomial.y()
-    one = BivariatePolynomial.constant(1)
     w = (
-        16 * ((3 * r + 3 * q + one) ** 3) * ((3 * r + 3 * q - 2 * one) ** 3)
-        - 253125 * r ** 4 * (9 * q * q - 3 * q - 9 * r * r - 2 * one)
+        16 * ((3 * r + 3 * q + 1) ** 3) * ((3 * r + 3 * q - 2) ** 3)
+        - 253125 * r ** 4 * (9 * q * q - 3 * q - 9 * r * r - 2)
     )
     u_part, v_part = w.split_by_sign()
     c.check("w_equals_u_minus_v", (u_part - v_part) == w, "sign split re-expansion")

@@ -13,8 +13,10 @@ Representation conventions:
 
 * ``RationalPolynomial`` stores dense coefficients in ascending-exponent
   order with no trailing zeros; the zero polynomial is the empty sequence.
-* ``BivariatePolynomial`` stores a sparse map ``(j, k) -> Fraction`` for
-  terms ``x^j y^k`` with no explicit zero entries.
+* ``BivariatePolynomial`` is a ``RationalPolynomial`` in y whose
+  coefficients are RationalPolynomials in x (coefficient k multiplies
+  y^k), so both share one implementation of the arithmetic; it is built
+  from a sparse map ``(j, k) -> c`` of the terms ``c x^j y^k``.
 * ``RationalFunction`` is a reduced quotient of two RationalPolynomials
   with monic denominator.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ZeroPolynomial
 
@@ -41,56 +43,83 @@ def as_rational(x: RationalLike | float) -> Fraction:
     return Fraction(x)
 
 
+def _trimmed(coefficients: List[Any]) -> Tuple[Any, ...]:
+    """The coefficients without trailing zeros."""
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    return tuple(coefficients)
+
+
 class RationalPolynomial:
     """Dense univariate polynomial with Fraction coefficients.
 
     ``coefficients[n]`` is the coefficient of ``x**n``.  Instances are
-    immutable; all arithmetic returns new canonical-form polynomials.
+    immutable; all arithmetic returns new canonical-form polynomials.  It
+    asks of a coefficient only ``+``, ``-``, ``*`` and truth, so a subclass
+    sets what a coefficient is by ``_coefficient`` (its coercion) and
+    ``_SCALARS`` (the operand types taken as constants).
     """
 
     __slots__ = ("_coeffs",)
+    _SCALARS: Tuple[type, ...] = (int, str, float, Fraction)
+    _SYMBOL = "x"
+    _coefficient = staticmethod(as_rational)
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()) -> None:
-        coeffs = [as_rational(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs: Tuple[Fraction, ...] = tuple(coeffs)
+        self._coeffs: Tuple[Any, ...] = _trimmed([self._coefficient(c) for c in coefficients])
+
+    @classmethod
+    def _make(cls, coefficients: List[Any]) -> "RationalPolynomial":
+        """Every result is built here, whatever the public constructor of
+        the class takes; `coefficients` are coerced already."""
+        p = cls.__new__(cls)
+        p._coeffs = _trimmed(coefficients)
+        return p
+
+    def _lift(self, other: Any) -> "RationalPolynomial | None":
+        """`other` as a polynomial of this class (a constant if it is one of
+        `_SCALARS`), or None: the operator returns NotImplemented."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, self._SCALARS):
+            return self.constant(other)
+        return None
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls) -> "RationalPolynomial":
-        return cls(())
+        return cls._make([])
 
     @classmethod
-    def constant(cls, c: RationalLike) -> "RationalPolynomial":
-        return cls((as_rational(c),))
+    def constant(cls, c: Any) -> "RationalPolynomial":
+        return cls._make([cls._coefficient(c)])
 
     @classmethod
-    def monomial(cls, c: RationalLike, n: int) -> "RationalPolynomial":
+    def monomial(cls, c: Any, n: int) -> "RationalPolynomial":
         """The single term c * x**n."""
         if n < 0:
             raise ValueError("exponent must be non-negative")
-        return cls((Fraction(0),) * n + (as_rational(c),))
+        return cls._make([cls._coefficient(0)] * n + [cls._coefficient(c)])
 
     @classmethod
     def variable(cls) -> "RationalPolynomial":
-        return cls((0, 1))
+        return cls.monomial(1, 1)
 
     @classmethod
-    def from_roots(cls, roots: Iterable[RationalLike]) -> "RationalPolynomial":
+    def from_roots(cls, roots: Iterable[Any]) -> "RationalPolynomial":
         """Monic polynomial prod (x - r_i)."""
         p = cls.constant(1)
         for r in roots:
-            p = p * cls((-as_rational(r), Fraction(1)))
+            p = p * (cls.variable() - r)
         return p
 
     # ------------------------------------------------------------------
     # basic structure
     # ------------------------------------------------------------------
     @property
-    def coefficients(self) -> Tuple[Fraction, ...]:
+    def coefficients(self) -> Tuple[Any, ...]:
         return self._coeffs
 
     @property
@@ -101,78 +130,84 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def coeff(self, n: int) -> Fraction:
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def coeff(self, n: int) -> Any:
         """Coefficient of x**n (zero beyond the stored range)."""
         if 0 <= n < len(self._coeffs):
             return self._coeffs[n]
-        return Fraction(0)
+        return self._coefficient(0)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Any:
         if not self._coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self._coeffs[-1]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RationalPolynomial):
+        if type(other) is type(self):
             return self._coeffs == other._coeffs
         if isinstance(other, (int, Fraction)):
-            return self == RationalPolynomial.constant(other)
+            return self._coeffs == ((self._coefficient(other),) if other else ())
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
     def __repr__(self) -> str:
-        if not self._coeffs:
-            return "RationalPolynomial(0)"
-        terms = [f"{c}*x^{n}" if n else f"{c}" for n, c in enumerate(self._coeffs) if c != 0]
-        return "RationalPolynomial(" + " + ".join(terms) + ")"
+        terms = [f"{c}*{self._SYMBOL}^{n}" if n else f"{c}" for n, c in enumerate(self._coeffs) if c]
+        return f"{type(self).__name__}({' + '.join(terms) or 0})"
 
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
-    def __add__(self, other: "RationalPolynomial | RationalLike") -> "RationalPolynomial":
-        other = _coerce(other)
-        a, b = self._coeffs, other._coeffs
+    def __add__(self, other: Any) -> "RationalPolynomial":
+        b = self._lift(other)
+        if b is None:
+            return NotImplemented
+        a, b = self._coeffs, b._coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RationalPolynomial(out)
+        return self._make(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self._coeffs))
+        return self._make([-c for c in self._coeffs])
 
-    def __sub__(self, other: "RationalPolynomial | RationalLike") -> "RationalPolynomial":
-        return self + (-_coerce(other))
+    def __sub__(self, other: Any) -> "RationalPolynomial":
+        b = self._lift(other)
+        return NotImplemented if b is None else self + (-b)
 
-    def __rsub__(self, other: RationalLike) -> "RationalPolynomial":
-        return _coerce(other) - self
+    def __rsub__(self, other: Any) -> "RationalPolynomial":
+        return -self + other
 
-    def __mul__(self, other: "RationalPolynomial | RationalLike") -> "RationalPolynomial":
-        if isinstance(other, (int, str, Fraction)):
-            c = as_rational(other)
-            return RationalPolynomial(tuple(c * a for a in self._coeffs))
-        a, b = self._coeffs, other._coeffs
+    def __mul__(self, other: Any) -> "RationalPolynomial":
+        b = self._lift(other)
+        if b is None:
+            return NotImplemented
+        a, b = self._coeffs, b._coeffs
         if not a or not b:
-            return RationalPolynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return self._make([])
+        if len(b) == 1:  # a constant, such as a lifted scalar
+            return self._make([ca * b[0] for ca in a])
+        out = [self._coefficient(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
+            if not ca:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return RationalPolynomial(out)
+        return self._make(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RationalPolynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = RationalPolynomial.constant(1)
+        result = self.constant(1)
         base = self
         while n:
             if n & 1:
@@ -187,8 +222,6 @@ class RationalPolynomial:
         rem = list(self._coeffs)
         dn = other.degree
         lead = other.leading_coefficient()
-        if len(rem) - 1 < dn:
-            return RationalPolynomial.zero(), self
         quot = [Fraction(0)] * (len(rem) - dn)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
@@ -198,7 +231,7 @@ class RationalPolynomial:
             quot[i - dn] = q
             for k in range(dn + 1):
                 rem[i - dn + k] -= q * other._coeffs[k]
-        return RationalPolynomial(quot), RationalPolynomial(rem)
+        return self._make(quot), self._make(rem)
 
     def __floordiv__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return divmod(self, other)[0]
@@ -215,12 +248,13 @@ class RationalPolynomial:
             raise ValueError("derivative order must be non-negative")
         p = self
         for _ in range(order):
-            p = RationalPolynomial(tuple(Fraction(n) * c for n, c in enumerate(p._coeffs) if n >= 1))
+            p = self._make([n * c for n, c in enumerate(p._coeffs)][1:])
         return p
 
     def __call__(self, x):
         """Horner evaluation.  Exact for Fraction/int input; works
-        polymorphically for float/mpf input."""
+        polymorphically for float/mpf input; for a polynomial argument it is
+        the composition self(x(.)), also under the name ``compose``."""
         if not self._coeffs:
             return x * 0
         acc = self._coeffs[-1] * (x ** 0) if not isinstance(x, (int, Fraction)) else self._coeffs[-1]
@@ -228,12 +262,7 @@ class RationalPolynomial:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """self(inner(x)), exactly."""
-        acc = RationalPolynomial.zero()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + RationalPolynomial.constant(c)
-        return acc
+    compose = __call__
 
     # ------------------------------------------------------------------
     # serialization: ascending list of "num/den" strings
@@ -244,12 +273,6 @@ class RationalPolynomial:
     @classmethod
     def from_json_coeffs(cls, items: Sequence[str]) -> "RationalPolynomial":
         return cls(Fraction(s) for s in items)
-
-
-def _coerce(x: "RationalPolynomial | RationalLike") -> RationalPolynomial:
-    if isinstance(x, RationalPolynomial):
-        return x
-    return RationalPolynomial.constant(as_rational(x))
 
 
 # ----------------------------------------------------------------------
@@ -292,119 +315,66 @@ def sign_pattern(p: RationalPolynomial) -> Tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# bivariate polynomials (sparse)
-# ----------------------------------------------------------------------
-class BivariatePolynomial:
-    """Sparse polynomial in two variables: map (j, k) -> coefficient of
-    x^j y^k, with no stored zeros."""
 
-    __slots__ = ("_terms",)
+# ----------------------------------------------------------------------
+# bivariate polynomials: polynomials in y over Q[x]
+# ----------------------------------------------------------------------
+class BivariatePolynomial(RationalPolynomial):
+    """Polynomial in x and y, held as a polynomial in y whose coefficients
+    are RationalPolynomials in x: ``coefficients[k]`` multiplies y^k, and
+    ``degree`` is the degree in y.  Arithmetic, equality, hashing,
+    ``derivative()`` (d/dy) and evaluation at y (``substitute_y``) are
+    RationalPolynomial's, over these coefficients."""
+
+    __slots__ = ()
+    _SCALARS = RationalPolynomial._SCALARS + (RationalPolynomial,)
+    _SYMBOL = "y"
+
+    @staticmethod
+    def _coefficient(c: Any) -> RationalPolynomial:
+        return c if type(c) is RationalPolynomial else RationalPolynomial.constant(c)
 
     def __init__(self, coefficients: Dict[Tuple[int, int], RationalLike] | None = None) -> None:
-        clean: Dict[Tuple[int, int], Fraction] = {}
-        for key, c in (coefficients or {}).items():
-            c = as_rational(c)
-            if c != 0:
-                clean[(int(key[0]), int(key[1]))] = c
-        self._terms = clean
+        """From a sparse map (j, k) -> coefficient of x^j y^k."""
+        rows: Dict[int, Dict[int, RationalLike]] = {}
+        for (j, k), c in (coefficients or {}).items():
+            if j < 0 or k < 0:
+                raise ValueError("exponents must be non-negative")
+            rows.setdefault(int(k), {})[int(j)] = c
+        by_k = [RationalPolynomial()] * (max(rows, default=-1) + 1)
+        for k, row in rows.items():
+            by_k[k] = RationalPolynomial([row.get(j, 0) for j in range(max(row) + 1)])
+        super().__init__(by_k)
 
     @classmethod
     def x(cls) -> "BivariatePolynomial":
-        return cls({(1, 0): 1})
+        return cls.constant(RationalPolynomial.variable())
 
     @classmethod
     def y(cls) -> "BivariatePolynomial":
-        return cls({(0, 1): 1})
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "BivariatePolynomial":
-        return cls({(0, 0): c})
+        return cls.variable()
 
     @property
     def terms(self) -> Dict[Tuple[int, int], Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BivariatePolynomial):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BivariatePolynomial(out)
-
-    def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "BivariatePolynomial | RationalLike") -> "BivariatePolynomial":
-        if isinstance(other, (int, str, Fraction)):
-            c = as_rational(other)
-            return BivariatePolynomial({k: c * v for k, v in self._terms.items()})
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (j1, k1), c1 in self._terms.items():
-            for (j2, k2), c2 in other._terms.items():
-                key = (j1 + j2, k1 + k2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BivariatePolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BivariatePolynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        result = BivariatePolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        """The sparse map (j, k) -> coefficient of x^j y^k, without zeros."""
+        return {(j, k): c for k, pk in enumerate(self._coeffs) for j, c in enumerate(pk.coefficients) if c}
 
     def coefficients_in_y(self) -> Dict[int, RationalPolynomial]:
-        """Collect as a polynomial in y: maps k to the x-polynomial
-        multiplying y^k."""
-        buckets: Dict[int, Dict[int, Fraction]] = {}
-        for (j, k), c in self._terms.items():
-            buckets.setdefault(k, {})[j] = c
-        out = {}
-        for k, d in buckets.items():
-            coeffs = [Fraction(0)] * (max(d) + 1)
-            for j, c in d.items():
-                coeffs[j] = c
-            out[k] = RationalPolynomial(coeffs)
-        return out
+        """Maps k to the x-polynomial multiplying y^k, for each nonzero one."""
+        return {k: pk for k, pk in enumerate(self._coeffs) if pk}
 
     def split_by_sign(self) -> Tuple["BivariatePolynomial", "BivariatePolynomial"]:
         """Split W = P - N with P collecting the positive-coefficient terms
         and N the negated negative-coefficient terms (both have positive
         coefficients; zero terms are stored in neither)."""
-        pos: Dict[Tuple[int, int], Fraction] = {}
-        neg: Dict[Tuple[int, int], Fraction] = {}
-        for key, c in self._terms.items():
-            if c > 0:
-                pos[key] = c
-            else:
-                neg[key] = -c
-        return BivariatePolynomial(pos), BivariatePolynomial(neg)
+        pos = [RationalPolynomial([max(c, 0) for c in pk.coefficients]) for pk in self._coeffs]
+        neg = [RationalPolynomial([max(-c, 0) for c in pk.coefficients]) for pk in self._coeffs]
+        return self._make(pos), self._make(neg)
 
-    def substitute_y(self, value: RationalPolynomial) -> RationalPolynomial:
-        """Substitute a polynomial of x for y."""
-        acc = RationalPolynomial.zero()
-        for k, pk in self.coefficients_in_y().items():
-            acc = acc + pk * value ** k
-        return acc
+    substitute_y = RationalPolynomial.__call__
+    # perfbench/spans.py traces products by wrapping the `__mul__` it finds
+    # in each polynomial class's own __dict__, so the binding stays here
+    __mul__ = RationalPolynomial.__mul__
 
 
 # ----------------------------------------------------------------------

@@ -238,8 +238,11 @@ def test_non_finite_or_non_positive_tolerance_exits_2(capsys, tol):
          "symbol radius 2.855e-24 exceeds tol=1e-30"),
         (("figures", "--id", "phi-sweep", "--out", "{out}", "--tol", "1e-30"),
          "phi radius 9.908e-25 exceeds tol=1e-30"),
+        # J(k = 0) ~ e^1035: the radius is past the double range, not inf
+        (("symbol", "--gamma", "1e300", "--d", "1.5e300", "--k", "0..2"),
+         "symbol radius 8.294e+425 exceeds tol=1e-12"),
     ],
-    ids=["symbol", "norm-preferred", "norm-pairing", "phi", "j-sweep", "phi-sweep"],
+    ids=["symbol", "norm-preferred", "norm-pairing", "phi", "j-sweep", "phi-sweep", "symbol-past-double"],
 )
 def test_printed_radius_above_tolerance_exits_2(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"
@@ -274,7 +277,7 @@ def test_norm_checks_the_radius_it_prints(capsys):
          "unrecognized arguments: --output"),
         (("certify", "--suite", "em", "--tol", "1e-3"), "unrecognized arguments: --tol 1e-3"),
         (("certify", "--suite", "em", "--config", "{cfg}"),
-         "error: certify runs its suites at tolerance 1e-12; the config file sets 0.001"),
+         "key 'tolerance' is not read by the certify subcommand"),
     ],
     ids=["scan-format", "scan-tol", "phi-format", "figures-format", "figures-output",
          "certify-tol", "certify-config-tolerance"],
@@ -533,6 +536,12 @@ def test_negative_k_max_flag_exit_2(tmp_path, capsys, argv):
         (("--id", "phi-sweep", "--q-set="), "--q-set is empty"),
         (("--id", "j-sweep", "--d-set="), "--d-set is empty"),
         (("--id", "j-sweep", "--d-set", " "), "--d-set is empty"),
+        # each figure rejects the other one's settings instead of ignoring them
+        (("--id", "phi-sweep", "--k-max", "5", "--d-set=1"), "--d-set is not read by figure phi-sweep"),
+        (("--id", "phi-sweep", "--k-max", "5"), "--k-max is not read by figure phi-sweep"),
+        (("--id", "j-sweep", "--grid-count", "5", "--q-set=0", "--grid-scale", "linear"),
+         "--q-set is not read by figure j-sweep"),
+        (("--id", "j-sweep", "--grid-scale", "linear"), "--grid-scale is not read by figure j-sweep"),
     ],
 )
 def test_figures_rejected_input_leaves_no_directory(tmp_path, capsys, argv, message):
@@ -567,8 +576,12 @@ def test_negative_k_max_in_config_file_exit_2(tmp_path, capsys, command):
          "key 'format' is not read by the figures subcommand"),
         (("figures", "--id", "phi-sweep", "--out", "{out}"), "output = x\n",
          "key 'output' is not read by the figures subcommand"),
+        (("figures", "--id", "j-sweep", "--out", "{out}"), "grid_count = 3\n",
+         "key 'grid_count' is not read by figure j-sweep"),
+        (("figures", "--id", "phi-sweep", "--out", "{out}"), "k_max = 3\n",
+         "key 'k_max' is not read by figure phi-sweep"),
     ],
-    ids=["scan-format", "figures-format-output", "figures-output"],
+    ids=["scan-format", "figures-format-output", "figures-output", "j-sweep-grid-count", "phi-sweep-k-max"],
 )
 def test_config_key_the_subcommand_would_ignore_exits_2(tmp_path, capsys, argv, keys, message):
     out_dir, cfg = tmp_path / "out", tmp_path / "run.cfg"
@@ -577,6 +590,60 @@ def test_config_key_the_subcommand_would_ignore_exits_2(tmp_path, capsys, argv, 
     assert code == 2 and out == ""
     assert err == f"error: {cfg}: {message}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, keys, message",
+    [
+        (("figures", "--id", "phi-sweep", "--out", "{out}"), "grid_scale = cubic\n",
+         "grid scale must be 'log' or 'linear'"),
+        (("norm", "--gamma", "3", "--d", "0.5"), "format = xml\n", "format must be 'csv' or 'json'"),
+        (("figures", "--id", "phi-sweep", "--out", "{out}"), "grid_min = 0\n",
+         "log grid requires positive grid min"),
+        (("norm", "--gamma", "3", "--d", "0.5"), "# run\ncolour = red\n", "{cfg}:2: unknown key 'colour'"),
+    ],
+    ids=["grid-scale", "format", "log-grid-min", "unknown-key"],
+)
+def test_config_value_no_flag_can_give_exits_2(tmp_path, capsys, argv, keys, message):
+    # the flags' argparse choices cannot carry these values; only the
+    # config file can, and RunConfig.validate or the key table rejects them
+    out_dir, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    cfg.write_text(keys)
+    code, out, err = run_cli(capsys, *(a.format(out=out_dir) for a in argv), "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("symbol", "--gamma", "3", "--d", "0.5", "--k", "5..2"), "empty mode range '5..2'"),
+        (("norm", "--gamma", "3"), "one of --d or --measure is required"),
+    ],
+    ids=["empty-k-range", "no-measure"],
+)
+def test_usage_error_exits_2_with_its_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "gamma, d, values, message",
+    [
+        ("2", "1", [(1, 1e-20), (1.5, 1e-20)], "expected constant 1, J at k=1 excludes it"),
+        ("3", "0.5", [(1, 0.5), (1.2, 0.5)],
+         "J at k=0 and k=1 not separated by radii; raise LERAYKIT_PRECISION_BITS"),
+    ],
+    ids=["constant-case", "overlapping-radii"],
+)
+def test_scan_inconclusive_comparison_exits_2(monkeypatch, capsys, gamma, d, values, message):
+    import leraykit.symbol as symbol
+    from leraykit.specialfn import BoundedFloat
+
+    monkeypatch.setattr(symbol, "symbol_value", lambda query: BoundedFloat(*values[query.k]))
+    code, out, err = run_cli(capsys, "scan", "--gamma", gamma, "--d", d, "--k-max", str(len(values) - 1))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_config_value_that_does_not_parse_names_file_line_and_key(tmp_path, capsys):

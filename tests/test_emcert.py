@@ -216,7 +216,7 @@ def _bump_q2_constant(table):
 @pytest.mark.parametrize(
     "certificate, owner, name, corrupt, label",
     [
-        (series_decomposition_certificate, emcert, "_biv_dx",
+        (series_decomposition_certificate, BivariatePolynomial, "derivative",
          lambda dx: lambda p: 2 * dx(p), "f antiderivative"),
         (integral_antiderivative_certificate, emcert, "s_integral_tail",
          lambda tail: lambda r: 1.01 * tail(r), "quadrature cross-check"),

@@ -1,5 +1,6 @@
 """Exact polynomial algebra: examples and algebraic properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,3 +154,84 @@ def test_bivariate_substitution():
     w = (BivariatePolynomial.x() + BivariatePolynomial.y()) ** 3
     collapsed = w.substitute_y(RationalPolynomial([1]))  # y -> 1
     assert collapsed == (X + 1) ** 3
+
+
+# reference arithmetic on sparse {(j, k): c} maps of the terms c x^j y^k,
+# written independently of the polynomial classes
+def _ref_clean(terms):
+    return {key: c for key, c in terms.items() if c}
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for (j1, k1), c1 in p.items():
+        for (j2, k2), c2 in q.items():
+            key = (j1 + j2, k1 + k2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_pow(p, n):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _random_terms(rng, size):
+    return {
+        (rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        for _ in range(size)
+    }
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bivariate_arithmetic_matches_sparse_reference(seed):
+    rng = random.Random(seed)
+    p, q = _random_terms(rng, rng.randint(0, 8)), _random_terms(rng, rng.randint(1, 8))
+    P, Q = BivariatePolynomial(p), BivariatePolynomial(q)
+    assert P.terms == _ref_clean(p)
+    assert (P + Q).terms == _ref_add(p, q)
+    assert (P - Q).terms == _ref_add(p, q, sign=-1)
+    assert (P * Q).terms == _ref_mul(p, q)
+    assert (3 * P - Fraction(1, 2)).terms == _ref_add(_ref_mul(p, {(0, 0): 3}), {(0, 0): Fraction(1, 2)}, sign=-1)
+    for n in range(4):
+        assert (P ** n).terms == _ref_pow(p, n)
+    assert P.derivative().terms == _ref_clean({(j, k - 1): k * c for (j, k), c in p.items() if k})
+    pos, neg = P.split_by_sign()
+    assert pos.terms == {key: c for key, c in p.items() if c > 0}
+    assert neg.terms == {key: -c for key, c in p.items() if c < 0}
+    # y -> value, a polynomial in x, computed in the reference as terms with k = 0
+    value = _random_terms(rng, 3)
+    value_x = {(j, 0): c for (j, _), c in value.items()}
+    expected = {}
+    for (j, k), c in p.items():
+        expected = _ref_add(expected, _ref_mul({(j, 0): c}, _ref_pow(value_x, k)))
+    got = P.substitute_y(RationalPolynomial([value_x.get((j, 0), 0) for j in range(5)]))
+    assert type(got) is RationalPolynomial
+    assert {(j, 0): c for j, c in enumerate(got.coefficients) if c} == expected
+    # equality and hashing see the polynomial, not the order of the map
+    again = BivariatePolynomial(dict(reversed(list(p.items()))))
+    assert again == P and hash(again) == hash(P)
+
+
+def test_inherited_constructors_build_bivariate_polynomials():
+    B = BivariatePolynomial
+    made = [B.zero(), B.constant(Fraction(3, 4)), B.monomial(5, 3), B.variable(), B.from_roots([1, X])]
+    assert all(type(p) is B for p in made)
+    assert made[0].is_zero() and made[0].terms == {}
+    assert made[1].terms == {(0, 0): Fraction(3, 4)}
+    assert made[2].terms == {(0, 3): 5}
+    assert made[3] == B.y() and made[3].terms == {(0, 1): 1}
+    # (y - 1)(y - x) = y^2 - y - xy + x
+    assert made[4].terms == {(0, 2): 1, (0, 1): -1, (1, 1): -1, (1, 0): 1}
+    # a polynomial in x is a constant in y; it never equals a bivariate one
+    assert B.constant(X) == B.x() and (X * B.y()).terms == {(1, 1): 1}
+    assert B.x() != X and B.y() != X

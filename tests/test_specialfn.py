@@ -83,6 +83,13 @@ def test_polygamma_domain_and_tolerance_errors():
     assert polygamma(1, 1.0).error_radius > 1e-60
 
 
+def test_precision_below_the_minimum_is_rejected():
+    saved = sf.precision_bits()
+    with pytest.raises(ValueError, match="precision must be at least 80 bits"):
+        sf.set_precision_bits(79)
+    assert sf.precision_bits() == saved
+
+
 @given(
     st.integers(min_value=1, max_value=3),
     st.floats(min_value=0.05, max_value=80.0, allow_nan=False),

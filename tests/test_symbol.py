@@ -61,6 +61,8 @@ def test_boundedness_intervals():
     assert boundedness_interval(2.0, 1) == (-3, 5)
     with pytest.raises(DomainError):
         boundedness_interval(1.0, 0)
+    with pytest.raises(DomainError, match="mode index k must be non-negative"):
+        boundedness_interval(3.0, -1)
 
 
 def test_interval_nesting():
