@@ -10,11 +10,14 @@ and an upper estimate on the peak of the per-period remainder
 
     S(r, N) = 81 r (9N^2 - 3N - 9r^2 - 2) / ((3r+3N+1)^3 (3r+3N-2)^3).
 
-This module reconstructs every computational step of that argument in
-exact rational arithmetic and emits certificates.  Every identity between
-rational functions is checked as a polynomial identity after multiplying
-through by the denominator the argument already knows, so no rational
-function is formed or reduced.  The certificates cover:
+Each formula of that argument (f_r, its antiderivative, S, the tail
+integral's rational part, the peeled first term, the peak bound, the
+brackets m and M, and H) is written once, as plain arithmetic.  A public
+helper is its domain check plus one formula, on floats, Fractions or mpfs;
+the certificates evaluate the same formulas on never-reduced
+:class:`~leraykit.exactpoly.RationalFunction` variables and read off
+numerators and denominators, clearing over the denominators the argument
+already knows.  The certificates cover:
 
 * the Euler-Maclaurin decomposition identities of the series (antiderivative
   witnesses, the peeled N = 0 term, the per-period Bernoulli integral);
@@ -58,6 +61,7 @@ from .certificates import Certificate
 from .errors import DomainError, TailUnbounded, ToleranceUnreachable
 from .exactpoly import (
     BivariatePolynomial,
+    RationalFunction,
     RationalPolynomial,
     descartes_sign_changes,
     sign_pattern,
@@ -87,12 +91,60 @@ __all__ = [
 ]
 
 TWO_THIRDS = Fraction(2, 3)
+# the 1/r coefficient of the brackets m(r) and M(r)
+_BRACKET_C = Fraction(3, 25)
 
 
 def _require_r(r) -> None:
     threshold = TWO_THIRDS if isinstance(r, Fraction) else float(TWO_THIRDS)
-    if not r > threshold:
-        raise DomainError(f"requires r > 2/3 (got {r})")
+    if not threshold < r < math.inf:
+        raise DomainError(f"requires finite r > 2/3 (got {r})")
+
+
+# ----------------------------------------------------------------------
+# the formulas of the argument, each written once (see the module docstring)
+# ----------------------------------------------------------------------
+def _f(r, x):
+    return 18 * r * (3 * x - 2) / (3 * r + 3 * x - 2) ** 3
+
+
+def _antiderivative(r, x):
+    """An antiderivative of f_r in x."""
+    u = 3 * r + 3 * x - 2
+    return (9 * r * r - 6 * r * u) / u ** 2
+
+
+def _s(r, x):
+    return 81 * r * (9 * x * x - 3 * x - 9 * r * r - 2) / ((3 * r + 3 * x + 1) ** 3 * (3 * r + 3 * x - 2) ** 3)
+
+
+def _tail_rational(r):
+    """The rational part of integral_2^inf S(r, x) dx."""
+    return 3 * r * (108 * r ** 3 + 594 * r ** 2 + 1035 * r + 616) / (2 * (3 * r + 4) ** 2 * (3 * r + 7) ** 2)
+
+
+def _first_term(r):
+    """The N = 0 term peeled off the series."""
+    return (6 * r - 1) / (3 * r + 1) ** 3
+
+
+def _peak_bound(r):
+    return 16 / (3125 * r ** 3)
+
+
+# A Fraction constant meeting a float rounds to the nearest double first, so
+# float input gets the double expression 1.5 r + 1/6 + 0.12/r - ... bit for bit.
+def _bracket_high(r, c):
+    return Fraction(3, 2) * r + Fraction(1, 6) + c / r
+
+
+def _bracket_low(r, c):
+    return _bracket_high(r, c) - Fraction(21, 3125) / r ** 3
+
+
+def _h(r, tail):
+    """H(r), with `tail` standing for integral_2^inf S(r, x) dx."""
+    return _first_term(r) + _s(r, 1) + _s(r, 2) + tail - _peak_bound(r)
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +152,7 @@ def _require_r(r) -> None:
 # ----------------------------------------------------------------------
 def preferred_series_term(r, j):
     """f_r(j) = 18 r (3j - 2) / (3r + 3j - 2)^3; phi(r, 2/3) = sum_{j>=1} f_r(j)."""
-    return 18 * r * (3 * j - 2) / (3 * r + 3 * j - 2) ** 3
+    return _f(r, j)
 
 
 def s_function(r, x):
@@ -111,17 +163,16 @@ def s_function(r, x):
     Accepts float/Fraction/mpf arithmetic polymorphically.
     """
     _require_r(r)
-    if x < 0:
-        raise DomainError("S(r, x) is used on x >= 0")
-    num = 81 * r * (9 * x * x - 3 * x - 9 * r * r - 2)
-    return num / ((3 * r + 3 * x + 1) ** 3 * (3 * r + 3 * x - 2) ** 3)
+    if not 0 <= x < math.inf:
+        raise DomainError(f"S(r, x) is used on finite x >= 0 (got {x})")
+    return _s(r, x)
 
 
 def s_supremum_bound(r):
     """16/(3125 r^3): a strict upper bound for S(r, Q_r) when r > 2/3
     (the leading term of the peak value's expansion at infinity)."""
     _require_r(r)
-    return 16 / (3125 * r ** 3)
+    return _peak_bound(r)
 
 
 def pr_bivariate() -> BivariatePolynomial:
@@ -138,21 +189,23 @@ def pr_bivariate() -> BivariatePolynomial:
 def pr_poly(r) -> RationalPolynomial:
     """p_r(x) with the numeric (rationalized) r substituted; exactly one
     positive root for r > 2/3, located where S(r, .) peaks."""
+    if not -math.inf < r < math.inf:
+        raise DomainError(f"pr_poly requires finite r (got {r})")
     rv = Fraction(r)
     return RationalPolynomial([pk(rv) for pk in pr_bivariate().coefficients])
 
 
-# A Fraction constant meeting a float rounds to the nearest double first, so
-# float input gets the double expression 1.5 r + 1/6 + 0.12/r - ... bit for bit.
 def bracket_low(r):
     """m(r) = 3r/2 + 1/6 + 3/(25r) - 21/(3125 r^3) < Q_r.  Exact for
     Fraction input."""
-    return Fraction(3, 2) * r + Fraction(1, 6) + Fraction(3, 25) / r - Fraction(21, 3125) / r ** 3
+    _require_r(r)
+    return _bracket_low(r, _BRACKET_C)
 
 
 def bracket_high(r):
     """M(r) = 3r/2 + 1/6 + 3/(25r) > Q_r.  Exact for Fraction input."""
-    return Fraction(3, 2) * r + Fraction(1, 6) + Fraction(3, 25) / r
+    _require_r(r)
+    return _bracket_high(r, _BRACKET_C)
 
 
 def q_root_mp(r) -> mpf:
@@ -206,9 +259,9 @@ def phi_preferred_reconstruction(r: float) -> Tuple[float, float]:
     n_stop = max(n_min, math.ceil((20 * r / (27 * _RECONSTRUCTION_TAIL)) ** (1 / 3)))
     if n_stop > 10_000_000:
         raise TailUnbounded("tail target requires more than 1e7 terms")
-    total = 1 + (6 * r - 1) / (3 * r + 1) ** 3
+    total = 1 + _first_term(r)
     for n in range(1, n_stop + 1):
-        total += s_function(r, n)
+        total += _s(r, n)
     tail_bound = 20 * r / (27 * n_stop ** 3)
     return total, tail_bound
 
@@ -222,8 +275,7 @@ def s_integral_tail(r) -> float:
     Certified exactly by integral_antiderivative_certificate().
     """
     _require_r(r)
-    rational = 3 * r * (108 * r ** 3 + 594 * r ** 2 + 1035 * r + 616) / (2 * (3 * r + 4) ** 2 * (3 * r + 7) ** 2)
-    return rational - 2 * r * math.log1p(3 / (3 * r + 4))
+    return _tail_rational(r) - 2 * r * math.log1p(3 / (3 * r + 4))
 
 
 # absolute target of the tail quadrature; the integrals are O(1e-3)
@@ -259,18 +311,13 @@ def em_lower_bound(r: float) -> float:
     positive on (2/3, inf), tending to 0 from above.
     """
     _require_r(r)
-    return (
-        (6 * r - 1) / (3 * r + 1) ** 3
-        + s_function(r, 1)
-        + s_function(r, 2)
-        + s_integral_tail(r)
-        - 16 / (3125 * r ** 3)
-    )
+    return _h(r, s_integral_tail(r))
 
 
 def em_lower_bound_d1(r: float) -> float:
     """H'(r), via the exactly re-derived numerator over D2 minus the
     differentiated logarithm."""
+    _require_r(r)
     num = RationalPolynomial(tables.H1_NUM_COEFFS)
     rf = Fraction(r)
     d2 = 3125 * rf ** 4 * (3 * rf + 1) ** 4 * (3 * rf + 4) ** 4 * (3 * rf + 7) ** 4
@@ -306,73 +353,62 @@ class _Checks:
         )
 
 
-def _linear(a: int, b: int) -> RationalPolynomial:
-    """The polynomial a*r + b."""
-    return RationalPolynomial([b, a])
+# r over Q[r], and r and a second variable (x, N, v or Q) over Q[r][x]
+_R = RationalFunction(RationalPolynomial.variable())
+_R2, _Y = RationalFunction(BivariatePolynomial.x()), RationalFunction(BivariatePolynomial.y())
 
 
 def series_decomposition_certificate() -> Certificate:
     """Exact identities behind the Euler-Maclaurin rewrite of the series.
 
-    All checks clear denominators and compare polynomials in (r, x) or
-    (r, N) structurally: the antiderivative of f_r, the value of
-    integral_0^inf f_r, the derivative formula for f_r, the per-period
-    Bernoulli integral equalling S(r, N), and the peel of the N = 0 term.
+    Each check evaluates the formulas f_r, its antiderivative A and S on
+    quotients in (r, N), reads their numerators and checks their
+    denominators, and compares polynomials over the known common
+    denominator: A' = f_r, the value of integral_0^inf f_r = -A(0), the
+    derivative formula for f_r, the per-period Bernoulli integral equalling
+    S(r, N), and the peel of the N = 0 term.
     """
     c = _Checks()
 
-    r = BivariatePolynomial.x()
-    x = BivariatePolynomial.y()
-    u = 3 * r + 3 * x - 2  # denominator base of f_r
+    # f_r and A have the denominators a^3 and a^2 at N, b^3 and b^2 at
+    # N + 1, with a = 3r + 3N - 2 and b = a + 3
+    r, n = _R2, _Y
+    a = (3 * r + 3 * n - 2).num
+    b = a + 3
+    a2, b2 = a * a, b * b
+    a3, b3 = a2 * a, b2 * b
+    f_n, f_n1 = _f(r, n), _f(r, n + 1)
+    anti_n, anti_n1 = _antiderivative(r, n), _antiderivative(r, n + 1)
+    dens_ok = (f_n.den, anti_n.den, f_n1.den, anti_n1.den) == (a3, a2, b3, b2)
 
-    # f_r = 18r(3x-2)/u^3 has antiderivative (-6r u + 9 r^2)/u^2; cleared
-    # over u^3, the derivative identity reads num_a' u - 2 u' num_a == 18r(3x-2)
-    num_a = -6 * r * u + 9 * r * r
-    lhs = num_a.derivative() * u - 2 * u.derivative() * num_a
-    c.check("f_antiderivative_identity", lhs == 18 * r * (3 * x - 2), "f antiderivative")
+    # by the quotient rule, A' = (A_num' a - 2 a' A_num)/a^3
+    da = a.derivative()
+    anti_prime = anti_n.num.derivative() * a - 2 * da * anti_n.num
+    c.check("f_antiderivative_identity", dens_ok and anti_prime == f_n.num, "f antiderivative")
 
-    # integral_0^inf f_r dx = -A(0) = (9r^2 - 12r)/(3r-2)^2 == 1 - 4/(3r-2)^2;
-    # cleared over (3r-2)^2: 9r^2 - 12r == (3r-2)^2 - 4
-    lin_m2 = _linear(3, -2)
-    c.check("f_integral_value", RationalPolynomial([0, -12, 9]) == lin_m2 ** 2 - 4, "integral of f")
+    # integral_0^inf f_r dx = -A(0), as A vanishes at infinity
+    integral = 1 - 4 / (3 * _R - 2) ** 2
+    ok_integral = anti_n.num.degree < anti_n.den.degree and -_antiderivative(_R, 0) == integral
+    c.check("f_integral_value", ok_integral, "integral of f")
 
-    # f_r'(x) = 54 r (4 + 3r - 6x)/u^4: cleared, 54r u - 162 r (3x-2) == 54 r (4+3r-6x)
-    lhs_fp = 54 * r * u - 162 * r * (3 * x - 2)
-    rhs_fp = 54 * r * (4 + 3 * r - 6 * x)
-    c.check("f_derivative_formula", lhs_fp == rhs_fp, "f derivative")
+    # f_r' = (f_num' a - 3 a' f_num)/a^4 == 54 r (4 + 3r - 6N)/a^4
+    f_prime = f_n.num.derivative() * a - 3 * da * f_n.num
+    c.check("f_derivative_formula", dens_ok and f_prime == (54 * r * (4 + 3 * r - 6 * n)).num, "f derivative")
 
     # per-period Bernoulli integral (integration by parts):
     #   integral_0^1 f'(x+N) (x - 1/2) dx = (f(N+1)+f(N))/2 - A(N+1) + A(N)
-    # equals S(r, N); cleared over a^3 b^3 with a = 3r+3N-2, b = a+3:
-    N = BivariatePolynomial.y()
-    a = 3 * r + 3 * N - 2
-    b = a + 3
-    half = Fraction(1, 2)
-    f_at_n = 18 * r * (3 * N - 2)                # / a^3
-    f_at_n1 = 18 * r * (3 * N + 1)               # / b^3
-    anti_at_n = -6 * r * a + 9 * r * r           # / a^2
-    anti_at_n1 = -6 * r * b + 9 * r * r          # / b^2
-    lhs_period = (
-        (f_at_n1 * a ** 3 + f_at_n * b ** 3) * half
-        + (-1) * anti_at_n1 * a ** 3 * b
-        + anti_at_n * a * b ** 3
+    # equals S(r, N); cleared over a^3 b^3:
+    period = (
+        (f_n1.num * a3 + f_n.num * b3) * Fraction(1, 2)
+        - anti_n1.num * a3 * b
+        + anti_n.num * a * b3
     )
-    s_num = 81 * r * (9 * N * N - 3 * N - 9 * r * r - 2)
-    c.check("bernoulli_period_equals_s", lhs_period == s_num, "per-period Bernoulli integral")
+    ok_period = dens_ok and RationalFunction(period, b3 * a3) == _s(r, n)
+    c.check("bernoulli_period_equals_s", ok_period, "per-period Bernoulli integral")
 
-    # peel the N = 0 term:
-    #   1 - 4/(3r-2)^2 + 18r/(3r-2)^3 + S(r,0) == 1 + (6r-1)/(3r+1)^3,
-    # S(r,0) = 81r(-9r^2 - 2)/((3r+1)^3 (3r-2)^3); cleared over (3r-2)^3 (3r+1)^3:
-    lin1 = _linear(3, 1)
-    den = lin_m2 ** 3 * lin1 ** 3
-    lhs_peel = (
-        den
-        - 4 * lin_m2 * lin1 ** 3
-        + RationalPolynomial([0, 18]) * lin1 ** 3
-        + RationalPolynomial([0, -162, 0, -729])
-    )
-    rhs_peel = den + RationalPolynomial([-1, 6]) * lin_m2 ** 3
-    c.check("peeled_n0_term", lhs_peel == rhs_peel, "peeled N=0 term")
+    # peel the N = 0 term: integral_0^inf f - f(0)/2 + S(r, 0) == 1 + (6r-1)/(3r+1)^3
+    peeled = integral - _f(_R, 0) / 2 + _s(_R, 0)
+    c.check("peeled_n0_term", peeled == 1 + _first_term(_R), "peeled N=0 term")
 
     return c.certificate(
         "em.series.decomposition",
@@ -390,35 +426,34 @@ def integral_antiderivative_certificate() -> Certificate:
         G(v) = p(v)/(v^2 (v+3)^2) - 2r (log v - log(v+3)),
         p(v) = 81 r^2/2 - 27 r v - 27 r v^2 - 6 r v^3,
 
-    and evaluating -G at v = 3r + 4 yields the closed form used in H.
-    Both the derivative identity and the evaluation are checked by
-    polynomial arithmetic after clearing denominators.
+    and evaluating -G at v = 3r + 4 yields the rational part of the tail
+    formula used in H.  The change of variable is checked against S's
+    numerator, the derivative identity by polynomial arithmetic over
+    v^3 (v+3)^3, and the evaluation against the tail formula by
+    cross-multiplication.
     """
     c = _Checks()
 
-    r = BivariatePolynomial.x()
-    v = BivariatePolynomial.y()
+    r, v = BivariatePolynomial.x(), BivariatePolynomial.y()
 
-    # numerator transform: 81r(9x^2 - 3x - 9r^2 - 2) with x = (v - 3r + 2)/3
-    # equals 81 r (v^2 + (3 - 6r) v - 9r); check in (r, x) variables:
-    x = v  # reuse the second slot as x for this sub-check
-    vx = 3 * x + 3 * r - 2
-    lhs_num = 81 * r * (9 * x * x - 3 * x - 9 * r * r - 2)
-    rhs_num = 81 * r * (vx * vx + (3 - 6 * r) * vx - 9 * r)
-    c.check("numerator_in_v", lhs_num == rhs_num, "numerator transform")
+    def s_dx_dv(v):
+        """The numerator of S dx/dv over v^3 (v+3)^3."""
+        return 27 * r * (v * v + (3 - 6 * r) * v - 9 * r)
+
+    # S's numerator in (r, x) is 3 S dx/dv at v = 3x + 3r - 2 (x in the second slot)
+    c.check("numerator_in_v", _s(_R2, _Y).num == 3 * s_dx_dv(3 * v + 3 * r - 2), "numerator transform")
 
     # derivative identity: with lam = -2r,
-    #   p'(v) v (v+3) - p(v)(4v + 6) + 3 lam v^2 (v+3)^2 == 27 r (v^2 + (3-6r) v - 9r)
+    #   p'(v) v (v+3) - p(v)(4v + 6) + 3 lam v^2 (v+3)^2 == S dx/dv cleared
     p = BivariatePolynomial({(2, 0): Fraction(81, 2), (1, 1): -27, (1, 2): -27, (1, 3): -6})
     lam = -2 * r
     lhs_d = p.derivative() * v * (v + 3) - p * (4 * v + 6) + 3 * lam * v * v * (v + 3) ** 2
-    rhs_d = 27 * r * (v * v + (3 - 6 * r) * v - 9 * r)
-    c.check("antiderivative_identity", lhs_d == rhs_d, "antiderivative identity")
+    c.check("antiderivative_identity", lhs_d == s_dx_dv(v), "antiderivative identity")
 
-    # evaluation: -p(3r+4) == (3/2) r (108 r^3 + 594 r^2 + 1035 r + 616)
-    p_at = p.substitute_y(_linear(3, 4))  # polynomial in r
-    target = RationalPolynomial([0, Fraction(3, 2)]) * RationalPolynomial([616, 1035, 594, 108])
-    c.check("boundary_evaluation", (-p_at) == target, "boundary evaluation")
+    # evaluation: -p(v)/(v^2 (v+3)^2) at v = 3r + 4 is the tail's rational part
+    v0 = 3 * _R + 4
+    boundary = -p.substitute_y(v0) / (v0 ** 2 * (v0 + 3) ** 2)
+    c.check("boundary_evaluation", boundary == _tail_rational(_R), "boundary evaluation")
 
     # numeric spot check of the full closed form against quadrature
     rel_errs = {}
@@ -445,40 +480,38 @@ def integral_antiderivative_certificate() -> Certificate:
 def bracket_certificates() -> Certificate:
     """Exact bracket for the remainder peak Q_r (r > 2/3).
 
-    Verifies as polynomial identities (denominators cleared):
+    Evaluates p_r at the bracket formulas, as quotients in r, and verifies
+    by cross-multiplication
 
         p_r(3r/2 + 1/6) = 81 r
         p_r(3r/2 + 1/3) = 4 + 66 r - (225/2) r^2
         p_r(m(r)) = 81 (12348 + 125 r^2 (1515625 r^4 + 21000 r^2 - 5292)) / (5^15 r^9)
         p_r(M(r)) = -81 (36 + 875 r^2) / (5^6 r^3)
 
-    with m, M carrying the 3/(25r) term.  Both brackets are n(r)/(18750 r^3)
-    for a quartic n, so the last two identities are checked multiplied by
-    (18750 r^3)^3, with no rational function built.  It also certifies
-    positivity of the inner quartic for r > 2/3 by a shift-and-Descartes
-    argument; evaluates the sign claims at r = 2/3 exactly; and records that
-    the 2/(25r) bracket variant fails the same identities (misprint witness).
+    with m, M carrying the 3/(25r) term.  It also certifies positivity of
+    the inner quartic for r > 2/3 by a shift-and-Descartes argument;
+    evaluates the sign claims at r = 2/3 exactly; and records that the
+    2/(25r) bracket variant, the same formulas with 2/25 for 3/25, fails
+    the same identities (misprint witness).
     """
     c = _Checks()
     p_biv = pr_bivariate()
+    r = _R
 
-    # affine probes
-    probe1 = p_biv.substitute_y(RationalPolynomial([Fraction(1, 6), Fraction(3, 2)]))
-    c.check("probe_at_3r/2+1/6", probe1 == RationalPolynomial([0, 81]), "affine probe 1/6")
-    probe2 = p_biv.substitute_y(RationalPolynomial([Fraction(1, 3), Fraction(3, 2)]))
+    # affine probes: the brackets without their 1/r terms, and 1/6 above
+    head = _bracket_high(r, 0)
+    c.check("probe_at_3r/2+1/6", p_biv.substitute_y(head) == 81 * r, "affine probe 1/6")
+    probe2 = p_biv.substitute_y(head + Fraction(1, 6))
     c.check("probe_at_3r/2+1/3", probe2 == RationalPolynomial([4, 66, Fraction(-225, 2)]), "affine probe 1/3")
 
-    # rational brackets, both sides times (18750 r^3)^3
-    p_at_m = _clear_bracket(p_biv, _bracket_numerator(Fraction(3, 25), with_cubic=True), 3)
+    r_poly = RationalPolynomial.variable()
     inner = RationalPolynomial([-5292, 0, 21000, 0, 1515625])
-    target_m_num = 81 * (RationalPolynomial([12348]) + RationalPolynomial([0, 0, 125]) * inner)
-    target_m = target_m_num * Fraction(_BRACKET_SCALE ** 3, 5 ** 15)  # over r^9
+    target_m = RationalFunction(81 * (12348 + 125 * r_poly ** 2 * inner), RationalPolynomial.monomial(5 ** 15, 9))
+    p_at_m = p_biv.substitute_y(_bracket_low(r, _BRACKET_C))
     c.check("bracket_low_identity", p_at_m == target_m, "low bracket identity")
 
-    p_at_mu = _clear_bracket(p_biv, _bracket_numerator(Fraction(3, 25), with_cubic=False), 3)
-    target_mu = RationalPolynomial.monomial(Fraction(_BRACKET_SCALE ** 3, 5 ** 6), 6) * RationalPolynomial(
-        [-36 * 81, 0, -875 * 81]
-    )  # over r^3
+    target_mu = RationalFunction(-81 * (36 + 875 * r_poly ** 2), RationalPolynomial.monomial(5 ** 6, 3))
+    p_at_mu = p_biv.substitute_y(_bracket_high(r, _BRACKET_C))
     c.check("bracket_high_identity", p_at_mu == target_mu, "high bracket identity")
 
     # positivity of the inner quartic for r > 2/3: shift to s = r - 2/3 and
@@ -489,24 +522,22 @@ def bracket_certificates() -> Certificate:
     c.witnesses["inner_quartic_at_2/3"] = inner(TWO_THIRDS)
 
     # exact endpoint signs of p_r(m(r)) and p_r(M(r))
-    cleared_den = (_BRACKET_SCALE * TWO_THIRDS ** 3) ** 3
-    p_m_val = p_at_m(TWO_THIRDS) / cleared_den
-    p_mu_val = p_at_mu(TWO_THIRDS) / cleared_den
+    p_m_val = p_at_m(TWO_THIRDS)
+    p_mu_val = p_at_mu(TWO_THIRDS)
     c.check(
         "endpoint_values", p_m_val > 0 and p_mu_val < 0, "endpoint signs",
         {"p(m(2/3))": p_m_val, "p(M(2/3))": p_mu_val},
     )
 
     # misprint witness: the 2/(25r) variant does NOT satisfy the identities
-    diff_m = _clear_bracket(p_biv, _bracket_numerator(Fraction(2, 25), with_cubic=True), 3) - target_m
-    diff_mu = _clear_bracket(p_biv, _bracket_numerator(Fraction(2, 25), with_cubic=False), 3) - target_mu
+    diff_m = p_biv.substitute_y(_bracket_low(r, Fraction(2, 25))) - target_m
+    diff_mu = p_biv.substitute_y(_bracket_high(r, Fraction(2, 25))) - target_mu
     c.check(
-        "variant_2_25_fails", not diff_m.is_zero() and not diff_mu.is_zero(),
+        "variant_2_25_fails", diff_m != 0 and diff_mu != 0,
         "misprint witness unexpectedly verified",
     )
-    # degree of the residual p_r(m(r)) - target as a rational function: its
-    # numerator here stands over the degree-9 denominator (18750 r^3)^3
-    c.witnesses["variant_2_25_low_residual_degree"] = diff_m.degree - 9
+    # the degree of the residual p_r(m(r)) - target as a rational function
+    c.witnesses["variant_2_25_low_residual_degree"] = diff_m.num.degree - diff_m.den.degree
 
     return c.certificate(
         "em.qroot.bracket",
@@ -515,33 +546,15 @@ def bracket_certificates() -> Certificate:
     )
 
 
-# m(r) and M(r) are each a quartic over this multiple of r^3
-_BRACKET_SCALE = 18750
-
-
-def _bracket_numerator(c_inv: Fraction, with_cubic: bool) -> RationalPolynomial:
-    """18750 r^3 (3r/2 + 1/6 + c_inv/r (- 21/(3125 r^3) when with_cubic))."""
-    return RationalPolynomial([-126 if with_cubic else 0, 0, _BRACKET_SCALE * c_inv, 3125, 28125])
-
-
-def _clear_bracket(p: BivariatePolynomial, numerator: RationalPolynomial, n: int) -> RationalPolynomial:
-    """(18750 r^3)^n p(r, numerator/(18750 r^3)) = sum_k p_k(r) numerator^k
-    (18750 r^3)^(n-k), for n at least the y-degree of p."""
-    total, power = RationalPolynomial.zero(), RationalPolynomial.constant(1)
-    for k, pk in enumerate(p.coefficients):
-        total = total + pk * RationalPolynomial.monomial(_BRACKET_SCALE ** (n - k), 3 * (n - k)) * power
-        power = power * numerator
-    return total
-
-
 def h_pipeline() -> Certificate:
     """Exact reconstruction of H, H', H''.
 
-    Writes the rational part of H over the common denominator D1 directly
-    as a numerator polynomial and asserts it equals the embedded table.
-    With s = r(3r+1)(3r+4)(3r+7) the denominators are D1 = 6250 s^3,
-    D2 = 3125 s^4 and D3 = 3125 s^5, so s D1'/D1 = 3 s' and s D2'/D2 = 4 s'
-    and the quotient rule stays in polynomials.  The log term
+    Evaluates the rational part of H, the formula of em_lower_bound with
+    the tail's rational part, on a quotient in r, clears it over the common
+    denominator D1 by exact division and asserts the numerator equals the
+    embedded table.  With s = r(3r+1)(3r+4)(3r+7) the denominators are
+    D1 = 6250 s^3, D2 = 3125 s^4 and D3 = 3125 s^5, so s D1'/D1 = 3 s' and
+    s D2'/D2 = 4 s' and the quotient rule stays in polynomials.  The log term
     differentiates to rational form (d/dr[-2r log((3r+7)/(3r+4))] =
     -2 log(...) + 18r/((3r+4)(3r+7)), and once more the log is gone), so
 
@@ -549,29 +562,19 @@ def h_pipeline() -> Certificate:
         F3 = F2' s - 4 s' F2 + 18 D3/((3r+4)(3r+7)),
 
     are the numerators of H' and H'' over D2 and D3, asserted against their
-    tables.  No rational function is formed or reduced.  It then certifies
-    the H'' numerator's sign pattern (negative through r^7, positive from
-    r^8) and its single Descartes sign change; evaluates H'' = F3/D3
-    exactly at 1/3 and 2/3; and spot checks H > 0 with H, H' -> 0
-    numerically on a log grid.
+    tables.  It then certifies the H'' numerator's sign pattern (negative
+    through r^7, positive from r^8) and its single Descartes sign change;
+    evaluates H'' = F3/D3 exactly at 1/3 and 2/3; and spot checks H > 0
+    with H, H' -> 0 numerically on a log grid.
     """
     c = _Checks()
 
-    lin1, lin4, lin7 = _linear(3, 1), _linear(3, 4), _linear(3, 7)
     r_poly = RationalPolynomial.variable()
+    lin1, lin4, lin7 = 3 * r_poly + 1, 3 * r_poly + 4, 3 * r_poly + 7
     s = r_poly * lin1 * lin4 * lin7
     ds = s.derivative()
 
-    # each rational piece of H times D1 = 6250 r^3 (3r+1)^3 (3r+4)^3 (3r+7)^3
-    r3 = RationalPolynomial.monomial(6250, 3)
-    f1 = (
-        RationalPolynomial([-1, 6]) * r3 * lin4 ** 3 * lin7 ** 3  # (6r-1)/(3r+1)^3
-        + 81 * r_poly * RationalPolynomial([4, 0, -9]) * r3 * lin7 ** 3  # S(r, 1)
-        + 81 * r_poly * RationalPolynomial([28, 0, -9]) * r3 * lin1 ** 3  # S(r, 2)
-        + Fraction(3, 2) * r_poly * RationalPolynomial([616, 1035, 594, 108])
-        * r3 * lin1 ** 3 * lin4 * lin7  # rational part of the tail integral
-        - 32 * (lin1 * lin4 * lin7) ** 3  # -16/(3125 r^3)
-    )
+    f1 = (_h(_R, _tail_rational(_R)) * (6250 * s ** 3)).as_polynomial()
     _check_table(c, "h_numerator_matches_table", "H numerator", f1, tables.H_NUM_COEFFS)
 
     d2_over_47 = RationalPolynomial.monomial(3125, 4) * lin1 ** 4 * lin4 ** 3 * lin7 ** 3
@@ -622,15 +625,11 @@ def _check_table(c: _Checks, key: str, label: str, got: RationalPolynomial, coef
 def s_bound_certificate() -> Certificate:
     """Exact proof skeleton of S(r, Q_r) < 16/(3125 r^3) for r > 2/3.
 
-    Expands W(r, Q) = 16 (3r+3Q+1)^3 (3r+3Q-2)^3 - 253125 r^4 (9Q^2 - 3Q
-    - 9r^2 - 2), whose positivity at Q = Q_r is equivalent to the bound;
-    splits it by coefficient sign into U - V (tables checked both ways);
-    forms P(r) = r^18 (U(r, m(r)) - V(r, M(r))) over the brackets' common
-    denominator: with m = n_m/(18750 r^3) and M = n_M/(18750 r^3),
-
-        18750^6 P = sum_k U_k(r) n_m^k 18750^(6-k) r^(18-3k)
-                    - sum_k V_k(r) n_M^k 18750^(6-k) r^(18-3k),
-
+    Evaluates W(r, Q), the numerator of 16/(3125 r^3) - S(r, Q) from their
+    formulas on quotients in (r, Q), whose positivity at Q = Q_r is
+    equivalent to the bound; splits it by coefficient sign into U - V
+    (tables checked both ways); forms P(r) = r^18 (U(r, m(r)) - V(r, M(r)))
+    with m and M the bracket formulas on a quotient in r, divided exactly,
     and asserts all 23 coefficients against the embedded table (including
     the two zero entries); counts six sign changes; differentiates fourteen
     times, after which a single sign change remains; and pins the endpoint
@@ -640,12 +639,7 @@ def s_bound_certificate() -> Certificate:
     """
     c = _Checks()
 
-    r = BivariatePolynomial.x()
-    q = BivariatePolynomial.y()
-    w = (
-        16 * ((3 * r + 3 * q + 1) ** 3) * ((3 * r + 3 * q - 2) ** 3)
-        - 253125 * r ** 4 * (9 * q * q - 3 * q - 9 * r * r - 2)
-    )
+    w = (_peak_bound(_R2) - _s(_R2, _Y)).num
     u_part, v_part = w.split_by_sign()
     c.check("w_equals_u_minus_v", (u_part - v_part) == w, "sign split re-expansion")
 
@@ -654,11 +648,8 @@ def s_bound_certificate() -> Certificate:
     c.check("u_coefficients_match_table", u_part.coefficients_in_y() == u_table, "U table")
     c.check("v_coefficients_match_table", v_part.coefficients_in_y() == v_table, "V table")
 
-    cleared = (
-        _clear_bracket(u_part, _bracket_numerator(Fraction(3, 25), with_cubic=True), 6)
-        - _clear_bracket(v_part, _bracket_numerator(Fraction(3, 25), with_cubic=False), 6)
-    )
-    p_poly = cleared * Fraction(1, _BRACKET_SCALE ** 6)
+    gap = u_part.substitute_y(_bracket_low(_R, _BRACKET_C)) - v_part.substitute_y(_bracket_high(_R, _BRACKET_C))
+    p_poly = (_R ** 18 * gap).as_polynomial()
     _check_table(c, "p_coefficients_match_table", "P coefficients", p_poly, tables.P_COEFFS)
 
     ok_zeros = p_poly.coeff(1) == 0 and p_poly.coeff(21) == 0

@@ -3,11 +3,8 @@
 Coefficients are `fractions.Fraction` (arbitrary precision, always in
 canonical lowest terms), so every operation in this module is exact.  This
 is the engine underneath the exact certificates: polynomial identities are
-checked by structural equality of canonical forms (an identity between
-rational functions is first multiplied through by its known denominator),
-and positive-root counting uses Descartes' rule of signs on the coefficient
-sign sequence.  ``RationalFunction`` reduces by polynomial gcd after every
-operation; the certificates do not use it.
+checked by structural equality of canonical forms, and positive-root
+counting uses Descartes' rule of signs on the coefficient sign sequence.
 
 Representation conventions:
 
@@ -17,13 +14,14 @@ Representation conventions:
   coefficients are RationalPolynomials in x (coefficient k multiplies
   y^k), so both share one implementation of the arithmetic; it is built
   from a sparse map ``(j, k) -> c`` of the terms ``c x^j y^k``.
-* ``RationalFunction`` is a reduced quotient of two RationalPolynomials
-  with monic denominator.
+* ``RationalFunction`` is a quotient of two polynomials kept as built, never
+  reduced, so the certificates read off the numerator and denominator a
+  formula produces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -48,6 +46,12 @@ def _trimmed(coefficients: List[Any]) -> Tuple[Any, ...]:
     while coefficients and not coefficients[-1]:
         coefficients.pop()
     return tuple(coefficients)
+
+
+def _integers(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators of the Fractions over their common denominator."""
+    d = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 class RationalPolynomial:
@@ -190,17 +194,22 @@ class RationalPolynomial:
         if b is None:
             return NotImplemented
         a, b = self._coeffs, b._coeffs
-        if not a or not b:
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
             return self._make([])
-        if len(b) == 1:  # a constant, such as a lifted scalar
-            return self._make([ca * b[0] for ca in a])
-        out = [self._coefficient(0)] * (len(a) + len(b) - 1)
+        if b == (1,):  # such as a unit denominator
+            return self._make(list(a))
+        den = None
+        if type(a[0]) is Fraction:  # integers over one denominator multiply much faster
+            (a, da), (b, db) = _integers(a), _integers(b)
+            den = da * db
+        out = [a[0] * 0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return self._make(out)
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return self._make(out if den is None else [Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -212,8 +221,9 @@ class RationalPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other: "RationalPolynomial") -> Tuple["RationalPolynomial", "RationalPolynomial"]:
@@ -232,12 +242,6 @@ class RationalPolynomial:
             for k in range(dn + 1):
                 rem[i - dn + k] -= q * other._coeffs[k]
         return self._make(quot), self._make(rem)
-
-    def __floordiv__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return divmod(self, other)[1]
 
     # ------------------------------------------------------------------
     # calculus / evaluation
@@ -267,27 +271,21 @@ class RationalPolynomial:
     # ------------------------------------------------------------------
     # serialization: ascending list of "num/den" strings
     # ------------------------------------------------------------------
-    def to_json_coeffs(self) -> List[str]:
-        return [f"{c.numerator}/{c.denominator}" for c in self._coeffs]
+    def to_json_coeffs(self) -> List[Any]:
+        """The coefficients as "num/den" strings; a BivariatePolynomial's
+        are lists of them, one list per power of y."""
+        return [c.to_json_coeffs() if isinstance(c, RationalPolynomial) else f"{c.numerator}/{c.denominator}"
+                for c in self._coeffs]
 
     @classmethod
-    def from_json_coeffs(cls, items: Sequence[str]) -> "RationalPolynomial":
-        return cls(Fraction(s) for s in items)
+    def from_json_coeffs(cls, items: Sequence[Any]) -> "RationalPolynomial":
+        return cls._make([RationalPolynomial.from_json_coeffs(c) if isinstance(c, list) else Fraction(c)
+                          for c in items])
 
 
 # ----------------------------------------------------------------------
-# gcd and sign analysis
+# sign analysis
 # ----------------------------------------------------------------------
-def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd over the rationals (Euclidean algorithm)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    lead = a.leading_coefficient()
-    return a * (1 / lead)
-
-
 def descartes_sign_changes(p: RationalPolynomial) -> int:
     """Number of sign alternations among nonzero coefficients in ascending
     order.  By Descartes' rule the count of positive roots (with
@@ -313,8 +311,6 @@ def sign_pattern(p: RationalPolynomial) -> Tuple[str, ...]:
     """
     return tuple("+" if c > 0 else "-" if c < 0 else "0" for c in p.coefficients)
 
-
-# ----------------------------------------------------------------------
 
 # ----------------------------------------------------------------------
 # bivariate polynomials: polynomials in y over Q[x]
@@ -380,60 +376,60 @@ class BivariatePolynomial(RationalPolynomial):
 # ----------------------------------------------------------------------
 # rational functions
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+def _quotient(p: Any) -> "RationalFunction":
+    """p as a quotient: an int, Fraction or polynomial over 1."""
+    if isinstance(p, RationalFunction):
+        return p
+    if isinstance(p, (int, Fraction, RationalPolynomial)):
+        return RationalFunction(p)
+    raise TypeError(f"not a rational function: {p!r}")
+
+
 class RationalFunction:
-    """Quotient num/den of RationalPolynomials, reduced and with monic
-    denominator.  Exact arithmetic and formal differentiation."""
+    """Quotient num/den of polynomials, kept as built: no operation reduces
+    it, so a formula evaluated on quotients leaves ``num`` and ``den`` as the
+    formula writes them.  Sums, products, quotients, integer powers, the
+    derivative and equality work by cross-multiplication; ints, Fractions
+    and polynomials lift to quotients over 1."""
 
-    num: RationalPolynomial
-    den: RationalPolynomial = RationalPolynomial.constant(1)
+    __slots__ = ("num", "den")
+    __hash__ = None  # equal quotients can have different num and den
 
-    def __post_init__(self) -> None:
+    def __init__(self, num: Any, den: Any = 1) -> None:
+        self.num = num if isinstance(num, RationalPolynomial) else RationalPolynomial.constant(num)
+        self.den = den if isinstance(den, RationalPolynomial) else RationalPolynomial.constant(den)
         if self.den.is_zero():
             raise ZeroPolynomial("rational function with zero denominator")
-        num, den = self.num, self.den
-        if num.is_zero():
-            object.__setattr__(self, "num", RationalPolynomial.zero())
-            object.__setattr__(self, "den", RationalPolynomial.constant(1))
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        lead = den.leading_coefficient()
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
 
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(RationalPolynomial.zero())
+    def __repr__(self) -> str:
+        return f"RationalFunction({self.num!r}, {self.den!r})"
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    def __add__(self, other: Any) -> "RationalFunction":
+        b = _quotient(other)
+        return RationalFunction(self.num * b.den + b.num * self.den, self.den * b.den)
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
+    __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)
 
-    def __mul__(self, other: "RationalFunction | RationalLike") -> "RationalFunction":
-        if isinstance(other, (int, str, Fraction)):
-            return RationalFunction(self.num * as_rational(other), self.den)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+    def __sub__(self, other: Any) -> "RationalFunction":
+        return self + -_quotient(other)
+
+    def __rsub__(self, other: Any) -> "RationalFunction":
+        return -self + other
+
+    def __mul__(self, other: Any) -> "RationalFunction":
+        b = _quotient(other)
+        return RationalFunction(self.num * b.num, self.den * b.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
-            raise ZeroPolynomial("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+    def __truediv__(self, other: Any) -> "RationalFunction":
+        return self * _quotient(other) ** -1
+
+    def __rtruediv__(self, other: Any) -> "RationalFunction":
+        return _quotient(other) * self ** -1
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
@@ -441,19 +437,24 @@ class RationalFunction:
         return RationalFunction(self.num ** n, self.den ** n)
 
     def derivative(self) -> "RationalFunction":
-        """(num/den)' by the quotient rule, reduced."""
+        """(num/den)' by the quotient rule, in the variable of num and den's
+        ``derivative`` (y for BivariatePolynomials)."""
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
 
     def as_polynomial(self) -> RationalPolynomial:
-        """The numerator when the reduced denominator is 1; raises otherwise."""
-        if self.den.degree == 0 and self.den.coeff(0) == 1:
-            return self.num
-        raise ValueError("rational function is not a polynomial")
+        """num/den by exact division; raises ValueError when den does not
+        divide num."""
+        quotient, remainder = divmod(self.num, self.den)
+        if remainder:
+            raise ValueError("rational function is not a polynomial")
+        return quotient
 
     def __call__(self, x: RationalLike) -> Fraction:
+        """num(x)/den(x); a root of den raises ZeroDivisionError, also where
+        num vanishes too."""
         xv = as_rational(x)
         d = self.den(xv)
         if d == 0:
@@ -461,6 +462,13 @@ class RationalFunction:
         return self.num(xv) / d
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
+        if not isinstance(other, (RationalFunction, int, Fraction, RationalPolynomial)):
+            return NotImplemented
+        b = _quotient(other)
+        if self.den == b.den:  # then cross-multiplying compares the numerators
+            return self.num == b.num
+        return self.num * b.den == b.num * self.den
+
+    def to_json_coeffs(self) -> Dict[str, List[Any]]:
+        """{"num": ..., "den": ...}, each the polynomial's JSON coefficients."""
+        return {"num": self.num.to_json_coeffs(), "den": self.den.to_json_coeffs()}

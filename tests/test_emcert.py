@@ -1,11 +1,13 @@
 """Euler-Maclaurin machinery and the exact certificate pipeline."""
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from leraykit import emcert, exactpoly, tables
+from leraykit import emcert, tables
 from leraykit.emcert import (
     bracket_certificates,
     bracket_high,
@@ -28,7 +30,7 @@ from leraykit.emcert import (
     series_decomposition_certificate,
 )
 from leraykit.errors import DomainError
-from leraykit.exactpoly import BivariatePolynomial, RationalPolynomial, descartes_sign_changes
+from leraykit.exactpoly import BivariatePolynomial, RationalFunction, RationalPolynomial, descartes_sign_changes
 from leraykit.specialfn import phi
 
 
@@ -114,6 +116,22 @@ def test_reconstruction_identity():
         recon, tail = phi_preferred_reconstruction(r)
         assert tail <= 1e-10
         assert abs(float(phi(r, 2.0 / 3.0).value) - recon) <= 1e-10
+
+
+def test_reconstruction_truncation_bound():
+    # phi_preferred_reconstruction's tail_bound sums |S(r, N)| <= (20/9) r N^-4
+    # over N > n_stop >= max(r, 3); check that bound exactly at seeded samples
+    rng = random.Random(2024)
+    samples = [Fraction(2, 3) + Fraction(1, 10 ** 6), Fraction(2, 3) + Fraction(1, 1000), Fraction(1), Fraction(3)]
+    samples += [Fraction(2, 3) + Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 4)) for _ in range(40)]
+    worst = Fraction(0)
+    for r in samples:
+        n_min = max(3, math.ceil(r))
+        for n in {n_min, n_min + 1, 2 * n_min, 10 * n_min, n_min + rng.randint(0, 10 ** 4)}:
+            ratio = abs(s_function(r, n)) / (Fraction(20, 9) * r / n ** 4)
+            worst = max(worst, ratio)
+            assert ratio <= 1, (r, n)
+    assert worst > Fraction(1, 5)  # the samples come near the bound
 
 
 def test_s_integral_closed_form_vs_quadrature():
@@ -213,48 +231,107 @@ def _bump_q2_constant(table):
     return {k: _bump_constant_term(v) if k == 2 else v for k, v in table.items()}
 
 
+def _double(formula):
+    return lambda *args: 2 * formula(*args)
+
+
 @pytest.mark.parametrize(
-    "certificate, owner, name, corrupt, label",
+    "certificate, owner, name, corrupt, label, helper",
     [
         (series_decomposition_certificate, BivariatePolynomial, "derivative",
-         lambda dx: lambda p: 2 * dx(p), "f antiderivative"),
+         lambda dx: lambda p: 2 * dx(p), "f antiderivative", None),
         (integral_antiderivative_certificate, emcert, "s_integral_tail",
-         lambda tail: lambda r: 1.01 * tail(r), "quadrature cross-check"),
+         lambda tail: lambda r: 1.01 * tail(r), "quadrature cross-check", None),
         (integral_antiderivative_certificate, emcert, "quad",
-         lambda quad: lambda *a, **k: (quad(*a, **k)[0], 1e-9), "quadrature cross-check"),
+         lambda quad: lambda *a, **k: (quad(*a, **k)[0], 1e-9), "quadrature cross-check", None),
         (bracket_certificates, emcert, "pr_bivariate",
-         lambda pr: lambda: pr() + BivariatePolynomial.constant(1), "affine probe 1/6"),
+         lambda pr: lambda: pr() + BivariatePolynomial.constant(1), "affine probe 1/6", None),
         (h_pipeline, tables, "H2_NUM_COEFFS", _bump_constant_term,
-         "H'' numerator: first mismatch at exponent 0"),
+         "H'' numerator: first mismatch at exponent 0", None),
         (h_pipeline, tables, "H_NUM_COEFFS", _bump_constant_term,
-         "H numerator: first mismatch at exponent 0 (got -702464, want -702463)"),
+         "H numerator: first mismatch at exponent 0 (got -702464, want -702463)", None),
         (h_pipeline, tables, "H1_NUM_COEFFS", _bump_middle_term,
-         "H' numerator: first mismatch at exponent 8 (got 1512143688033, want 1512143688034)"),
+         "H' numerator: first mismatch at exponent 8 (got 1512143688033, want 1512143688034)", None),
         (s_bound_certificate, tables, "P_COEFFS", _bump_constant_term,
-         "P coefficients: first mismatch at exponent 0"),
+         "P coefficients: first mismatch at exponent 0", None),
         (s_bound_certificate, tables, "P_COEFFS", _bump_middle_term,
-         "P coefficients: first mismatch at exponent 11 (got 17635968/48828125, want 66464093/48828125)"),
-        (s_bound_certificate, tables, "U_COEFFS_BY_QPOW", _bump_q2_constant, "U table"),
-        (s_bound_certificate, tables, "V_COEFFS_BY_QPOW", _bump_q2_constant, "V table"),
+         "P coefficients: first mismatch at exponent 11 (got 17635968/48828125, want 66464093/48828125)", None),
+        (s_bound_certificate, tables, "U_COEFFS_BY_QPOW", _bump_q2_constant, "U table", None),
+        (s_bound_certificate, tables, "V_COEFFS_BY_QPOW", _bump_q2_constant, "V table", None),
+        # each public helper evaluates one formula, which the certificates read
+        (series_decomposition_certificate, emcert, "_f", _double, "f antiderivative",
+         lambda: preferred_series_term(1.0, 1)),
+        (series_decomposition_certificate, emcert, "_s", _double, "per-period Bernoulli integral",
+         lambda: s_function(1.0, 2.0)),
+        (integral_antiderivative_certificate, emcert, "_tail_rational", _double, "boundary evaluation",
+         lambda: s_integral_tail(2.0)),
+        (s_bound_certificate, emcert, "_peak_bound", _double, "U table",
+         lambda: s_supremum_bound(1.0)),
+        (bracket_certificates, emcert, "_bracket_low",
+         lambda low: lambda r, c: low(r, c) + Fraction(1, 10 ** 6), "low bracket identity",
+         lambda: bracket_low(1.0)),
+        (bracket_certificates, emcert, "_bracket_high", _double, "high bracket identity",
+         lambda: bracket_high(1.0)),
+        (h_pipeline, emcert, "_h", _double, "H numerator: first mismatch",
+         lambda: em_lower_bound(1.0)),
     ],
     ids=["series", "integral", "integral-estimate", "bracket", "h-pipeline", "h-numerator",
-         "h1-numerator", "s-bound", "s-bound-middle", "u-table", "v-table"],
+         "h1-numerator", "s-bound", "s-bound-middle", "u-table", "v-table",
+         "preferred-series-term", "s-function", "s-integral-tail", "s-supremum-bound",
+         "bracket-low", "bracket-high", "em-lower-bound"],
 )
-def test_exact_certificate_records_a_failed_check(monkeypatch, certificate, owner, name, corrupt, label):
+def test_exact_certificate_records_a_failed_check(monkeypatch, certificate, owner, name, corrupt, label, helper):
+    before = helper() if helper else None
     monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    if helper:
+        assert helper() != before
     cert = certificate()
     assert cert.verdict == "failed" and not cert.passed
     assert any(f.startswith(label) for f in cert.inputs["failures"])
 
 
-def test_exact_suite_never_reduces_a_rational_function(monkeypatch):
-    # every identity is cross-multiplied over its known denominator, so no
-    # polynomial gcd runs anywhere in the suite
-    def no_gcd(*args):
-        raise AssertionError("poly_gcd called")
+def test_exact_suite_never_reduces_a_rational_function():
+    # the certificates read num and den off the formulas evaluated on
+    # quotients, so both must stay exactly as the formulas write them
+    r, x = BivariatePolynomial.x(), BivariatePolynomial.y()
+    s = emcert._s(RationalFunction(r), RationalFunction(x))
+    assert s.num == 81 * r * (9 * x * x - 3 * x - 9 * r * r - 2)
+    assert s.den == (3 * r + 3 * x + 1) ** 3 * (3 * r + 3 * x - 2) ** 3
+    w = emcert._peak_bound(RationalFunction(r)) - s
+    assert w.den == 3125 * r ** 3 * s.den
+    u_minus_v = sum(
+        (sign * RationalPolynomial(coeffs) * x ** k
+         for sign, table in ((1, tables.U_COEFFS_BY_QPOW), (-1, tables.V_COEFFS_BY_QPOW))
+         for k, coeffs in table.items()),
+        BivariatePolynomial(),
+    )
+    assert w.num == u_minus_v
 
-    monkeypatch.setattr(exactpoly, "poly_gcd", no_gcd)
-    assert [c.verdict for c in em_certificate_suite()] == ["verified"] * 5
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: phi_preferred_reconstruction(math.inf),
+        lambda: em_lower_bound_d1(math.inf),
+        lambda: em_lower_bound_d1(math.nan),
+        lambda: pr_poly(math.inf),
+        lambda: pr_poly(math.nan),
+        lambda: em_lower_bound(math.inf),
+        lambda: s_integral_tail(math.inf),
+        lambda: s_function(math.inf, 1.0),
+        lambda: s_function(1.0, math.inf),
+        lambda: s_function(1.0, math.nan),
+        lambda: s_supremum_bound(math.inf),
+        lambda: q_root(math.inf),
+        lambda: bracket_low(math.inf),
+        lambda: bracket_high(0.0),
+    ],
+    ids=["reconstruction", "h1", "h1-nan", "pr-poly", "pr-poly-nan", "h", "tail", "s-r", "s-x", "s-x-nan",
+         "peak-bound", "q-root", "bracket-low", "bracket-high-zero"],
+)
+def test_helpers_reject_non_finite_input(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_q_root_mp_polishes_against_the_exact_mpf_value():

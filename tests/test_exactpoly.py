@@ -1,5 +1,6 @@
 """Exact polynomial algebra: examples and algebraic properties."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -12,9 +13,9 @@ from leraykit.exactpoly import (
     RationalFunction,
     RationalPolynomial,
     descartes_sign_changes,
-    poly_gcd,
     sign_pattern,
 )
+from leraykit.certificates import Certificate
 from leraykit.errors import ZeroPolynomial
 
 X = RationalPolynomial.variable()
@@ -65,8 +66,6 @@ def test_divmod_and_gcd():
     p = (X + 1) * (X + 2)
     q, r = divmod(p, X + 1)
     assert q == X + 2 and r.is_zero()
-    g = poly_gcd((X + 1) * (X - 3), (X + 1) * (X + 5))
-    assert g == X + 1
 
 
 def test_compose():
@@ -84,9 +83,13 @@ def test_json_round_trip():
 
 def test_rational_function_reduction():
     rf = RationalFunction((X + 1) * (X - 2), (X + 1) * (X + 3))
-    assert rf.num == X - 2
-    assert rf.den == X + 3
+    assert rf == RationalFunction(X - 2, X + 3)
+    assert rf != RationalFunction(X - 2, X + 4)
     assert rf(Fraction(1)) == Fraction(-1, 4)
+    # never reduced: num and den stay as built, so the common root is a pole
+    assert (rf.num, rf.den) == ((X + 1) * (X - 2), (X + 1) * (X + 3))
+    with pytest.raises(ZeroDivisionError):
+        rf(-1)
 
 
 def test_rational_function_derivative():
@@ -99,8 +102,70 @@ def test_rational_function_derivative():
 def test_as_polynomial_requires_unit_denominator():
     rf = RationalFunction(X * X, X)
     assert rf.as_polynomial() == X
+    assert RationalFunction(2 * X, 4).as_polynomial() == X * Fraction(1, 2)
     with pytest.raises(ValueError):
         RationalFunction(RationalPolynomial([1]), X).as_polynomial()
+
+
+def _random_quotient(rng):
+    def poly():
+        return RationalPolynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))])
+
+    den = poly()
+    while den.is_zero():
+        den = poly()
+    return RationalFunction(poly(), den)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rational_function_arithmetic_matches_evaluation(seed):
+    rng = random.Random(seed)
+    p, q = _random_quotient(rng), _random_quotient(rng)
+    results = {
+        "+": p + q, "-": p - q, "*": p * q, "int-": 3 - p, "poly*": (X + 1) * p, "^3": p ** 3, "d": p.derivative(),
+    }
+    if not q.num.is_zero():
+        results["/"] = p / q
+        results["frac/"] = Fraction(1, 2) / q
+    for x in (Fraction(n, 7) for n in range(-20, 21)):
+        if p.den(x) == 0 or q.den(x) == 0 or q.num(x) == 0:
+            continue
+        px, qx = p(x), q(x)
+        expected = {"+": px + qx, "-": px - qx, "*": px * qx, "int-": 3 - px, "poly*": (x + 1) * px,
+                    "^3": px ** 3, "/": px / qx, "frac/": Fraction(1, 2) / qx}
+        for key, got in results.items():
+            if key != "d":
+                assert got(x) == expected[key], key
+        # the derivative against its own quotient rule on the numbers
+        num, den = p.num, p.den
+        assert results["d"](x) == (num.derivative()(x) * den(x) - num(x) * den.derivative()(x)) / den(x) ** 2
+    # sums and products are cross-multiplied, never reduced
+    assert (p + q).den == p.den * q.den and (p * q).num == p.num * q.num
+    assert p - p == 0 and p * 1 == p and p / p == 1
+
+
+def test_rational_function_rejects_a_zero_denominator_and_floats():
+    with pytest.raises(ZeroPolynomial):
+        RationalFunction(X, 0)
+    with pytest.raises(ZeroPolynomial):
+        RationalFunction(X) / RationalFunction(0)
+    with pytest.raises(TypeError):
+        RationalFunction(X) + 0.5
+    assert RationalFunction(X) != "x"
+
+
+def test_polynomial_and_quotient_witnesses_round_trip_through_json():
+    biv = (BivariatePolynomial.x() - Fraction(1, 3) * BivariatePolynomial.y()) ** 2
+    rf = RationalFunction(BivariatePolynomial.y(), X * Fraction(2, 5) + 1)
+    cert = Certificate("c", "exact", "verified", "a", witnesses={"biv": biv, "rf": rf, "p": X * Fraction(-3, 7)})
+    loaded = json.loads(cert.to_json())["witnesses"]
+    assert loaded["biv"] == [["0/1", "0/1", "1/1"], ["0/1", "-2/3"], ["1/9"]]
+    assert BivariatePolynomial.from_json_coeffs(loaded["biv"]) == biv
+    assert RationalPolynomial.from_json_coeffs(loaded["p"]) == X * Fraction(-3, 7)
+    assert loaded["rf"] == {"num": [[], ["1/1"]], "den": ["1/1", "2/5"]}
+    num = BivariatePolynomial.from_json_coeffs(loaded["rf"]["num"])
+    den = RationalPolynomial.from_json_coeffs(loaded["rf"]["den"])
+    assert (num, den) == (rf.num, rf.den) and RationalFunction(num, den) == rf
 
 
 rationals = st.fractions(

@@ -8,8 +8,9 @@ call.  As subprocesses: `import leraykit`, `leraykit version`, `phi --r 3
 --q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw` and `--suite em`
 and `figures --id phi-sweep`, wall clock from spawn to exit, median of
 --runs.  With
---tier1, one run of the tier-1 suite from the checkout holding SRC.  The
-JSON result (seconds) goes to --out (default stdout).
+--tier1, one run of the tier-1 suite from the checkout holding SRC; a
+failing run exits non-zero with the tail of its output and records no
+time.  The JSON result (seconds) goes to --out (default stdout).
 """
 
 from __future__ import annotations
@@ -106,8 +107,11 @@ def main() -> int:
             result[name] = _wall(argv, src, args.runs)
     if args.tier1:
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-                       cwd=src.parent, env=_env(src), capture_output=True)
+        tier1 = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                               cwd=src.parent, env=_env(src), capture_output=True, text=True)
+        if tier1.returncode != 0:
+            tail = "\n".join((tier1.stdout + tier1.stderr).splitlines()[-20:])
+            raise SystemExit(f"tier-1 failed (exit {tier1.returncode}); no time recorded:\n{tail}")
         result["tier-1"] = time.perf_counter() - start
 
     text = json.dumps({"python": sys.version.split()[0], "runs": args.runs, "seconds": result},
