@@ -18,13 +18,19 @@ the quadratic for every t > 0.  Since 0 < s2(t) < s1(t) < 1, complete
 monotonicity holds for q <= 0 and q >= 1, which forces phi(r, q) < 1 for
 r > q there; it demonstrably fails for q between (3-sqrt(3))/6 and 1.
 
-This module evaluates the kernel pieces (with series-stabilized forms near
-t = 0, where the closed forms cancel catastrophically), the roots s1/s2,
-F_q through two independent routes, and emits numeric-evidence
-certificates for complete monotonicity: finite-difference sign tests up to
-fourth order plus a kernel-sign scan.  These verdicts are explicitly
-evidence, not proof; the exact-arithmetic burden lives in
-:mod:`leraykit.emcert`.
+This module evaluates the kernel pieces, the roots s1/s2, F_q through two
+independent routes, and emits numeric-evidence certificates for complete
+monotonicity: finite-difference sign tests up to fourth order plus a
+kernel-sign scan.  These verdicts are explicitly evidence, not proof; the
+exact-arithmetic burden lives in :mod:`leraykit.emcert`.
+
+The cancelling pieces h0 = 2 - 2e + t + te (g0 = e h0), h1 = 1 - e + te
+(g1 = 2 (e - 1) h1) and d0 = (e - 1)^2 - t^2 e (the discriminant is
+4 (e - 1)^2 d0; d0 > 0 as cosh t > 1 + t^2/2), with e = e^t, are each
+written once in (t, e).  They are evaluated at e = e^t, at e = e^-t in
+the large-t roots, and below t = 2, where they cancel, through Taylor
+tables read off the same formulas exactly
+(:func:`~leraykit.exactpoly.exp_taylor_coefficient`) and rounded once.
 
 The two F_q routes are the certified polygamma value and the Laplace
 integral, taken by a double-precision adaptive 21-point Gauss-Kronrod rule
@@ -40,6 +46,7 @@ certified value in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -50,6 +57,7 @@ from mpmath import mpf
 from ._quadrature import quad
 from .certificates import Certificate
 from .errors import CrossCheckFailure, DomainError, ToleranceUnreachable
+from .exactpoly import BivariatePolynomial, exp_taylor_coefficient
 from .specialfn import DEFAULT_TOL, BoundedFloat, _require_finite, theta
 
 __all__ = [
@@ -84,38 +92,51 @@ def _sqrt(t):
     return mpmath.sqrt(t) if isinstance(t, mpf) else math.sqrt(t)
 
 
-# Taylor coefficients (exact) of the cancellation-prone combinations:
-#   h0(t) = 2 - 2e^t + t + t e^t      = sum_{n>=3} (n-2)/n!        * t^n
-#   h1(t) = 1 - e^t + t e^t           = sum_{n>=2} (n-1)/n!        * t^n
-#   d0(t) = (e^t-1)^2 - t^2 e^t       = sum_{n>=4} ((2^n-2)/n! - 1/(n-2)!) * t^n
-_H0_COEFFS = [float(Fraction(n - 2, math.factorial(n))) for n in range(3, _SERIES_TERMS)]
-_H1_COEFFS = [float(Fraction(n - 1, math.factorial(n))) for n in range(2, _SERIES_TERMS)]
-_D0_COEFFS = [
-    float(Fraction(2 ** n - 2, math.factorial(n)) - Fraction(1, math.factorial(n - 2)))
-    for n in range(4, _SERIES_TERMS)
-]
+# The cancelling kernel pieces in (t, e), see the module docstring; at
+# e = e^-t, d0 is d0(t, e^t) e^-2t.
+def _h0(t, e):
+    return 2 - 2 * e + t + t * e
 
 
-def _poly_tail(t, coeffs: Sequence[float], lowest: int):
-    """sum coeffs[i] * t^(lowest+i), Horner from the top."""
-    acc = t * 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc * t ** lowest
+def _h1(t, e):
+    return 1 - e + t * e
+
+
+def _d0(t, e):
+    return (e - 1) * (e - 1) - t * t * e
+
+
+def _taylor_table(formula) -> List[float]:
+    """The t^n coefficients of formula(t, e^t) for n < _SERIES_TERMS, exact
+    and then rounded once to doubles, from the first nonzero one; the
+    formula vanishes at 0 to the order _SERIES_TERMS - len(table)."""
+    p = formula(BivariatePolynomial.x(), BivariatePolynomial.y())
+    coeffs = [exp_taylor_coefficient(p, n) for n in range(_SERIES_TERMS)]
+    return [float(c) for c in itertools.dropwhile(lambda c: not c, coeffs)]
+
+
+_H0_COEFFS, _H1_COEFFS, _D0_COEFFS = (_taylor_table(f) for f in (_h0, _h1, _d0))
+
+
+def _series_or_closed(formula, coeffs: Sequence[float], t):
+    """formula(t, e^t); below the cutoff, where it cancels, its Taylor
+    table `coeffs` by Horner from the top."""
+    if t < _SERIES_CUTOFF:
+        acc = t * 0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc * t ** (_SERIES_TERMS - len(coeffs))
+    return formula(t, _exp(t))
 
 
 def h0(t):
     """(t-2) e^t + t + 2, vanishing to third order at 0; positive for t > 0."""
-    if t < _SERIES_CUTOFF:
-        return _poly_tail(t, _H0_COEFFS, 3)
-    return 2 - 2 * _exp(t) + t + t * _exp(t)
+    return _series_or_closed(_h0, _H0_COEFFS, t)
 
 
 def h1(t):
     """1 - e^t + t e^t, vanishing to second order at 0; positive for t > 0."""
-    if t < _SERIES_CUTOFF:
-        return _poly_tail(t, _H1_COEFFS, 2)
-    return 1 - _exp(t) + t * _exp(t)
+    return _series_or_closed(_h1, _H1_COEFFS, t)
 
 
 def g0(t):
@@ -167,17 +188,6 @@ def _regrouped_coeffs(t, q):
     return a, b, c
 
 
-def _d0(t):
-    """(e^t - 1)^2 - t^2 e^t; the discriminant is 4 (e^t-1)^2 d0(t).
-
-    Positive for t > 0 (equivalent to cosh t > 1 + t^2/2).
-    """
-    if t < _SERIES_CUTOFF:
-        return _poly_tail(t, _D0_COEFFS, 4)
-    e = _exp(t)
-    return (e - 1) * (e - 1) - t * t * e
-
-
 def discriminant(t):
     """g1^2 - 4 g0 g2, computed from the kernel pieces."""
     a, b, c = g0(t), g1(t), g2(t)
@@ -189,7 +199,7 @@ def discriminant_factored(t):
     if not t > 0:
         raise DomainError("discriminant requires t > 0")
     e = _exp(t)
-    return 4 * (e - 1) * (e - 1) * _d0(t)
+    return 4 * (e - 1) * (e - 1) * _series_or_closed(_d0, _D0_COEFFS, t)
 
 
 def quadratic_roots(t) -> Tuple[float, float]:
@@ -206,39 +216,34 @@ def quadratic_roots(t) -> Tuple[float, float]:
         raise DomainError("quadratic_roots requires t > 0")
     if t < _SERIES_CUTOFF:
         num_mid = h1(t)          # t e^t + 1 - e^t
-        root = _sqrt(_d0(t))
+        root = _sqrt(_series_or_closed(_d0, _D0_COEFFS, t))
         den = t * (_exp(t) - 1)
-        s1 = (num_mid + root) / den
-        s2 = (num_mid - root) / den
-    else:
-        # divide everything by e^t to avoid overflow
-        emt = _exp(-t)
-        num_mid = t + emt - 1
-        inner = (1 - emt) * (1 - emt) - t * t * emt
-        root = _sqrt(inner)
-        den = t * (1 - emt)
-        s1 = 1 - one_minus_s1(t)
-        s2 = (num_mid - root) / den
-    return float(s1), float(s2)
+        return float((num_mid + root) / den), float((num_mid - root) / den)
+    gap, s2 = _large_t_roots(t)
+    return 1 - float(gap), float(s2)
 
 
 def one_minus_s1(t) -> float:
     """1 - s1(t), computed without the cancellation that makes the direct
-    difference underflow for large t.  Always strictly positive.
-
-    Uses 1 - root = e^-t (2 - e^-t + t^2)/(1 + root) with the same scaled
-    root as quadratic_roots, so the subtraction happens between terms of
-    commensurate size.
-    """
+    difference underflow for large t.  Always strictly positive."""
     if not t > 0:
         raise DomainError("one_minus_s1 requires t > 0")
     if t < _SERIES_CUTOFF:
         s1, _ = quadratic_roots(t)
         return 1.0 - s1
+    return float(_large_t_roots(t)[0])
+
+
+def _large_t_roots(t):
+    """(1 - s1, s2) for t >= _SERIES_CUTOFF, with numerators and
+    denominator divided by e^t so nothing overflows: the root is
+    sqrt(d0) e^-t = sqrt(d0(t, e^-t)), and 1 - root = e^-t (2 - e^-t +
+    t^2)/(1 + root) keeps the subtraction in 1 - s1 between terms of
+    commensurate size."""
     emt = _exp(-t)
-    root = _sqrt((1 - emt) * (1 - emt) - t * t * emt)
+    root = _sqrt(_d0(t, emt))
     den = t * (1 - emt)
-    return float(emt * ((2 - emt + t * t) / (1 + root) - (t + 1)) / den)
+    return emt * ((2 - emt + t * t) / (1 + root) - (t + 1)) / den, (t + emt - 1 - root) / den
 
 
 # ----------------------------------------------------------------------

@@ -147,6 +147,12 @@ def _h(r, tail):
     return _first_term(r) + _s(r, 1) + _s(r, 2) + tail - _peak_bound(r)
 
 
+def _h_base(r):
+    """s = r(3r+1)(3r+4)(3r+7): H, H' and H'' have the denominators
+    D1 = 6250 s^3, D2 = 3125 s^4 and D3 = 3125 s^5."""
+    return r * (3 * r + 1) * (3 * r + 4) * (3 * r + 7)
+
+
 # ----------------------------------------------------------------------
 # the elementary functions of the argument
 # ----------------------------------------------------------------------
@@ -320,8 +326,7 @@ def em_lower_bound_d1(r: float) -> float:
     _require_r(r)
     num = RationalPolynomial(tables.H1_NUM_COEFFS)
     rf = Fraction(r)
-    d2 = 3125 * rf ** 4 * (3 * rf + 1) ** 4 * (3 * rf + 4) ** 4 * (3 * rf + 7) ** 4
-    return float(num(rf) / d2) - 2 * math.log1p(3 / (3 * r + 4))
+    return float(num(rf) / (3125 * _h_base(rf) ** 4)) - 2 * math.log1p(3 / (3 * r + 4))
 
 
 # ----------------------------------------------------------------------
@@ -571,7 +576,7 @@ def h_pipeline() -> Certificate:
 
     r_poly = RationalPolynomial.variable()
     lin1, lin4, lin7 = 3 * r_poly + 1, 3 * r_poly + 4, 3 * r_poly + 7
-    s = r_poly * lin1 * lin4 * lin7
+    s = _h_base(r_poly)
     ds = s.derivative()
 
     f1 = (_h(_R, _tail_rational(_R)) * (6250 * s ** 3)).as_polynomial()

@@ -13,7 +13,9 @@ Representation conventions:
 * ``BivariatePolynomial`` is a ``RationalPolynomial`` in y whose
   coefficients are RationalPolynomials in x (coefficient k multiplies
   y^k), so both share one implementation of the arithmetic; it is built
-  from a sparse map ``(j, k) -> c`` of the terms ``c x^j y^k``.
+  from a sparse map ``(j, k) -> c`` of the terms ``c x^j y^k``.  With
+  x = t and y = e^t it states an exponential polynomial, whose Taylor
+  coefficients ``exp_taylor_coefficient`` reads off exactly.
 * ``RationalFunction`` is a quotient of two polynomials kept as built, never
   reduced, so the certificates read off the numerator and denominator a
   formula produces.
@@ -226,22 +228,37 @@ class RationalPolynomial:
                 base = base * base
         return result
 
-    def __divmod__(self, other: "RationalPolynomial") -> Tuple["RationalPolynomial", "RationalPolynomial"]:
-        if other.is_zero():
+    def __divmod__(self, other: Any) -> Tuple["RationalPolynomial", "RationalPolynomial"]:
+        """(quotient, remainder) by `other`, whose leading coefficient must
+        be a constant: for a BivariatePolynomial, a constant in x, else
+        ValueError."""
+        b = self._lift(other)
+        if b is None:
+            return NotImplemented
+        if b.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
         rem = list(self._coeffs)
-        dn = other.degree
-        lead = other.leading_coefficient()
-        quot = [Fraction(0)] * (len(rem) - dn)
+        dn = b.degree
+        lead = b.leading_coefficient()
+        if isinstance(lead, RationalPolynomial):
+            if lead.degree > 0:
+                raise ValueError("division needs a leading coefficient in y that is constant in x")
+            lead = lead.coeff(0)
+        inverse = 1 / lead
+        quot = [self._coefficient(0)] * (len(rem) - dn)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
-            if c == 0:
+            if not c:
                 continue
-            q = c / lead
+            q = c * inverse
             quot[i - dn] = q
             for k in range(dn + 1):
-                rem[i - dn + k] -= q * other._coeffs[k]
+                rem[i - dn + k] -= q * b._coeffs[k]
         return self._make(quot), self._make(rem)
+
+    def __rdivmod__(self, other: Any) -> Tuple["RationalPolynomial", "RationalPolynomial"]:
+        a = self._lift(other)
+        return NotImplemented if a is None else divmod(a, self)
 
     # ------------------------------------------------------------------
     # calculus / evaluation
@@ -373,6 +390,13 @@ class BivariatePolynomial(RationalPolynomial):
     __mul__ = RationalPolynomial.__mul__
 
 
+def exp_taylor_coefficient(p: BivariatePolynomial, n: int) -> Fraction:
+    """The t^n coefficient of p(t, e^t), with x = t and y = e^t: a term
+    c t^j y^k contributes c k^(n-j)/(n-j)! for j <= n."""
+    return sum((c * Fraction(k ** (n - j), math.factorial(n - j)) for (j, k), c in p.terms.items() if j <= n),
+               Fraction(0))
+
+
 # ----------------------------------------------------------------------
 # rational functions
 # ----------------------------------------------------------------------
@@ -446,7 +470,7 @@ class RationalFunction:
 
     def as_polynomial(self) -> RationalPolynomial:
         """num/den by exact division; raises ValueError when den does not
-        divide num."""
+        divide num, or when den's leading coefficient in y is not constant."""
         quotient, remainder = divmod(self.num, self.den)
         if remainder:
             raise ValueError("rational function is not a polynomial")

@@ -1,6 +1,7 @@
 """Kernel quadratic, F_q routes, and complete-monotonicity evidence."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -23,6 +24,7 @@ from leraykit.bwcert import (
     quadratic_roots,
 )
 from leraykit.errors import CrossCheckFailure, DomainError
+from leraykit.exactpoly import BivariatePolynomial, exp_taylor_coefficient
 
 T_GRID = [10 ** (-4 + 5.7 * i / 39) for i in range(40)]  # log grid 1e-4 .. 50
 
@@ -56,6 +58,61 @@ def test_m_kernel_examples():
             assert m_kernel(t, q) > 0, (t, q)
     with pytest.raises(DomainError):
         m_kernel(0.0, 1.0)
+
+
+# the kernel in (T, E = e^T) from bwcert's h0 and h1 formulas, with
+# g0 = E h0, g1 = 2 (E-1) h1 and g2 = T (E-1)^2 as in the module docstring
+T, E = BivariatePolynomial.x(), BivariatePolynomial.y()
+G0 = E * bwcert._h0(T, E)
+G1 = 2 * (E - 1) * bwcert._h1(T, E)
+G2 = T * (E - 1) ** 2
+EXACT_Q = [Fraction(-2), Fraction(0), Fraction(1, 5), Fraction(2, 3), Fraction(1), Fraction(3)]
+
+
+def _kernel(q):
+    return G0 - q * G1 + q * q * G2
+
+
+def _c(n, q):
+    """c_n(q), the closed form of the t^n/n! coefficient of M(t, q)."""
+    if n < 2:
+        return 0
+    return 2 ** (n - 1) * (1 - q) * (n * (1 - q) - 4) + (n + 2) + 2 * q * (n - 2) - 2 * n * q * q
+
+
+@pytest.mark.parametrize("q", EXACT_Q, ids=str)
+def test_kernel_taylor_coefficients_have_the_closed_form(q):
+    m = _kernel(q)
+    for n in range(40):
+        assert exp_taylor_coefficient(m, n) * math.factorial(n) == _c(n, q), n
+    # the small-t expansion of the m_kernel docstring
+    assert [exp_taylor_coefficient(m, n) for n in range(3)] == [0, 0, 0]
+    assert exp_taylor_coefficient(m, 3) == q * q - q + Fraction(1, 6)
+    assert exp_taylor_coefficient(m, 4) == q * q - Fraction(7, 6) * q + Fraction(1, 4)
+
+
+def test_kernel_is_negative_near_zero_at_two_thirds():
+    assert exp_taylor_coefficient(_kernel(Fraction(2, 3)), 3) * 6 == Fraction(-1, 3)
+
+
+@pytest.mark.parametrize("q", EXACT_Q, ids=str)
+def test_both_m_kernel_routes_state_one_kernel(q):
+    a, b, c = bwcert._regrouped_coeffs(T, q)
+    assert a * E * E + b * E + c == _kernel(q)
+
+
+def test_discriminant_factors_through_d0_exactly():
+    assert G1 * G1 - 4 * G0 * G2 == 4 * (E - 1) ** 2 * bwcert._d0(T, E)
+
+
+def test_taylor_tables_match_the_hand_derived_coefficients():
+    # the independent reference: the coefficients derived by hand
+    n_max, fact = bwcert._SERIES_TERMS, math.factorial
+    assert bwcert._H0_COEFFS == [float(Fraction(n - 2, fact(n))) for n in range(3, n_max)]
+    assert bwcert._H1_COEFFS == [float(Fraction(n - 1, fact(n))) for n in range(2, n_max)]
+    assert bwcert._D0_COEFFS == [
+        float(Fraction(2 ** n - 2, fact(n)) - Fraction(1, fact(n - 2))) for n in range(4, n_max)
+    ]
 
 
 def test_discriminant_identity_and_positivity():

@@ -1,6 +1,7 @@
 """Exact polynomial algebra: examples and algebraic properties."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from leraykit.exactpoly import (
     RationalFunction,
     RationalPolynomial,
     descartes_sign_changes,
+    exp_taylor_coefficient,
     sign_pattern,
 )
 from leraykit.certificates import Certificate
@@ -105,6 +107,31 @@ def test_as_polynomial_requires_unit_denominator():
     assert RationalFunction(2 * X, 4).as_polynomial() == X * Fraction(1, 2)
     with pytest.raises(ValueError):
         RationalFunction(RationalPolynomial([1]), X).as_polynomial()
+
+
+def test_bivariate_division_by_a_leading_coefficient_constant_in_x():
+    x, y = BivariatePolynomial.x(), BivariatePolynomial.y()
+    assert RationalFunction(2 * x, 2).as_polynomial() == x
+    assert RationalFunction(x * y + y, y).as_polynomial() == x + 1
+    num, den = x * y * y + 3, 2 * y + 1
+    quotient, remainder = divmod(num, den)
+    assert quotient * den + remainder == num and remainder.degree < den.degree
+    with pytest.raises(ValueError, match="constant in x"):
+        RationalFunction(x * y, x * y).as_polynomial()
+    for num in (x, 2):  # a constant numerator is a RationalPolynomial
+        with pytest.raises(ValueError, match="not a polynomial"):
+            RationalFunction(num, y).as_polynomial()
+
+
+def test_exp_taylor_coefficient_reads_exponential_polynomials():
+    x, y = BivariatePolynomial.x(), BivariatePolynomial.y()
+    fact = math.factorial
+    for n in range(12):
+        assert exp_taylor_coefficient(y, n) == Fraction(1, fact(n))  # e^t
+        # t e^(2t) and (e^t - 1)^2 = e^(2t) - 2 e^t + 1
+        assert exp_taylor_coefficient(x * y * y, n) == (Fraction(2 ** (n - 1), fact(n - 1)) if n else 0)
+        assert exp_taylor_coefficient((y - 1) ** 2, n) == (Fraction(2 ** n - 2, fact(n)) if n else 0)
+        assert exp_taylor_coefficient(BivariatePolynomial.constant(5), n) == (5 if n == 0 else 0)
 
 
 def _random_quotient(rng):

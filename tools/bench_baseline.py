@@ -4,13 +4,13 @@
 
 In process, in a fresh interpreter: each L1-L4 call, each `emcert`
 certificate among them, as the median of --runs calls after one warm-up
-call.  As subprocesses: `import leraykit`, `leraykit version`, `phi --r 3
+call.  As subprocesses: `import leraykit`, `import leraykit.bwcert` (which
+builds the kernel's Taylor tables exactly), `leraykit version`, `phi --r 3
 --q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw` and `--suite em`
 and `figures --id phi-sweep`, wall clock from spawn to exit, median of
---runs.  With
---tier1, one run of the tier-1 suite from the checkout holding SRC; a
-failing run exits non-zero with the tail of its output and records no
-time.  The JSON result (seconds) goes to --out (default stdout).
+--runs.  With --tier1, one run of the tier-1 suite from the checkout
+holding SRC; a failing run exits non-zero with the tail of its output and
+records no time.  The JSON result (seconds) goes to --out (default stdout).
 """
 
 from __future__ import annotations
@@ -97,6 +97,7 @@ def main() -> int:
         subprocesses = {
             "L0 import leraykit": ["-c", "import leraykit"],
             "L0 leraykit version": cli + ["version"],
+            "L3 import leraykit.bwcert": ["-c", "import leraykit.bwcert"],
             "L5 phi --r 3 --q 0.5": cli + ["phi", "--r", "3", "--q", "0.5"],
             "L5 norm --gamma 3 --d 0.5": cli + ["norm", "--gamma", "3", "--d", "0.5"],
             "L5 certify --suite bw": cli + ["certify", "--suite", "bw"],
