@@ -31,6 +31,9 @@ written once in (t, e).  They are evaluated at e = e^t, at e = e^-t in
 the large-t roots, and below t = 2, where they cancel, through Taylor
 tables read off the same formulas exactly
 (:func:`~leraykit.exactpoly.exp_taylor_coefficient`) and rounded once.
+The kernel helpers take finite t > 0 in doubles and raise DomainError
+where a double cannot hold the result (e^t overflowing, 1 - s1 or
+t (e^t - 1) rounding to 0).
 
 The two F_q routes are the certified polygamma value and the Laplace
 integral, taken by a double-precision adaptive 21-point Gauss-Kronrod rule
@@ -51,8 +54,8 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+# unused here, but perfbench/spans.py rebinds this module's `mpmath`
 import mpmath
-from mpmath import mpf
 
 from ._quadrature import quad
 from .certificates import Certificate
@@ -84,12 +87,16 @@ _SERIES_CUTOFF = 2.0
 _SERIES_TERMS = 60
 
 
-def _exp(t):
-    return mpmath.exp(t) if isinstance(t, mpf) else math.exp(t)
+def _require_t(helper: str, t) -> None:
+    if not 0 < t < math.inf:
+        raise DomainError(f"{helper} requires finite t > 0 (got {t})")
 
 
-def _sqrt(t):
-    return mpmath.sqrt(t) if isinstance(t, mpf) else math.sqrt(t)
+def _exp(t: float) -> float:
+    try:
+        return math.exp(t)
+    except OverflowError:
+        raise DomainError(f"e^t overflows a double at t = {t}") from None
 
 
 # The cancelling kernel pieces in (t, e), see the module docstring; at
@@ -122,7 +129,7 @@ def _series_or_closed(formula, coeffs: Sequence[float], t):
     """formula(t, e^t); below the cutoff, where it cancels, its Taylor
     table `coeffs` by Horner from the top."""
     if t < _SERIES_CUTOFF:
-        acc = t * 0
+        acc = 0.0
         for c in reversed(coeffs):
             acc = acc * t + c
         return acc * t ** (_SERIES_TERMS - len(coeffs))
@@ -131,29 +138,28 @@ def _series_or_closed(formula, coeffs: Sequence[float], t):
 
 def h0(t):
     """(t-2) e^t + t + 2, vanishing to third order at 0; positive for t > 0."""
+    _require_t("h0", t)
     return _series_or_closed(_h0, _H0_COEFFS, t)
 
 
 def h1(t):
     """1 - e^t + t e^t, vanishing to second order at 0; positive for t > 0."""
+    _require_t("h1", t)
     return _series_or_closed(_h1, _H1_COEFFS, t)
 
 
 def g0(t):
-    if not t > 0:
-        raise DomainError("kernel functions require t > 0")
+    _require_t("g0", t)
     return _exp(t) * h0(t)
 
 
 def g1(t):
-    if not t > 0:
-        raise DomainError("kernel functions require t > 0")
+    _require_t("g1", t)
     return 2 * (_exp(t) - 1) * h1(t)
 
 
 def g2(t):
-    if not t > 0:
-        raise DomainError("kernel functions require t > 0")
+    _require_t("g2", t)
     e = _exp(t)
     return t * (e - 1) * (e - 1)
 
@@ -171,8 +177,7 @@ def m_kernel(t, q):
         M = [(1-q)(t(1-q) - 2)] e^(2t)
             + [(t+2) + 2q(t-2) - 2 q^2 t] e^t + (q^2 t + 2q).
     """
-    if not t > 0:
-        raise DomainError("m_kernel requires t > 0")
+    _require_t("m_kernel", t)
     if t < _SERIES_CUTOFF:
         return g0(t) - g1(t) * q + g2(t) * q * q
     e = _exp(t)
@@ -196,8 +201,7 @@ def discriminant(t):
 
 def discriminant_factored(t):
     """The same discriminant in product form: 4 (e^t - 1)^2 ((e^t-1)^2 - t^2 e^t)."""
-    if not t > 0:
-        raise DomainError("discriminant requires t > 0")
+    _require_t("discriminant_factored", t)
     e = _exp(t)
     return 4 * (e - 1) * (e - 1) * _series_or_closed(_d0, _D0_COEFFS, t)
 
@@ -212,26 +216,31 @@ def quadratic_roots(t) -> Tuple[float, float]:
     resolution of a double near 1 (t around 45) the returned s1 rounds to
     exactly 1.0 -- use :func:`one_minus_s1` for the stable gap.
     """
-    if not t > 0:
-        raise DomainError("quadratic_roots requires t > 0")
+    _require_t("quadratic_roots", t)
     if t < _SERIES_CUTOFF:
         num_mid = h1(t)          # t e^t + 1 - e^t
-        root = _sqrt(_series_or_closed(_d0, _D0_COEFFS, t))
+        root = math.sqrt(_series_or_closed(_d0, _D0_COEFFS, t))
         den = t * (_exp(t) - 1)
-        return float((num_mid + root) / den), float((num_mid - root) / den)
+        if not den:
+            raise DomainError(f"quadratic_roots: t (e^t - 1) rounds to 0 at t = {t}")
+        return (num_mid + root) / den, (num_mid - root) / den
     gap, s2 = _large_t_roots(t)
-    return 1 - float(gap), float(s2)
+    return 1 - gap, s2
 
 
 def one_minus_s1(t) -> float:
     """1 - s1(t), computed without the cancellation that makes the direct
-    difference underflow for large t.  Always strictly positive."""
-    if not t > 0:
-        raise DomainError("one_minus_s1 requires t > 0")
+    difference underflow for large t.  Always strictly positive: where the
+    gap underflows to 0 (t beyond about 745) it raises DomainError."""
+    _require_t("one_minus_s1", t)
     if t < _SERIES_CUTOFF:
         s1, _ = quadratic_roots(t)
-        return 1.0 - s1
-    return float(_large_t_roots(t)[0])
+        gap = 1.0 - s1
+    else:
+        gap = _large_t_roots(t)[0]
+    if not gap > 0:
+        raise DomainError(f"one_minus_s1: 1 - s1 underflows to 0 at t = {t}")
+    return gap
 
 
 def _large_t_roots(t):
@@ -241,7 +250,7 @@ def _large_t_roots(t):
     t^2)/(1 + root) keeps the subtraction in 1 - s1 between terms of
     commensurate size."""
     emt = _exp(-t)
-    root = _sqrt(_d0(t, emt))
+    root = math.sqrt(_d0(t, emt))
     den = t * (1 - emt)
     return emt * ((2 - emt + t * t) / (1 + root) - (t + 1)) / den, (t + emt - 1 - root) / den
 

@@ -15,9 +15,9 @@ integral's rational part, the peeled first term, the peak bound, the
 brackets m and M, and H) is written once, as plain arithmetic.  A public
 helper is its domain check plus one formula, on floats, Fractions or mpfs;
 the certificates evaluate the same formulas on never-reduced
-:class:`~leraykit.exactpoly.RationalFunction` variables and read off
-numerators and denominators, clearing over the denominators the argument
-already knows.  The certificates cover:
+:class:`~leraykit.exactpoly.RationalFunction` variables, take each
+derivative of a quotient with its ``derivative()``, and check each
+identity as an equality of quotients.  The certificates cover:
 
 * the Euler-Maclaurin decomposition identities of the series (antiderivative
   witnesses, the peeled N = 0 term, the per-period Bernoulli integral);
@@ -367,49 +367,30 @@ def series_decomposition_certificate() -> Certificate:
     """Exact identities behind the Euler-Maclaurin rewrite of the series.
 
     Each check evaluates the formulas f_r, its antiderivative A and S on
-    quotients in (r, N), reads their numerators and checks their
-    denominators, and compares polynomials over the known common
-    denominator: A' = f_r, the value of integral_0^inf f_r = -A(0), the
-    derivative formula for f_r, the per-period Bernoulli integral equalling
-    S(r, N), and the peel of the N = 0 term.
+    quotients in (r, N), takes derivatives in N with
+    RationalFunction.derivative, and compares the quotients: A' = f_r, the
+    value of integral_0^inf f_r = -A(0), the derivative formula for f_r,
+    the per-period Bernoulli integral equalling S(r, N), and the peel of
+    the N = 0 term.
     """
     c = _Checks()
 
-    # f_r and A have the denominators a^3 and a^2 at N, b^3 and b^2 at
-    # N + 1, with a = 3r + 3N - 2 and b = a + 3
     r, n = _R2, _Y
-    a = (3 * r + 3 * n - 2).num
-    b = a + 3
-    a2, b2 = a * a, b * b
-    a3, b3 = a2 * a, b2 * b
-    f_n, f_n1 = _f(r, n), _f(r, n + 1)
-    anti_n, anti_n1 = _antiderivative(r, n), _antiderivative(r, n + 1)
-    dens_ok = (f_n.den, anti_n.den, f_n1.den, anti_n1.den) == (a3, a2, b3, b2)
-
-    # by the quotient rule, A' = (A_num' a - 2 a' A_num)/a^3
-    da = a.derivative()
-    anti_prime = anti_n.num.derivative() * a - 2 * da * anti_n.num
-    c.check("f_antiderivative_identity", dens_ok and anti_prime == f_n.num, "f antiderivative")
+    f, anti = _f(r, n), _antiderivative(r, n)
+    c.check("f_antiderivative_identity", anti.derivative() == f, "f antiderivative")
 
     # integral_0^inf f_r dx = -A(0), as A vanishes at infinity
     integral = 1 - 4 / (3 * _R - 2) ** 2
-    ok_integral = anti_n.num.degree < anti_n.den.degree and -_antiderivative(_R, 0) == integral
+    ok_integral = anti.num.degree < anti.den.degree and -_antiderivative(_R, 0) == integral
     c.check("f_integral_value", ok_integral, "integral of f")
 
-    # f_r' = (f_num' a - 3 a' f_num)/a^4 == 54 r (4 + 3r - 6N)/a^4
-    f_prime = f_n.num.derivative() * a - 3 * da * f_n.num
-    c.check("f_derivative_formula", dens_ok and f_prime == (54 * r * (4 + 3 * r - 6 * n)).num, "f derivative")
+    f_prime = 54 * r * (4 + 3 * r - 6 * n) / (3 * r + 3 * n - 2) ** 4
+    c.check("f_derivative_formula", f.derivative() == f_prime, "f derivative")
 
     # per-period Bernoulli integral (integration by parts):
     #   integral_0^1 f'(x+N) (x - 1/2) dx = (f(N+1)+f(N))/2 - A(N+1) + A(N)
-    # equals S(r, N); cleared over a^3 b^3:
-    period = (
-        (f_n1.num * a3 + f_n.num * b3) * Fraction(1, 2)
-        - anti_n1.num * a3 * b
-        + anti_n.num * a * b3
-    )
-    ok_period = dens_ok and RationalFunction(period, b3 * a3) == _s(r, n)
-    c.check("bernoulli_period_equals_s", ok_period, "per-period Bernoulli integral")
+    period = (_f(r, n + 1) + f) / 2 - _antiderivative(r, n + 1) + anti
+    c.check("bernoulli_period_equals_s", period == _s(r, n), "per-period Bernoulli integral")
 
     # peel the N = 0 term: integral_0^inf f - f(0)/2 + S(r, 0) == 1 + (6r-1)/(3r+1)^3
     peeled = integral - _f(_R, 0) / 2 + _s(_R, 0)
@@ -433,8 +414,9 @@ def integral_antiderivative_certificate() -> Certificate:
 
     and evaluating -G at v = 3r + 4 yields the rational part of the tail
     formula used in H.  The change of variable is checked against S's
-    numerator, the derivative identity by polynomial arithmetic over
-    v^3 (v+3)^3, and the evaluation against the tail formula by
+    numerator, G' (RationalFunction.derivative of the rational part, plus
+    the derivative of the logarithms) against S dx/dv as quotients in
+    (r, v), and the evaluation against the tail formula by
     cross-multiplication.
     """
     c = _Checks()
@@ -448,12 +430,11 @@ def integral_antiderivative_certificate() -> Certificate:
     # S's numerator in (r, x) is 3 S dx/dv at v = 3x + 3r - 2 (x in the second slot)
     c.check("numerator_in_v", _s(_R2, _Y).num == 3 * s_dx_dv(3 * v + 3 * r - 2), "numerator transform")
 
-    # derivative identity: with lam = -2r,
-    #   p'(v) v (v+3) - p(v)(4v + 6) + 3 lam v^2 (v+3)^2 == S dx/dv cleared
+    # G' = (p/(v^2 (v+3)^2))' - 2r (1/v - 1/(v+3)) equals S dx/dv
     p = BivariatePolynomial({(2, 0): Fraction(81, 2), (1, 1): -27, (1, 2): -27, (1, 3): -6})
-    lam = -2 * r
-    lhs_d = p.derivative() * v * (v + 3) - p * (4 * v + 6) + 3 * lam * v * v * (v + 3) ** 2
-    c.check("antiderivative_identity", lhs_d == s_dx_dv(v), "antiderivative identity")
+    g_prime = RationalFunction(p, v * v * (v + 3) ** 2).derivative() - 2 * _R2 * (1 / _Y - 1 / (_Y + 3))
+    s_dv = RationalFunction(s_dx_dv(v), v ** 3 * (v + 3) ** 3)
+    c.check("antiderivative_identity", g_prime == s_dv, "antiderivative identity")
 
     # evaluation: -p(v)/(v^2 (v+3)^2) at v = 3r + 4 is the tail's rational part
     v0 = 3 * _R + 4
@@ -557,36 +538,34 @@ def h_pipeline() -> Certificate:
     Evaluates the rational part of H, the formula of em_lower_bound with
     the tail's rational part, on a quotient in r, clears it over the common
     denominator D1 by exact division and asserts the numerator equals the
-    embedded table.  With s = r(3r+1)(3r+4)(3r+7) the denominators are
-    D1 = 6250 s^3, D2 = 3125 s^4 and D3 = 3125 s^5, so s D1'/D1 = 3 s' and
-    s D2'/D2 = 4 s' and the quotient rule stays in polynomials.  The log term
-    differentiates to rational form (d/dr[-2r log((3r+7)/(3r+4))] =
-    -2 log(...) + 18r/((3r+4)(3r+7)), and once more the log is gone), so
+    embedded table.  With s = r(3r+1)(3r+4)(3r+7), D1 = 6250 s^3, and the
+    tail's log term -2r log L, L = (3r+7)/(3r+4), the derivatives are
+    H' = F2/D2 - 2 log L and H'' = F3/D3 over D2 = 3125 s^4 and
+    D3 = 3125 s^5, where (log L)' = L'/L gives
 
-        2 F2 = F1' s - 3 s' F1 + 36 r D2/((3r+4)(3r+7)),
-        F3 = F2' s - 4 s' F2 + 18 D3/((3r+4)(3r+7)),
+        F2 = ((F1/D1)' - 2r L'/L) D2,    F3 = ((F2/D2)' - 2 L'/L) D3,
 
-    are the numerators of H' and H'' over D2 and D3, asserted against their
-    tables.  It then certifies the H'' numerator's sign pattern (negative
-    through r^7, positive from r^8) and its single Descartes sign change;
-    evaluates H'' = F3/D3 exactly at 1/3 and 2/3; and spot checks H > 0
-    with H, H' -> 0 numerically on a log grid.
+    each derivative RationalFunction.derivative and each division exact;
+    F2 and F3 are asserted against their tables.  It then certifies the H''
+    numerator's sign pattern (negative through r^7, positive from r^8) and
+    its single Descartes sign change; evaluates H'' = F3/D3 exactly at 1/3
+    and 2/3; and spot checks H > 0 with H, H' -> 0 numerically on a log
+    grid.
     """
     c = _Checks()
 
-    r_poly = RationalPolynomial.variable()
-    lin1, lin4, lin7 = 3 * r_poly + 1, 3 * r_poly + 4, 3 * r_poly + 7
-    s = _h_base(r_poly)
-    ds = s.derivative()
+    s = _h_base(RationalPolynomial.variable())
+    d1, d2, d3 = 6250 * s ** 3, 3125 * s ** 4, 3125 * s ** 5
+    log_arg = (3 * _R + 7) / (3 * _R + 4)
+    dlog = log_arg.derivative() / log_arg
 
-    f1 = (_h(_R, _tail_rational(_R)) * (6250 * s ** 3)).as_polynomial()
+    f1 = (_h(_R, _tail_rational(_R)) * d1).as_polynomial()
     _check_table(c, "h_numerator_matches_table", "H numerator", f1, tables.H_NUM_COEFFS)
 
-    d2_over_47 = RationalPolynomial.monomial(3125, 4) * lin1 ** 4 * lin4 ** 3 * lin7 ** 3
-    f2 = (f1.derivative() * s - 3 * ds * f1) * Fraction(1, 2) + 18 * r_poly * d2_over_47
+    f2 = ((RationalFunction(f1, d1).derivative() - 2 * _R * dlog) * d2).as_polynomial()
     _check_table(c, "h1_numerator_matches_table", "H' numerator", f2, tables.H1_NUM_COEFFS)
 
-    f3 = f2.derivative() * s - 4 * ds * f2 + 18 * d2_over_47 * s
+    f3 = ((RationalFunction(f2, d2).derivative() - 2 * dlog) * d3).as_polynomial()
     _check_table(c, "h2_numerator_matches_table", "H'' numerator", f3, tables.H2_NUM_COEFFS)
 
     pattern = sign_pattern(f3)
@@ -595,8 +574,8 @@ def h_pipeline() -> Certificate:
     changes = descartes_sign_changes(f3)
     c.check("h2_descartes_count", changes == 1, "H'' Descartes count", changes)
 
-    c.witnesses["h2_at_1/3"] = val_third = f3(Fraction(1, 3)) / (3125 * s(Fraction(1, 3)) ** 5)
-    c.witnesses["h2_at_2/3"] = val_two_thirds = f3(TWO_THIRDS) / (3125 * s(TWO_THIRDS) ** 5)
+    c.witnesses["h2_at_1/3"] = val_third = f3(Fraction(1, 3)) / d3(Fraction(1, 3))
+    c.witnesses["h2_at_2/3"] = val_two_thirds = f3(TWO_THIRDS) / d3(TWO_THIRDS)
     ok_vals = val_third == tables.H2_AT_ONE_THIRD and val_two_thirds == tables.H2_AT_TWO_THIRDS
     c.check(None, ok_vals, "H'' endpoint values")
 

@@ -263,14 +263,9 @@ class RationalPolynomial:
     # ------------------------------------------------------------------
     # calculus / evaluation
     # ------------------------------------------------------------------
-    def derivative(self, order: int = 1) -> "RationalPolynomial":
-        """Exact formal derivative of the given order (order 0 = identity)."""
-        if order < 0:
-            raise ValueError("derivative order must be non-negative")
-        p = self
-        for _ in range(order):
-            p = self._make([n * c for n, c in enumerate(p._coeffs)][1:])
-        return p
+    def derivative(self) -> "RationalPolynomial":
+        """Exact formal derivative."""
+        return self._make([n * c for n, c in enumerate(self._coeffs)][1:])
 
     def __call__(self, x):
         """Horner evaluation.  Exact for Fraction/int input; works
@@ -462,7 +457,9 @@ class RationalFunction:
 
     def derivative(self) -> "RationalFunction":
         """(num/den)' by the quotient rule, in the variable of num and den's
-        ``derivative`` (y for BivariatePolynomials)."""
+        ``derivative`` (y for BivariatePolynomials), over den^2 and never
+        reduced, so a formula evaluated on quotients can be differentiated
+        without clearing its denominators by hand."""
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,

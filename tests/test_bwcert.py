@@ -24,7 +24,7 @@ from leraykit.bwcert import (
     quadratic_roots,
 )
 from leraykit.errors import CrossCheckFailure, DomainError
-from leraykit.exactpoly import BivariatePolynomial, exp_taylor_coefficient
+from leraykit.exactpoly import BivariatePolynomial, RationalFunction, exp_taylor_coefficient
 
 T_GRID = [10 ** (-4 + 5.7 * i / 39) for i in range(40)]  # log grid 1e-4 .. 50
 
@@ -105,6 +105,16 @@ def test_discriminant_factors_through_d0_exactly():
     assert G1 * G1 - 4 * G0 * G2 == 4 * (E - 1) ** 2 * bwcert._d0(T, E)
 
 
+def test_large_t_root_step_is_exact():
+    # with y = e^-t, 1 - root = (1 - d0(t, y))/(1 + root) and 1 - d0(t, y) = y (2 - y + t^2)
+    assert 1 - bwcert._d0(T, E) == E * (2 - E + T * T)
+
+
+def test_d0_at_inverse_e_is_d0_scaled_by_e_squared():
+    t, e = RationalFunction(T), RationalFunction(E)
+    assert bwcert._d0(t, 1 / e) * e ** 2 == bwcert._d0(t, e)
+
+
 def test_taylor_tables_match_the_hand_derived_coefficients():
     # the independent reference: the coefficients derived by hand
     n_max, fact = bwcert._SERIES_TERMS, math.factorial
@@ -156,6 +166,26 @@ def test_one_minus_s1_matches_direct_at_moderate_t():
     for t in (0.5, 1.0, 2.5, 5.0, 10.0):
         s1, _ = quadratic_roots(t)
         assert one_minus_s1(t) == pytest.approx(1 - s1, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: quadratic_roots(1e-300), r"^quadratic_roots: .* at t = 1e-300$"),
+        (lambda: quadratic_roots(math.inf), r"^quadratic_roots requires finite t > 0 \(got inf\)$"),
+        (lambda: one_minus_s1(800.0), r"^one_minus_s1: .* at t = 800.0$"),
+        (lambda: m_kernel(800.0, 0.5), r"overflows a double at t = 800.0$"),
+        (lambda: h0(800.0), r"overflows a double at t = 800.0$"),
+        (lambda: g0(800.0), r"overflows a double at t = 800.0$"),
+        (lambda: h1(math.nan), r"^h1 requires finite t > 0 \(got nan\)$"),
+        (lambda: g2(-1.0), r"^g2 requires finite t > 0 \(got -1.0\)$"),
+    ],
+    ids=["roots-tiny", "roots-inf", "gap-underflow", "m-kernel-overflow", "h0-overflow", "g0-overflow",
+         "h1-nan", "g2-negative"],
+)
+def test_kernel_helpers_raise_domain_error_where_doubles_fail(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 def test_f_q_positive_and_decreasing_at_q0():

@@ -274,11 +274,17 @@ def _double(formula):
          lambda: bracket_high(1.0)),
         (h_pipeline, emcert, "_h", _double, "H numerator: first mismatch",
          lambda: em_lower_bound(1.0)),
+        # every derivative of a quotient is RationalFunction.derivative
+        (series_decomposition_certificate, RationalFunction, "derivative", _double, "f antiderivative", None),
+        (integral_antiderivative_certificate, RationalFunction, "derivative", _double,
+         "antiderivative identity", None),
+        (h_pipeline, RationalFunction, "derivative", _double, "H' numerator", None),
     ],
     ids=["series", "integral", "integral-estimate", "bracket", "h-pipeline", "h-numerator",
          "h1-numerator", "s-bound", "s-bound-middle", "u-table", "v-table",
          "preferred-series-term", "s-function", "s-integral-tail", "s-supremum-bound",
-         "bracket-low", "bracket-high", "em-lower-bound"],
+         "bracket-low", "bracket-high", "em-lower-bound",
+         "series-quotient-derivative", "integral-quotient-derivative", "h-quotient-derivative"],
 )
 def test_exact_certificate_records_a_failed_check(monkeypatch, certificate, owner, name, corrupt, label, helper):
     before = helper() if helper else None

@@ -6,8 +6,9 @@ In process, in a fresh interpreter: each L1-L4 call, each `emcert`
 certificate among them, as the median of --runs calls after one warm-up
 call.  As subprocesses: `import leraykit`, `import leraykit.bwcert` (which
 builds the kernel's Taylor tables exactly), `leraykit version`, `phi --r 3
---q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw` and `--suite em`
-and `figures --id phi-sweep`, wall clock from spawn to exit, median of
+--q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw`, `--suite em` and
+`--suite all --format json` (the benchmark's `certify` command, to stdout) and
+`figures --id phi-sweep`, wall clock from spawn to exit, median of
 --runs.  With --tier1, one run of the tier-1 suite from the checkout
 holding SRC; a failing run exits non-zero with the tail of its output and
 records no time.  The JSON result (seconds) goes to --out (default stdout).
@@ -102,6 +103,7 @@ def main() -> int:
             "L5 norm --gamma 3 --d 0.5": cli + ["norm", "--gamma", "3", "--d", "0.5"],
             "L5 certify --suite bw": cli + ["certify", "--suite", "bw"],
             "L5 certify --suite em": cli + ["certify", "--suite", "em"],
+            "L5 certify --suite all --format json": cli + ["certify", "--suite", "all", "--format", "json"],
             "L5 figures --id phi-sweep": cli + ["figures", "--id", "phi-sweep", "--out", tmp],
         }
         for name, argv in subprocesses.items():
