@@ -22,7 +22,9 @@ This module evaluates the kernel pieces, the roots s1/s2, F_q through two
 independent routes, and emits numeric-evidence certificates for complete
 monotonicity: finite-difference sign tests up to fourth order plus a
 kernel-sign scan.  These verdicts are explicitly evidence, not proof; the
-exact-arithmetic burden lives in :mod:`leraykit.emcert`.
+exact-arithmetic burden lives in :mod:`leraykit.emcert`.  The structure
+certificate checks the discriminant identity exactly, as polynomials in
+(t, e), and the root ordering and residual on sampled doubles.
 
 The cancelling pieces h0 = 2 - 2e + t + te (g0 = e h0), h1 = 1 - e + te
 (g1 = 2 (e - 1) h1) and d0 = (e - 1)^2 - t^2 e (the discriminant is
@@ -30,10 +32,11 @@ The cancelling pieces h0 = 2 - 2e + t + te (g0 = e h0), h1 = 1 - e + te
 written once in (t, e).  They are evaluated at e = e^t, at e = e^-t in
 the large-t roots, and below t = 2, where they cancel, through Taylor
 tables read off the same formulas exactly
-(:func:`~leraykit.exactpoly.exp_taylor_coefficient`) and rounded once.
-The kernel helpers take finite t > 0 in doubles and raise DomainError
-where a double cannot hold the result (e^t overflowing, 1 - s1 or
-t (e^t - 1) rounding to 0).
+(:func:`~leraykit.exactpoly.exp_taylor_coefficient`) and rounded once;
+e^t - 1 is formed by expm1.  The kernel helpers take finite t > 0 in
+doubles and raise DomainError where a double cannot hold the result
+(e^t overflowing, a value past the double range, 1 - s1 or t (e^t - 1)
+rounding to 0).
 
 The two F_q routes are the certified polygamma value and the Laplace
 integral, taken by a double-precision adaptive 21-point Gauss-Kronrod rule
@@ -70,8 +73,6 @@ __all__ = [
     "h0",
     "h1",
     "m_kernel",
-    "discriminant",
-    "discriminant_factored",
     "quadratic_roots",
     "one_minus_s1",
     "f_q",
@@ -92,11 +93,19 @@ def _require_t(helper: str, t) -> None:
         raise DomainError(f"{helper} requires finite t > 0 (got {t})")
 
 
-def _exp(t: float) -> float:
+def _exp(t: float, fn=math.exp) -> float:
+    """fn(t), math.exp or math.expm1, with overflow a DomainError."""
     try:
-        return math.exp(t)
+        return fn(t)
     except OverflowError:
         raise DomainError(f"e^t overflows a double at t = {t}") from None
+
+
+def _finite(helper: str, t, value):
+    """value, unless a double cannot hold it."""
+    if not math.isfinite(value):
+        raise DomainError(f"{helper}: the result is not finite in doubles at t = {t}")
+    return value
 
 
 # The cancelling kernel pieces in (t, e), see the module docstring; at
@@ -139,29 +148,29 @@ def _series_or_closed(formula, coeffs: Sequence[float], t):
 def h0(t):
     """(t-2) e^t + t + 2, vanishing to third order at 0; positive for t > 0."""
     _require_t("h0", t)
-    return _series_or_closed(_h0, _H0_COEFFS, t)
+    return _finite("h0", t, _series_or_closed(_h0, _H0_COEFFS, t))
 
 
 def h1(t):
     """1 - e^t + t e^t, vanishing to second order at 0; positive for t > 0."""
     _require_t("h1", t)
-    return _series_or_closed(_h1, _H1_COEFFS, t)
+    return _finite("h1", t, _series_or_closed(_h1, _H1_COEFFS, t))
 
 
 def g0(t):
     _require_t("g0", t)
-    return _exp(t) * h0(t)
+    return _finite("g0", t, _exp(t) * h0(t))
 
 
 def g1(t):
     _require_t("g1", t)
-    return 2 * (_exp(t) - 1) * h1(t)
+    return _finite("g1", t, 2 * _exp(t, math.expm1) * h1(t))
 
 
 def g2(t):
     _require_t("g2", t)
-    e = _exp(t)
-    return t * (e - 1) * (e - 1)
+    em1 = _exp(t, math.expm1)
+    return _finite("g2", t, t * em1 * em1)
 
 
 def m_kernel(t, q):
@@ -179,10 +188,10 @@ def m_kernel(t, q):
     """
     _require_t("m_kernel", t)
     if t < _SERIES_CUTOFF:
-        return g0(t) - g1(t) * q + g2(t) * q * q
+        return _finite("m_kernel", t, g0(t) - g1(t) * q + g2(t) * q * q)
     e = _exp(t)
     a, b, c = _regrouped_coeffs(t, q)
-    return (a * e + b) * e + c
+    return _finite("m_kernel", t, (a * e + b) * e + c)
 
 
 def _regrouped_coeffs(t, q):
@@ -191,19 +200,6 @@ def _regrouped_coeffs(t, q):
     b = (t + 2) + 2 * q * (t - 2) - 2 * q * q * t
     c = q * q * t + 2 * q
     return a, b, c
-
-
-def discriminant(t):
-    """g1^2 - 4 g0 g2, computed from the kernel pieces."""
-    a, b, c = g0(t), g1(t), g2(t)
-    return b * b - 4 * a * c
-
-
-def discriminant_factored(t):
-    """The same discriminant in product form: 4 (e^t - 1)^2 ((e^t-1)^2 - t^2 e^t)."""
-    _require_t("discriminant_factored", t)
-    e = _exp(t)
-    return 4 * (e - 1) * (e - 1) * _series_or_closed(_d0, _D0_COEFFS, t)
 
 
 def quadratic_roots(t) -> Tuple[float, float]:
@@ -220,7 +216,7 @@ def quadratic_roots(t) -> Tuple[float, float]:
     if t < _SERIES_CUTOFF:
         num_mid = h1(t)          # t e^t + 1 - e^t
         root = math.sqrt(_series_or_closed(_d0, _D0_COEFFS, t))
-        den = t * (_exp(t) - 1)
+        den = t * _exp(t, math.expm1)
         if not den:
             raise DomainError(f"quadratic_roots: t (e^t - 1) rounds to 0 at t = {t}")
         return (num_mid + root) / den, (num_mid - root) / den
@@ -425,8 +421,8 @@ def bw_certificate_suite() -> List[Certificate]:
     """The standard evidence battery: supported q values from the closed
     intervals, the refuted preferred-measure value q = 2/3 (wrapped so
     that finding the refutation counts as the suite succeeding), and
-    structural checks on the quadratic (root ordering, discriminant
-    identity)."""
+    structural checks on the quadratic (root ordering on sampled doubles,
+    the exact discriminant identity)."""
     certs = [cm_numeric_certificate(q) for q in (-2.0, 0.0, 1.0, 3.0)]
     raw = cm_numeric_certificate(2.0 / 3.0)
     certs.append(
@@ -441,38 +437,40 @@ def bw_certificate_suite() -> List[Certificate]:
         )
     )
 
-    # root structure: 0 < s2 < s1 < 1 and the residual of the quadratic
-    t_grid = [1e-4, 1e-2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0]
-    order_ok = True
-    residual_max = 0.0
-    for t in t_grid:
-        s1, s2 = quadratic_roots(t)
-        if not (0 < s2 < s1 < 1):
-            order_ok = False
-        scale = g0(t) + abs(g1(t)) + g2(t)
-        for s in (s1, s2):
-            residual_max = max(residual_max, abs(m_kernel(t, s)) / scale)
-    disc_rel = max(
-        abs(discriminant(t) - discriminant_factored(t)) / abs(discriminant_factored(t))
-        for t in t_grid
-        if t >= 1e-2  # the unfactored form cancels catastrophically below this
-    )
-    certs.append(
-        Certificate(
-            claim_id="bw.quadratic.structure",
-            method="bounded-numeric",
-            verdict="verified" if order_ok and residual_max < 1e-8 and disc_rel < 1e-10 else "failed",
-            anchor="kernel quadratic roots satisfy 0 < s2 < s1 < 1; "
-            "discriminant matches its factored form",
-            inputs={"t_grid": t_grid},
-            witnesses={
-                "max_root_residual": residual_max,
-                "max_discriminant_mismatch": disc_rel,
-                "s2_at_1e-4": quadratic_roots(1e-4)[1],
-                "s2_small_t_limit": S2_SMALL_T_LIMIT,
-                # evidence only: s2 monotonicity is conjectural, not asserted
-                "s2_grid": [(t, quadratic_roots(t)[1]) for t in t_grid],
-            },
-        )
-    )
+    certs.append(_structure_certificate())
     return certs
+
+
+def _structure_certificate() -> Certificate:
+    """0 < s2 < s1 < 1 and the residual of the roots on a sampled t grid,
+    and the discriminant identity exactly."""
+    t_grid = [1e-4, 1e-2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0]
+    roots = [quadratic_roots(t) for t in t_grid]
+    residual_max = max(
+        abs(m_kernel(t, s)) / (g0(t) + abs(g1(t)) + g2(t)) for t, pair in zip(t_grid, roots) for s in pair
+    )
+    # g1^2 - 4 g0 g2 = 4 (e - 1)^2 d0 as polynomials in (t, e), e = e^t
+    t, e = BivariatePolynomial.x(), BivariatePolynomial.y()
+    k0, k1, k2 = e * _h0(t, e), 2 * (e - 1) * _h1(t, e), t * (e - 1) ** 2
+    disc_ok = k1 * k1 - 4 * k0 * k2 == 4 * (e - 1) ** 2 * _d0(t, e)
+    checks = {
+        "root ordering": all(0 < s2 < s1 < 1 for s1, s2 in roots),
+        "root residual": residual_max < 1e-8,
+        "discriminant identity": disc_ok,
+    }
+    failures = [label for label, ok in checks.items() if not ok]
+    return Certificate(
+        claim_id="bw.quadratic.structure",
+        method="bounded-numeric",
+        verdict="failed" if failures else "verified",
+        anchor="kernel quadratic roots satisfy 0 < s2 < s1 < 1; "
+        "discriminant equals 4 (e^t - 1)^2 ((e^t - 1)^2 - t^2 e^t) exactly",
+        inputs={"t_grid": t_grid, **({"failures": failures} if failures else {})},
+        witnesses={
+            "max_root_residual": residual_max,
+            "discriminant_identity": disc_ok,
+            "s2_small_t_limit": S2_SMALL_T_LIMIT,
+            # evidence only: s2 monotonicity is conjectural, not asserted
+            "s2_grid": [(t, s2) for t, (_, s2) in zip(t_grid, roots)],
+        },
+    )

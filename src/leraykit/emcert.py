@@ -23,11 +23,13 @@ identity as an equality of quotients.  The certificates cover:
   witnesses, the peeled N = 0 term, the per-period Bernoulli integral);
 * the closed form of integral_2^inf S(r, x) dx (antiderivative witness with
   logarithmic part -2r log((3r+7)/(3r+4)));
-* the cubic p_r locating the remainder peak Q_r, its bracket
-  m(r) < Q_r < M(r), and the exact bracket evaluations;
+* the cubic p_r locating the remainder peak Q_r as the numerator of
+  dS/dx, its bracket m(r) < Q_r < M(r), and the exact bracket
+  evaluations;
 * the pipeline H -> H' -> H'' with re-derived integer numerators, the
-  sign/Descartes analysis of the H'' numerator, and the exact values of
-  H'' at 1/3 and 2/3;
+  sign/Descartes analysis of the H'' numerator, the exact values of
+  H'' at 1/3 and 2/3, and the limits H, H' -> 0 at infinity read off
+  degrees and leading coefficients, which together give H > 0;
 * the peak bound S(r, Q_r) < 16/(3125 r^3) via the sign-split polynomials
   U, V, the degree-22 cleared polynomial P(r), its fourteen derivatives,
   and the exact endpoint evaluations.
@@ -81,7 +83,6 @@ __all__ = [
     "s_integral_tail",
     "s_integral_tail_quad",
     "em_lower_bound",
-    "em_lower_bound_d1",
     "series_decomposition_certificate",
     "integral_antiderivative_certificate",
     "bracket_certificates",
@@ -320,15 +321,6 @@ def em_lower_bound(r: float) -> float:
     return _h(r, s_integral_tail(r))
 
 
-def em_lower_bound_d1(r: float) -> float:
-    """H'(r), via the exactly re-derived numerator over D2 minus the
-    differentiated logarithm."""
-    _require_r(r)
-    num = RationalPolynomial(tables.H1_NUM_COEFFS)
-    rf = Fraction(r)
-    return float(num(rf) / (3125 * _h_base(rf) ** 4)) - 2 * math.log1p(3 / (3 * r + 4))
-
-
 # ----------------------------------------------------------------------
 # exact certificates
 # ----------------------------------------------------------------------
@@ -466,8 +458,10 @@ def integral_antiderivative_certificate() -> Certificate:
 def bracket_certificates() -> Certificate:
     """Exact bracket for the remainder peak Q_r (r > 2/3).
 
-    Evaluates p_r at the bracket formulas, as quotients in r, and verifies
-    by cross-multiplication
+    Checks dS/dx = 243 r p_r(x) / ((3r+3x+1)^4 (3r+3x-2)^4) as quotients
+    in (r, x), from S's formula and RationalFunction.derivative.  Evaluates
+    p_r at the bracket formulas, as quotients in r, and verifies by
+    cross-multiplication
 
         p_r(3r/2 + 1/6) = 81 r
         p_r(3r/2 + 1/3) = 4 + 66 r - (225/2) r^2
@@ -483,6 +477,10 @@ def bracket_certificates() -> Certificate:
     c = _Checks()
     p_biv = pr_bivariate()
     r = _R
+
+    # p_r is the numerator of dS/dx, so its positive root is where S peaks
+    ds_dx = 243 * _R2 * RationalFunction(p_biv) / ((3 * _R2 + 3 * _Y + 1) ** 4 * (3 * _R2 + 3 * _Y - 2) ** 4)
+    c.check("s_derivative_numerator_is_p_r", _s(_R2, _Y).derivative() == ds_dx, "dS/dx numerator p_r")
 
     # affine probes: the brackets without their 1/r terms, and 1/6 above
     head = _bracket_high(r, 0)
@@ -548,9 +546,12 @@ def h_pipeline() -> Certificate:
     each derivative RationalFunction.derivative and each division exact;
     F2 and F3 are asserted against their tables.  It then certifies the H''
     numerator's sign pattern (negative through r^7, positive from r^8) and
-    its single Descartes sign change; evaluates H'' = F3/D3 exactly at 1/3
-    and 2/3; and spot checks H > 0 with H, H' -> 0 numerically on a log
-    grid.
+    its single Descartes sign change, and evaluates H'' = F3/D3 exactly at
+    1/3 and 2/3, so H'' > 0 on (2/3, inf).  Last it reads the limits at
+    infinity off degrees and leading coefficients: F1/D1 -> 2, F2/D2 -> 0,
+    and 2r(u - u^2/2) -> 2 and 2ru -> 2 with u = L - 1 = 3/(3r+4), which
+    squeeze 2r log L to 2 (as u - u^2/2 <= log(1+u) <= u), hence 2 log L
+    to 0.  So H, H' -> 0, H' < 0 and H > 0 on (2/3, inf).
     """
     c = _Checks()
 
@@ -579,20 +580,32 @@ def h_pipeline() -> Certificate:
     ok_vals = val_third == tables.H2_AT_ONE_THIRD and val_two_thirds == tables.H2_AT_TWO_THIRDS
     c.check(None, ok_vals, "H'' endpoint values")
 
-    # numeric behavior on a log grid
-    grid = [2 / 3 + 0.005] + [2 / 3 * 10 ** (0.2 * i) for i in range(1, 22)]
-    h_vals = [em_lower_bound(r) for r in grid]
-    c.check("h_min_on_grid", all(v > 0 for v in h_vals), "H positivity on grid", min(h_vals))
-    c.witnesses["h_at_1e4"] = h_far = em_lower_bound(1e4)
-    c.witnesses["h1_at_1e4"] = h1_far = em_lower_bound_d1(1e4)
-    c.check(None, 0 < h_far < 1e-6 and abs(h1_far) < 1e-9, "H decay at 1e4")
+    # H, H' -> 0: u - u^2/2 <= log L <= u with u = L - 1 squeezes 2r log L to 2
+    u = log_arg - 1
+    limits = {
+        "F1/D1": _limit_at_infinity(RationalFunction(f1, d1)),
+        "2r(u-u^2/2)": _limit_at_infinity(2 * _R * (u - u * u / 2)),
+        "2ru": _limit_at_infinity(2 * _R * u),
+        "F2/D2": _limit_at_infinity(RationalFunction(f2, d2)),
+    }
+    want = {"F1/D1": 2, "2r(u-u^2/2)": 2, "2ru": 2, "F2/D2": 0}
+    c.check("h_limits_at_infinity", limits == want, "H limits at infinity", limits)
 
     return c.certificate(
         "em.h.pipeline",
         "H, H', H'' numerators re-derived and equal to tables; "
         "H''(1/3) = -437616243/25600000 < 0 < 49618/2278125 = H''(2/3); "
-        "unique positive root of the H'' numerator",
+        "unique positive root of the H'' numerator; H, H' -> 0 at infinity, "
+        "hence H > 0 on (2/3, inf)",
     )
+
+
+def _limit_at_infinity(q: RationalFunction) -> Optional[Fraction]:
+    """The limit of a quotient in r as r -> inf, read off the degrees and
+    leading coefficients; None where it diverges."""
+    if q.num.degree != q.den.degree:
+        return Fraction(0) if q.num.degree < q.den.degree else None
+    return Fraction(q.num.leading_coefficient()) / q.den.leading_coefficient()
 
 
 def _check_table(c: _Checks, key: str, label: str, got: RationalPolynomial, coeffs) -> None:

@@ -11,8 +11,6 @@ from leraykit.bwcert import (
     S2_SMALL_T_LIMIT,
     cm_numeric_certificate,
     bw_certificate_suite,
-    discriminant,
-    discriminant_factored,
     f_q,
     g0,
     g1,
@@ -125,18 +123,16 @@ def test_taylor_tables_match_the_hand_derived_coefficients():
     ]
 
 
-def test_discriminant_identity_and_positivity():
-    for t in T_GRID:
-        fac = discriminant_factored(t)
-        assert fac > 0
-        if t >= 1e-2:  # the unfactored difference cancels below this
-            assert discriminant(t) == pytest.approx(fac, rel=1e-10)
-
-
 def test_cosh_inequality_inner_factor():
-    # (e^t - 1)^2 - t^2 e^t > 0 is the inner factor of the discriminant
+    # d0 = (e^t - 1)^2 - t^2 e^t > 0, the inner factor of the discriminant,
+    # as quadratic_roots evaluates it: its Taylor table below the cutoff,
+    # d0 e^-2t at e = e^-t above
     for t in T_GRID:
-        assert discriminant_factored(t) / (4 * (math.exp(t) - 1) ** 2 if t < 500 else 1) > 0
+        if t < bwcert._SERIES_CUTOFF:
+            d0 = bwcert._series_or_closed(bwcert._d0, bwcert._D0_COEFFS, t)
+        else:
+            d0 = bwcert._d0(t, math.exp(-t))
+        assert d0 > 0, t
 
 
 def test_quadratic_roots_examples():
@@ -162,6 +158,25 @@ def test_root_ordering_and_residual_on_grid():
             assert abs(m_kernel(t, s)) / scale < 1e-8, t
 
 
+def _roots_oracle(t):
+    """(s1, s2, M(t, 1)) at 300 bits, from the closed forms of g0, g1 and g2."""
+    with mpmath.workprec(300):
+        tm = mpmath.mpf(t)
+        e = mpmath.exp(tm)
+        a, b, c = e * (2 - 2 * e + tm + tm * e), 2 * (e - 1) * (1 - e + tm * e), tm * (e - 1) ** 2
+        root = mpmath.sqrt(b * b - 4 * a * c)
+        return (b + root) / (2 * c), (b - root) / (2 * c), a - b + c
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-8, 1e-4, 1e-3, 0.5, 1.9])
+def test_small_t_roots_and_kernel_match_a_300_bit_oracle(t):
+    # e^t - 1 by subtraction lost digits like 1e-16/t: 8.9e-5 relative at 1e-12
+    s1, s2, m_at_1 = _roots_oracle(t)
+    got = quadratic_roots(t)
+    assert abs(got[0] / s1 - 1) < 2e-15 and abs(got[1] / s2 - 1) < 2e-15
+    assert abs(m_kernel(t, 1.0) / m_at_1 - 1) < 2e-15
+
+
 def test_one_minus_s1_matches_direct_at_moderate_t():
     for t in (0.5, 1.0, 2.5, 5.0, 10.0):
         s1, _ = quadratic_roots(t)
@@ -179,9 +194,17 @@ def test_one_minus_s1_matches_direct_at_moderate_t():
         (lambda: g0(800.0), r"overflows a double at t = 800.0$"),
         (lambda: h1(math.nan), r"^h1 requires finite t > 0 \(got nan\)$"),
         (lambda: g2(-1.0), r"^g2 requires finite t > 0 \(got -1.0\)$"),
+        # e^t is still a double here, but the helper's value is not
+        (lambda: g0(352.0), r"^g0: the result is not finite in doubles at t = 352.0$"),
+        (lambda: g1(352.0), r"^g1: the result is not finite in doubles at t = 352.0$"),
+        (lambda: g2(352.0), r"^g2: the result is not finite in doubles at t = 352.0$"),
+        (lambda: h0(705.0), r"^h0: the result is not finite in doubles at t = 705.0$"),
+        (lambda: h0(709.7), r"^h0: the result is not finite in doubles at t = 709.7$"),
+        (lambda: h1(705.0), r"^h1: the result is not finite in doubles at t = 705.0$"),
+        (lambda: m_kernel(360.0, 0.5), r"^m_kernel: the result is not finite in doubles at t = 360.0$"),
     ],
     ids=["roots-tiny", "roots-inf", "gap-underflow", "m-kernel-overflow", "h0-overflow", "g0-overflow",
-         "h1-nan", "g2-negative"],
+         "h1-nan", "g2-negative", "g0-inf", "g1-inf", "g2-inf", "h0-inf", "h0-nan", "h1-inf", "m-kernel-inf"],
 )
 def test_kernel_helpers_raise_domain_error_where_doubles_fail(call, match):
     with pytest.raises(DomainError, match=match):

@@ -7,14 +7,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from leraykit import emcert, tables
+from leraykit import bwcert, emcert, tables
 from leraykit.emcert import (
     bracket_certificates,
     bracket_high,
     bracket_low,
     em_certificate_suite,
     em_lower_bound,
-    em_lower_bound_d1,
     h_pipeline,
     integral_antiderivative_certificate,
     phi_preferred_reconstruction,
@@ -150,7 +149,6 @@ def test_em_lower_bound_behavior():
         excess = float(phi(r, 2.0 / 3.0).value) - 1
         assert excess > h - 1e-10
     assert em_lower_bound(1e4) < 1e-6
-    assert abs(em_lower_bound_d1(1e4)) < 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +179,25 @@ def test_h_pipeline_matches_tables():
     assert cert.witnesses["h2_at_1/3"] == tables.H2_AT_ONE_THIRD
     assert cert.witnesses["h2_at_2/3"] == tables.H2_AT_TWO_THIRDS
     assert cert.witnesses["h2_descartes_count"] == 1
+    assert cert.witnesses["h_limits_at_infinity"] == {"F1/D1": 2, "2r(u-u^2/2)": 2, "2ru": 2, "F2/D2": 0}
+
+
+def test_exact_certificates_reach_no_float_function(monkeypatch):
+    # only the tail certificate's quadrature cross-check evaluates in doubles
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an exact certificate evaluated a float helper")
+
+    for name in ("em_lower_bound", "s_integral_tail", "quad"):
+        monkeypatch.setattr(emcert, name, unreachable)
+    for certificate in (series_decomposition_certificate, bracket_certificates, h_pipeline, s_bound_certificate):
+        assert certificate().verdict == "verified", certificate.__name__
+
+
+def test_limit_at_infinity_reads_degrees_and_leading_coefficients():
+    x = RationalPolynomial.variable()
+    assert emcert._limit_at_infinity(RationalFunction(3 * x ** 2 + 1, 6 * x ** 2)) == Fraction(1, 2)
+    assert emcert._limit_at_infinity(RationalFunction(x, x ** 2)) == 0
+    assert emcert._limit_at_infinity(RationalFunction(x ** 2, x)) is None
 
 
 def test_h_table_spot_values():
@@ -274,6 +291,11 @@ def _double(formula):
          lambda: bracket_high(1.0)),
         (h_pipeline, emcert, "_h", _double, "H numerator: first mismatch",
          lambda: em_lower_bound(1.0)),
+        (h_pipeline, emcert, "_h", _double, "H limits at infinity", None),
+        (bracket_certificates, emcert, "_s", _double, "dS/dx numerator p_r", lambda: s_function(1.0, 2.0)),
+        # a change far below double resolution, which a float comparison cannot see
+        (bwcert._structure_certificate, bwcert, "_d0",
+         lambda d0: lambda t, e: d0(t, e) + t ** 9 * Fraction(1, 10 ** 40), "discriminant identity", None),
         # every derivative of a quotient is RationalFunction.derivative
         (series_decomposition_certificate, RationalFunction, "derivative", _double, "f antiderivative", None),
         (integral_antiderivative_certificate, RationalFunction, "derivative", _double,
@@ -283,7 +305,8 @@ def _double(formula):
     ids=["series", "integral", "integral-estimate", "bracket", "h-pipeline", "h-numerator",
          "h1-numerator", "s-bound", "s-bound-middle", "u-table", "v-table",
          "preferred-series-term", "s-function", "s-integral-tail", "s-supremum-bound",
-         "bracket-low", "bracket-high", "em-lower-bound",
+         "bracket-low", "bracket-high", "em-lower-bound", "h-limits", "s-derivative-p-r",
+         "discriminant-identity",
          "series-quotient-derivative", "integral-quotient-derivative", "h-quotient-derivative"],
 )
 def test_exact_certificate_records_a_failed_check(monkeypatch, certificate, owner, name, corrupt, label, helper):
@@ -318,8 +341,6 @@ def test_exact_suite_never_reduces_a_rational_function():
     "call",
     [
         lambda: phi_preferred_reconstruction(math.inf),
-        lambda: em_lower_bound_d1(math.inf),
-        lambda: em_lower_bound_d1(math.nan),
         lambda: pr_poly(math.inf),
         lambda: pr_poly(math.nan),
         lambda: em_lower_bound(math.inf),
@@ -332,7 +353,7 @@ def test_exact_suite_never_reduces_a_rational_function():
         lambda: bracket_low(math.inf),
         lambda: bracket_high(0.0),
     ],
-    ids=["reconstruction", "h1", "h1-nan", "pr-poly", "pr-poly-nan", "h", "tail", "s-r", "s-x", "s-x-nan",
+    ids=["reconstruction", "pr-poly", "pr-poly-nan", "h", "tail", "s-r", "s-x", "s-x-nan",
          "peak-bound", "q-root", "bracket-low", "bracket-high-zero"],
 )
 def test_helpers_reject_non_finite_input(call):

@@ -41,7 +41,7 @@ def _sha256(data: bytes) -> str:
     "argv, digest",
     [
         (("certify", "--suite", "all", "--format", "json"),
-         "23e3e3dd7d8317bf1ba88d3bb5f480bcb46012eafb74f7fc9aa73b4af26bcf9b"),
+         "18756f8d9ad393b932b9192f536c77f5c70ec698641400fececae6374f29bbbc"),
         (("norm", "--gamma", "3", "--d", "0.5", "--k-max", "2000"),
          "ea8d85a581ed7ed5bd60ba840133291fa0c6c4003d99aa0630f9b77bd06095c1"),
         (("symbol", "--gamma", "3", "--d", "0.5", "--k", "0..60"),
