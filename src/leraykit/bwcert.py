@@ -20,23 +20,23 @@ r > q there; it demonstrably fails for q between (3-sqrt(3))/6 and 1.
 
 This module evaluates the kernel pieces, the roots s1/s2, F_q through two
 independent routes, and emits numeric-evidence certificates for complete
-monotonicity: finite-difference sign tests up to fourth order plus a
-kernel-sign scan.  These verdicts are explicitly evidence, not proof; the
-exact-arithmetic burden lives in :mod:`leraykit.emcert`.  The structure
-certificate checks the discriminant identity exactly, as polynomials in
-(t, e), and the root ordering and residual on sampled doubles.
+monotonicity at sample q: finite-difference sign tests up to fourth order
+plus a kernel-sign scan.  Those verdicts are evidence, not proof.  The two
+claims the suite reports as ``verified`` are exact, read off one statement
+of g0, g1 and g2 in (t, e) with e = e^t
+(:func:`~leraykit.exactpoly.exp_series_nonnegative` proves a series in t
+has no negative coefficient):
 
-The cancelling pieces h0 = 2 - 2e + t + te (g0 = e h0), h1 = 1 - e + te
-(g1 = 2 (e - 1) h1) and d0 = (e - 1)^2 - t^2 e (the discriminant is
-4 (e - 1)^2 d0; d0 > 0 as cosh t > 1 + t^2/2), with e = e^t, are each
-written once in (t, e).  They are evaluated at e = e^t, at e = e^-t in
-the large-t roots, and below t = 2, where they cancel, through Taylor
-tables read off the same formulas exactly
-(:func:`~leraykit.exactpoly.exp_taylor_coefficient`) and rounded once;
-e^t - 1 is formed by expm1.  The kernel helpers take finite t > 0 in
-doubles and raise DomainError where a double cannot hold the result
-(e^t overflowing, a value past the double range, 1 - s1 or t (e^t - 1)
-rounding to 0).
+* the structure claim 0 < s2 < s1 < 1 for every t > 0: d0, g0 = M(t, 0),
+  M(t, 1), g2, g1 and 2 g2 - g1 are non-zero series in t with no negative
+  coefficient, hence positive for t > 0, and the discriminant
+  g1^2 - 4 g0 g2 equals 4 (e - 1)^2 d0 as polynomials in (t, e).  So the
+  roots are real and distinct, 0 and 1 lie outside them, and the vertex
+  g1 / (2 g2) between them lies in (0, 1);
+* the refutation at q = 2/3: the t^0..t^3 coefficients of M(t, 2/3) are
+  0, 0, 0, -1/18, so the Laplace density is negative near t = 0, and by
+  Bernstein's theorem and the uniqueness of the Laplace transform F_{2/3}
+  is not completely monotone.
 
 The two F_q routes are the certified polygamma value and the Laplace
 integral, taken by a double-precision adaptive 21-point Gauss-Kronrod rule
@@ -55,15 +55,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 # unused here, but perfbench/spans.py rebinds this module's `mpmath`
 import mpmath
 
 from ._quadrature import quad
-from .certificates import Certificate
+from .certificates import Certificate, Checks
 from .errors import CrossCheckFailure, DomainError, ToleranceUnreachable
-from .exactpoly import BivariatePolynomial, exp_taylor_coefficient
+from .exactpoly import BivariatePolynomial, exp_series_nonnegative, exp_taylor_coefficient
 from .specialfn import DEFAULT_TOL, BoundedFloat, _require_finite, theta
 
 __all__ = [
@@ -101,10 +101,11 @@ def _exp(t: float, fn=math.exp) -> float:
         raise DomainError(f"e^t overflows a double at t = {t}") from None
 
 
-def _finite(helper: str, t, value):
-    """value, unless a double cannot hold it."""
+def _finite(helper: str, t, value, q=None):
+    """value, unless a double cannot hold it; the error names q if given."""
     if not math.isfinite(value):
-        raise DomainError(f"{helper}: the result is not finite in doubles at t = {t}")
+        at = f"t = {t}" if q is None else f"t = {t} and q = {q}"
+        raise DomainError(f"{helper}: the result is not finite in doubles at {at}")
     return value
 
 
@@ -120,6 +121,11 @@ def _h1(t, e):
 
 def _d0(t, e):
     return (e - 1) * (e - 1) - t * t * e
+
+
+def _kernel_pieces(t, e):
+    """(g0, g1, g2) in (t, e): the one statement the exact certificates read."""
+    return e * _h0(t, e), 2 * (e - 1) * _h1(t, e), t * (e - 1) ** 2
 
 
 def _taylor_table(formula) -> List[float]:
@@ -187,11 +193,15 @@ def m_kernel(t, q):
             + [(t+2) + 2q(t-2) - 2 q^2 t] e^t + (q^2 t + 2q).
     """
     _require_t("m_kernel", t)
+    if not -math.inf < q < math.inf:
+        raise DomainError(f"q must be finite (got {q})")
+    # a result past the double range is q's doing, and named so, unless
+    # t e^(2t), the size of the largest piece g2, is past it already
     if t < _SERIES_CUTOFF:
-        return _finite("m_kernel", t, g0(t) - g1(t) * q + g2(t) * q * q)
+        return _finite("m_kernel", t, g0(t) - g1(t) * q + g2(t) * q * q, q)
     e = _exp(t)
     a, b, c = _regrouped_coeffs(t, q)
-    return _finite("m_kernel", t, (a * e + b) * e + c)
+    return _finite("m_kernel", t, (a * e + b) * e + c, q if math.isfinite(t * e * e) else None)
 
 
 def _regrouped_coeffs(t, q):
@@ -348,11 +358,9 @@ _KERNEL_NEG_THRESHOLD = -1e-18
 
 
 def _forward_difference(values: List[BoundedFloat], order: int) -> BoundedFloat:
-    acc: Optional[BoundedFloat] = None
-    for i in range(order + 1):
-        term = values[order - i] * ((-1) ** i * math.comb(order, i))
-        acc = term if acc is None else acc + term
-    assert acc is not None
+    acc = values[order]
+    for i in range(1, order + 1):
+        acc = acc + values[order - i] * ((-1) ** i * math.comb(order, i))
     return acc
 
 
@@ -383,12 +391,7 @@ def cm_numeric_certificate(q: float) -> Certificate:
             else:
                 fd_inconclusive.append(record)
 
-    kernel_min_t = None
-    kernel_min = math.inf
-    for t in _KERNEL_T_GRID:
-        mval = m_kernel(t, q)
-        if mval < kernel_min:
-            kernel_min, kernel_min_t = mval, t
+    kernel_min, kernel_min_t = min((m_kernel(t, q), t) for t in _KERNEL_T_GRID)
     kernel_negative = kernel_min < _KERNEL_NEG_THRESHOLD
 
     witnesses = {
@@ -418,59 +421,46 @@ def cm_numeric_certificate(q: float) -> Certificate:
 
 
 def bw_certificate_suite() -> List[Certificate]:
-    """The standard evidence battery: supported q values from the closed
-    intervals, the refuted preferred-measure value q = 2/3 (wrapped so
-    that finding the refutation counts as the suite succeeding), and
-    structural checks on the quadratic (root ordering on sampled doubles,
-    the exact discriminant identity)."""
+    """The standard battery: numeric evidence of complete monotonicity at
+    q in {-2, 0, 1, 3}, then the two exact certificates: the refutation at
+    the preferred-measure value q = 2/3 (verified when the kernel is proved
+    negative near t = 0) and the structure of the kernel quadratic."""
     certs = [cm_numeric_certificate(q) for q in (-2.0, 0.0, 1.0, 3.0)]
-    raw = cm_numeric_certificate(2.0 / 3.0)
-    certs.append(
-        Certificate(
-            claim_id="bw.cm-refuted.q=2/3",
-            method="bounded-numeric",
-            verdict="verified" if raw.verdict == "refutes" else "failed",
-            anchor="complete monotonicity of F_q fails at q = 2/3 "
-            "(kernel goes negative; witness t recorded)",
-            inputs=raw.inputs,
-            witnesses=raw.witnesses,
-        )
-    )
+    return certs + [_refutation_certificate(), _structure_certificate()]
 
-    certs.append(_structure_certificate())
-    return certs
+
+def _refutation_certificate() -> Certificate:
+    """M(t, 2/3) = -t^3/18 + O(t^4): the t^0..t^3 coefficients, exactly."""
+    q = Fraction(2, 3)
+    k0, k1, k2 = _kernel_pieces(BivariatePolynomial.x(), BivariatePolynomial.y())
+    coeffs = [exp_taylor_coefficient(k0 - q * k1 + q * q * k2, n) for n in range(4)]
+    c = Checks()
+    c.check("kernel_taylor_coefficients", coeffs[:3] == [0, 0, 0] and coeffs[3] < 0,
+            "kernel negative near t = 0", coeffs)
+    return c.certificate(
+        "bw.cm-refuted.q=2/3",
+        "complete monotonicity of F_q fails at q = 2/3: M(t, 2/3) = -t^3/18 + O(t^4) "
+        "is negative near t = 0 (Bernstein's theorem, uniqueness of the Laplace transform)",
+        {"q": q},
+    )
 
 
 def _structure_certificate() -> Certificate:
-    """0 < s2 < s1 < 1 and the residual of the roots on a sampled t grid,
-    and the discriminant identity exactly."""
-    t_grid = [1e-4, 1e-2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0]
-    roots = [quadratic_roots(t) for t in t_grid]
-    residual_max = max(
-        abs(m_kernel(t, s)) / (g0(t) + abs(g1(t)) + g2(t)) for t, pair in zip(t_grid, roots) for s in pair
-    )
-    # g1^2 - 4 g0 g2 = 4 (e - 1)^2 d0 as polynomials in (t, e), e = e^t
+    """0 < s2 < s1 < 1 for every t > 0 from six series signs and the
+    discriminant identity, as in the module docstring; a non-zero
+    polynomial in (t, e) is a non-zero function of t, as e^t is
+    transcendental over Q(t), so a non-negative series of it is positive
+    for t > 0."""
     t, e = BivariatePolynomial.x(), BivariatePolynomial.y()
-    k0, k1, k2 = e * _h0(t, e), 2 * (e - 1) * _h1(t, e), t * (e - 1) ** 2
-    disc_ok = k1 * k1 - 4 * k0 * k2 == 4 * (e - 1) ** 2 * _d0(t, e)
-    checks = {
-        "root ordering": all(0 < s2 < s1 < 1 for s1, s2 in roots),
-        "root residual": residual_max < 1e-8,
-        "discriminant identity": disc_ok,
-    }
-    failures = [label for label, ok in checks.items() if not ok]
-    return Certificate(
-        claim_id="bw.quadratic.structure",
-        method="bounded-numeric",
-        verdict="failed" if failures else "verified",
-        anchor="kernel quadratic roots satisfy 0 < s2 < s1 < 1; "
+    k0, k1, k2 = _kernel_pieces(t, e)
+    c = Checks()
+    c.check("discriminant_identity", k1 * k1 - 4 * k0 * k2 == 4 * (e - 1) ** 2 * _d0(t, e), "discriminant identity")
+    positive = {"d0": _d0(t, e), "g0": k0, "M(t,1)": k0 - k1 + k2, "g2": k2, "g1": k1, "2g2-g1": 2 * k2 - k1}
+    for name, p in positive.items():
+        c.check(f"positive_{name}", bool(p) and exp_series_nonnegative(p), f"{name} > 0")
+    return c.certificate(
+        "bw.quadratic.structure",
+        "kernel quadratic roots satisfy 0 < s2 < s1 < 1 for every t > 0 (d0, g0, M(t, 1), g2, g1 "
+        "and 2 g2 - g1 are positive series in t); "
         "discriminant equals 4 (e^t - 1)^2 ((e^t - 1)^2 - t^2 e^t) exactly",
-        inputs={"t_grid": t_grid, **({"failures": failures} if failures else {})},
-        witnesses={
-            "max_root_residual": residual_max,
-            "discriminant_identity": disc_ok,
-            "s2_small_t_limit": S2_SMALL_T_LIMIT,
-            # evidence only: s2 monotonicity is conjectural, not asserted
-            "s2_grid": [(t, s2) for t, (_, s2) in zip(t_grid, roots)],
-        },
     )

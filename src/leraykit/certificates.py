@@ -5,7 +5,10 @@ the method used to check it (exact rational arithmetic or error-bounded
 numerics), the inputs, the witnesses produced while checking (sign
 patterns, evaluation points with exact values, root counts, ...), and the
 verdict.  Everything is JSON-serializable; Fractions are rendered as
-"num/den" strings so reports round-trip exactly.
+"num/den" strings so reports round-trip exactly.  Every ``exact``
+certificate is built by one recorder, :class:`Checks`: each check is a
+witness, and a failed one turns the verdict to ``failed`` and is named in
+``inputs["failures"]``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 VERDICTS = ("verified", "failed", "supports", "refutes", "inconclusive")
 PASSING_VERDICTS = ("verified", "supports")
@@ -50,6 +53,32 @@ class Certificate:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+
+class Checks:
+    """The witnesses and failure labels of one exact certificate."""
+
+    def __init__(self) -> None:
+        self.witnesses: Dict[str, Any] = {}
+        self._failed: List[str] = []
+
+    def check(self, key: Optional[str], ok: bool, label: str, witness: Any = None) -> None:
+        """Record `witness` (`ok` itself when None) under `key`, unless key
+        is None; a failing check adds `label` to the failure list."""
+        if key is not None:
+            self.witnesses[key] = ok if witness is None else witness
+        if not ok:
+            self._failed.append(label)
+
+    def certificate(self, claim_id: str, anchor: str, inputs: Optional[Dict[str, Any]] = None) -> Certificate:
+        return Certificate(
+            claim_id=claim_id,
+            method="exact",
+            verdict="failed" if self._failed else "verified",
+            anchor=anchor,
+            witnesses=self.witnesses,
+            inputs={**(inputs or {}), **({"failures": self._failed} if self._failed else {})},
+        )
 
 
 def _jsonable(obj: Any) -> Any:

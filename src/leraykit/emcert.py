@@ -38,8 +38,9 @@ The one numeric spot check beside them, the quadrature oracle of the tail
 integral, uses the adaptive Gauss-Kronrod rule of
 :mod:`leraykit._quadrature`; it passes only when the closed form agrees to
 1e-8 relative and the quadrature's own error estimate is at most 1e-12.
-Each certificate records every check as a witness; any check that fails
-turns its verdict to ``failed`` and is named in ``inputs["failures"]``.
+Each certificate records every check as a witness through
+:class:`~leraykit.certificates.Checks`; any check that fails turns its
+verdict to ``failed`` and is named in ``inputs["failures"]``.
 
 Bracket coefficient note: the 1/r term of m(r) and M(r) is 3/25.  The
 bracket evaluation identities pin this down exactly (they fail for the
@@ -52,14 +53,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
 
 from . import tables
 from ._quadrature import quad
-from .certificates import Certificate
+from .certificates import Certificate, Checks
 from .errors import DomainError, TailUnbounded, ToleranceUnreachable
 from .exactpoly import (
     BivariatePolynomial,
@@ -324,32 +325,6 @@ def em_lower_bound(r: float) -> float:
 # ----------------------------------------------------------------------
 # exact certificates
 # ----------------------------------------------------------------------
-class _Checks:
-    """The witnesses and failure labels of one exact certificate."""
-
-    def __init__(self) -> None:
-        self.witnesses: Dict[str, Any] = {}
-        self._failed: List[str] = []
-
-    def check(self, key: Optional[str], ok: bool, label: str, witness: Any = None) -> None:
-        """Record `witness` (`ok` itself when None) under `key`, unless key
-        is None; a failing check adds `label` to the failure list."""
-        if key is not None:
-            self.witnesses[key] = ok if witness is None else witness
-        if not ok:
-            self._failed.append(label)
-
-    def certificate(self, claim_id: str, anchor: str) -> Certificate:
-        return Certificate(
-            claim_id=claim_id,
-            method="exact",
-            verdict="failed" if self._failed else "verified",
-            anchor=anchor,
-            witnesses=self.witnesses,
-            inputs={"failures": self._failed} if self._failed else {},
-        )
-
-
 # r over Q[r], and r and a second variable (x, N, v or Q) over Q[r][x]
 _R = RationalFunction(RationalPolynomial.variable())
 _R2, _Y = RationalFunction(BivariatePolynomial.x()), RationalFunction(BivariatePolynomial.y())
@@ -365,7 +340,7 @@ def series_decomposition_certificate() -> Certificate:
     the per-period Bernoulli integral equalling S(r, N), and the peel of
     the N = 0 term.
     """
-    c = _Checks()
+    c = Checks()
 
     r, n = _R2, _Y
     f, anti = _f(r, n), _antiderivative(r, n)
@@ -411,7 +386,7 @@ def integral_antiderivative_certificate() -> Certificate:
     (r, v), and the evaluation against the tail formula by
     cross-multiplication.
     """
-    c = _Checks()
+    c = Checks()
 
     r, v = BivariatePolynomial.x(), BivariatePolynomial.y()
 
@@ -474,7 +449,7 @@ def bracket_certificates() -> Certificate:
     2/(25r) bracket variant, the same formulas with 2/25 for 3/25, fails
     the same identities (misprint witness).
     """
-    c = _Checks()
+    c = Checks()
     p_biv = pr_bivariate()
     r = _R
 
@@ -553,7 +528,7 @@ def h_pipeline() -> Certificate:
     squeeze 2r log L to 2 (as u - u^2/2 <= log(1+u) <= u), hence 2 log L
     to 0.  So H, H' -> 0, H' < 0 and H > 0 on (2/3, inf).
     """
-    c = _Checks()
+    c = Checks()
 
     s = _h_base(RationalPolynomial.variable())
     d1, d2, d3 = 6250 * s ** 3, 3125 * s ** 4, 3125 * s ** 5
@@ -608,7 +583,7 @@ def _limit_at_infinity(q: RationalFunction) -> Optional[Fraction]:
     return Fraction(q.num.leading_coefficient()) / q.den.leading_coefficient()
 
 
-def _check_table(c: _Checks, key: str, label: str, got: RationalPolynomial, coeffs) -> None:
+def _check_table(c: Checks, key: str, label: str, got: RationalPolynomial, coeffs) -> None:
     """Check a re-derived polynomial against its embedded coefficient table;
     a failure names the first coefficient that differs."""
     want = RationalPolynomial(coeffs)
@@ -634,7 +609,7 @@ def s_bound_certificate() -> Certificate:
     derivative at 2/3.  Together these force P > 0 on (2/3, inf), hence
     U(r, Q_r) > V(r, Q_r) by the bracket monotonicity, hence the bound.
     """
-    c = _Checks()
+    c = Checks()
 
     w = (_peak_bound(_R2) - _s(_R2, _Y)).num
     u_part, v_part = w.split_by_sign()

@@ -304,16 +304,8 @@ def descartes_sign_changes(p: RationalPolynomial) -> int:
     multiplicity) equals this or is smaller by an even number."""
     if p.is_zero():
         raise ZeroPolynomial("sign changes undefined for the zero polynomial")
-    changes = 0
-    prev = 0
-    for c in p.coefficients:
-        if c == 0:
-            continue
-        s = 1 if c > 0 else -1
-        if prev != 0 and s != prev:
-            changes += 1
-        prev = s
-    return changes
+    signs = [s for s in sign_pattern(p) if s != "0"]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def sign_pattern(p: RationalPolynomial) -> Tuple[str, ...]:
@@ -390,6 +382,51 @@ def exp_taylor_coefficient(p: BivariatePolynomial, n: int) -> Fraction:
     c t^j y^k contributes c k^(n-j)/(n-j)! for j <= n."""
     return sum((c * Fraction(k ** (n - j), math.factorial(n - j)) for (j, k), c in p.terms.items() if j <= n),
                Fraction(0))
+
+
+# the largest index N that exp_series_nonnegative tries as the start of its tail
+_TAIL_SEARCH = 200
+
+
+def exp_series_nonnegative(p: BivariatePolynomial) -> bool:
+    """True when every t^n/n! coefficient a_n of p(t, e^t) is >= 0, proved
+    in exact arithmetic; False when some a_n < 0, or when no proof starts
+    below N = _TAIL_SEARCH.
+
+    Past the top power of t, a_n = sum_k k^n P_k(n) over the bases k >= 1
+    of the terms c t^j e^(kt), with P_k(n) = sum_j c n(n-1)...(n-j+1) / k^j.
+    Below N each a_n is computed.  From N on, with K the top base and
+    s = n - N: P_K(N+s) has non-negative coefficients and a positive
+    constant; U(s), the sum of the lower P_k(N+s) with each coefficient
+    made non-negative, has (K-1)^N U(0) <= K^N P_K(N); and
+    K U(s) P_K(N+s+1) - (K-1) U(s+1) P_K(N+s) has non-negative
+    coefficients.  Then U/P_K grows by at most K/(K-1) per step, so
+    (K-1)^n U(s) <= K^n P_K(n) for every n >= N, and the top base outweighs
+    the lower ones, each at most (K-1)^n |P_k(n)|.
+    """
+    bases = {k: sum((c * Fraction(1, k ** j) * RationalPolynomial.from_roots(range(j))
+                     for j, c in enumerate(pk.coefficients)), RationalPolynomial.zero())
+             for k, pk in p.coefficients_in_y().items() if k}
+    start = max((j for j, _ in p.terms), default=0) + 1
+    if any(exp_taylor_coefficient(p, n) < 0 for n in range(start)):
+        return False
+    if not bases:
+        return True
+    top_base = max(bases)
+    top = bases.pop(top_base)
+    next_s = RationalPolynomial([1, 1])
+    for n in range(start, _TAIL_SEARCH):
+        at_n = RationalPolynomial([n, 1])  # s -> n + s
+        lead = top.compose(at_n)
+        u = sum((RationalPolynomial([abs(c) for c in pk.compose(at_n).coefficients]) for pk in bases.values()),
+                RationalPolynomial.zero())
+        step = top_base * u * lead.compose(next_s) - (top_base - 1) * u.compose(next_s) * lead
+        if (all(c >= 0 for c in lead.coefficients + step.coefficients) and lead.coeff(0) > 0
+                and (top_base - 1) ** n * u.coeff(0) <= top_base ** n * lead.coeff(0)):
+            return True
+        if exp_taylor_coefficient(p, n) < 0:
+            return False
+    return False
 
 
 # ----------------------------------------------------------------------

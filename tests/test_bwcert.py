@@ -22,7 +22,7 @@ from leraykit.bwcert import (
     quadratic_roots,
 )
 from leraykit.errors import CrossCheckFailure, DomainError
-from leraykit.exactpoly import BivariatePolynomial, RationalFunction, exp_taylor_coefficient
+from leraykit.exactpoly import BivariatePolynomial, RationalFunction, exp_series_nonnegative, exp_taylor_coefficient
 
 T_GRID = [10 ** (-4 + 5.7 * i / 39) for i in range(40)]  # log grid 1e-4 .. 50
 
@@ -202,9 +202,14 @@ def test_one_minus_s1_matches_direct_at_moderate_t():
         (lambda: h0(709.7), r"^h0: the result is not finite in doubles at t = 709.7$"),
         (lambda: h1(705.0), r"^h1: the result is not finite in doubles at t = 705.0$"),
         (lambda: m_kernel(360.0, 0.5), r"^m_kernel: the result is not finite in doubles at t = 360.0$"),
+        # q, not t, is at fault: below the cutoff and past it
+        (lambda: m_kernel(1.0, math.nan), r"^q must be finite \(got nan\)$"),
+        (lambda: m_kernel(1.0, 1e200), r"^m_kernel: the result is not finite in doubles at t = 1.0 and q = 1e\+200$"),
+        (lambda: m_kernel(300.0, 1e30), r"^m_kernel: .* at t = 300.0 and q = 1e\+30$"),
     ],
     ids=["roots-tiny", "roots-inf", "gap-underflow", "m-kernel-overflow", "h0-overflow", "g0-overflow",
-         "h1-nan", "g2-negative", "g0-inf", "g1-inf", "g2-inf", "h0-inf", "h0-nan", "h1-inf", "m-kernel-inf"],
+         "h1-nan", "g2-negative", "g0-inf", "g1-inf", "g2-inf", "h0-inf", "h0-nan", "h1-inf", "m-kernel-inf",
+         "m-kernel-q-nan", "m-kernel-q-overflow", "m-kernel-large-t-q-overflow"],
 )
 def test_kernel_helpers_raise_domain_error_where_doubles_fail(call, match):
     with pytest.raises(DomainError, match=match):
@@ -326,16 +331,6 @@ def test_phi_below_one_on_supported_q_grid():
             assert v.separated_below(1), (q, r)
 
 
-def test_s2_grid_evidence_reported():
-    # the structure certificate carries the s2 sample values (evidence for
-    # the conjectured monotonicity; no invariant asserted)
-    suite = bw_certificate_suite()
-    structure = next(c for c in suite if c.claim_id == "bw.quadratic.structure")
-    grid = structure.witnesses["s2_grid"]
-    assert len(grid) >= 5
-    assert grid[0][1] == pytest.approx(S2_SMALL_T_LIMIT, abs=1e-3)
-
-
 def test_cm_certificates():
     assert cm_numeric_certificate(-2.0).verdict == "supports"
     assert cm_numeric_certificate(3.0).verdict == "supports"
@@ -352,3 +347,51 @@ def test_suite_passes_and_is_json_serializable():
     assert "bw.cm-refuted.q=2/3" in ids
     for cert in suite:
         cert.to_json()  # must not raise
+
+
+def _floats(obj):
+    """Every float inside a certificate's inputs or witnesses."""
+    if isinstance(obj, float):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return [f for item in obj for f in _floats(item)] if isinstance(obj, (list, tuple)) else []
+
+
+def test_exact_bw_certificates_reach_no_float_function(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an exact certificate evaluated a float helper or a quadrature")
+
+    for name in ("m_kernel", "g0", "g1", "g2", "quadratic_roots", "f_q", "quad"):
+        monkeypatch.setattr(bwcert, name, unreachable)
+    for certificate in (bwcert._refutation_certificate, bwcert._structure_certificate):
+        cert = certificate()
+        assert cert.method == "exact" and cert.verdict == "verified", certificate.__name__
+        assert not _floats(cert.inputs) and not _floats(cert.witnesses)
+
+
+def test_structure_certificate_proves_each_series_sign():
+    cert = bwcert._structure_certificate()
+    assert cert.witnesses == {
+        "discriminant_identity": True,
+        **{f"positive_{name}": True for name in ("d0", "g0", "M(t,1)", "g2", "g1", "2g2-g1")},
+    }
+
+
+@pytest.mark.parametrize("q", [Fraction(-2), Fraction(0), Fraction(1, 5), Fraction(1), Fraction(3)], ids=str)
+def test_kernel_is_proved_non_negative_outside_the_root_band(q):
+    # ROADMAP A's region: q <= (3 - sqrt 3)/6 or q >= 1
+    assert exp_series_nonnegative(_kernel(q))
+
+
+def test_kernel_is_not_proved_non_negative_at_two_thirds():
+    assert not exp_series_nonnegative(_kernel(Fraction(2, 3)))
+
+
+def test_structure_certificate_names_a_failed_series_sign(monkeypatch):
+    # g2 - 2 t^3 starts -t^3: its series sign, and the identity, must fail
+    pieces = bwcert._kernel_pieces
+    monkeypatch.setattr(bwcert, "_kernel_pieces", lambda t, e: (*pieces(t, e)[:2], pieces(t, e)[2] - 2 * t ** 3))
+    cert = bwcert._structure_certificate()
+    assert cert.verdict == "failed"
+    assert {"g2 > 0", "discriminant identity"} <= set(cert.inputs["failures"])

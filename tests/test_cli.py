@@ -435,8 +435,9 @@ def test_certify_bw_includes_refutation(tmp_path, capsys):
     refuted = next(
         c for c in bundle["certificates"] if c["claim_id"] == "bw.cm-refuted.q=2/3"
     )
-    assert refuted["verdict"] == "verified"
-    assert refuted["witnesses"]["kernel_witness_t"] > 0
+    assert refuted["verdict"] == "verified" and refuted["method"] == "exact"
+    # M(t, 2/3) = -t^3/18 + O(t^4), exactly
+    assert refuted["witnesses"]["kernel_taylor_coefficients"] == ["0/1", "0/1", "0/1", "-1/18"]
 
 
 def test_certify_deterministic(tmp_path, capsys):
@@ -542,6 +543,8 @@ def test_negative_k_max_flag_exit_2(tmp_path, capsys, argv):
         (("--id", "j-sweep", "--grid-count", "5", "--q-set=0", "--grid-scale", "linear"),
          "--q-set is not read by figure j-sweep"),
         (("--id", "j-sweep", "--grid-scale", "linear"), "--grid-scale is not read by figure j-sweep"),
+        (("--id", "phi-sweep", "--grid-min", "5", "--grid-max", "1"), "grid min must be below grid max"),
+        (("--id", "phi-sweep", "--grid-min", "5", "--grid-max", "5"), "grid min must be below grid max"),
     ],
 )
 def test_figures_rejected_input_leaves_no_directory(tmp_path, capsys, argv, message):

@@ -296,6 +296,10 @@ def _double(formula):
         # a change far below double resolution, which a float comparison cannot see
         (bwcert._structure_certificate, bwcert, "_d0",
          lambda d0: lambda t, e: d0(t, e) + t ** 9 * Fraction(1, 10 ** 40), "discriminant identity", None),
+        (bwcert._structure_certificate, bwcert, "_h0",
+         lambda h0: lambda t, e: h0(t, e) + t ** 9 * Fraction(1, 10 ** 40), "discriminant identity", None),
+        (bwcert._structure_certificate, bwcert, "_h1",
+         lambda h1: lambda t, e: h1(t, e) - t ** 9 * Fraction(1, 10 ** 40), "discriminant identity", None),
         # every derivative of a quotient is RationalFunction.derivative
         (series_decomposition_certificate, RationalFunction, "derivative", _double, "f antiderivative", None),
         (integral_antiderivative_certificate, RationalFunction, "derivative", _double,
@@ -306,7 +310,7 @@ def _double(formula):
          "h1-numerator", "s-bound", "s-bound-middle", "u-table", "v-table",
          "preferred-series-term", "s-function", "s-integral-tail", "s-supremum-bound",
          "bracket-low", "bracket-high", "em-lower-bound", "h-limits", "s-derivative-p-r",
-         "discriminant-identity",
+         "discriminant-identity", "discriminant-h0", "discriminant-h1",
          "series-quotient-derivative", "integral-quotient-derivative", "h-quotient-derivative"],
 )
 def test_exact_certificate_records_a_failed_check(monkeypatch, certificate, owner, name, corrupt, label, helper):

@@ -14,6 +14,7 @@ from leraykit.exactpoly import (
     RationalFunction,
     RationalPolynomial,
     descartes_sign_changes,
+    exp_series_nonnegative,
     exp_taylor_coefficient,
     sign_pattern,
 )
@@ -131,6 +132,40 @@ def test_exp_taylor_coefficient_reads_exponential_polynomials():
         assert exp_taylor_coefficient(x * y * y, n) == (Fraction(2 ** (n - 1), fact(n - 1)) if n else 0)
         assert exp_taylor_coefficient((y - 1) ** 2, n) == (Fraction(2 ** n - 2, fact(n)) if n else 0)
         assert exp_taylor_coefficient(BivariatePolynomial.constant(5), n) == (5 if n == 0 else 0)
+
+
+def test_exp_series_nonnegative_examples():
+    t, e = BivariatePolynomial.x(), BivariatePolynomial.y()
+    proved = [e * e - e, (e - 1) ** 2 - t * t * e, e - 1 - t, t * e - e + 1, 1 + t, BivariatePolynomial.zero()]
+    refuted = [-e, e - 2, t - t * t, e * e - 3 * t * e]  # the last 2^n - 3n at n = 1, 2, 3
+    assert all(exp_series_nonnegative(p) for p in proved)
+    assert not any(exp_series_nonnegative(p) for p in refuted)
+
+
+def test_exp_series_nonnegative_finds_a_single_negative_coefficient_far_out():
+    # a_n = 2^n + B (n - 20)^2 - D from e^(2t) + e^t (B t^2 + B (1 - 40) t + 400 B - D): the
+    # lower base outweighs the top one only at n = 20
+    t, e = BivariatePolynomial.x(), BivariatePolynomial.y()
+    b, d = 2 ** 19 + 1, 2 ** 20 + 1
+    p = e * e + e * (b * t * t + b * (1 - 40) * t + 400 * b - d)
+    a = [exp_taylor_coefficient(p, n) * math.factorial(n) for n in range(60)]
+    assert a[20] == -1 and [n for n, a_n in enumerate(a) if a_n < 0] == [20]
+    assert not exp_series_nonnegative(p)
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
+                    st.integers(min_value=-6, max_value=6), min_size=1, max_size=6),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+)
+@settings(max_examples=80, deadline=None)
+def test_exp_series_nonnegative_never_claims_a_false_sign(terms, top):
+    # a positive term on a base above the others makes a proof likely
+    if top is not None:
+        terms = {**terms, (0, max(k for _, k in terms) + 1): top}
+    p = BivariatePolynomial(terms)
+    if exp_series_nonnegative(p):
+        assert all(exp_taylor_coefficient(p, n) >= 0 for n in range(120))
 
 
 def _random_quotient(rng):

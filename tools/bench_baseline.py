@@ -3,8 +3,9 @@
     python tools/bench_baseline.py [--src SRC] [--runs 5] [--tier1] [--out BENCH.json]
 
 In process, in a fresh interpreter: each L1-L4 call, each `emcert`
-certificate among them, as the median of --runs calls after one warm-up
-call.  As subprocesses: `import leraykit`, `import leraykit.bwcert` (which
+certificate, the two exact `bwcert` certificates and
+`exp_series_nonnegative` on the kernel's d0 among them, as the median of
+--runs calls after one warm-up call.  As subprocesses: `import leraykit`, `import leraykit.bwcert` (which
 builds the kernel's Taylor tables exactly), `leraykit version`, `phi --r 3
 --q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw`, `--suite em` and
 `--suite all --format json` (the benchmark's `certify` command, to stdout) and
@@ -29,8 +30,10 @@ from typing import Dict, List
 
 IN_PROCESS = r"""
 import json, statistics, sys, time
-from leraykit import emcert, leray_norm, log_gamma, monotonicity_scan, phi, polygamma, sup_search, symbol_value
+from leraykit import bwcert, emcert, leray_norm, log_gamma, monotonicity_scan, phi, polygamma, sup_search, symbol_value
 from leraykit.bwcert import bw_certificate_suite, cm_numeric_certificate, f_q
+from leraykit.exactpoly import BivariatePolynomial, exp_series_nonnegative
+d0 = bwcert._d0(BivariatePolynomial.x(), BivariatePolynomial.y())
 from leraykit.specialfn import phi_series_partial
 runs = int(sys.argv[1])
 calls = {
@@ -48,6 +51,9 @@ calls = {
     "L3 f_q(2, 0.5), without": lambda: f_q(2.0, 0.5, cross_check=False),
     "L3 cm_numeric_certificate(0)": lambda: cm_numeric_certificate(0.0),
     "L3 bw_certificate_suite": bw_certificate_suite,
+    "L3 bw.cm-refuted.q=2/3, exact": bwcert._refutation_certificate,
+    "L3 bw.quadratic.structure, exact": bwcert._structure_certificate,
+    "L4 exp_series_nonnegative(d0)": lambda: exp_series_nonnegative(d0),
     **{f"L4 {name}": getattr(emcert, name) for name in (
         "series_decomposition_certificate", "integral_antiderivative_certificate",
         "bracket_certificates", "h_pipeline", "s_bound_certificate", "em_certificate_suite",
