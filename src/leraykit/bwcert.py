@@ -285,7 +285,7 @@ def _tail_cutoff(x: float, q: float) -> Tuple[float, float]:
     s = 1 + x
     T = max(4.0, 40.0 / s)
     while True:
-        bound = scale * math.exp(-s * T) * (T / s + 1 / s ** 2)
+        bound = scale * math.exp(-s * T) * (T / s + 1 / s / s)
         if bound < DEFAULT_TOL or T > 1e4:
             return T, bound
         T *= 1.5

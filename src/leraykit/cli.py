@@ -32,7 +32,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
 
 from . import __version__
 from .errors import DomainError, LeraykitError, ToleranceUnreachable
@@ -169,11 +169,19 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
+def _csv_text(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """A header line, then one line per row: the CSV format of tables and figures."""
+    return "\n".join([",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def _key_value_text(pairs: Iterable[Tuple[str, Any]]) -> str:
+    """One `key = value` line per pair, the text format of single results."""
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+
+
 def _emit_table(name: str, columns: Sequence[str], rows: Sequence[Sequence[Any]], cfg: RunConfig) -> None:
     if cfg.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(columns, rows)
     else:
         text = _bundle_json(cfg, (), [(name, columns, rows)])
     _write_out(text, cfg.output)
@@ -336,8 +344,7 @@ def _cmd_norm(ns: argparse.Namespace) -> int:
     if cfg.format == "json":
         _emit_table("norm", columns, rows, cfg)
     else:
-        lines = [f"{c} = {_fmt(v)}" for c, v in zip(columns, rows[0])]
-        _write_out("\n".join(lines) + "\n", cfg.output)
+        _write_out(_key_value_text(zip(columns, rows[0])), cfg.output)
     return 0
 
 
@@ -349,15 +356,10 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     measure = _measure_from_args(ns)
     d = measure.exponent(ns.gamma)
     result = monotonicity_scan(ns.gamma, d, cfg.k_max)
-    lines = [
-        f"gamma = {_fmt(ns.gamma)}",
-        f"d = {_fmt(d)}",
-        f"k_max = {cfg.k_max}",
-        f"classification = {result.classification.value}",
-    ]
+    pairs = [("gamma", ns.gamma), ("d", d), ("k_max", cfg.k_max), ("classification", result.classification.value)]
     if result.witness_k is not None:
-        lines.append(f"turning_k = {result.witness_k}")
-    _write_out("\n".join(lines) + "\n", cfg.output)
+        pairs.append(("turning_k", result.witness_k))
+    _write_out(_key_value_text(pairs), cfg.output)
     return 0
 
 
@@ -411,7 +413,7 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
                 row.append(float(_within_tolerance("phi", phi_fn(r, q), cfg).value))
             rows.append(row)
         path = out_dir / "phi_sweep.csv"
-    text = "\n".join([",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+    text = _csv_text(columns, rows)
     # made only now, so a rejected input leaves no empty directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="")
@@ -453,17 +455,11 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
 
     cfg = build_config(ns)
     value = _within_tolerance("phi", phi_fn(ns.r, ns.q), cfg)
-    lines = [
-        f"r = {_fmt(ns.r)}",
-        f"q = {_fmt(ns.q)}",
-        f"phi = {_fmt(float(value.value))}",
-        f"error_radius = {_fmt(_radius(value))}",
-    ]
+    pairs = [("r", ns.r), ("q", ns.q), ("phi", float(value.value)), ("error_radius", _radius(value))]
     if ns.r > max(ns.q - 1, 0.0):
         lo, hi = phi_sandwich(ns.r, ns.q)
-        lines.append(f"sandwich_lower = {_fmt(lo)}")
-        lines.append(f"sandwich_upper = {_fmt(hi)}")
-    _write_out("\n".join(lines) + "\n", cfg.output)
+        pairs += [("sandwich_lower", lo), ("sandwich_upper", hi)]
+    _write_out(_key_value_text(pairs), cfg.output)
     return 0
 
 

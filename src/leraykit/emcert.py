@@ -22,7 +22,7 @@ identity as an equality of quotients.  The certificates cover:
 * the Euler-Maclaurin decomposition identities of the series (antiderivative
   witnesses, the peeled N = 0 term, the per-period Bernoulli integral);
 * the closed form of integral_2^inf S(r, x) dx (antiderivative witness with
-  logarithmic part -2r log((3r+7)/(3r+4)));
+  logarithmic part -2r log((3r+7)/(3r+4)), which vanishes at infinity);
 * the cubic p_r locating the remainder peak Q_r as the numerator of
   dS/dx, its bracket m(r) < Q_r < M(r), and the exact bracket
   evaluations;
@@ -34,13 +34,12 @@ identity as an equality of quotients.  The certificates cover:
   U, V, the degree-22 cleared polynomial P(r), its fourteen derivatives,
   and the exact endpoint evaluations.
 
-The one numeric spot check beside them, the quadrature oracle of the tail
-integral, uses the adaptive Gauss-Kronrod rule of
-:mod:`leraykit._quadrature`; it passes only when the closed form agrees to
-1e-8 relative and the quadrature's own error estimate is at most 1e-12.
-Each certificate records every check as a witness through
-:class:`~leraykit.certificates.Checks`; any check that fails turns its
-verdict to ``failed`` and is named in ``inputs["failures"]``.
+No certificate evaluates a float: the doubles live only in the public
+helpers, and the quadrature of :mod:`leraykit._quadrature` only in the
+oracle route ``s_integral_tail_quad``.  Each certificate records every
+check as a witness through :class:`~leraykit.certificates.Checks`; any
+check that fails turns its verdict to ``failed`` and is named in
+``inputs["failures"]``.
 
 Bracket coefficient note: the 1/r term of m(r) and M(r) is 3/25.  The
 bracket evaluation identities pin this down exactly (they fail for the
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -103,6 +102,19 @@ def _require_r(r) -> None:
         raise DomainError(f"requires finite r > 2/3 (got {r})")
 
 
+def _finite(helper: str, formula, **args):
+    """formula(*args), unless a double cannot hold it: a float overflow or a
+    non-finite float result is a DomainError naming the arguments."""
+    try:
+        value = formula(*args.values())
+    except OverflowError:
+        value = math.inf
+    if isinstance(value, float) and not math.isfinite(value):
+        at = " and ".join(f"{k} = {v}" for k, v in args.items())
+        raise DomainError(f"{helper}: the result is not finite in doubles at {at}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # the formulas of the argument, each written once (see the module docstring)
 # ----------------------------------------------------------------------
@@ -118,6 +130,12 @@ def _antiderivative(r, x):
 
 def _s(r, x):
     return 81 * r * (9 * x * x - 3 * x - 9 * r * r - 2) / ((3 * r + 3 * x + 1) ** 3 * (3 * r + 3 * x - 2) ** 3)
+
+
+def _tail_antiderivative(r, v):
+    """p(v)/(v^2 (v+3)^2), the rational part of an antiderivative of S dx/dv
+    in v = 3x + 3r - 2."""
+    return (Fraction(81, 2) * r * r - 27 * r * v - 27 * r * v * v - 6 * r * v ** 3) / (v * v * (v + 3) ** 2)
 
 
 def _tail_rational(r):
@@ -160,7 +178,10 @@ def _h_base(r):
 # ----------------------------------------------------------------------
 def preferred_series_term(r, j):
     """f_r(j) = 18 r (3j - 2) / (3r + 3j - 2)^3; phi(r, 2/3) = sum_{j>=1} f_r(j)."""
-    return _f(r, j)
+    _require_r(r)
+    if not 1 <= j < math.inf:
+        raise DomainError(f"f_r(j) is used on finite j >= 1 (got {j})")
+    return _finite("preferred_series_term", _f, r=r, j=j)
 
 
 def s_function(r, x):
@@ -173,14 +194,14 @@ def s_function(r, x):
     _require_r(r)
     if not 0 <= x < math.inf:
         raise DomainError(f"S(r, x) is used on finite x >= 0 (got {x})")
-    return _s(r, x)
+    return _finite("s_function", _s, r=r, x=x)
 
 
 def s_supremum_bound(r):
     """16/(3125 r^3): a strict upper bound for S(r, Q_r) when r > 2/3
     (the leading term of the peak value's expansion at infinity)."""
     _require_r(r)
-    return _peak_bound(r)
+    return _finite("s_supremum_bound", _peak_bound, r=r)
 
 
 def pr_bivariate() -> BivariatePolynomial:
@@ -207,7 +228,7 @@ def bracket_low(r):
     """m(r) = 3r/2 + 1/6 + 3/(25r) - 21/(3125 r^3) < Q_r.  Exact for
     Fraction input."""
     _require_r(r)
-    return _bracket_low(r, _BRACKET_C)
+    return _finite("bracket_low", lambda r: _bracket_low(r, _BRACKET_C), r=r)
 
 
 def bracket_high(r):
@@ -263,10 +284,10 @@ def phi_preferred_reconstruction(r: float) -> Tuple[float, float]:
     returned bound covers only the truncation.
     """
     _require_r(r)
-    n_min = max(3, math.ceil(r))
-    n_stop = max(n_min, math.ceil((20 * r / (27 * _RECONSTRUCTION_TAIL)) ** (1 / 3)))
+    n_stop = max(3, r, (20 * r / (27 * _RECONSTRUCTION_TAIL)) ** (1 / 3))
     if n_stop > 10_000_000:
-        raise TailUnbounded("tail target requires more than 1e7 terms")
+        raise TailUnbounded(f"tail target requires more than 1e7 terms at r = {r}")
+    n_stop = math.ceil(n_stop)
     total = 1 + _first_term(r)
     for n in range(1, n_stop + 1):
         total += _s(r, n)
@@ -280,19 +301,16 @@ def s_integral_tail(r) -> float:
         3r (108 r^3 + 594 r^2 + 1035 r + 616) / (2 (3r+4)^2 (3r+7)^2)
         - 2 r log((3r+7)/(3r+4)).
 
-    Certified exactly by integral_antiderivative_certificate().
+    Certified exactly by integral_antiderivative_certificate().  In doubles
+    the two terms cancel for large r: s_integral_tail(1e8) is 0.0, where the
+    integral is about -1.7e-17.
     """
     _require_r(r)
-    return _tail_rational(r) - 2 * r * math.log1p(3 / (3 * r + 4))
+    return _finite("s_integral_tail", lambda r: _tail_rational(r) - 2 * r * math.log1p(3 / (3 * r + 4)), r=r)
 
 
 # absolute target of the tail quadrature; the integrals are O(1e-3)
 _TAIL_QUAD_TOL = 1e-12
-
-
-def _tail_quad(r) -> Tuple[float, float]:
-    """(value, error estimate) of integral_2^inf S(r, x) dx by quadrature."""
-    return quad(lambda x: s_function(r, x), (2, math.inf), epsabs=_TAIL_QUAD_TOL, limit=400)
 
 
 def s_integral_tail_quad(r) -> float:
@@ -302,7 +320,7 @@ def s_integral_tail_quad(r) -> float:
     stays above 1e-12.
     """
     _require_r(r)
-    value, error = _tail_quad(r)
+    value, error = quad(lambda x: s_function(r, x), (2, math.inf), epsabs=_TAIL_QUAD_TOL, limit=400)
     if not error <= _TAIL_QUAD_TOL:
         raise ToleranceUnreachable(
             f"s_integral_tail_quad({r}) cannot reach {_TAIL_QUAD_TOL}: error estimate {error:.3e}"
@@ -316,10 +334,12 @@ def em_lower_bound(r: float) -> float:
     H(r) = (6r-1)/(3r+1)^3 + S(r,1) + S(r,2)
            + integral_2^inf S(r, x) dx - 16/(3125 r^3);
 
-    positive on (2/3, inf), tending to 0 from above.
+    positive on (2/3, inf), tending to 0 from above.  In doubles its terms
+    cancel for large r: em_lower_bound(1e10) is -4.4e-16, where H is about
+    5.6e-22.
     """
     _require_r(r)
-    return _h(r, s_integral_tail(r))
+    return _finite("em_lower_bound", lambda r: _h(r, s_integral_tail(r)), r=r)
 
 
 # ----------------------------------------------------------------------
@@ -377,14 +397,18 @@ def integral_antiderivative_certificate() -> Certificate:
     / (v^3 (v+3)^3) dv), the antiderivative is
 
         G(v) = p(v)/(v^2 (v+3)^2) - 2r (log v - log(v+3)),
-        p(v) = 81 r^2/2 - 27 r v - 27 r v^2 - 6 r v^3,
+        p(v) = 81 r^2/2 - 27 r v - 27 r v^2 - 6 r v^3.
 
-    and evaluating -G at v = 3r + 4 yields the rational part of the tail
-    formula used in H.  The change of variable is checked against S's
-    numerator, G' (RationalFunction.derivative of the rational part, plus
+    Four steps, each exact: the change of variable is checked against S's
+    numerator; G' (RationalFunction.derivative of the rational part, plus
     the derivative of the logarithms) against S dx/dv as quotients in
-    (r, v), and the evaluation against the tail formula by
-    cross-multiplication.
+    (r, v); -p(v)/(v^2 (v+3)^2) at v = 3r + 4 against the tail formula's
+    rational part, by cross-multiplication; and G -> 0 as v -> inf.  The
+    rational part's limit is read off degrees in v (3 < 4, over a monic
+    denominator), and the log part 2r log(1 + 3/v) is squeezed to 0 by
+    0 <= log(1 + u) <= u with u = 3/v, as 2ru -> 0.  So
+    integral_2^inf S dx = lim G - G(3r + 4) = -G(3r + 4), the closed form
+    of s_integral_tail.
     """
     c = Checks()
 
@@ -398,35 +422,28 @@ def integral_antiderivative_certificate() -> Certificate:
     c.check("numerator_in_v", _s(_R2, _Y).num == 3 * s_dx_dv(3 * v + 3 * r - 2), "numerator transform")
 
     # G' = (p/(v^2 (v+3)^2))' - 2r (1/v - 1/(v+3)) equals S dx/dv
-    p = BivariatePolynomial({(2, 0): Fraction(81, 2), (1, 1): -27, (1, 2): -27, (1, 3): -6})
-    g_prime = RationalFunction(p, v * v * (v + 3) ** 2).derivative() - 2 * _R2 * (1 / _Y - 1 / (_Y + 3))
+    g_rational = _tail_antiderivative(_R2, _Y)
+    g_prime = g_rational.derivative() - 2 * _R2 * (1 / _Y - 1 / (_Y + 3))
     s_dv = RationalFunction(s_dx_dv(v), v ** 3 * (v + 3) ** 3)
     c.check("antiderivative_identity", g_prime == s_dv, "antiderivative identity")
 
     # evaluation: -p(v)/(v^2 (v+3)^2) at v = 3r + 4 is the tail's rational part
-    v0 = 3 * _R + 4
-    boundary = -p.substitute_y(v0) / (v0 ** 2 * (v0 + 3) ** 2)
+    boundary = -_tail_antiderivative(_R, 3 * _R + 4)
     c.check("boundary_evaluation", boundary == _tail_rational(_R), "boundary evaluation")
 
-    # numeric spot check of the full closed form against quadrature
-    rel_errs = {}
-    estimates_ok = True
-    for rv in (1.0, 2.0, 5.0):
-        closed = s_integral_tail(rv)
-        oracle, error = _tail_quad(rv)
-        rel_errs[rv] = abs(closed - oracle) / abs(oracle)
-        estimates_ok = estimates_ok and error <= _TAIL_QUAD_TOL
-    c.check(
-        "quadrature_rel_err",
-        estimates_ok and max(rel_errs.values()) <= 1e-8,
-        "quadrature cross-check",
-        rel_errs,
-    )
+    # G -> 0: 0 <= log(1 + u) <= u with u = 3/v squeezes 2r log(1 + 3/v) to 0
+    limits = {
+        "p/(v^2(v+3)^2)": _limit_at_infinity(g_rational),
+        "2ru": _limit_at_infinity(2 * _R2 * (3 / _Y)),
+    }
+    monic = g_rational.den.leading_coefficient() == 1
+    c.check("g_limit_at_infinity", monic and limits == {"p/(v^2(v+3)^2)": 0, "2ru": 0}, "G limit at infinity", limits)
 
     return c.certificate(
         "em.integral.tail-closed-form",
         "closed form of the remainder tail integral over [2, inf): "
-        "rational part plus -2r log((3r+7)/(3r+4))",
+        "rational part plus -2r log((3r+7)/(3r+4)); the antiderivative "
+        "vanishes at infinity",
     )
 
 
@@ -575,12 +592,16 @@ def h_pipeline() -> Certificate:
     )
 
 
-def _limit_at_infinity(q: RationalFunction) -> Optional[Fraction]:
-    """The limit of a quotient in r as r -> inf, read off the degrees and
-    leading coefficients; None where it diverges."""
+def _limit_at_infinity(q: RationalFunction):
+    """The limit of a quotient in r as r -> inf, or of one in (r, v) as
+    v -> inf, read off the degrees and leading coefficients: a Fraction, a
+    quotient in r, or None where it diverges."""
     if q.num.degree != q.den.degree:
         return Fraction(0) if q.num.degree < q.den.degree else None
-    return Fraction(q.num.leading_coefficient()) / q.den.leading_coefficient()
+    top, bottom = q.num.leading_coefficient(), q.den.leading_coefficient()
+    if isinstance(top, RationalPolynomial):
+        return RationalFunction(top, bottom)
+    return Fraction(top) / bottom
 
 
 def _check_table(c: Checks, key: str, label: str, got: RationalPolynomial, coeffs) -> None:

@@ -23,6 +23,7 @@ from leraykit.bwcert import (
 )
 from leraykit.errors import CrossCheckFailure, DomainError
 from leraykit.exactpoly import BivariatePolynomial, RationalFunction, exp_series_nonnegative, exp_taylor_coefficient
+from leraykit.specialfn import BoundedFloat
 
 T_GRID = [10 ** (-4 + 5.7 * i / 39) for i in range(40)]  # log grid 1e-4 .. 50
 
@@ -252,6 +253,16 @@ def test_f_q_rejects_non_finite_arguments_by_name(bad):
         f_q(bad, 0.0)
     with pytest.raises(DomainError, match=r"^q must be finite \(got "):
         f_q(1.0, bad)
+
+
+@pytest.mark.parametrize("x", [1e200, 1e300])
+def test_f_q_at_a_huge_x_is_a_value_or_a_domain_error(x):
+    # 1/s^2 with s = 1 + x overflowed a double from x ~ 1.3e154
+    try:
+        value = f_q(x, 0.5)
+    except DomainError:
+        return
+    assert isinstance(value, BoundedFloat)
 
 
 SUITE_Q = (-2.0, 0.0, 1.0, 3.0, 2.0 / 3.0)

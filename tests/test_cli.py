@@ -440,6 +440,28 @@ def test_certify_bw_includes_refutation(tmp_path, capsys):
     assert refuted["witnesses"]["kernel_taylor_coefficients"] == ["0/1", "0/1", "0/1", "-1/18"]
 
 
+class _JsonFloat(float):
+    """A number the JSON text wrote with a fraction or an exponent."""
+
+
+def _json_floats(obj):
+    if isinstance(obj, _JsonFloat):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return [f for item in obj for f in _json_floats(item)] if isinstance(obj, list) else []
+
+
+def test_exact_certificates_in_the_report_hold_no_float(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--suite", "all", "--format", "json")
+    assert code == 0
+    bundle = json.loads(out, parse_float=_JsonFloat)
+    exact = [c for c in bundle["certificates"] if c["method"] == "exact"]
+    assert len(exact) == 7
+    for cert in exact:
+        assert not _json_floats([cert["inputs"], cert["witnesses"]]), cert["claim_id"]
+
+
 def test_certify_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(capsys, "certify", "--suite", "em", "--output", str(a))
@@ -700,7 +722,7 @@ print(json.dumps({
 
 
 def test_no_command_loads_scipy_or_numpy(tmp_path):
-    # certify --suite all runs both quadrature cross-checks
+    # certify --suite all runs the f_q quadrature cross-checks
     commands = [
         ["version"],
         ["phi", "--r", "1", "--q", "0"],

@@ -28,7 +28,7 @@ from leraykit.emcert import (
     s_supremum_bound,
     series_decomposition_certificate,
 )
-from leraykit.errors import DomainError
+from leraykit.errors import DomainError, TailUnbounded
 from leraykit.exactpoly import BivariatePolynomial, RationalFunction, RationalPolynomial, descartes_sign_changes
 from leraykit.specialfn import phi
 
@@ -163,6 +163,7 @@ def test_series_decomposition_certificate():
 def test_integral_antiderivative_certificate():
     cert = integral_antiderivative_certificate()
     assert cert.verdict == "verified"
+    assert cert.witnesses["g_limit_at_infinity"] == {"p/(v^2(v+3)^2)": 0, "2ru": 0}
 
 
 def test_bracket_certificates():
@@ -183,14 +184,13 @@ def test_h_pipeline_matches_tables():
 
 
 def test_exact_certificates_reach_no_float_function(monkeypatch):
-    # only the tail certificate's quadrature cross-check evaluates in doubles
+    # every float helper evaluates its formula through _finite
     def unreachable(*args, **kwargs):
         raise AssertionError("an exact certificate evaluated a float helper")
 
-    for name in ("em_lower_bound", "s_integral_tail", "quad"):
+    for name in ("em_lower_bound", "s_integral_tail", "quad", "_finite"):
         monkeypatch.setattr(emcert, name, unreachable)
-    for certificate in (series_decomposition_certificate, bracket_certificates, h_pipeline, s_bound_certificate):
-        assert certificate().verdict == "verified", certificate.__name__
+    assert [c.verdict for c in em_certificate_suite()] == ["verified"] * 5
 
 
 def test_limit_at_infinity_reads_degrees_and_leading_coefficients():
@@ -198,6 +198,9 @@ def test_limit_at_infinity_reads_degrees_and_leading_coefficients():
     assert emcert._limit_at_infinity(RationalFunction(3 * x ** 2 + 1, 6 * x ** 2)) == Fraction(1, 2)
     assert emcert._limit_at_infinity(RationalFunction(x, x ** 2)) == 0
     assert emcert._limit_at_infinity(RationalFunction(x ** 2, x)) is None
+    r, v = BivariatePolynomial.x(), BivariatePolynomial.y()
+    assert emcert._limit_at_infinity(RationalFunction(r * v + 1, 2 * v + r)) == RationalFunction(x, 2)
+    assert emcert._limit_at_infinity(RationalFunction(r * v, v * v)) == 0
 
 
 def test_h_table_spot_values():
@@ -257,10 +260,11 @@ def _double(formula):
     [
         (series_decomposition_certificate, BivariatePolynomial, "derivative",
          lambda dx: lambda p: 2 * dx(p), "f antiderivative", None),
-        (integral_antiderivative_certificate, emcert, "s_integral_tail",
-         lambda tail: lambda r: 1.01 * tail(r), "quadrature cross-check", None),
-        (integral_antiderivative_certificate, emcert, "quad",
-         lambda quad: lambda *a, **k: (quad(*a, **k)[0], 1e-9), "quadrature cross-check", None),
+        # a constant of integration leaves G' = S dx/dv as it is, but G no longer vanishes at infinity
+        (integral_antiderivative_certificate, emcert, "_tail_antiderivative",
+         lambda g: lambda r, v: g(r, v) + 1, "G limit at infinity", None),
+        (integral_antiderivative_certificate, emcert, "_limit_at_infinity",
+         lambda limit: lambda q: limit(q) + 1, "G limit at infinity", None),
         (bracket_certificates, emcert, "pr_bivariate",
          lambda pr: lambda: pr() + BivariatePolynomial.constant(1), "affine probe 1/6", None),
         (h_pipeline, tables, "H2_NUM_COEFFS", _bump_constant_term,
@@ -306,7 +310,7 @@ def _double(formula):
          "antiderivative identity", None),
         (h_pipeline, RationalFunction, "derivative", _double, "H' numerator", None),
     ],
-    ids=["series", "integral", "integral-estimate", "bracket", "h-pipeline", "h-numerator",
+    ids=["series", "integral-constant", "integral-limit", "bracket", "h-pipeline", "h-numerator",
          "h1-numerator", "s-bound", "s-bound-middle", "u-table", "v-table",
          "preferred-series-term", "s-function", "s-integral-tail", "s-supremum-bound",
          "bracket-low", "bracket-high", "em-lower-bound", "h-limits", "s-derivative-p-r",
@@ -356,13 +360,48 @@ def test_exact_suite_never_reduces_a_rational_function():
         lambda: q_root(math.inf),
         lambda: bracket_low(math.inf),
         lambda: bracket_high(0.0),
+        lambda: preferred_series_term(math.inf, 1),
+        lambda: preferred_series_term(math.nan, 1),
+        lambda: preferred_series_term(1.0, math.inf),
+        lambda: preferred_series_term(1.0, math.nan),
     ],
     ids=["reconstruction", "pr-poly", "pr-poly-nan", "h", "tail", "s-r", "s-x", "s-x-nan",
-         "peak-bound", "q-root", "bracket-low", "bracket-high-zero"],
+         "peak-bound", "q-root", "bracket-low", "bracket-high-zero",
+         "series-term-r-inf", "series-term-r-nan", "series-term-j-inf", "series-term-j-nan"],
 )
 def test_helpers_reject_non_finite_input(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("r", [1e80, 1e200])
+@pytest.mark.parametrize(
+    "helper",
+    [
+        lambda r: s_function(r, 1.0),
+        lambda r: preferred_series_term(r, 1),
+        s_supremum_bound,
+        bracket_low,
+        s_integral_tail,
+        em_lower_bound,
+        s_integral_tail_quad,
+    ],
+    ids=["s-function", "series-term", "peak-bound", "bracket-low", "tail", "h", "tail-quad"],
+)
+def test_helpers_at_a_huge_r_give_a_finite_value_or_a_domain_error(helper, r):
+    # a double overflow used to escape as a bare OverflowError, or as nan
+    try:
+        value = helper(r)
+    except DomainError as exc:
+        assert f"r = {r}" in str(exc)
+        return
+    assert math.isfinite(value)
+
+
+def test_reconstruction_at_a_huge_r_is_tail_unbounded():
+    # ceil(inf) raised a bare OverflowError
+    with pytest.raises(TailUnbounded, match=r"at r = 1e\+300$"):
+        phi_preferred_reconstruction(1e300)
 
 
 def test_q_root_mp_polishes_against_the_exact_mpf_value():

@@ -41,7 +41,7 @@ def _sha256(data: bytes) -> str:
     "argv, digest",
     [
         (("certify", "--suite", "all", "--format", "json"),
-         "1141e1eed160ae3667e92261d55aeed067a16a634c4e62d77f247587a3adf545"),
+         "dc31e01eefd7f79eaf5942defab874be92f6efa07846a4fbfccb9b1f90fc5adb"),
         (("norm", "--gamma", "3", "--d", "0.5", "--k-max", "2000"),
          "ea8d85a581ed7ed5bd60ba840133291fa0c6c4003d99aa0630f9b77bd06095c1"),
         (("symbol", "--gamma", "3", "--d", "0.5", "--k", "0..60"),
