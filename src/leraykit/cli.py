@@ -49,6 +49,8 @@ TOOL_NAME = "leraykit"
 J_SWEEP_GAMMA = 5.0
 J_SWEEP_D_SET = (1.0, 2.0, 2.5, 3.0, 4.0)
 PHI_SWEEP_Q_SET = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)
+# why LERAYKIT_PRECISION_BITS may not rescue a radius above --tolerance
+TOLERANCE_NOTE = "more bits narrow only the rounding part of a radius, not the series truncation"
 MAX_K_RANGE = 10_000  # most modes a `symbol --k`, `scan` or j-sweep, and most points a grid, may ask for
 
 
@@ -225,7 +227,7 @@ def _within_tolerance(name: str, value: BoundedFloat, cfg: RunConfig) -> Bounded
 
         raise ToleranceUnreachable(
             f"{name} radius {_format_e3(value.error_radius)} exceeds tol={cfg.tolerance} "
-            f"at {precision_bits()}-bit precision"
+            f"at {precision_bits()}-bit precision ({TOLERANCE_NOTE})"
         )
     return value
 

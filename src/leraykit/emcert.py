@@ -194,7 +194,15 @@ def s_function(r, x):
     _require_r(r)
     if not 0 <= x < math.inf:
         raise DomainError(f"S(r, x) is used on finite x >= 0 (got {x})")
-    return _finite("s_function", _s, r=r, x=x)
+    value = _finite("s_function", _s, r=r, x=x)
+    if isinstance(value, float) and value == 0:
+        # a float denominator overflows to inf without raising (from
+        # r + x ~ 1e80 on), leaving a signed zero: take the exact quotient
+        exact = _s(Fraction(r), Fraction(x))
+        value = float(exact)
+        if exact and not value:
+            raise DomainError(f"s_function: S(r, x) underflows doubles at r = {r} and x = {x}")
+    return value
 
 
 def s_supremum_bound(r):

@@ -20,16 +20,19 @@ sources:
   at 120, 200 and 400 bits alike; and
 * rounding, bounded by rounding every operation outward (directed
   rounding), so no operation count is kept anywhere.  A BoundedFloat
-  holds the raw (a, b) endpoint pair of ``mpmath.libmp``, and it and the
-  kernels (log-Gamma, digamma, the polygamma series and their Bernoulli
-  tails) compute with that library's ``mpi_*`` primitives at the working
-  precision: the functions behind ``mpmath.iv``'s operators, so every
-  endpoint is the one ``iv`` gives, without its per-operation dispatch.
-  Where the kernels' loops know an operand's sign (1/z, its powers and the
-  raising products are positive), they call the ``mpf_*`` floor/ceiling
-  pair that ``mpi_*`` would select, which gives the same endpoints.  phi
-  takes psi' and psi'' from one raising pass.  No other module touches a
-  raw pair.
+  holds the raw (a, b) endpoint pair of ``mpmath.libmp`` and computes
+  with that library's ``mpi_*`` primitives at the working precision, the
+  functions behind ``mpmath.iv``'s operators.  The kernels (log-Gamma,
+  digamma, the polygamma series and their Bernoulli tails) run on Python
+  integers in fixed point, as mpmath computes its own elementary
+  functions: an argument enters as exact integer endpoints times a power
+  of two, every O(1) quantity is an integer interval in units of 2^-w,
+  w = precision + _GUARD, whose lower end is rounded down and upper end
+  up, and a result leaves as a raw pair rounded outward.  Logarithms and
+  exponentials are ``mpf_log``/``mpf_exp`` at directed rounding.  The
+  polygamma series sums in units scaled by z^-m, so huge and tiny
+  arguments keep a relative radius.  phi takes psi' and psi'' from one
+  raising pass.  No other module touches a raw pair.
 
 One working precision, set by LERAYKIT_PRECISION_BITS or
 :func:`set_precision_bits`, drives the interval arithmetic and
@@ -63,7 +66,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, fsum, inf, isfinite, log2, nextafter, perm
+from math import factorial, fsum, inf, isfinite, log2, nextafter, perm
 from typing import Tuple, Union
 
 import mpmath
@@ -72,14 +75,12 @@ from mpmath.libmp import (
     finf,
     fnan,
     fninf,
-    fone,
     from_float,
     from_int,
-    mpf_add,
-    mpf_div,
+    from_man_exp,
     mpf_le,
+    mpf_log,
     mpf_lt,
-    mpf_mul,
     mpf_neg,
     mpf_sign,
     mpi_abs,
@@ -129,7 +130,7 @@ def set_precision_bits(bits: int) -> None:
 Scalar = Union[int, float, Fraction, mpf, "BoundedFloat"]
 
 # raw intervals of exact constants, the same at every precision
-_RAW_ZERO, _RAW_ONE, _RAW_TWO, _RAW_HALF = ((v, v) for v in map(from_float, (0.0, 1.0, 2.0, 0.5)))
+_RAW_ONE, _RAW_TWO = ((v, v) for v in map(from_float, (1.0, 2.0)))
 
 
 def _raw(x: Scalar) -> tuple:
@@ -335,143 +336,207 @@ def _log_gamma_floor(prec: int) -> float:
     return to_float(remainders[-1][1]) * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
 
 
-# Raw-interval operations for operands of known sign, used by the kernels'
-# inner loops: each gives the endpoints of the mpi_* call it replaces (the
-# floor/ceiling pair of the branch those signs select), without the sign
-# dispatch on every operand.
-def _add(s, t):
-    """s + t, as mpi_add for finite endpoints."""
-    return mpf_add(s[0], t[0], _PREC, round_floor), mpf_add(s[1], t[1], _PREC, round_ceiling)
+# ----------------------------------------------------------------------
+# fixed-point kernels
+# ----------------------------------------------------------------------
+# An O(1) quantity is an integer interval [lo, hi] in units of 2^-w,
+# w = precision + _GUARD, lower ends rounded down and upper ends up; an
+# argument is a dyadic interval (lo, hi, f): the integers lo <= hi with
+# lo 2^f <= x <= hi 2^f and f <= 0.
+_GUARD = 32
 
 
-def _scale(s, t):
-    """s * t for t > 0, as mpi_mul; an s straddling 0 takes its general case."""
-    a, b = s
-    if mpf_sign(a) >= 0:
-        return mpf_mul(a, t[0], _PREC, round_floor), mpf_mul(b, t[1], _PREC, round_ceiling)
-    if mpf_sign(b) <= 0:
-        return mpf_mul(a, t[1], _PREC, round_floor), mpf_mul(b, t[0], _PREC, round_ceiling)
-    return mpf_mul(a, t[1], _PREC, round_floor), mpf_mul(b, t[1], _PREC, round_ceiling)
+def _shift(n: int, e: int, up: bool = False) -> int:
+    """n 2^e rounded down to an integer, or up."""
+    if e >= 0:
+        return n << e
+    return -((-n) >> -e) if up else n >> -e
 
 
-def _recip(z):
-    """1 / z for z > 0, as mpi_div."""
-    return mpf_div(fone, z[1], _PREC, round_floor), mpf_div(fone, z[0], _PREC, round_ceiling)
+def _fixed(s, w: int, up: bool = False) -> int:
+    """The raw mpf s in units of 2^-w, rounded down, or up."""
+    return _shift(-s[1] if s[0] else s[1], s[2] + w, up)
 
 
-def _powers(u, e: int) -> list:
-    """[1, u, u^2, ..., u^e] for u > 0, each power the one before times u."""
-    out = [_RAW_ONE, u]
-    for _ in range(e - 1):
-        out.append(_scale(out[-1], u))
-    return out
+def _to_raw(lo: int, hi: int, scale: int, prec: int) -> tuple:
+    """The raw interval [lo 2^-scale, hi 2^-scale] rounded outward at `prec`
+    bits (prec = 0: exact)."""
+    return from_man_exp(lo, -scale, prec, round_floor), from_man_exp(hi, -scale, prec, round_ceiling)
 
 
-def _bernoulli_terms(z, u_powers: list, m: int):
-    """sum_{j=1}^{n} c_j z^-(m+2j) plus the remainder after n terms, for
-    z > 0 and u_powers = `_powers(1/z, e)` with e >= max(2, m + 2) (raw
-    intervals).
+def _exp_fixed(lo: int, hi: int, w: int) -> BoundedFloat:
+    """exp [lo 2^-w, hi 2^-w], rounded outward at the working precision."""
+    return BoundedFloat._of(_to_raw(lo, hi, w, 0)).exp()
+
+
+def _dyadic(x) -> tuple:
+    """The positive raw interval x as a dyadic interval."""
+    (_, a, ea, _), (_, b, eb, _) = x
+    f = min(ea, eb, 0)
+    return a << (ea - f), b << (eb - f), f
+
+
+def _ratio(p: int, q: int, w: int) -> tuple:
+    """p/q > 0 as a dyadic interval of at least w significant bits."""
+    s = max(w + q.bit_length() - p.bit_length() + 1, 0)
+    return (p << s) // q, -((-p << s) // q), -s
+
+
+def _log_fixed(x, w: int) -> Tuple[int, int]:
+    """log x for the dyadic interval x > 0, in units of 2^-w, from one
+    ``mpf_log`` rounded down at w bits: the upper end adds two units in
+    its last place and the mean-value bound (hi - lo)/lo."""
+    lo, hi, f = x
+    s = mpf_log(from_man_exp(lo, f), w, round_floor)
+    return _fixed(s, w), _fixed(s, w, True) + _shift(2, s[2] + s[3], True) - ((lo - hi << w) // lo)
+
+
+@lru_cache(maxsize=64)
+def _bernoulli_fixed(m: int, prec: int) -> tuple:
+    """The tables of `_bernoulli_series(m, prec)` in units of
+    2^-(prec + _GUARD), from the exact coefficients: each c_j rounded down,
+    each rounded up, each remainder bound |c_{n+1}| rounded up, and the
+    switch points."""
+    w = prec + _GUARD
+    c = [_bernoulli_coefficient(m, j) for j in range(1, _EM_TERMS + 2)]
+    floors = tuple((v.numerator << w) // v.denominator for v in c)
+    ceilings = tuple(-((-v.numerator << w) // v.denominator) for v in c)
+    remainders = tuple(-((-abs(v.numerator) << w) // v.denominator) for v in c[1:])
+    return floors, ceilings, remainders, _bernoulli_series(m, prec)[2]
+
+
+def _bernoulli_terms(m: int, z, u, w: int) -> Tuple[int, int]:
+    """z^max(m, 0) times (sum_{j=1}^{n} c_j z^-(m+2j) plus the remainder
+    after n terms), in units of 2^-w, for the dyadic interval z > 0 and
+    u = 1/z in units of 2^-w: an O(1) quantity.
 
     n is the fewest terms, at most _EM_TERMS, whose first omitted term
     c_{n+1} z^-(m+2n+2) is below 2^-prec z^-(m+1), which holds once
     z > (|c_{n+1}| 2^prec)^(1/(2n+1)).  For z > 0 the remainder after any
     n terms is bounded by the first omitted term, so the enclosure holds
     whichever n the float comparison picks.  That term enters Horner's
-    scheme as the interval [-|c_{n+1}|, |c_{n+1}|], so the sum and its
-    remainder come out in one pass.
+    scheme in u^2 as the interval [-|c_{n+1}|, |c_{n+1}|], so the sum and
+    its remainder come out in one pass.
     """
-    coefficients, remainders, switches = _bernoulli_series(m, _PREC)
-    zf = to_float(z[0])
+    floors, ceilings, remainders, switches = _bernoulli_fixed(m, _PREC)
+    zf = z[0] / (1 << -z[2]) if z[0].bit_length() + z[2] < 1000 else inf
     n = next((n for n, switch in enumerate(switches, 1) if zf > switch), _EM_TERMS)
-    w = u_powers[2]
-    acc = remainders[n - 1]
+    u_lo, u_hi = u
+    v_lo, v_hi = u_lo * u_lo >> w, -((-u_hi * u_hi) >> w)
+    lo, hi = -remainders[n - 1], remainders[n - 1]
     for j in range(n - 1, -1, -1):
-        acc = _add(_scale(acc, w), coefficients[j])
-    return _scale(acc, u_powers[m + 2])
+        lo = (lo * (v_lo if lo >= 0 else v_hi) >> w) + floors[j]
+        hi = -((-hi * (v_hi if hi >= 0 else v_lo)) >> w) + ceilings[j]
+    # times u (log-Gamma) or u^2
+    t_lo, t_hi = (u_lo, u_hi) if m < 0 else (v_lo, v_hi)
+    return lo * (t_lo if lo >= 0 else t_hi) >> w, -((-hi * (t_hi if hi >= 0 else t_lo)) >> w)
 
 
-def _raise_count(x) -> int:
-    """Recurrence steps that lift the raw interval x to at least the
-    raising threshold."""
-    lo = to_float(x[0])
-    return 0 if lo >= _RAISE_TO else ceil(_RAISE_TO - lo)
+def _raised(x, w: int) -> tuple:
+    """(z, heads, u): z = x + n >= _RAISE_TO for the dyadic interval x and
+    the fewest recurrence steps n, the lower and upper endpoints x + i,
+    i < n, of the head the recurrence peels off, and 1/z in units of 2^-w."""
+    lo, hi, f = x
+    n = max(_RAISE_TO - _shift(lo, f), 0)
+    step = 1 << -f
+    heads = [(lo + i * step, hi + i * step) for i in range(n)]
+    lo, hi = lo + n * step, hi + n * step
+    return (lo, hi, f), heads, ((1 << (w - f)) // hi, -((-1 << (w - f)) // lo))
 
 
-def _positive_argument(fn: str, x: Scalar) -> BoundedFloat:
-    """x, after the finiteness and sign checks."""
+def _positive_argument(fn: str, x: Scalar) -> tuple:
+    """x as a dyadic interval, after the finiteness and sign checks."""
     _require_finite("x", x)
     xv = BoundedFloat.exact(x)
     if not xv.separated_above(0):
         raise DomainError(f"{fn} requires a positive argument")
-    return xv
+    return _dyadic(xv.endpoints)
 
 
 def polygamma(m: int, x: Scalar) -> BoundedFloat:
     """psi^(m)(x) for x > 0 with a certified error radius."""
-    xv = _positive_argument("polygamma", x).endpoints
+    xv = _positive_argument("polygamma", x)
     m = int(m)
     if m < 0:
         raise DomainError("polygamma order must be non-negative")
-    return BoundedFloat._of(_digamma(xv) if m == 0 else _polygamma_series((m,), xv)[0])
+    if m == 0:
+        return BoundedFloat._of(_to_raw(*_digamma(xv), _PREC + _GUARD, _PREC))
+    return BoundedFloat._of(_polygamma_series((m,), xv, _PREC)[0])
 
 
-def _polygamma_series(orders: Tuple[int, ...], x) -> list:
-    """psi^(m)(x) for each order m >= 1 of `orders` (ascending), on the raw
-    interval x > 0: direct series head + Euler-Maclaurin tail.  The orders
-    share one raising pass and the powers of 1/z, and each gets the
-    endpoints its own pass would give."""
-    prec = _PREC
-    z, heads = x, [_RAW_ZERO] * len(orders)
-    for _ in range(_raise_count(x)):
-        r = _powers(_recip(z), orders[-1] + 1)
-        heads = [_add(head, r[m + 1]) for head, m in zip(heads, orders)]
-        z = _add(z, _RAW_ONE)
-    u = _powers(_recip(z), orders[-1] + 2)
+def _polygamma_series(orders: Tuple[int, ...], x, prec: int) -> list:
+    """psi^(m)(x) for each order m >= 1 of `orders`, on the dyadic interval
+    x > 0, as raw intervals rounded outward at `prec` bits: direct series
+    head + Euler-Maclaurin tail.  The orders share one raising pass.
+
+    psi^(m) / ((-1)^(m+1) m!) = sum_{i<n} (x+i)^-(m+1)
+    + z^-m (1/m + 1/(2z) + z^m (Bernoulli terms)) is summed in units of
+    2^-(w + m t), z < 2^t, where its smallest part z^-m / m still has w
+    bits: each head term is one exact division, and the O(1) bracket is
+    scaled by z^-m in one more, so huge and tiny arguments keep a relative
+    radius.
+    """
+    w = _PREC + _GUARD
+    z, heads, u = _raised(x, w)
+    z_lo, z_hi, f = z
     out = []
-    for head, m in zip(heads, orders):
-        tail = mpi_add(mpi_div(u[m], _raw(m), prec), mpi_mul(_RAW_HALF, u[m + 1], prec), prec)
-        tail = mpi_add(tail, _bernoulli_terms(z, u, m), prec)
-        total = mpi_mul(mpi_add(head, tail, prec), _raw(factorial(m)), prec)
-        out.append(mpi_neg(total, prec) if m % 2 == 0 else total)
+    for m in orders:
+        scale = w + m * (f + z_hi.bit_length())
+        e_head, e_tail = scale - (m + 1) * f, m * z_hi.bit_length()
+        lo = sum((1 << e_head) // y_hi ** (m + 1) for _, y_hi in heads)
+        hi = sum(-((-1 << e_head) // y_lo ** (m + 1)) for y_lo, _ in heads)
+        s_lo, s_hi = _bernoulli_terms(m, z, u, w)
+        t_lo = (1 << w) // m + (u[0] >> 1) + s_lo
+        t_hi = -((-1 << w) // m) + ((u[1] + 1) >> 1) + s_hi
+        lo += (t_lo << e_tail) // (z_hi if t_lo >= 0 else z_lo) ** m
+        hi -= (-t_hi << e_tail) // (z_lo if t_hi >= 0 else z_hi) ** m
+        lo, hi = lo * factorial(m), hi * factorial(m)
+        out.append(_to_raw(*((lo, hi) if m % 2 else (-hi, -lo)), scale, prec))
     return out
 
 
-def _digamma(x):
-    """Recurrence to x >= threshold, then the asymptotic expansion whose
-    remainder is bounded by the first omitted Bernoulli term (raw
-    intervals)."""
-    prec = _PREC
-    z, head = x, _RAW_ZERO
-    for _ in range(_raise_count(x)):
-        head = _add(head, _recip(z))
-        z = _add(z, _RAW_ONE)
-    u = _recip(z)
-    out = mpi_sub(mpi_log(z, prec), mpi_mul(_RAW_HALF, u, prec), prec)
-    out = mpi_sub(out, _bernoulli_terms(z, _powers(u, 2), 0), prec)
-    return mpi_sub(out, head, prec)
+def _digamma(x) -> Tuple[int, int]:
+    """psi(x) for the dyadic interval x > 0, in units of 2^-w: recurrence to
+    z >= threshold, then the asymptotic expansion whose remainder is
+    bounded by the first omitted Bernoulli term."""
+    w = _PREC + _GUARD
+    z, heads, u = _raised(x, w)
+    e = w - z[2]
+    head_lo = sum((1 << e) // y_hi for _, y_hi in heads)
+    head_hi = sum(-((-1 << e) // y_lo) for y_lo, _ in heads)
+    s_lo, s_hi = _bernoulli_terms(0, z, u, w)
+    log_lo, log_hi = _log_fixed(z, w)
+    return (log_lo - ((u[1] + 1) >> 1) - s_hi - head_hi,
+            log_hi - (u[0] >> 1) - s_lo - head_lo)
 
 
 def log_gamma(x: Scalar) -> BoundedFloat:
     """log Gamma(x) for x > 0 via argument raising and the Stirling series
     (remainder bounded by the first omitted term)."""
-    return _log_gamma(_positive_argument("log_gamma", x))
+    return BoundedFloat._of(_to_raw(*_log_gamma(_positive_argument("log_gamma", x)), _PREC + _GUARD, _PREC))
 
 
-def _log_gamma(x: BoundedFloat) -> BoundedFloat:
-    """log Gamma of an interval the caller has proven positive, without
-    `log_gamma`'s argument checks."""
-    prec, x = _PREC, x.endpoints
-    n_head = _raise_count(x)
-    z, head = x, _RAW_ONE
-    for _ in range(n_head):
-        head = _scale(head, z)
-        z = _add(z, _RAW_ONE)
-    out = mpi_mul(mpi_sub(z, _RAW_HALF, prec), mpi_log(z, prec), prec)
-    out = mpi_add(mpi_sub(out, z, prec), _half_log_2pi(prec), prec)
-    out = mpi_add(out, _bernoulli_terms(z, _powers(_recip(z), 2), -1), prec)
-    if n_head:
-        out = mpi_sub(out, mpi_log(head, prec), prec)
-    return BoundedFloat._of(out)
+def _log_gamma(x) -> Tuple[int, int]:
+    """log Gamma of a dyadic interval the caller has proven positive, in
+    units of 2^-w: (z - 1/2) log z - z + log(2 pi)/2 + Stirling terms
+    - log(x (x+1) ... (x+n-1)), the head product exact."""
+    w = _PREC + _GUARD
+    z, heads, u = _raised(x, w)
+    z_lo, z_hi, f = z
+    log_lo, log_hi = _log_fixed(z, w)
+    zw_lo, zw_hi = _shift(z_lo, f + w), _shift(z_hi, f + w, True)
+    half = 1 << (w - 1)
+    c_lo, c_hi = (_fixed(c, w, up) for c, up in zip(_half_log_2pi(w), (False, True)))
+    s_lo, s_hi = _bernoulli_terms(-1, z, u, w)
+    lo = ((zw_lo - half) * log_lo >> w) - zw_hi + c_lo + s_lo
+    hi = -(((half - zw_hi) * log_hi) >> w) - zw_lo + c_hi + s_hi
+    if heads:
+        p_lo = p_hi = 1
+        for y_lo, y_hi in heads:
+            p_lo, p_hi = p_lo * y_lo, p_hi * y_hi
+        h_lo, h_hi = _log_fixed((p_lo, p_hi, len(heads) * f), w)
+        lo, hi = lo - h_hi, hi - h_lo
+    return lo, hi
 
 
 # ----------------------------------------------------------------------
@@ -498,8 +563,8 @@ def _shifted_argument(fn: str, r: Scalar, q: Scalar):
 def theta(r: Scalar, q: Scalar) -> BoundedFloat:
     """theta(r, q) = r^2 psi'(r + 1 - q); its r-derivative is phi(r, q)."""
     rv, _, x = _shifted_argument("theta", r, q)
-    r_squared = mpi_mul(rv, rv, _PREC)
-    return BoundedFloat._of(mpi_mul(_polygamma_series((1,), x)[0], r_squared, _PREC))
+    w = _PREC + _GUARD
+    return BoundedFloat._of(mpi_mul(_polygamma_series((1,), _dyadic(x), w)[0], mpi_mul(rv, rv, w), _PREC))
 
 
 def phi(r: Scalar, q: Scalar) -> BoundedFloat:
@@ -515,10 +580,12 @@ def phi(r: Scalar, q: Scalar) -> BoundedFloat:
     prec = _PREC
     if mpf_lt(mpi_abs(mpi_sub(rv, qv, prec), prec)[1], from_float(_NEAR_THRESHOLD)):
         raise DomainError("phi rejected: r within 1e-6 of q (endpoint not specified)")
-    trigamma, tetragamma = _polygamma_series((1, 2), x)
+    # psi' and psi'' and their products at the kernels' precision, the sum at the working one
+    w = prec + _GUARD
+    trigamma, tetragamma = _polygamma_series((1, 2), _dyadic(x), w)
     value = mpi_add(
-        mpi_mul(trigamma, mpi_mul(_RAW_TWO, rv, prec), prec),
-        mpi_mul(tetragamma, mpi_mul(rv, rv, prec), prec),
+        mpi_mul(trigamma, mpi_mul(_RAW_TWO, rv, w), w),
+        mpi_mul(tetragamma, mpi_mul(rv, rv, w), w),
         prec,
     )
     out = BoundedFloat._of(value)

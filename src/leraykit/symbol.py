@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import exp, fsum, inf, isfinite, lgamma, log, nextafter
 from typing import List, Optional, Tuple
 
@@ -39,10 +39,15 @@ from .errors import (
 )
 from .measures import DISTINGUISHED_MEASURES
 from .specialfn import (
+    _GUARD,
     BoundedFloat,
+    _exp_fixed,
+    _log_fixed,
     _log_gamma,
     _log_gamma_floor,
+    _ratio,
     _require_finite,
+    _shift,
     precision_bits,
 )
 
@@ -81,10 +86,17 @@ def boundedness_interval(gamma: float, k: int) -> Tuple[float, float]:
     return (-2 * k - 1, (2 * k + 2) * (gamma - 1) + 1)
 
 
+def _exact_a_b(gamma: float, d: float, k: int) -> Tuple[int, int, int]:
+    """(p, p', q) with A = p/q, B = p'/q and q > 0, in exact integers, for
+    a rational gamma > 1 (an int, float or Fraction) and d."""
+    gn, gd, dn, dd = map(int, Fraction(gamma).as_integer_ratio() + Fraction(d).as_integer_ratio())
+    return (dn + (2 * k + 1) * dd) * gd, (2 * k + 2) * (gn - gd) * dd + (dd - dn) * gd, dd * gn
+
+
 def _in_interval_exact(d: float, gamma: float, k: int) -> bool:
-    # doubles convert to Fractions exactly
-    lo, hi = boundedness_interval(Fraction(gamma), k)
-    return lo < Fraction(d) < hi
+    # A > 0 and B > 0 exactly: d lies in I_k(gamma)
+    p, p_prime, _ = _exact_a_b(gamma, d, k)
+    return p > 0 and p_prime > 0
 
 
 def _require_bounded(gamma: float, d: float, k: int) -> None:
@@ -108,9 +120,18 @@ class SymbolQuery:
         _require_finite("d", self.d)
         if self.k < 0:
             raise DomainError("mode index k must be non-negative")
+        if isinstance(self.k, float) and not self.k.is_integer():
+            raise DomainError(f"mode index k must be an integer (got {self.k!r})")
+        object.__setattr__(self, "k", int(self.k))  # the fixed-point kernels take a Python int
+
+    @cached_property
+    def _exact_a_b(self) -> Tuple[int, int, int]:
+        """`_exact_a_b` of this triple, computed once for every question asked of it."""
+        return _exact_a_b(self.gamma, self.d, self.k)
 
     def is_finite(self) -> bool:
-        return _in_interval_exact(self.d, self.gamma, self.k)
+        p, p_prime, _ = self._exact_a_b
+        return p > 0 and p_prime > 0
 
 
 @dataclass(frozen=True)
@@ -202,18 +223,19 @@ class HolderReparam:
 
 @lru_cache(maxsize=64)
 def _gamma_logs(gamma: float, prec: int) -> tuple:
-    """gamma, ln(gamma/2) and ln(gamma-1) at `prec` bits."""
-    g = BoundedFloat.exact(gamma)
-    return g, (g / 2).log(), (g - 1).log()
+    """ln(gamma/2) and ln(gamma-1) in units of 2^-(prec + _GUARD)."""
+    gn, gd = map(int, Fraction(gamma).as_integer_ratio())
+    w = prec + _GUARD
+    return _log_fixed(_ratio(gn, 2 * gd, w), w), _log_fixed(_ratio(gn - gd, gd, w), w)
 
 
 @lru_cache(maxsize=256)
-def _log_factorial(k: int, prec: int) -> BoundedFloat:
-    """log Gamma(k + 1) = log k! at `prec` bits.
+def _log_factorial(k: int, prec: int) -> Tuple[int, int]:
+    """log Gamma(k + 1) = log k! in units of 2^-(prec + _GUARD).
 
     The columns of the `figures` j-sweep share their modes, so four in five
     of its calls repeat; a norm search asks for each k once."""
-    return _log_gamma(BoundedFloat.exact(k + 1))
+    return _log_gamma((k + 1, k + 1, 0))
 
 
 def symbol_value(query: "SymbolQuery | Tuple[float, float, int]") -> BoundedFloat:
@@ -222,21 +244,30 @@ def symbol_value(query: "SymbolQuery | Tuple[float, float, int]") -> BoundedFloa
 
     Raises UnboundedMode when d lies outside I_k(gamma) (the mode norm is
     infinite there).
+
+    log J is assembled in one fixed-point pass from the exact A = p/q and
+    B = p'/q of `_exact_a_b`, each rounded outward to a dyadic interval, and
+    exponentiated once.
     """
     if not isinstance(query, SymbolQuery):
         query = SymbolQuery(*query)
-    gamma, d, k = query.gamma, query.d, query.k
-    _require_bounded(gamma, d, k)
-    # SymbolQuery has checked gamma > 1 and A, B > 0 in exact arithmetic, and
-    # from doubles at >= 80 bits their intervals stay positive, so log Gamma
-    # runs without the public log_gamma's argument checks
+    gamma, k = query.gamma, query.k
+    if not query.is_finite():
+        _require_bounded(gamma, query.d, k)
+    p, p_prime, q = query._exact_a_b
     prec = precision_bits()
-    g, log_half_g, log_g_minus_1 = _gamma_logs(gamma, prec)
-    a = (BoundedFloat.exact(d) + (2 * k + 1)) / g
-    b = (2 * k + 2) - a
-    log_j = (_log_gamma(a) + _log_gamma(b) - _log_factorial(k, prec) * 2
-             + log_half_g * (2 * k + 2) - log_g_minus_1 * b)
-    return log_j.exp()
+    w = prec + _GUARD
+    (h_lo, h_hi), (g_lo, g_hi) = _gamma_logs(gamma, prec)
+    b = _ratio(p_prime, q, w)
+    a_lo, a_hi = _log_gamma(_ratio(p, q, w))
+    b_lo, b_hi = _log_gamma(b)
+    f_lo, f_hi = _log_factorial(k, prec)
+    # B ln(gamma - 1) with B > 0, in units of 2^-w
+    bg_lo = _shift(b[0 if g_lo >= 0 else 1] * g_lo, b[2])
+    bg_hi = _shift(b[1 if g_hi >= 0 else 0] * g_hi, b[2], True)
+    lo = a_lo + b_lo - 2 * f_hi + (2 * k + 2) * h_lo - bg_hi
+    hi = a_hi + b_hi - 2 * f_lo + (2 * k + 2) * h_hi - bg_lo
+    return _exp_fixed(lo, hi, w)
 
 
 def holder_conjugate(gamma: float) -> float:
@@ -403,13 +434,15 @@ def _log_j_screen(gamma: float, d: float, k: int) -> Optional[Tuple[float, float
 
     rho bounds the radius of the certified log J of `symbol_value`:
     2 * 4 `_log_gamma_floor` + (mag + cond) 2^(_SCREEN_ROUNDING_BITS - prec),
-    where cond = (2k+2)(1/B + |log B| + |log(gamma-1)| + 1) covers
-    symbol_value's subtraction B = 2k+2 - A.  The certified midpoint of
-    log J therefore lies within spread = _SCREEN_PAD mag + 2 rho of the
-    float log J.  The first term bounds the four log-Gamma truncation
-    remainders of log J (A, B and twice k+1), doubled: all four reach the
-    floor when the arguments land on z = 16 (gamma = 2.5, d = 2, k = 1
-    has A = B = k+1 = 2, and a radius 0.99999999999 times the four).
+    where cond = (2k+2)(1/B + |log B| + |log(gamma-1)| + 1) covers an
+    absolute error of (2k+2) 2^-prec in B (`symbol_value` rounds B from
+    its exact ratio to a relative 2^-prec, so cond overstates it).  The
+    certified midpoint of log J therefore lies within
+    spread = _SCREEN_PAD mag + 2 rho of the float log J.  The first term
+    bounds the four log-Gamma truncation remainders of log J (A, B and
+    twice k+1), doubled: all four reach the floor when the arguments land
+    on z = 16 (gamma = 2.5, d = 2, k = 1 has A = B = k+1 = 2, and a radius
+    0.99999999999 times the four).
     """
     prec = precision_bits()
     a = (2 * k + 1 + d) / gamma

@@ -11,6 +11,7 @@ import pytest
 
 from leraykit.cli import (
     MAX_K_RANGE,
+    TOLERANCE_NOTE,
     _require_mode_count,
     build_config,
     build_parser,
@@ -253,8 +254,24 @@ def test_printed_radius_above_tolerance_exits_2(tmp_path, capsys, argv, message)
     finally:
         set_precision_bits(saved)
     assert code == 2 and out == ""
-    assert err == f"error: {message} at 120-bit precision\n"
+    assert err == f"error: {message} at 120-bit precision ({TOLERANCE_NOTE})\n"
     assert not out_dir.exists()
+
+
+def test_tolerance_message_says_more_bits_do_not_narrow_the_truncation(capsys):
+    # phi(3, 0.5) keeps its Euler-Maclaurin remainder at every precision, so
+    # the message must not suggest that raising the precision would help
+    saved = precision_bits()
+    set_precision_bits(300)
+    try:
+        code, out, err = run_cli(capsys, "phi", "--r", "3", "--q", "0.5", "--tol", "1e-30")
+    finally:
+        set_precision_bits(saved)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: phi radius 1.143e-23 exceeds tol=1e-30 at 300-bit precision (more bits narrow "
+        "only the rounding part of a radius, not the series truncation)\n"
+    )
 
 
 def test_norm_checks_the_radius_it_prints(capsys):

@@ -398,6 +398,19 @@ def test_helpers_at_a_huge_r_give_a_finite_value_or_a_domain_error(helper, r):
     assert math.isfinite(value)
 
 
+def test_s_function_at_r_1e80_is_the_exact_quotient_not_a_signed_zero():
+    # the float denominator (3r+3x+1)^3 (3r+3x-2)^3 overflows to inf without
+    # raising, which used to return -0.0 where S(1e80, 1) is about -1e-240
+    r = 1e80
+    for x in (0.0, 1.0, 2.0, 1e40):
+        value = s_function(r, x)
+        assert value != 0 and value == float(emcert._s(Fraction(r), Fraction(x))), x
+    assert s_integral_tail_quad(r) < 0
+    # a quotient below the smallest double is a DomainError, not a zero
+    with pytest.raises(DomainError, match=r"underflows doubles at r = 1e\+50 and x = 1e\+100"):
+        s_function(1e50, 1e100)
+
+
 def test_reconstruction_at_a_huge_r_is_tail_unbounded():
     # ceil(inf) raised a bare OverflowError
     with pytest.raises(TailUnbounded, match=r"at r = 1e\+300$"):

@@ -43,12 +43,12 @@ def _sha256(data: bytes) -> str:
         (("certify", "--suite", "all", "--format", "json"),
          "dc31e01eefd7f79eaf5942defab874be92f6efa07846a4fbfccb9b1f90fc5adb"),
         (("norm", "--gamma", "3", "--d", "0.5", "--k-max", "2000"),
-         "ea8d85a581ed7ed5bd60ba840133291fa0c6c4003d99aa0630f9b77bd06095c1"),
+         "9f017012858550ac4aedbe9e4b999f41220d060ea2812e6ea8f8a80192bf3627"),
         (("symbol", "--gamma", "3", "--d", "0.5", "--k", "0..60"),
-         "cb69d70b15ccc14ed8d19270e61336d177eea35d1e820149e6ac87df0028d831"),
+         "65c2141483eec5207a0915167b06224a2414de723000748801e24f861547edd7"),
         # sup-search attained at k = 1, and won by the high-frequency limit
         (("norm", "--gamma", "6", "--d", "1.4", "--k-max", "2000"),
-         "68cf57c7065f2f8f04f7ca0d650d2fb08a95ba6e8b8587b0048a47e2b8a792c5"),
+         "44fa6746a84337ed8c8686bbf4572541295bfb8c56007b0b5773be9662cce0ac"),
         (("norm", "--gamma", "5", "--d", "2.5", "--k-max", "2000"),
          "b8beeb8a3cdee158efc9b1f04685c49cbc17262869562d085c96c9eaaab7da8b"),
     ],

@@ -367,9 +367,17 @@ def test_phi_cross_check_guards_corruption():
 
 
 # ----------------------------------------------------------------------
-# reference kernels: every step a general mpi_* call, as the kernels were
-# written before they dispatched on known signs and fused psi' with psi''
+# reference kernels: every step a general mpi_* call at the working
+# precision, as the kernels were written before they ran in fixed point
 # ----------------------------------------------------------------------
+_ZERO, _ONE, _TWO, _HALF = ((v, v) for v in map(libmp.from_float, (0.0, 1.0, 2.0, 0.5)))
+
+
+def _ref_raise_count(x):
+    lo = libmp.to_float(x[0])
+    return 0 if lo >= sf._RAISE_TO else math.ceil(sf._RAISE_TO - lo)
+
+
 def _ref_power(u, e, prec):
     out = u
     for _ in range(e - 1):
@@ -389,16 +397,15 @@ def _ref_bernoulli_terms(z, u, m, prec):
 
 
 def _ref_polygamma_series(m, x, prec):
-    one = sf._RAW_ONE
-    z, head = x, sf._RAW_ZERO
-    for _ in range(sf._raise_count(x)):
-        head = libmp.mpi_add(head, _ref_power(libmp.mpi_div(one, z, prec), m + 1, prec), prec)
-        z = libmp.mpi_add(z, one, prec)
-    u = libmp.mpi_div(one, z, prec)
+    z, head = x, _ZERO
+    for _ in range(_ref_raise_count(x)):
+        head = libmp.mpi_add(head, _ref_power(libmp.mpi_div(_ONE, z, prec), m + 1, prec), prec)
+        z = libmp.mpi_add(z, _ONE, prec)
+    u = libmp.mpi_div(_ONE, z, prec)
     lead = _ref_power(u, m, prec)
     tail = libmp.mpi_add(
         libmp.mpi_div(lead, sf._raw(m), prec),
-        libmp.mpi_mul(sf._RAW_HALF, libmp.mpi_mul(lead, u, prec), prec),
+        libmp.mpi_mul(_HALF, libmp.mpi_mul(lead, u, prec), prec),
         prec,
     )
     tail = libmp.mpi_add(tail, _ref_bernoulli_terms(z, u, m, prec), prec)
@@ -407,27 +414,25 @@ def _ref_polygamma_series(m, x, prec):
 
 
 def _ref_digamma(x, prec):
-    one = sf._RAW_ONE
-    z, head = x, sf._RAW_ZERO
-    for _ in range(sf._raise_count(x)):
-        head = libmp.mpi_add(head, libmp.mpi_div(one, z, prec), prec)
-        z = libmp.mpi_add(z, one, prec)
-    u = libmp.mpi_div(one, z, prec)
-    out = libmp.mpi_sub(libmp.mpi_log(z, prec), libmp.mpi_mul(sf._RAW_HALF, u, prec), prec)
+    z, head = x, _ZERO
+    for _ in range(_ref_raise_count(x)):
+        head = libmp.mpi_add(head, libmp.mpi_div(_ONE, z, prec), prec)
+        z = libmp.mpi_add(z, _ONE, prec)
+    u = libmp.mpi_div(_ONE, z, prec)
+    out = libmp.mpi_sub(libmp.mpi_log(z, prec), libmp.mpi_mul(_HALF, u, prec), prec)
     out = libmp.mpi_sub(out, _ref_bernoulli_terms(z, u, 0, prec), prec)
     return libmp.mpi_sub(out, head, prec)
 
 
 def _ref_log_gamma(x, prec):
-    one = sf._RAW_ONE
-    n_head = sf._raise_count(x)
-    z, head = x, one
+    n_head = _ref_raise_count(x)
+    z, head = x, _ONE
     for _ in range(n_head):
         head = libmp.mpi_mul(head, z, prec)
-        z = libmp.mpi_add(z, one, prec)
-    out = libmp.mpi_mul(libmp.mpi_sub(z, sf._RAW_HALF, prec), libmp.mpi_log(z, prec), prec)
+        z = libmp.mpi_add(z, _ONE, prec)
+    out = libmp.mpi_mul(libmp.mpi_sub(z, _HALF, prec), libmp.mpi_log(z, prec), prec)
     out = libmp.mpi_add(libmp.mpi_sub(out, z, prec), sf._half_log_2pi(prec), prec)
-    out = libmp.mpi_add(out, _ref_bernoulli_terms(z, libmp.mpi_div(one, z, prec), -1, prec), prec)
+    out = libmp.mpi_add(out, _ref_bernoulli_terms(z, libmp.mpi_div(_ONE, z, prec), -1, prec), prec)
     if n_head:
         out = libmp.mpi_sub(out, libmp.mpi_log(head, prec), prec)
     return out
@@ -435,49 +440,113 @@ def _ref_log_gamma(x, prec):
 
 def _ref_phi(r, q, prec):
     rv, qv = sf._raw(r), sf._raw(q)
-    x = libmp.mpi_sub(libmp.mpi_add(rv, sf._RAW_ONE, prec), qv, prec)
+    x = libmp.mpi_sub(libmp.mpi_add(rv, _ONE, prec), qv, prec)
     return libmp.mpi_add(
-        libmp.mpi_mul(_ref_polygamma_series(1, x, prec), libmp.mpi_mul(sf._RAW_TWO, rv, prec), prec),
+        libmp.mpi_mul(_ref_polygamma_series(1, x, prec), libmp.mpi_mul(_TWO, rv, prec), prec),
         libmp.mpi_mul(_ref_polygamma_series(2, x, prec), libmp.mpi_mul(rv, rv, prec), prec),
         prec,
     )
 
 
+def _oracle(x):
+    """x at 400 bits: a Fraction as numerator / denominator."""
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+def _width(endpoints):
+    return libmp.mpf_sub(endpoints[1], endpoints[0])
+
+
 @pytest.mark.parametrize("bits", (80, 120, 200, 300))
 def test_kernels_match_general_interval_reference(bits):
-    """The sign-specialised, fused kernels give exactly the endpoints of
-    the same steps taken with general mpi_* calls, on seeded arguments
-    below, at and far above the raising threshold."""
+    """The fixed-point kernels enclose the 400-bit mpmath value, and no
+    interval is wider than the one the same steps give with general mpi_*
+    calls at the working precision: on seeded arguments below, at and far
+    above the raising threshold, either side of 16 and of every point where
+    a series drops a Bernoulli term, and out to 1e300."""
     saved = sf.precision_bits()
     sf.set_precision_bits(bits)
+    rng = random.Random(bits)
+    misses, wider = [], []
+
+    def check(label, kernel, reference, oracle):
+        if not kernel.contains(oracle):
+            misses.append(label)
+        if not libmp.mpf_le(_width(kernel.endpoints), _width(reference)):
+            wider.append(label)
+
     try:
-        rng = random.Random(bits)
-        for _ in range(200):
-            # the primitives themselves, on operands of every sign pattern
-            ends = [libmp.from_float(v) for v in sorted(rng.uniform(-5.0, 5.0) for _ in range(2))]
-            s = rng.choice([tuple(ends), (ends[0], ends[0]), (libmp.fzero, ends[1])])
-            t = sf._raw(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
-            assert sf._scale(s, t) == libmp.mpi_mul(s, t, bits), (s, t)
-            assert sf._add(s, t) == libmp.mpi_add(s, t, bits), (s, t)
-            assert sf._recip(t) == libmp.mpi_div(sf._RAW_ONE, t, bits), t
-            assert sf._powers(t, 4)[1:] == [_ref_power(t, e, bits) for e in range(1, 5)], t
-        for _ in range(60):
-            x = rng.choice([
+        seeded = [
+            rng.choice([
                 rng.uniform(1e-3, 40.0),
                 10 ** rng.uniform(-5, 9),
                 Fraction(rng.randint(1, 500), rng.randint(1, 97)),
                 rng.randint(1, 60),
             ])
+            for _ in range(60)
+        ]
+        extra = [1e-5, math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, math.inf), 1e300]
+        switches = {m: [s * f for s in sf._bernoulli_series(m, bits)[2] for f in (1 - 1e-9, 1 + 1e-9)]
+                    for m in range(-1, 4)}
+        for x in seeded + extra + switches[-1]:
             raw = sf._raw(x)
-            assert log_gamma(x).endpoints == _ref_log_gamma(raw, bits), x
-            assert polygamma(0, x).endpoints == _ref_digamma(raw, bits), x
-            for m in (1, 2, 3):
-                assert polygamma(m, x).endpoints == _ref_polygamma_series(m, raw, bits), (m, x)
+            with mpmath.workprec(400):
+                expected = mpmath.loggamma(_oracle(x))
+            check(f"log_gamma({x!r})", log_gamma(x), _ref_log_gamma(raw, bits), expected)
+        for m in range(4):
+            for x in seeded + extra + switches[m]:
+                raw = sf._raw(x)
+                with mpmath.workprec(400):
+                    expected = mpmath.psi(m, _oracle(x))
+                reference = _ref_digamma(raw, bits) if m == 0 else _ref_polygamma_series(m, raw, bits)
+                check(f"polygamma({m}, {x!r})", polygamma(m, x), reference, expected)
+        for _ in range(60):
             q = rng.uniform(-3.0, 3.0)
             r = rng.uniform(max(q - 0.99, 0.0) + 1e-3, 60.0)
-            assert phi(r, q).endpoints == _ref_phi(r, q, bits), (r, q)
+            with mpmath.workprec(400):
+                rm, xm = mpmath.mpf(r), mpmath.mpf(r) + 1 - mpmath.mpf(q)
+                expected = 2 * rm * mpmath.psi(1, xm) + rm * rm * mpmath.psi(2, xm)
+            check(f"phi({r!r}, {q!r})", phi(r, q), _ref_phi(r, q, bits), expected)
     finally:
         sf.set_precision_bits(saved)
+    assert not misses, f"{len(misses)} intervals miss the 400-bit value, e.g. {misses[:3]}"
+    assert not wider, f"{len(wider)} intervals wider than the mpi_* reference, e.g. {wider[:3]}"
+
+
+def test_fixed_point_steps_round_outward():
+    """Each integer step of the kernels, checked exactly with Fractions: a
+    lower end rounded down, an upper end up, by at most one unit."""
+    rng = random.Random(7)
+    w = sf.precision_bits() + sf._GUARD
+    unit = Fraction(1, 2 ** w)
+    for m in (-1, 0, 1, 3):
+        floors, ceilings, remainders, _ = sf._bernoulli_fixed(m, sf.precision_bits())
+        for j, (lo, hi) in enumerate(zip(floors, ceilings), 1):
+            assert lo <= sf._bernoulli_coefficient(m, j) / unit <= hi <= lo + 1, (m, j)
+        for n, bound in enumerate(remainders, 1):
+            assert 0 <= bound - abs(sf._bernoulli_coefficient(m, n + 1)) / unit < 1, (m, n)
+    for _ in range(200):
+        n, e = rng.randint(-10 ** 40, 10 ** 40), rng.randint(-150, 20)
+        exact = n * Fraction(2) ** e
+        assert sf._shift(n, e) <= exact < sf._shift(n, e) + 1 and sf._shift(n, e, True) - 1 < exact <= sf._shift(n, e, True)
+        p, q = rng.randint(1, 10 ** rng.randint(1, 60)), rng.randint(1, 10 ** rng.randint(1, 60))
+        lo, hi, f = sf._ratio(p, q, w)
+        assert lo * Fraction(2) ** f <= Fraction(p, q) <= hi * Fraction(2) ** f and hi - lo <= 1 and lo >= 2 ** (w - 1)
+        v = 10 ** rng.uniform(-5, 30)
+        x = sf._dyadic(BoundedFloat(v, v * rng.choice((0.0, 1e-20))).endpoints)
+        (z_lo, z_hi, f), heads, (u_lo, u_hi) = sf._raised(x, w)
+        count = len(heads)
+        z = [v * Fraction(2) ** f for v in (z_lo, z_hi)]
+        assert z[0] >= sf._RAISE_TO and (count == 0 or z[0] - 1 < sf._RAISE_TO)
+        assert z[0] - count == x[0] * Fraction(2) ** x[2]
+        assert z[1] - count == x[1] * Fraction(2) ** x[2]
+        assert u_lo * unit <= 1 / z[1] and 1 / z[0] <= u_hi * unit
+        log_lo, log_hi = sf._log_fixed((z_lo, z_hi, f), w)
+        with mpmath.workprec(400):
+            assert log_lo * mpmath.mpf(unit.numerator) / unit.denominator <= mpmath.log(mpmath.mpf(z_lo) * 2 ** f)
+            assert mpmath.log(mpmath.mpf(z_hi) * 2 ** f) <= log_hi * mpmath.mpf(unit.numerator) / unit.denominator
 
 
 # B_2 .. B_22, as the library once typed them by hand

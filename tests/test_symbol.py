@@ -65,6 +65,16 @@ def test_boundedness_intervals():
         boundedness_interval(3.0, -1)
 
 
+def test_mode_index_is_an_integer():
+    # the fixed-point kernels take a Python int: an integral float k gives
+    # the same value, and a fractional or infinite k is a DomainError
+    query = SymbolQuery(3.0, 0.5, 7.0)
+    assert type(query.k) is int and symbol_value(query).endpoints == symbol_value((3.0, 0.5, 7)).endpoints
+    for k in (7.5, math.inf):
+        with pytest.raises(DomainError, match="mode index k must be an integer"):
+            SymbolQuery(3.0, 0.5, k)
+
+
 def test_interval_nesting():
     for gamma in (1.2, 2.0, 5.0):
         for k in range(6):

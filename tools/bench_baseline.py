@@ -5,11 +5,15 @@
 In process, in a fresh interpreter: each L1-L4 call, each `emcert`
 certificate, the two exact `bwcert` certificates and
 `exp_series_nonnegative` on the kernel's d0 among them, as the median of
---runs calls after one warm-up call.  As subprocesses: `import leraykit`, `import leraykit.bwcert` (which
+--runs calls after one warm-up call.  Also in process, but cold: the 1,005
+`symbol_value` calls of `figures --id j-sweep --d-set=1.0,3.75,4.0,4.75,8.0`,
+in the CLI's order, each run in its own fresh interpreter after the imports,
+median of --runs.  As subprocesses: `import leraykit`, `import leraykit.bwcert` (which
 builds the kernel's Taylor tables exactly), `leraykit version`, `phi --r 3
 --q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw`, `--suite em` and
-`--suite all --format json` (the benchmark's `certify` command, to stdout) and
-`figures --id phi-sweep`, wall clock from spawn to exit, median of
+`--suite all --format json` (the benchmark's `certify` command, to stdout),
+`figures --id phi-sweep`, the same at LERAYKIT_PRECISION_BITS=200, and that
+j-sweep, wall clock from spawn to exit, median of
 --runs.  With --tier1, one run of the tier-1 suite from the checkout
 holding SRC; a failing run exits non-zero with the tail of its output and
 records no time.  The JSON result (seconds) goes to --out (default stdout).
@@ -71,16 +75,30 @@ for name, call in calls.items():
 print(json.dumps(out))
 """
 
+# the j-sweep of the `sweeps` workload's size, as `figures --id j-sweep` runs it
+J_SWEEP_D_SET = "1.0,3.75,4.0,4.75,8.0"
+J_SWEEP_COLD = r"""
+import sys, time
+from leraykit.cli import J_SWEEP_GAMMA
+from leraykit.symbol import SymbolQuery, symbol_value
+d_set = [float(d) for d in sys.argv[1].split(",")]
+start = time.perf_counter()
+for k in range(201):
+    for d in d_set:
+        symbol_value(SymbolQuery(J_SWEEP_GAMMA, d, k))
+print(time.perf_counter() - start)
+"""
+
 
 def _env(src: Path) -> Dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(src)}
 
 
-def _wall(argv: List[str], src: Path, runs: int) -> float:
+def _wall(argv: List[str], src: Path, runs: int, env: Dict[str, str]) -> float:
     times = []
     for _ in range(runs):
         start = time.perf_counter()
-        subprocess.run([sys.executable, *argv], env=_env(src), capture_output=True, check=True)
+        subprocess.run([sys.executable, *argv], env={**_env(src), **env}, capture_output=True, check=True)
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
@@ -99,7 +117,11 @@ def main() -> int:
     if proc.returncode != 0:
         raise SystemExit(proc.stderr)
     result: Dict[str, float] = json.loads(proc.stdout)
+    cold = [subprocess.run([sys.executable, "-c", J_SWEEP_COLD, J_SWEEP_D_SET], env=_env(src),
+                           capture_output=True, text=True, check=True).stdout for _ in range(args.runs)]
+    result["L2 j-sweep's 1,005 symbol_value calls, cold"] = statistics.median(map(float, cold))
     cli = ["-m", "leraykit.cli"]
+    phi_200 = "L5 LERAYKIT_PRECISION_BITS=200 figures --id phi-sweep"
     with tempfile.TemporaryDirectory() as tmp:
         subprocesses = {
             "L0 import leraykit": ["-c", "import leraykit"],
@@ -111,9 +133,13 @@ def main() -> int:
             "L5 certify --suite em": cli + ["certify", "--suite", "em"],
             "L5 certify --suite all --format json": cli + ["certify", "--suite", "all", "--format", "json"],
             "L5 figures --id phi-sweep": cli + ["figures", "--id", "phi-sweep", "--out", tmp],
+            phi_200: cli + ["figures", "--id", "phi-sweep", "--out", tmp],
+            f"L5 figures --id j-sweep --d-set={J_SWEEP_D_SET}":
+                cli + ["figures", "--id", "j-sweep", f"--d-set={J_SWEEP_D_SET}", "--out", tmp],
         }
         for name, argv in subprocesses.items():
-            result[name] = _wall(argv, src, args.runs)
+            env = {"LERAYKIT_PRECISION_BITS": "200"} if name == phi_200 else {}
+            result[name] = _wall(argv, src, args.runs, env)
     if args.tier1:
         start = time.perf_counter()
         tier1 = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
