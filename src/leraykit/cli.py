@@ -220,16 +220,19 @@ def _write_out(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _within_tolerance(name: str, value: BoundedFloat, cfg: RunConfig) -> BoundedFloat:
-    """`value`, after checking that its error radius is at most --tolerance."""
-    if value.error_radius > cfg.tolerance:
+def _checked(name: str, value: BoundedFloat, cfg: RunConfig) -> Tuple[float, float]:
+    """`value.doubles()`, the printed value and radius, after checking that
+    the radius is at most --tolerance (the radius rounded up to a double
+    exceeds a double tolerance exactly when the radius does)."""
+    mid, radius = value.doubles()
+    if radius > cfg.tolerance:
         from .specialfn import precision_bits
 
         raise ToleranceUnreachable(
             f"{name} radius {_format_e3(value.error_radius)} exceeds tol={cfg.tolerance} "
             f"at {precision_bits()}-bit precision ({TOLERANCE_NOTE})"
         )
-    return value
+    return mid, radius
 
 
 def _format_e3(x: Any) -> str:
@@ -240,13 +243,6 @@ def _format_e3(x: Any) -> str:
     from decimal import Decimal
 
     return format(Decimal(str(x)), ".3e")
-
-
-def _radius(value: BoundedFloat) -> float:
-    """The error radius as a double rounded up, so that a radius below the
-    smallest subnormal prints as that, not as 0."""
-    radius = float(value.error_radius)
-    return math.nextafter(radius, math.inf) if radius < value.error_radius else radius
 
 
 def _parse_k_range(text: str) -> List[int]:
@@ -307,8 +303,9 @@ def _cmd_symbol(ns: argparse.Namespace) -> int:
     rows: List[List[Any]] = []
     for query in queries:
         if query.is_finite():
-            j = _within_tolerance("symbol", symbol_value(query), cfg)
-            rows.append([query.k, float(j.value), float(j.sqrt().value), True, _radius(j)])
+            j = symbol_value(query)
+            value, radius = _checked("symbol", j, cfg)
+            rows.append([query.k, value, float(j.sqrt().value), True, radius])
         else:
             rows.append([query.k, None, None, False, None])
     _emit_table("symbol", ["k", "J", "sqrt_J", "bounded", "error_radius"], rows, cfg)
@@ -321,7 +318,7 @@ def _cmd_norm(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
     measure = _measure_from_args(ns)
     result = leray_norm(ns.gamma, measure, k_cap=cfg.k_max)
-    _within_tolerance("norm", result.value, cfg)
+    value, radius = _checked("norm", result.value, cfg)
     if result.stabilized is False:
         # stderr only: the report stays byte-identical
         sys.stderr.write(
@@ -332,8 +329,8 @@ def _cmd_norm(ns: argparse.Namespace) -> int:
         ns.gamma,
         result.d,
         measure.kind,
-        float(result.value.value),
-        _radius(result.value),
+        value,
+        radius,
         result.method,
         result.attained_at,
         result.k_scanned,
@@ -390,30 +387,22 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
     cfg = build_config(ns)
     out_dir = Path(ns.out)
     if ns.id == "j-sweep":
-        from .symbol import SymbolQuery, symbol_value
+        from .symbol import _mode_walk
 
         _require_mode_count(cfg.k_max)
         d_set = _value_set(ns.d_set, "--d-set", J_SWEEP_D_SET)
         columns = ["k"] + [f"J_d{d:g}" for d in d_set]
-        rows = []
-        for k in range(cfg.k_max + 1):
-            row: List[Any] = [k]
-            for d in d_set:
-                j = _within_tolerance("symbol", symbol_value(SymbolQuery(J_SWEEP_GAMMA, d, k)), cfg)
-                row.append(float(j.value))
-            rows.append(row)
+        # one lazy walk per column, read row by row: modes are computed, and
+        # a rejected one reported, in the order of the table
+        walks = [_mode_walk(J_SWEEP_GAMMA, d, cfg.k_max) for d in d_set]
+        rows = [[k] + [_checked("symbol", next(walk), cfg)[0] for walk in walks] for k in range(cfg.k_max + 1)]
         path = out_dir / "j_sweep.csv"
     else:
         from .specialfn import phi as phi_fn
 
         q_set = _value_set(ns.q_set, "--q-set", PHI_SWEEP_Q_SET)
         columns = ["r"] + [f"Phi_q{q:g}" for q in q_set]
-        rows = []
-        for r in cfg.grid():
-            row = [r]
-            for q in q_set:
-                row.append(float(_within_tolerance("phi", phi_fn(r, q), cfg).value))
-            rows.append(row)
+        rows = [[r] + [_checked("phi", phi_fn(r, q), cfg)[0] for q in q_set] for r in cfg.grid()]
         path = out_dir / "phi_sweep.csv"
     text = _csv_text(columns, rows)
     # made only now, so a rejected input leaves no empty directory behind
@@ -456,8 +445,8 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
     from .specialfn import phi_sandwich
 
     cfg = build_config(ns)
-    value = _within_tolerance("phi", phi_fn(ns.r, ns.q), cfg)
-    pairs = [("r", ns.r), ("q", ns.q), ("phi", float(value.value)), ("error_radius", _radius(value))]
+    value, radius = _checked("phi", phi_fn(ns.r, ns.q), cfg)
+    pairs = [("r", ns.r), ("q", ns.q), ("phi", value), ("error_radius", radius)]
     if ns.r > max(ns.q - 1, 0.0):
         lo, hi = phi_sandwich(ns.r, ns.q)
         pairs += [("sandwich_lower", lo), ("sandwich_upper", hi)]

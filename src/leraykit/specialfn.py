@@ -57,8 +57,8 @@ Composite functions:
                 = sum_{j>=1} 2r (j-q) / (r+j-q)^3
 
 phi is additionally cross-checked on every call against a double-precision
-partial sum of its series with a two-sided integral bracket on the
-discarded tail.
+partial sum of its first ten terms with a two-sided Euler-Maclaurin
+bracket on the discarded tail.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_neg,
     mpf_sign,
+    mpf_sub,
     mpi_abs,
     mpi_add,
     mpi_div,
@@ -95,6 +96,7 @@ from mpmath.libmp import (
     mpi_sub,
     round_ceiling,
     round_floor,
+    round_nearest,
     to_float,
 )
 from mpmath.libmp.libmpi import mpi_pi
@@ -203,8 +205,24 @@ class BoundedFloat:
 
     @property
     def error_radius(self) -> mpf:
+        return mpf(self._mid_radius()[1], rounding="c")
+
+    def _mid_radius(self) -> tuple:
+        """The raw midpoint and the raw half-width rounded up."""
+        a, b = self.endpoints
         mid = mpi_mid(self.endpoints, _PREC)
-        return mpf(mpi_abs(mpi_sub(self.endpoints, (mid, mid), _PREC), _PREC)[1], rounding="c")
+        below, above = mpf_sub(mid, a, _PREC, round_ceiling), mpf_sub(b, mid, _PREC, round_ceiling)
+        return mid, above if mpf_lt(below, above) else below
+
+    def doubles(self) -> Tuple[float, float]:
+        """``float(value)`` and ``error_radius`` rounded up to a double, read
+        from one midpoint: a radius below the smallest subnormal reads as
+        that, not as 0, and one past the double range as inf."""
+        mid, radius = self._mid_radius()
+        bound = to_float(radius, rnd=round_nearest)
+        if mpf_lt(from_float(bound), radius):
+            bound = nextafter(bound, inf)
+        return to_float(mid, rnd=round_nearest), bound
 
     @property
     def lower(self) -> mpf:
@@ -367,6 +385,17 @@ def _to_raw(lo: int, hi: int, scale: int, prec: int) -> tuple:
 def _exp_fixed(lo: int, hi: int, w: int) -> BoundedFloat:
     """exp [lo 2^-w, hi 2^-w], rounded outward at the working precision."""
     return BoundedFloat._of(_to_raw(lo, hi, w, 0)).exp()
+
+
+def _bounded(x: tuple) -> BoundedFloat:
+    """The dyadic interval x, rounded outward at the working precision."""
+    lo, hi, f = x
+    return BoundedFloat._of(_to_raw(lo, hi, -f, _PREC))
+
+
+def _dyadic_of(x: BoundedFloat) -> tuple:
+    """The positive BoundedFloat x as a dyadic interval."""
+    return _dyadic(x.endpoints)
 
 
 def _dyadic(x) -> tuple:
@@ -593,7 +622,7 @@ def phi(r: Scalar, q: Scalar) -> BoundedFloat:
     return out
 
 
-_PHI_SERIES_TERMS = 300
+_PHI_SERIES_TERMS = 10
 
 
 def phi_series_partial(r: Scalar, q: Scalar) -> Tuple[float, float, float]:
@@ -603,10 +632,23 @@ def phi_series_partial(r: Scalar, q: Scalar) -> Tuple[float, float, float]:
     Returns (partial, tail_lo, tail_hi) in double precision: the true value
     at the doubles nearest r and q lies in [partial + tail_lo,
     partial + tail_hi].  Each term is a product of ratios of moderate size,
-    so nothing overflows even for r near 1e300.  The bracket is padded by
-    2 * terms * 2^-53 times the summed magnitudes (plus terms * 2^-1070
-    for subnormal results), which bounds every rounding in the sum.  Used
-    as the independent summation route when cross-checking `phi`.
+    so nothing overflows even for r near 1e300.
+
+    The tail sum_{j>N} [2r/d_j^2 - 2r^2/d_j^3], d_j = r + j - q, is two
+    families c/(x + j - 1)^p (p = 2, 3; c = 2r, -2r^2), each c times a
+    function completely monotone in j.  Euler-Maclaurin from a = N + 1
+    sums each as its integral, half its first term and the B_2 and B_4
+    corrections; for a completely monotone summand the remainder lies
+    between 0 and the first omitted (B_6) term, so that term, taken on
+    both sides, bounds it.  With y = x + N >= N, rho = r/y and v = 1/y:
+
+        p = 2:  2 rho + rho v + rho v^2/3 - rho v^4/15,  omitted rho v^6/21
+        p = 3:  -rho^2 (1 + v + v^2/2 - v^4/6),          omitted rho^2 v^6/6
+
+    The bracket is padded by 4 (N + 8) 2^-53 times the summed magnitudes
+    (plus (N + 8) 2^-1070 for subnormal results), which bounds every
+    rounding in the sum.  Used as the independent summation route when
+    cross-checking `phi`.
     """
     rf, qf = float(r), float(q)
     if not (isfinite(rf) and isfinite(qf)):
@@ -625,16 +667,14 @@ def phi_series_partial(r: Scalar, q: Scalar) -> Tuple[float, float, float]:
         t = 2 * (rf / d) * ((j - qf) / d) / d
         partial += t
         magnitude += abs(t)
-    # tail = sum_{j>N} [ 2r/d_j^2 - 2r^2/d_j^3 ]; both summand families are
-    # monotone in j, so integral comparison brackets each: with
-    # rho(a) = r / (x + a - 1), the first lies between 2 rho(N+1) and
-    # 2 rho(N), the second between -rho(N)^2 and -rho(N+1)^2
-    rho_n, rho_n1 = rf / (x + (terms - 1)), rf / (x + terms)
-    lo1, hi1 = sorted((2 * rho_n1, 2 * rho_n))
-    lo2, hi2 = -rho_n * rho_n, -rho_n1 * rho_n1
-    magnitude += 2 * abs(rho_n) + rho_n * rho_n
-    pad = 2 * terms * 2.0 ** -53 * magnitude + terms * 2.0 ** -1070
-    return partial, lo1 + lo2 - pad, hi1 + hi2 + pad
+    y = x + terms
+    rho, v = rf / y, 1 / y
+    v2 = v * v
+    tail = 2 * rho + rho * v * (1 + v * (1 / 3 - v2 / 15)) - rho * rho * (1 + v * (1 + v * (0.5 - v2 / 6)))
+    remainder = (abs(rho) / 21 + rho * rho / 6) * (v2 * v2 * v2)
+    magnitude += 2 * abs(rho) * (1 + v) + rho * rho * (1 + 2 * v) + remainder
+    pad = 4 * (terms + 8) * 2.0 ** -53 * magnitude + (terms + 8) * 2.0 ** -1070
+    return partial, tail - remainder - pad, tail + remainder + pad
 
 
 def _phi_series_check(r: Scalar, q: Scalar, out: BoundedFloat) -> None:

@@ -15,11 +15,21 @@ The mode norm is sqrt(J); the full operator norm is the supremum over k,
 and the modes stabilize to the k -> infinity limit
 sqrt(gamma / (2 sqrt(gamma-1))) regardless of d.
 
-Everything is computed in log-Gamma space with certified error radii (see
-:mod:`leraykit.specialfn`), so strict comparisons between modes can be made
-with the radii separating the values.  No function here takes a tolerance:
-each returns its certified enclosure at the working precision, and the
-command line rejects a printed radius above ``--tolerance``.
+Every value carries a certified error radius (see :mod:`leraykit.specialfn`),
+so strict comparisons between modes can be made with the radii separating
+the values.  One mode is computed in log-Gamma space (`symbol_value`).  A
+run of modes 0..k_max of one (gamma, d), which `monotonicity_scan` and the
+command line's j-sweep ask for, is walked (`_mode_walk`): for gamma = m/n
+with m <= 64, modes 0..m-1 are `symbol_value` and each later mode is the
+mode m steps back times the exact rational J(k)/J(k-m) that
+Gamma(x+1) = x Gamma(x) gives, applied to a fixed-point interval with
+outward rounding.  A walked mode keeps the relative radius of its base
+mode, up to about 2.3e-24 at 120 or 200 bits, the log-Gamma truncation
+floor; a direct evaluation at a large k can be far narrower (1.2e-36
+relative at gamma = 5, d = 3, k = 200).  Any other gamma evaluates every
+mode.  No function here takes a tolerance: each returns its certified
+enclosure at the working precision, and the command line rejects a printed
+radius above ``--tolerance``.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, fsum, inf, isfinite, lgamma, log, nextafter
-from typing import List, Optional, Tuple
+from math import exp, fsum, inf, isfinite, lgamma, log, nextafter, prod
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import (
     DegenerateGamma,
@@ -41,6 +51,8 @@ from .measures import DISTINGUISHED_MEASURES
 from .specialfn import (
     _GUARD,
     BoundedFloat,
+    _bounded,
+    _dyadic_of,
     _exp_fixed,
     _log_fixed,
     _log_gamma,
@@ -229,15 +241,6 @@ def _gamma_logs(gamma: float, prec: int) -> tuple:
     return _log_fixed(_ratio(gn, 2 * gd, w), w), _log_fixed(_ratio(gn - gd, gd, w), w)
 
 
-@lru_cache(maxsize=256)
-def _log_factorial(k: int, prec: int) -> Tuple[int, int]:
-    """log Gamma(k + 1) = log k! in units of 2^-(prec + _GUARD).
-
-    The columns of the `figures` j-sweep share their modes, so four in five
-    of its calls repeat; a norm search asks for each k once."""
-    return _log_gamma((k + 1, k + 1, 0))
-
-
 def symbol_value(query: "SymbolQuery | Tuple[float, float, int]") -> BoundedFloat:
     """J(d, gamma, k) > 0 with certified radius; the mode norm is its
     square root.
@@ -261,13 +264,75 @@ def symbol_value(query: "SymbolQuery | Tuple[float, float, int]") -> BoundedFloa
     b = _ratio(p_prime, q, w)
     a_lo, a_hi = _log_gamma(_ratio(p, q, w))
     b_lo, b_hi = _log_gamma(b)
-    f_lo, f_hi = _log_factorial(k, prec)
+    f_lo, f_hi = _log_gamma((k + 1, k + 1, 0))  # log k!
     # B ln(gamma - 1) with B > 0, in units of 2^-w
     bg_lo = _shift(b[0 if g_lo >= 0 else 1] * g_lo, b[2])
     bg_hi = _shift(b[1 if g_hi >= 0 else 0] * g_hi, b[2], True)
     lo = a_lo + b_lo - 2 * f_hi + (2 * k + 2) * h_lo - bg_hi
     hi = a_hi + b_hi - 2 * f_lo + (2 * k + 2) * h_hi - bg_lo
     return _exp_fixed(lo, hi, w)
+
+
+# `_mode_walk` steps a gamma = m/n whose numerator m is at most this.  A
+# step's integers grow with m: in process, one step took 4 us at m = 5,
+# 33 us at m = 64 and 91 us at m = 128, against 64 us for one `symbol_value`.
+_WALK_PERIOD = 64
+
+
+def _scaled(x: tuple, num: int, den: int, w: int) -> tuple:
+    """The positive dyadic interval x = (lo, hi, f) times num/den, rounded
+    outward to a lower end of exactly w bits."""
+    lo, hi, f = x
+    t = max(w + den.bit_length() - num.bit_length() - lo.bit_length() + 2, 0)
+    lo, hi = (lo * num << t) // den, -((-hi * num << t) // den)  # lo now has more than w bits
+    s = lo.bit_length() - w
+    return lo >> s, -((-hi) >> s), f - t + s
+
+
+def _mode_walk(gamma: float, d: float, k_max: int) -> Iterator[BoundedFloat]:
+    """J(d, gamma, k) for k = 0 .. k_max in turn, each a certified
+    enclosure, computed as it is asked for.
+
+    With gamma = m/n in lowest terms and m <= _WALK_PERIOD, modes 0 .. m-1
+    are `symbol_value` and every later mode k is mode k - m times the exact
+    rational J(k)/J(k-m).  Over m modes A grows by exactly 2n and B by
+    2(m-n), so Gamma(x+1) = x Gamma(x) gives, with A = p/q and B = p'/q at
+    mode k - m (`_exact_a_b`),
+
+        prod_{i<2n} (p + iq) prod_{i<2m-2n} (p' + iq) m^2m n^(2m-2n)
+        / (q^2m ((k-m+1) ... k)^2 (2n)^2m (m-n)^(2m-2n)).
+
+    A step multiplies a fixed-point interval by the numerator and divides by
+    the denominator, floor below and ceiling above, and renormalises to
+    w = prec + _GUARD bits: no log and no exp, and a relative widening of
+    a few units of 2^-w per step, so a walked mode keeps the relative radius
+    of its base mode.  Any other gamma takes `symbol_value` at every mode.
+    Raises what `symbol_value` raises at mode 0.
+    """
+    SymbolQuery(gamma, d, 0)  # a gamma <= 1 or a non-finite gamma or d is a DomainError here
+    m, n = map(int, Fraction(gamma).as_integer_ratio())
+    walk = m <= min(_WALK_PERIOD, k_max)  # a short period, and a mode to step to
+    ring = []  # the last m modes as dyadic intervals, mode k at k mod m
+    for k in range(m if walk else k_max + 1):
+        value = symbol_value(SymbolQuery(gamma, d, k))
+        if walk:
+            ring.append(_dyadic_of(value))
+        yield value
+    if not walk:
+        return
+    w = precision_bits() + _GUARD
+    p, p_prime, q = _exact_a_b(gamma, d, 0)
+    # a mode on, A grows by 2n/m and B by 2(m-n)/m; q is m times d's denominator
+    dp, dp_prime = 2 * n * q // m, 2 * (m - n) * q // m
+    num_const = m ** (2 * m) * n ** (2 * m - 2 * n)
+    den_const = (2 * n) ** (2 * m) * (m - n) ** (2 * m - 2 * n) * q ** (2 * m)
+    for k in range(m, k_max + 1):
+        j = k - m
+        a, b = p + j * dp, p_prime + j * dp_prime
+        num = num_const * prod(a + i * q for i in range(2 * n)) * prod(b + i * q for i in range(2 * m - 2 * n))
+        den = den_const * prod(range(j + 1, k + 1)) ** 2
+        ring[j % m] = _scaled(ring[j % m], num, den, w)
+        yield _bounded(ring[j % m])
 
 
 def holder_conjugate(gamma: float) -> float:
@@ -343,7 +408,7 @@ def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
         raise DomainError("k_max must be at least 1")
     _require_bounded(gamma, d, 0)
     # one mode at a time, so a turning index ends the scan
-    values = (symbol_value(SymbolQuery(gamma, d, k)) for k in range(k_max + 1))
+    values = _mode_walk(gamma, d, k_max)
     if gamma == 2 and d == 1:
         for k, v in enumerate(values):
             if not v.contains(1):

@@ -3,12 +3,14 @@
 Each certified value must enclose mpmath's own loggamma, polygamma or a
 direct log-Gamma assembly of J computed at 400 bits, across scales from
 1e-3 to 1e300, on both sides of every point where the asymptotic series
-switch to fewer Bernoulli terms, and at modes up to k = 10^6.
+switch to fewer Bernoulli terms, at modes up to k = 10^6, and along the
+runs of modes that `symbol._mode_walk` steps by exact rationals.
 """
 
 import math
 import random
 import time
+from fractions import Fraction
 
 import mpmath
 
@@ -22,7 +24,9 @@ from leraykit import (
     symbol_value,
     theta,
 )
-from leraykit.specialfn import _bernoulli_series
+import leraykit.symbol as symbol
+from leraykit.specialfn import DEFAULT_TOL, _bernoulli_series
+from leraykit.symbol import SymbolQuery, _mode_walk
 
 ORACLE_BITS = 400
 
@@ -43,7 +47,8 @@ def oracle_polygamma(m, x):
 
 def oracle_symbol(gamma, d, k):
     with mpmath.workprec(ORACLE_BITS):
-        g, dm = mpmath.mpf(gamma), mpmath.mpf(d)
+        gamma = Fraction(gamma)
+        g, dm = mpmath.mpf(gamma.numerator) / gamma.denominator, mpmath.mpf(d)
         a = (2 * k + 1 + dm) / g
         b = 2 * k + 2 - a
         log_j = (
@@ -198,3 +203,50 @@ def test_symbol_value_at_a_million_modes():
     elapsed = time.perf_counter() - start
     assert value.contains(oracle_symbol(gamma, d, k))
     assert elapsed < 2.0, f"symbol_value at k = 10^6 took {elapsed:.2f} s"
+
+
+# gamma = m/n with m <= symbol._WALK_PERIOD is walked; 4.663 is a double
+# whose numerator is about 2^52, so every mode is a `symbol_value`
+WALK_GAMMAS = (5.0, 3, Fraction(5, 2), 1.5, 4.5, 4.663)
+
+
+def test_mode_walk_encloses_the_400_bit_oracle(monkeypatch):
+    calls = []
+    direct = symbol.symbol_value
+
+    def counting(query):
+        calls.append(query.k)
+        return direct(query)
+
+    monkeypatch.setattr(symbol, "symbol_value", counting)
+    rng = random.Random(2028)
+    k_max = 200
+    saved = precision_bits()
+    try:
+        for gamma in WALK_GAMMAS:
+            lo, hi = -1, 2 * (float(gamma) - 1) + 1  # I_0(gamma)
+            d = lo + (hi - lo) * rng.uniform(0.05, 0.95)
+            oracles = [oracle_symbol(gamma, d, k) for k in range(k_max + 1)]
+            m = Fraction(gamma).numerator
+            for bits in (120, 200):
+                set_precision_bits(bits)
+                calls.clear()
+                walked = list(_mode_walk(gamma, d, k_max))
+                assert calls == list(range(m if m <= symbol._WALK_PERIOD else k_max + 1)), (gamma, bits)
+                assert len(walked) == k_max + 1
+                for k, (v, ref) in enumerate(zip(walked, oracles)):
+                    label = (gamma, d, k, bits)
+                    assert v.contains(ref), label
+                    assert v.error_radius <= DEFAULT_TOL, label
+                    assert v.error_radius <= 3e-24 * v.value, label
+                    w = direct(SymbolQuery(gamma, d, k))
+                    assert v.lower <= w.upper and w.lower <= v.upper, label
+    finally:
+        set_precision_bits(saved)
+
+
+def test_mode_walk_of_the_constant_line_encloses_one():
+    # gamma = 2, d = 1: A = B = k + 1, so J = 1 at every mode and each step
+    # multiplies by exactly 1
+    for v in _mode_walk(2.0, 1.0, 200):
+        assert v.contains(1) and v.error_radius <= 1e-23

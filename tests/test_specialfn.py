@@ -192,6 +192,49 @@ def test_phi_series_bracket_contains_value():
         assert float(v.value) <= partial + float(hi) + float(v.error_radius)
 
 
+def _three_hundred_term_bracket(r, q):
+    """The cross-check bracket summed over 300 terms, the tail of each
+    family bracketed by integral comparison alone: the reference the
+    Euler-Maclaurin bracket must not be wider than."""
+    rf, qf = float(r), float(q)
+    x = math.fsum((rf, 1.0, -qf))
+    terms = 300
+    partial = magnitude = 0.0
+    for j in range(1, terms + 1):
+        d = x + (j - 1)
+        t = 2 * (rf / d) * ((j - qf) / d) / d
+        partial += t
+        magnitude += abs(t)
+    rho_n, rho_n1 = rf / (x + (terms - 1)), rf / (x + terms)
+    lo1, hi1 = sorted((2 * rho_n1, 2 * rho_n))
+    lo2, hi2 = -rho_n * rho_n, -rho_n1 * rho_n1
+    magnitude += 2 * abs(rho_n) + rho_n * rho_n
+    pad = 2 * terms * 2.0 ** -53 * magnitude + terms * 2.0 ** -1070
+    return partial + lo1 + lo2 - pad, partial + hi1 + hi2 + pad
+
+
+def test_phi_series_bracket_encloses_the_oracle_and_is_narrower():
+    rng = random.Random(596)
+    pairs = [(0.8, 2.0 / 3.0), (3.0, 0.0), (50.0, 1.0), (-1.5, -2.0)]
+    for _ in range(120):
+        pairs.append((10 ** rng.uniform(-3, 300), rng.uniform(-2, 3)))
+    checked = 0
+    for r, q in pairs:
+        if not r + 1 - q > 0:
+            continue
+        checked += 1
+        partial, tail_lo, tail_hi = phi_series_partial(r, q)
+        lo, hi = partial + tail_lo, partial + tail_hi  # as the cross-check adds them
+        with mpmath.workprec(400):
+            rm, qm = mpmath.mpf(r), mpmath.mpf(q)
+            x = rm + 1 - qm
+            oracle = 2 * rm * mpmath.psi(1, x) + rm * rm * mpmath.psi(2, x)
+        assert lo <= oracle <= hi, (r, q, lo, hi)
+        ref_lo, ref_hi = _three_hundred_term_bracket(r, q)
+        assert hi - lo <= ref_hi - ref_lo, (r, q)
+    assert checked >= 100
+
+
 def test_phi_consistent_with_polygamma_assembly_on_random_grid():
     """phi must sit within combined radii of the directly assembled
     2r psi'(x) + r^2 psi''(x) on a random 20-point grid."""

@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import pytest
 
-from leraykit.errors import DegenerateGamma, DomainError, LeraykitError, UnboundedMode
+from leraykit.errors import DegenerateGamma, DomainError, InconclusiveComparison, LeraykitError, UnboundedMode
 from leraykit.specialfn import precision_bits, set_precision_bits
 from leraykit.symbol import (
     HolderReparam,
@@ -272,6 +272,58 @@ def test_monotonicity_scan_stops_at_the_turning_index(monkeypatch):
     res = monotonicity_scan(5.0, 3.0, 2000)
     assert (res.classification, res.witness_k) == (Monotonicity.NON_MONOTONE, 1)
     assert calls == [0, 1, 2]
+
+
+def _direct_scan(gamma, d, k_max):
+    """monotonicity_scan with every mode a `symbol_value`: (classification,
+    witness), or the error it raises."""
+    try:
+        values = [symbol_value(SymbolQuery(gamma, d, 0))]
+        if gamma == 2 and d == 1:
+            return Monotonicity.CONSTANT, None
+        direction = 0
+        for k in range(k_max):
+            values.append(symbol_value(SymbolQuery(gamma, d, k + 1)))
+            a, b = values[k], values[k + 1]
+            if not (b.lower > a.upper or b.upper < a.lower):
+                return InconclusiveComparison
+            step = 1 if b.lower > a.upper else -1
+            if direction and step != direction:
+                return Monotonicity.NON_MONOTONE, k
+            direction = step
+    except UnboundedMode:
+        return UnboundedMode
+    return (Monotonicity.STRICTLY_INCREASING if direction > 0 else Monotonicity.STRICTLY_DECREASING), None
+
+
+def _scan_outcome(gamma, d, k_max):
+    try:
+        res = monotonicity_scan(gamma, d, k_max)
+    except (InconclusiveComparison, UnboundedMode) as exc:
+        return type(exc)
+    return res.classification, res.witness_k
+
+
+def test_monotonicity_scan_matches_the_direct_scan():
+    # the scan walks the modes of a gamma = m/n with a small m by exact
+    # rational steps; its verdicts must be those of one symbol_value per mode
+    rng = random.Random(28)
+    # (5, 3.355) turns at k = 62, among the walked modes
+    cases = [(5.0, 3.0, 2000), (2.0, 1.0, 200), (5.0, 2.0, 200), (5.0, 3.355, 200), (7.0, 1.6, 200),
+             (4.663, 1.0, 120)]
+    for _ in range(14):
+        gamma = rng.choice((1.5, 2.0, 2.5, 3.0, 4.5, 5.0, 7.0, 1.25, 4.663, 1 + rng.uniform(0.1, 8)))
+        lo, hi = -1, 2 * (gamma - 1) + 1
+        d = lo + (hi - lo) * rng.uniform(0.02, 0.98)
+        cases.append((gamma, d, rng.randint(1, 200)))
+    outcomes = [_scan_outcome(*case) for case in cases]
+    assert outcomes == [_direct_scan(*case) for case in cases]
+    assert outcomes[0] == (Monotonicity.NON_MONOTONE, 1)
+    assert outcomes[3] == (Monotonicity.NON_MONOTONE, 62)
+    assert {o[0] for o in outcomes if isinstance(o, tuple)} >= {
+        Monotonicity.NON_MONOTONE, Monotonicity.STRICTLY_DECREASING,
+        Monotonicity.STRICTLY_INCREASING, Monotonicity.CONSTANT,
+    }
 
 
 def test_sup_search_memory_does_not_grow_with_k_cap():

@@ -6,17 +6,18 @@ In process, in a fresh interpreter: each L1-L4 call, each `emcert`
 certificate, the two exact `bwcert` certificates and
 `exp_series_nonnegative` on the kernel's d0 among them, as the median of
 --runs calls after one warm-up call.  Also in process, but cold: the 1,005
-`symbol_value` calls of `figures --id j-sweep --d-set=1.0,3.75,4.0,4.75,8.0`,
-in the CLI's order, each run in its own fresh interpreter after the imports,
-median of --runs.  As subprocesses: `import leraykit`, `import leraykit.bwcert` (which
-builds the kernel's Taylor tables exactly), `leraykit version`, `phi --r 3
+modes of `figures --id j-sweep --d-set=1.0,3.75,4.0,4.75,8.0` as the CLI
+computes them (one `symbol._mode_walk` per column, read row by row), each
+run in its own fresh interpreter after the imports, median of --runs.  As
+subprocesses: `import leraykit`, `import leraykit.bwcert` (which builds
+the kernel's Taylor tables exactly), `leraykit version`, `phi --r 3
 --q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw`, `--suite em` and
 `--suite all --format json` (the benchmark's `certify` command, to stdout),
 `figures --id phi-sweep`, the same at LERAYKIT_PRECISION_BITS=200, and that
-j-sweep, wall clock from spawn to exit, median of
---runs.  With --tier1, one run of the tier-1 suite from the checkout
-holding SRC; a failing run exits non-zero with the tail of its output and
-records no time.  The JSON result (seconds) goes to --out (default stdout).
+j-sweep, wall clock from spawn to exit, median of --runs.  With --tier1,
+one run of the tier-1 suite from the checkout holding SRC; a failing run
+exits non-zero with the tail of its output and records no time.  The JSON
+result (seconds) goes to --out (default stdout).
 """
 
 from __future__ import annotations
@@ -80,12 +81,13 @@ J_SWEEP_D_SET = "1.0,3.75,4.0,4.75,8.0"
 J_SWEEP_COLD = r"""
 import sys, time
 from leraykit.cli import J_SWEEP_GAMMA
-from leraykit.symbol import SymbolQuery, symbol_value
+from leraykit.symbol import _mode_walk
 d_set = [float(d) for d in sys.argv[1].split(",")]
 start = time.perf_counter()
+walks = [_mode_walk(J_SWEEP_GAMMA, d, 200) for d in d_set]
 for k in range(201):
-    for d in d_set:
-        symbol_value(SymbolQuery(J_SWEEP_GAMMA, d, k))
+    for walk in walks:
+        next(walk)
 print(time.perf_counter() - start)
 """
 
@@ -119,7 +121,7 @@ def main() -> int:
     result: Dict[str, float] = json.loads(proc.stdout)
     cold = [subprocess.run([sys.executable, "-c", J_SWEEP_COLD, J_SWEEP_D_SET], env=_env(src),
                            capture_output=True, text=True, check=True).stdout for _ in range(args.runs)]
-    result["L2 j-sweep's 1,005 symbol_value calls, cold"] = statistics.median(map(float, cold))
+    result["L2 j-sweep's 1,005 modes by the CLI's mode walks, cold"] = statistics.median(map(float, cold))
     cli = ["-m", "leraykit.cli"]
     phi_200 = "L5 LERAYKIT_PRECISION_BITS=200 figures --id phi-sweep"
     with tempfile.TemporaryDirectory() as tmp:
