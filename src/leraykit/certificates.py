@@ -14,7 +14,6 @@ witness, and a failed one turns the verdict to ``failed`` and is named in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
@@ -22,20 +21,48 @@ VERDICTS = ("verified", "failed", "supports", "refutes", "inconclusive")
 PASSING_VERDICTS = ("verified", "supports")
 
 
-@dataclass(frozen=True)
 class Certificate:
+    """One certified claim.  Immutable: the fields are set once, by the
+    constructor, which rejects an unknown verdict or method; ``inputs`` and
+    ``witnesses`` default to fresh empty dicts."""
+
+    __slots__ = ("claim_id", "method", "verdict", "anchor", "inputs", "witnesses")
+
     claim_id: str
     method: str  # "exact" | "bounded-numeric"
     verdict: str
     anchor: str  # one-line statement of the certified claim
-    inputs: Dict[str, Any] = field(default_factory=dict)
-    witnesses: Dict[str, Any] = field(default_factory=dict)
+    inputs: Dict[str, Any]
+    witnesses: Dict[str, Any]
 
-    def __post_init__(self) -> None:
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.method not in ("exact", "bounded-numeric"):
-            raise ValueError(f"unknown method {self.method!r}")
+    def __init__(self, claim_id: str, method: str, verdict: str, anchor: str,
+                 inputs: Optional[Dict[str, Any]] = None, witnesses: Optional[Dict[str, Any]] = None) -> None:
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if method not in ("exact", "bounded-numeric"):
+            raise ValueError(f"unknown method {method!r}")
+        fields = (claim_id, method, verdict, anchor, {} if inputs is None else inputs,
+                  {} if witnesses is None else witnesses)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Certificate")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Certificate")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Certificate:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"Certificate({body})"
 
     @property
     def passed(self) -> bool:

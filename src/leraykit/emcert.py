@@ -50,6 +50,7 @@ Q_r = 3r/2 + 1/6 + 3/(25r) - 21/(3125 r^3) + O(r^-5), agrees.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import List, Tuple
@@ -309,11 +310,14 @@ def s_integral_tail(r) -> float:
         3r (108 r^3 + 594 r^2 + 1035 r + 616) / (2 (3r+4)^2 (3r+7)^2)
         - 2 r log((3r+7)/(3r+4)).
 
-    Certified exactly by integral_antiderivative_certificate().  In doubles
-    the two terms cancel for large r: s_integral_tail(1e8) is 0.0, where the
-    integral is about -1.7e-17.
+    Certified exactly by integral_antiderivative_certificate().  The two
+    terms tend to 2 and cancel to about -1/(6 r^2), so from r = _LARGE_R on
+    the integral is summed from its series in 1/r (see _large_r_series),
+    which cancels nothing.
     """
     _require_r(r)
+    if r >= _LARGE_R:
+        return _from_series("s_integral_tail", _large_r_series()[0], r)
     return _finite("s_integral_tail", lambda r: _tail_rational(r) - 2 * r * math.log1p(3 / (3 * r + 4)), r=r)
 
 
@@ -342,12 +346,63 @@ def em_lower_bound(r: float) -> float:
     H(r) = (6r-1)/(3r+1)^3 + S(r,1) + S(r,2)
            + integral_2^inf S(r, x) dx - 16/(3125 r^3);
 
-    positive on (2/3, inf), tending to 0 from above.  In doubles its terms
-    cancel for large r: em_lower_bound(1e10) is -4.4e-16, where H is about
-    5.6e-22.
+    positive on (2/3, inf), tending to 0 from above like 1/(18 r^2).  From
+    r = _LARGE_R on it is summed from its series in 1/r, as the tail
+    integral's terms cancel (see _large_r_series).
     """
     _require_r(r)
+    if r >= _LARGE_R:
+        return _from_series("em_lower_bound", _large_r_series()[1], r)
     return _finite("em_lower_bound", lambda r: _h(r, s_integral_tail(r)), r=r)
+
+
+# From here on the tail integral and H are summed from their series in
+# u = 1/r: in doubles the closed form loses about 2e-15 r^2 of relative
+# accuracy, and the series' ratio is about 7/(3r), so _SERIES_TERMS terms
+# reach double resolution with a wide margin.
+_LARGE_R = 16
+_SERIES_TERMS = 24
+
+
+def _at_infinity(q: RationalFunction, terms: int) -> List[Fraction]:
+    """c_0 ... c_(terms-1) of q(r) = sum_p c_p r^-p, for a quotient in r
+    with a finite limit at infinity, by power-series division in u = 1/r."""
+    num, den = q.num.coefficients[::-1], q.den.coefficients[::-1]
+    shift = q.den.degree - q.num.degree
+    quotient: List[Fraction] = []
+    for i in range(terms - shift):
+        acc = num[i] if i < len(num) else Fraction(0)
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * quotient[i - j]
+        quotient.append(acc / den[0])
+    return [Fraction(0)] * shift + quotient
+
+
+@functools.cache
+def _large_r_series() -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """The coefficients of u^0 ... u^(_SERIES_TERMS-1), rounded once to
+    doubles, of the tail integral and of H at r = 1/u, derived exactly
+    (once per process) from their formulas: the rational parts
+    _tail_rational and _h expanded at infinity, plus the log part
+    -2r log((3r+7)/(3r+4)) = -2r (log(1 + 7u/3) - log(1 + 4u/3)), whose
+    u^p coefficient is 2 (-1)^(p+1) ((7/3)^(p+1) - (4/3)^(p+1)) / (p+1)."""
+    log_part = [2 * (-1) ** (p + 1) * (Fraction(7, 3) ** (p + 1) - Fraction(4, 3) ** (p + 1)) / (p + 1)
+                for p in range(_SERIES_TERMS)]
+    tail = _at_infinity(_tail_rational(_R), _SERIES_TERMS)
+    h = _at_infinity(_h(_R, _tail_rational(_R)), _SERIES_TERMS)
+    return tuple(tuple(float(a + b) for a, b in zip(part, log_part)) for part in (tail, h))
+
+
+def _from_series(helper: str, coeffs: Tuple[float, ...], r):
+    """sum_p coeffs[p] r^-p by Horner in u = 1/r; a sum that underflows
+    doubles is a DomainError naming r."""
+    u = 1 / r
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    if not acc:
+        raise DomainError(f"{helper}: the result underflows doubles at r = {r}")
+    return acc
 
 
 # ----------------------------------------------------------------------

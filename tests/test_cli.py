@@ -812,6 +812,8 @@ _SUITES = {"leraykit.bwcert", "leraykit.emcert", "leraykit.exactpoly", "leraykit
     (("figures", "--id", "j-sweep", "--out", "{out}", "--k-max", "3"),
      {"leraykit.specialfn", "leraykit.symbol"}),
     (("certify", "--suite", "em"), {"leraykit.specialfn"} | _SUITES),
+    (("certify", "--suite", "bw"), {"leraykit.specialfn"} | _SUITES),
+    (("certify", "--suite", "all"), {"leraykit.specialfn"} | _SUITES),
 ])
 def test_each_command_imports_only_its_layers(tmp_path, argv, layers):
     code, names = _loaded(tmp_path, *(a.format(out=tmp_path) for a in argv))
@@ -820,6 +822,9 @@ def test_each_command_imports_only_its_layers(tmp_path, argv, layers):
     assert ("mpmath" in names) == bool(layers)
     if argv == ("version",):
         assert not names & {"json", "dataclasses"}
+    if argv[0] == "certify":
+        # Certificate is a plain class: dataclasses would bring inspect along
+        assert not names & {"dataclasses", "inspect"}
 
 
 def test_package_names_resolve_lazily():

@@ -151,6 +151,37 @@ def test_em_lower_bound_behavior():
     assert em_lower_bound(1e4) < 1e-6
 
 
+def _tail_and_h_mp(r):
+    """The tail integral and H at r from their closed forms at 60 digits."""
+    with mpmath.workdps(60):
+        r = mpmath.mpf(r)
+
+        def s(x):
+            return 81 * r * (9 * x * x - 3 * x - 9 * r * r - 2) / ((3 * r + 3 * x + 1) ** 3 * (3 * r + 3 * x - 2) ** 3)
+
+        tail = (3 * r * (108 * r ** 3 + 594 * r ** 2 + 1035 * r + 616) / (2 * (3 * r + 4) ** 2 * (3 * r + 7) ** 2)
+                - 2 * r * mpmath.log((3 * r + 7) / (3 * r + 4)))
+        h = (6 * r - 1) / (3 * r + 1) ** 3 + s(1) + s(2) + tail - 16 / (3125 * r ** 3)
+        return tail, h
+
+
+@pytest.mark.parametrize("r", [m * 10.0 ** e for e in range(3, 13) for m in (1.0, 3.7)] + [1e8, 1e10])
+def test_tail_integral_and_h_at_large_r_against_60_digits(r):
+    # the closed form's two terms both tend to 2: em_lower_bound(1e10) was
+    # -4.4e-16 and s_integral_tail(1e8) 0.0 before the series in 1/r
+    tail, h = _tail_and_h_mp(r)
+    assert abs((s_integral_tail(r) - tail) / tail) <= 1e-10
+    assert abs((em_lower_bound(r) - h) / h) <= 1e-10
+    assert em_lower_bound(r) > 0 > s_integral_tail(r)
+
+
+def test_large_r_series_meets_the_closed_form_at_its_cutoff():
+    for r in (emcert._LARGE_R * (1 - 1e-9), float(emcert._LARGE_R), 40.0):
+        tail, h = _tail_and_h_mp(r)
+        assert abs((s_integral_tail(r) - tail) / tail) <= 1e-11
+        assert abs((em_lower_bound(r) - h) / h) <= 1e-11
+
+
 # ----------------------------------------------------------------------
 # exact certificates
 # ----------------------------------------------------------------------

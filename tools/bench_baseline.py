@@ -3,8 +3,9 @@
     python tools/bench_baseline.py [--src SRC] [--runs 5] [--tier1] [--out BENCH.json]
 
 In process, in a fresh interpreter: each L1-L4 call, each `emcert`
-certificate, the two exact `bwcert` certificates and
-`exp_series_nonnegative` on the kernel's d0 among them, as the median of
+certificate, the two exact `bwcert` certificates, the three exact Taylor
+tables `bwcert` builds on import and `exp_series_nonnegative` on the
+kernel's d0 among them, as the median of
 --runs calls after one warm-up call.  Also in process, but cold: the 1,005
 modes of `figures --id j-sweep --d-set=1.0,3.75,4.0,4.75,8.0` as the CLI
 computes them (one `symbol._mode_walk` per column, read row by row), each
@@ -58,6 +59,8 @@ calls = {
     "L3 bw_certificate_suite": bw_certificate_suite,
     "L3 bw.cm-refuted.q=2/3, exact": bwcert._refutation_certificate,
     "L3 bw.quadratic.structure, exact": bwcert._structure_certificate,
+    "L3 bwcert's three Taylor tables, as its import builds them":
+        lambda: [bwcert._taylor_table(f) for f in (bwcert._h0, bwcert._h1, bwcert._d0)],
     "L4 exp_series_nonnegative(d0)": lambda: exp_series_nonnegative(d0),
     **{f"L4 {name}": getattr(emcert, name) for name in (
         "series_decomposition_certificate", "integral_antiderivative_certificate",
