@@ -19,11 +19,12 @@ are first imported).
 enclosures as they are, and a command exits 2 when a value it prints (J, a
 norm or phi) has a larger radius.  A subcommand registers only flags it reads.
 
-Building the parser and running ``version`` load no numerics (no mpmath).
-Each other subcommand imports the layers it runs when it is called, and
-looks its functions up in their modules at call time: ``phi`` loads
-``specialfn``; ``symbol``, ``norm``, ``scan`` and the j-sweep of
-``figures`` also ``symbol``; ``certify`` the certificate suites.
+Building the parser and running ``version`` load no numerics.  Each other
+subcommand imports the layers it runs when it is called, and looks its
+functions up in their modules at call time: ``phi`` loads ``specialfn``;
+``symbol``, ``norm``, ``scan`` and the j-sweep of ``figures`` also
+``symbol``; ``certify`` the certificate suites.  Only ``certify`` loads
+mpmath: the value commands compute on integers and print doubles.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import DomainError, LeraykitError, ToleranceUnreachable
@@ -111,10 +112,10 @@ class RunConfig(NamedTuple):
         return {name: getattr(self, name) for name in self._fields if name != "output"}
 
 
-# config-file key -> cast, from the field types: int and float fields
-# parse as such, the rest as text
-_CONFIG_CASTS = {name: kind if kind in (int, float) else str
-                 for name, kind in get_type_hints(RunConfig).items()}
+# config-file key -> cast, from the field annotations, which stay unresolved
+# strings (ForwardRefs): int and float fields parse as such, the rest as text
+_CONFIG_CASTS = {name: {"int": int, "float": float}.get(getattr(kind, "__forward_arg__", kind), str)
+                 for name, kind in RunConfig.__annotations__.items()}
 
 
 def load_config_file(path: str) -> Dict[str, Any]:
@@ -226,23 +227,13 @@ def _checked(name: str, value: BoundedFloat, cfg: RunConfig) -> Tuple[float, flo
     exceeds a double tolerance exactly when the radius does)."""
     mid, radius = value.doubles()
     if radius > cfg.tolerance:
-        from .specialfn import precision_bits
+        from .specialfn import _e3, precision_bits
 
         raise ToleranceUnreachable(
-            f"{name} radius {_format_e3(value.error_radius)} exceeds tol={cfg.tolerance} "
+            f"{name} radius {_e3(value._mid_radius()[1])} exceeds tol={cfg.tolerance} "
             f"at {precision_bits()}-bit precision ({TOLERANCE_NOTE})"
         )
     return mid, radius
-
-
-def _format_e3(x: Any) -> str:
-    """`x` as format(float(x), ".3e") prints it, also past the double range,
-    where float(x) is inf (mpf has no format spec of its own)."""
-    if math.isfinite(float(x)):
-        return format(float(x), ".3e")
-    from decimal import Decimal
-
-    return format(Decimal(str(x)), ".3e")
 
 
 def _parse_k_range(text: str) -> List[int]:
@@ -305,7 +296,7 @@ def _cmd_symbol(ns: argparse.Namespace) -> int:
         if query.is_finite():
             j = symbol_value(query)
             value, radius = _checked("symbol", j, cfg)
-            rows.append([query.k, value, float(j.sqrt().value), True, radius])
+            rows.append([query.k, value, float(j.sqrt()), True, radius])
         else:
             rows.append([query.k, None, None, False, None])
     _emit_table("symbol", ["k", "J", "sqrt_J", "bounded", "error_radius"], rows, cfg)
@@ -462,6 +453,34 @@ def _cmd_version(ns: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a negative number in scientific notation after a
+    space (``--r -1e300``) as an option, not a value: its usage error then
+    says to write ``--r=-1e300``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str):
+        if message.endswith("expected one argument"):
+            flags = message.partition(":")[0].split()[-1].split("/")
+            argv = getattr(self, "_argv", [])
+            hint = next((f"{flag}={value}" for flag, value in zip(argv, argv[1:])
+                         if flag in flags and value.startswith("-") and _is_number(value)), None)
+            if hint:
+                message += f" (write a negative number with '=': {hint})"
+        super().error(message)
+
+
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     """--config plus those of --tolerance, --format and --output in `names`."""
     p.add_argument("--config", help="config file with 'key = value' lines")
@@ -485,7 +504,7 @@ def _add_measure_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=TOOL_NAME,
         description="verified symbol-function values, operator norms, and inequality certificates",
     )

@@ -69,6 +69,11 @@ from .exactpoly import (
     descartes_sign_changes,
     sign_pattern,
 )
+from .specialfn import _sync_mpmath
+
+# q_root_mp computes at mpmath.mp.prec, which a specialfn imported before
+# mpmath was loaded has not set yet
+_sync_mpmath()
 
 __all__ = [
     "s_function",

@@ -20,26 +20,33 @@ sources:
   at 120, 200 and 400 bits alike; and
 * rounding, bounded by rounding every operation outward (directed
   rounding), so no operation count is kept anywhere.  A BoundedFloat
-  holds the raw (a, b) endpoint pair of ``mpmath.libmp`` and computes
-  with that library's ``mpi_*`` primitives at the working precision, the
-  functions behind ``mpmath.iv``'s operators.  The kernels (log-Gamma,
-  digamma, the polygamma series and their Bernoulli tails) run on Python
-  integers in fixed point, as mpmath computes its own elementary
-  functions: an argument enters as exact integer endpoints times a power
-  of two, every O(1) quantity is an integer interval in units of 2^-w,
-  w = precision + _GUARD, whose lower end is rounded down and upper end
-  up, and a result leaves as a raw pair rounded outward.  Logarithms and
-  exponentials are ``mpf_log``/``mpf_exp`` at directed rounding.  The
-  polygamma series sums in units scaled by z^-m, so huge and tiny
-  arguments keep a relative radius.  phi takes psi' and psi'' from one
-  raising pass.  No other module touches a raw pair.
+  holds the raw (a, b) endpoint pair of ``mpmath.libmp``: each endpoint a
+  (sign, mantissa, exponent, bit count) tuple, normalised as that library
+  normalises it.  The operations on raw numbers and pairs are integer
+  functions in ``leraykit._libmp`` that give libmp's own results bit for
+  bit (+ - * /, sqrt, the midpoint, comparisons, conversions from and to
+  doubles: each the exact result rounded once, as ``mpmath.iv``'s
+  operators round it), and exp, log and pi rounded from proven
+  fixed-point enclosures; Bernoulli numbers come from an integer
+  recurrence.  The kernels (log-Gamma, digamma, the polygamma series and
+  their Bernoulli tails) run on Python integers in fixed point: an
+  argument enters as exact integer endpoints times a power of two, every
+  O(1) quantity is an integer interval in units of 2^-w, w = precision +
+  _GUARD, whose lower end is rounded down and upper end up, and a result
+  leaves as a raw pair rounded outward.  The polygamma series sums in
+  units scaled by z^-m, so huge and tiny arguments keep a relative
+  radius.  phi takes psi' and psi'' from one raising pass.  No module but
+  this one and ``_libmp`` touches a raw pair.
 
-One working precision, set by LERAYKIT_PRECISION_BITS or
-:func:`set_precision_bits`, drives the interval arithmetic and
-``mpmath.mp``.  No function here takes a tolerance: each returns its certified enclosure
-at the working precision, whatever its radius, and a caller that needs a
-bound on the radius checks it (the command line rejects a radius above
-``--tolerance``).  More bits narrow only the rounding part of a radius.
+mpmath itself is imported only when a caller reads an mpf: a
+BoundedFloat's ``value``, ``error_radius``, ``lower`` or ``upper``, or
+its repr.  One working precision, set by LERAYKIT_PRECISION_BITS or
+:func:`set_precision_bits`, drives the interval arithmetic and, whenever
+mpmath is loaded, ``mpmath.mp``.  No function here takes a tolerance:
+each returns its certified enclosure at the working precision, whatever
+its radius, and a caller that needs a bound on the radius checks it (the
+command line rejects a radius above ``--tolerance``).  More bits narrow
+only the rounding part of a radius.
 
 The polygamma functions psi^(m) for m >= 1 are evaluated from their series
 
@@ -64,43 +71,42 @@ bracket on the discarded tail.
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, fsum, inf, isfinite, log2, nextafter, perm
 from typing import Tuple, Union
 
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import (
-    finf,
-    fnan,
-    fninf,
-    from_float,
-    from_int,
-    from_man_exp,
-    mpf_le,
-    mpf_log,
-    mpf_lt,
-    mpf_neg,
-    mpf_sign,
-    mpf_sub,
-    mpi_abs,
-    mpi_add,
-    mpi_div,
-    mpi_exp,
-    mpi_log,
-    mpi_mid,
-    mpi_mul,
-    mpi_neg,
-    mpi_sqrt,
-    mpi_sub,
-    round_ceiling,
-    round_floor,
-    round_nearest,
-    to_float,
+from ._libmp import (
+    _C,
+    _F,
+    _INF,
+    _N,
+    _NAN,
+    _NINF,
+    _ONE,
+    _ZERO,
+    _add,
+    _exp,
+    _from_float,
+    _iadd,
+    _idiv,
+    _imid,
+    _imul,
+    _ineg,
+    _isub,
+    _le,
+    _log,
+    _lt,
+    _make,
+    _neg,
+    _pi,
+    _pos,
+    _sign,
+    _sqrt,
+    _to_float,
+    _val,
 )
-from mpmath.libmp.libmpi import mpi_pi
-
 from .errors import CrossCheckFailure, DomainError
 
 # ----------------------------------------------------------------------
@@ -112,7 +118,26 @@ DEFAULT_TOL = 1e-12  # the CLI's default --tolerance and bwcert.f_q's fixed quad
 
 _env = os.environ.get("LERAYKIT_PRECISION_BITS")
 _PREC = max(_MIN_PREC, int(_env)) if _env else DEFAULT_PRECISION_BITS
-mpmath.mp.prec = _PREC
+
+
+def _sync_mpmath() -> None:
+    """Give a loaded mpmath the working precision (``emcert`` computes at
+    ``mpmath.mp.prec``).  An mpmath loaded later gets it from `_mpmath`,
+    or from ``emcert``'s import."""
+    if "mpmath" in sys.modules:
+        sys.modules["mpmath"].mp.prec = _PREC
+
+
+def _mpmath():
+    """mpmath, imported on first use."""
+    if "mpmath" not in sys.modules:
+        import mpmath  # noqa: F401
+
+        _sync_mpmath()
+    return sys.modules["mpmath"]
+
+
+_sync_mpmath()
 
 
 def precision_bits() -> int:
@@ -126,13 +151,16 @@ def set_precision_bits(bits: int) -> None:
     if bits < _MIN_PREC:
         raise ValueError(f"precision must be at least {_MIN_PREC} bits")
     _PREC = int(bits)
-    mpmath.mp.prec = _PREC
+    _sync_mpmath()
 
 
-Scalar = Union[int, float, Fraction, mpf, "BoundedFloat"]
+Scalar = Union[int, float, Fraction, "mpmath.mpf", "BoundedFloat"]
 
+# ----------------------------------------------------------------------
+# conversions
+# ----------------------------------------------------------------------
 # raw intervals of exact constants, the same at every precision
-_RAW_ONE, _RAW_TWO = ((v, v) for v in map(from_float, (1.0, 2.0)))
+_RAW_ONE, _RAW_TWO = (_ONE, _ONE), ((0, 1, 1, 1),) * 2
 
 
 def _raw(x: Scalar) -> tuple:
@@ -142,12 +170,16 @@ def _raw(x: Scalar) -> tuple:
     if isinstance(x, BoundedFloat):
         return x.endpoints
     if isinstance(x, Fraction):
-        return mpi_div(_raw(x.numerator), _raw(x.denominator), _PREC)
+        return _idiv(_raw(x.numerator), _raw(x.denominator), _PREC)
     if isinstance(x, int):
-        return from_int(x, _PREC, round_floor), from_int(x, _PREC, round_ceiling)
+        return _make(x, 0, _PREC, _F), _make(x, 0, _PREC, _C)
     # a double is exact at the working precision (at least 80 bits)
-    a = from_float(x) if isinstance(x, float) else x._mpf_
-    return (fninf, finf) if a == fnan else (a, a)
+    a = _from_float(x) if isinstance(x, float) else x._mpf_
+    return (_NINF, _INF) if a == _NAN else (a, a)
+
+
+def _is_finite(s: tuple) -> bool:
+    return bool(s[1]) or not s[2]
 
 
 def _require_finite(name: str, value: Scalar) -> None:
@@ -156,10 +188,27 @@ def _require_finite(name: str, value: Scalar) -> None:
     # math.isfinite: on an int or mpf beyond double range it raises or reads
     # inf although the value is finite.
     if isinstance(value, BoundedFloat):
-        value = value.value
-    finite = isfinite(value) if isinstance(value, float) else value is not None and mpmath.isfinite(value)
+        finite = all(map(_is_finite, value.endpoints))
+        value = {_INF: "+inf", _NINF: "-inf"}.get(_imid(value.endpoints, _PREC), "nan")  # str of the mpf midpoint
+    elif isinstance(value, float):
+        finite = isfinite(value)
+    else:  # an int, a Fraction or an mpf
+        finite = value is not None and _is_finite(getattr(value, "_mpf_", _ZERO))
     if not finite:
         raise DomainError(f"{name} must be finite (got {value})")
+
+
+def _e3(s: tuple) -> str:
+    """The raw s as format(float(s), ".3e") prints it, also past the
+    double range, where float(s) is inf."""
+    x = _to_float(s)
+    if isfinite(x):
+        return format(x, ".3e")
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return format(_val(s) * Decimal(2) ** s[2], ".3e")
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +222,10 @@ class BoundedFloat:
     the real also lies in [value - error_radius, value + error_radius];
     both are rounded at the working precision in force when read.
     ``endpoints`` is the raw (a, b) pair of ``mpmath.libmp``, and every
-    operation is one outward-rounded ``mpi_*`` call on it at the working
-    precision, giving the endpoints ``mpmath.iv`` gives.
+    operation rounds outward at the working precision, giving the
+    endpoints ``mpmath.iv`` gives (exp and log: see `_libmp._exp`).  ``value``,
+    ``error_radius``, ``lower`` and ``upper`` are mpfs, and reading one
+    imports mpmath; nothing else here does.
     """
 
     __slots__ = ("endpoints",)
@@ -183,7 +234,7 @@ class BoundedFloat:
         if error_radius < 0:
             raise ValueError("error radius must be non-negative")
         radius = _raw(error_radius)[1]
-        self.endpoints = mpi_add(_raw(value), (mpf_neg(radius, _PREC, round_floor), radius), _PREC)
+        self.endpoints = _iadd(_raw(value), (_neg(radius, _PREC, _F), radius), _PREC)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -200,93 +251,103 @@ class BoundedFloat:
 
     # -- interval accessors ---------------------------------------------
     @property
-    def value(self) -> mpf:
-        return mpf(mpi_mid(self.endpoints, _PREC))
+    def value(self) -> "mpmath.mpf":
+        return _mpmath().mp.make_mpf(_imid(self.endpoints, _PREC))
 
     @property
-    def error_radius(self) -> mpf:
-        return mpf(self._mid_radius()[1], rounding="c")
+    def error_radius(self) -> "mpmath.mpf":
+        return _mpmath().mp.make_mpf(self._mid_radius()[1])
 
     def _mid_radius(self) -> tuple:
         """The raw midpoint and the raw half-width rounded up."""
         a, b = self.endpoints
-        mid = mpi_mid(self.endpoints, _PREC)
-        below, above = mpf_sub(mid, a, _PREC, round_ceiling), mpf_sub(b, mid, _PREC, round_ceiling)
-        return mid, above if mpf_lt(below, above) else below
+        mid = _imid(self.endpoints, _PREC)
+        below, above = _add(mid, _neg(a), _PREC, _C), _add(b, _neg(mid), _PREC, _C)
+        return mid, above if _lt(below, above) else below
+
+    def _mid_minus(self, other: "BoundedFloat") -> Fraction:
+        """This midpoint minus that of `other`, rounded to nearest at the
+        working precision, exactly: an mpf ``self.value - other.value``."""
+        d = _add(_imid(self.endpoints, _PREC), _neg(_imid(other.endpoints, _PREC)), _PREC, _N)
+        return Fraction(_val(d)) * Fraction(2) ** d[2]
 
     def doubles(self) -> Tuple[float, float]:
         """``float(value)`` and ``error_radius`` rounded up to a double, read
         from one midpoint: a radius below the smallest subnormal reads as
         that, not as 0, and one past the double range as inf."""
         mid, radius = self._mid_radius()
-        bound = to_float(radius, rnd=round_nearest)
-        if mpf_lt(from_float(bound), radius):
+        bound = _to_float(radius)
+        if _lt(_from_float(bound), radius):
             bound = nextafter(bound, inf)
-        return to_float(mid, rnd=round_nearest), bound
+        return _to_float(mid), bound
 
     @property
-    def lower(self) -> mpf:
-        return mpf(self.endpoints[0], rounding="f")
+    def lower(self) -> "mpmath.mpf":
+        return _mpmath().mp.make_mpf(_pos(self.endpoints[0], _PREC, _F))
 
     @property
-    def upper(self) -> mpf:
-        return mpf(self.endpoints[1], rounding="c")
+    def upper(self) -> "mpmath.mpf":
+        return _mpmath().mp.make_mpf(_pos(self.endpoints[1], _PREC, _C))
 
     def contains(self, x: Scalar) -> bool:
         a, b = _raw(x)
-        return mpf_le(self.endpoints[0], a) and mpf_le(b, self.endpoints[1])
+        return _le(self.endpoints[0], a) and _le(b, self.endpoints[1])
 
     def separated_below(self, c: Scalar) -> bool:
         """Certified strict inequality (self < c)."""
-        return mpf_lt(self.endpoints[1], _raw(c)[0])
+        return _lt(self.endpoints[1], _raw(c)[0])
 
     def separated_above(self, c: Scalar) -> bool:
         """Certified strict inequality (self > c)."""
-        return mpf_lt(_raw(c)[1], self.endpoints[0])
+        return _lt(_raw(c)[1], self.endpoints[0])
 
     def __float__(self) -> float:
-        return float(self.value)
+        return _to_float(_imid(self.endpoints, _PREC))
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other) -> "BoundedFloat":
-        return BoundedFloat._of(mpi_add(self.endpoints, _raw(other), _PREC))
+        return BoundedFloat._of(_iadd(self.endpoints, _raw(other), _PREC))
 
     __radd__ = __add__
 
     def __neg__(self) -> "BoundedFloat":
-        return BoundedFloat._of(mpi_neg(self.endpoints, _PREC))
+        return BoundedFloat._of(_ineg(self.endpoints, _PREC))
 
     def __sub__(self, other) -> "BoundedFloat":
-        return BoundedFloat._of(mpi_sub(self.endpoints, _raw(other), _PREC))
+        return BoundedFloat._of(_isub(self.endpoints, _raw(other), _PREC))
 
     def __rsub__(self, other) -> "BoundedFloat":
-        return BoundedFloat._of(mpi_sub(_raw(other), self.endpoints, _PREC))
+        return BoundedFloat._of(_isub(_raw(other), self.endpoints, _PREC))
 
     def __mul__(self, other) -> "BoundedFloat":
-        return BoundedFloat._of(mpi_mul(self.endpoints, _raw(other), _PREC))
+        return BoundedFloat._of(_imul(self.endpoints, _raw(other), _PREC))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "BoundedFloat":
         divisor = _raw(other)
-        if mpf_sign(divisor[0]) <= 0 <= mpf_sign(divisor[1]):
+        if _sign(divisor[0]) <= 0 <= _sign(divisor[1]):
             raise ZeroDivisionError("divisor interval contains zero")
-        return BoundedFloat._of(mpi_div(self.endpoints, divisor, _PREC))
+        return BoundedFloat._of(_idiv(self.endpoints, divisor, _PREC))
 
     def sqrt(self) -> "BoundedFloat":
-        if self.lower < 0:
+        a, b = self.endpoints
+        if _lt(a, _ZERO):
             raise DomainError("sqrt of an interval reaching below zero")
-        return BoundedFloat._of(mpi_sqrt(self.endpoints, _PREC))
+        return BoundedFloat._of((_sqrt(a, _PREC, _F), _sqrt(b, _PREC, _C)))
 
     def exp(self) -> "BoundedFloat":
-        return BoundedFloat._of(mpi_exp(self.endpoints, _PREC))
+        a, b = self.endpoints
+        return BoundedFloat._of((_exp(a, _PREC, _F), _exp(b, _PREC, _C)))
 
     def log(self) -> "BoundedFloat":
-        if not self.lower > 0:
+        a, b = self.endpoints
+        if not _lt(_ZERO, a):
             raise DomainError("log of an interval reaching zero or below")
-        return BoundedFloat._of(mpi_log(self.endpoints, _PREC))
+        return BoundedFloat._of((_log(a, _PREC, _F), _log(b, _PREC, _C)))
 
     def __repr__(self) -> str:
+        mpmath = _mpmath()
         return f"BoundedFloat({mpmath.nstr(self.value, 17)} ± {mpmath.nstr(self.error_radius, 3)})"
 
 
@@ -299,9 +360,18 @@ _EM_TERMS = 10          # most Bernoulli terms summed; remainder bounded by the 
 
 @lru_cache(maxsize=32)
 def _bernoulli(n: int) -> Fraction:
-    """The Bernoulli number B_n, exact.  Cached: every series order m reads
-    the same few, and `mpmath.bernfrac` computes each one anew."""
-    return Fraction(*mpmath.bernfrac(n))
+    """The Bernoulli number B_n, exact: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    from the tangent numbers T_k (1, 2, 16, 272, ...), which an integer
+    recurrence gives (Knuth and Buckholtz).  Cached: every series order m
+    reads the same few."""
+    if n < 2 or n % 2:
+        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(n, Fraction(0))
+    k = n // 2
+    tangent = [factorial(i - 1) for i in range(1, k + 1)]
+    for i in range(1, k):
+        for j in range(i, k):
+            tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
+    return Fraction((-1) ** (k - 1) * n * tangent[-1], 4 ** k * (4 ** k - 1))
 
 
 def _bernoulli_coefficient(m: int, j: int) -> Fraction:
@@ -330,7 +400,7 @@ def _bernoulli_series(m: int, prec: int) -> tuple:
         coefficients.append(_raw(_bernoulli_coefficient(m, n)))
         omitted = abs(_bernoulli_coefficient(m, n + 1))
         bound = _raw(omitted)[1]
-        remainders.append((mpf_neg(bound), bound))
+        remainders.append((_neg(bound), bound))
         log2_switch = (log2(omitted.numerator) - log2(omitted.denominator) + prec) / (2 * n + 1)
         switches.append(2.0 ** log2_switch if log2_switch < 1000 else inf)
     return tuple(coefficients), tuple(remainders), tuple(switches[:-1])
@@ -338,7 +408,8 @@ def _bernoulli_series(m: int, prec: int) -> tuple:
 
 @lru_cache(maxsize=8)
 def _half_log_2pi(prec: int) -> tuple:
-    return mpi_div(mpi_log(mpi_mul(_RAW_TWO, mpi_pi(prec), prec), prec), _RAW_TWO, prec)
+    a, b = _imul(_RAW_TWO, _pi(prec), prec)
+    return _idiv((_log(a, prec, _F), _log(b, prec, _C)), _RAW_TWO, prec)
 
 
 @lru_cache(maxsize=8)
@@ -351,7 +422,7 @@ def _log_gamma_floor(prec: int) -> float:
     (With fewer terms the remainder is below 2^-prec and counts as
     rounding.)"""
     _, remainders, _ = _bernoulli_series(-1, prec)
-    return to_float(remainders[-1][1]) * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
+    return _to_float(remainders[-1][1], "d") * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +450,7 @@ def _fixed(s, w: int, up: bool = False) -> int:
 def _to_raw(lo: int, hi: int, scale: int, prec: int) -> tuple:
     """The raw interval [lo 2^-scale, hi 2^-scale] rounded outward at `prec`
     bits (prec = 0: exact)."""
-    return from_man_exp(lo, -scale, prec, round_floor), from_man_exp(hi, -scale, prec, round_ceiling)
+    return _make(lo, -scale, prec, _F), _make(hi, -scale, prec, _C)
 
 
 def _exp_fixed(lo: int, hi: int, w: int) -> BoundedFloat:
@@ -413,10 +484,10 @@ def _ratio(p: int, q: int, w: int) -> tuple:
 
 def _log_fixed(x, w: int) -> Tuple[int, int]:
     """log x for the dyadic interval x > 0, in units of 2^-w, from one
-    ``mpf_log`` rounded down at w bits: the upper end adds two units in
-    its last place and the mean-value bound (hi - lo)/lo."""
+    `_log` rounded down at w bits: the upper end adds two units in its
+    last place and the mean-value bound (hi - lo)/lo."""
     lo, hi, f = x
-    s = mpf_log(from_man_exp(lo, f), w, round_floor)
+    s = _log(_make(lo, f), w, _F)
     return _fixed(s, w), _fixed(s, w, True) + _shift(2, s[2] + s[3], True) - ((lo - hi << w) // lo)
 
 
@@ -580,11 +651,11 @@ def _shifted_argument(fn: str, r: Scalar, q: Scalar):
     _require_finite("r", r)
     _require_finite("q", q)
     prec, rv, qv = _PREC, _raw(r), _raw(q)
-    x = mpi_sub(mpi_add(rv, _RAW_ONE, prec), qv, prec)
-    if not mpf_sign(x[0]) > 0:
+    x = _isub(_iadd(rv, _RAW_ONE, prec), qv, prec)
+    if not _sign(x[0]) > 0:
         raise DomainError(
             f"{fn} requires r + 1 - q > 0, which cannot be certified at {prec}-bit "
-            f"precision: r + 1 - q lies in [{to_float(x[0]):.6g}, {to_float(x[1]):.6g}]"
+            f"precision: r + 1 - q lies in [{_to_float(x[0], 'd'):.6g}, {_to_float(x[1], 'd'):.6g}]"
         )
     return rv, qv, x
 
@@ -593,7 +664,7 @@ def theta(r: Scalar, q: Scalar) -> BoundedFloat:
     """theta(r, q) = r^2 psi'(r + 1 - q); its r-derivative is phi(r, q)."""
     rv, _, x = _shifted_argument("theta", r, q)
     w = _PREC + _GUARD
-    return BoundedFloat._of(mpi_mul(_polygamma_series((1,), _dyadic(x), w)[0], mpi_mul(rv, rv, w), _PREC))
+    return BoundedFloat._of(_imul(_polygamma_series((1,), _dyadic(x), w)[0], _imul(rv, rv, w), _PREC))
 
 
 def phi(r: Scalar, q: Scalar) -> BoundedFloat:
@@ -607,14 +678,15 @@ def phi(r: Scalar, q: Scalar) -> BoundedFloat:
     """
     rv, qv, x = _shifted_argument("phi", r, q)
     prec = _PREC
-    if mpf_lt(mpi_abs(mpi_sub(rv, qv, prec), prec)[1], from_float(_NEAR_THRESHOLD)):
+    gap, near = _isub(rv, qv, prec), _from_float(_NEAR_THRESHOLD)
+    if _lt(gap[1], near) and _lt(_neg(gap[0]), near):  # |r - q| < 1e-6 at both ends
         raise DomainError("phi rejected: r within 1e-6 of q (endpoint not specified)")
     # psi' and psi'' and their products at the kernels' precision, the sum at the working one
     w = prec + _GUARD
     trigamma, tetragamma = _polygamma_series((1, 2), _dyadic(x), w)
-    value = mpi_add(
-        mpi_mul(trigamma, mpi_mul(_RAW_TWO, rv, w), w),
-        mpi_mul(tetragamma, mpi_mul(rv, rv, w), w),
+    value = _iadd(
+        _imul(trigamma, _imul(_RAW_TWO, rv, w), w),
+        _imul(tetragamma, _imul(rv, rv, w), w),
         prec,
     )
     out = BoundedFloat._of(value)
@@ -680,10 +752,11 @@ def phi_series_partial(r: Scalar, q: Scalar) -> Tuple[float, float, float]:
 def _phi_series_check(r: Scalar, q: Scalar, out: BoundedFloat) -> None:
     partial, tail_lo, tail_hi = phi_series_partial(r, q)
     lo, hi = partial + tail_lo, partial + tail_hi
-    if out.upper < lo or out.lower > hi:
+    if out.separated_below(lo) or out.separated_above(hi):
+        a, b = out.endpoints
         raise CrossCheckFailure(
-            f"phi({float(r)}, {float(q)}): polygamma route [{float(out.lower)}, "
-            f"{float(out.upper)}] outside series bracket [{lo}, {hi}]"
+            f"phi({float(r)}, {float(q)}): polygamma route [{_to_float(a)}, "
+            f"{_to_float(b)}] outside series bracket [{lo}, {hi}]"
         )
 
 

@@ -34,7 +34,6 @@ radius above ``--tolerance``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -111,6 +110,39 @@ def _in_interval_exact(d: float, gamma: float, k: int) -> bool:
     return p > 0 and p_prime > 0
 
 
+class _Record:
+    """An immutable record: the constructor sets the fields named in
+    _FIELDS once, and ==, hash and repr read them, as they do for a frozen
+    dataclass.  (The dataclasses module would bring inspect along.)"""
+
+    _FIELDS: Tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._FIELDS, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"{type(self).__name__}({body})"
+
+
 def _require_bounded(gamma: float, d: float, k: int) -> None:
     if not _in_interval_exact(d, gamma, k):
         lo, hi = boundedness_interval(gamma, k)
@@ -119,22 +151,22 @@ def _require_bounded(gamma: float, d: float, k: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SymbolQuery:
+class SymbolQuery(_Record):
     """(gamma, d, k) triple addressing one symbol value / mode norm."""
 
+    _FIELDS = ("gamma", "d", "k")
     gamma: float
     d: float
     k: int
 
-    def __post_init__(self) -> None:
-        _require_gamma(self.gamma)
-        _require_finite("d", self.d)
-        if self.k < 0:
+    def __init__(self, gamma: float, d: float, k: int) -> None:
+        _require_gamma(gamma)
+        _require_finite("d", d)
+        if k < 0:
             raise DomainError("mode index k must be non-negative")
-        if isinstance(self.k, float) and not self.k.is_integer():
-            raise DomainError(f"mode index k must be an integer (got {self.k!r})")
-        object.__setattr__(self, "k", int(self.k))  # the fixed-point kernels take a Python int
+        if isinstance(k, float) and not k.is_integer():
+            raise DomainError(f"mode index k must be an integer (got {k!r})")
+        self._set(gamma, d, int(k))  # the fixed-point kernels take a Python int
 
     @cached_property
     def _exact_a_b(self) -> Tuple[int, int, int]:
@@ -146,8 +178,7 @@ class SymbolQuery:
         return p > 0 and p_prime > 0
 
 
-@dataclass(frozen=True)
-class MeasureTag:
+class MeasureTag(_Record):
     """A named measure r^d dr dtheta ds.
 
     kind 'generic' carries an explicit exponent; every other kind is a key
@@ -159,16 +190,18 @@ class MeasureTag:
         lebesgue       d = 1
     """
 
+    _FIELDS = ("kind", "d")
     kind: str
-    d: Optional[float] = None
+    d: Optional[float]
 
-    def __post_init__(self) -> None:
-        if self.kind != "generic" and self.kind not in DISTINGUISHED_MEASURES:
-            raise DomainError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "generic" and self.d is None:
+    def __init__(self, kind: str, d: Optional[float] = None) -> None:
+        if kind != "generic" and kind not in DISTINGUISHED_MEASURES:
+            raise DomainError(f"unknown measure kind {kind!r}")
+        if kind == "generic" and d is None:
             raise DomainError("generic measure requires an explicit exponent d")
-        if self.d is not None:
-            _require_finite("d", self.d)
+        if d is not None:
+            _require_finite("d", d)
+        self._set(kind, d)
 
     @classmethod
     def generic(cls, d: float) -> "MeasureTag":
@@ -197,8 +230,7 @@ class MeasureTag:
         return float(DISTINGUISHED_MEASURES[self.kind][0](gamma))
 
 
-@dataclass(frozen=True)
-class HolderReparam:
+class HolderReparam(_Record):
     """Exponent reparameterization d = a (gamma - 2) + 1.
 
     The map is a bijection in d for every gamma != 2, and carrying `a`
@@ -210,7 +242,11 @@ class HolderReparam:
     `exponent` returns.
     """
 
+    _FIELDS = ("a",)
     a: float
+
+    def __init__(self, a: float) -> None:
+        self._set(a)
 
     @property
     def q(self) -> float:
@@ -370,7 +406,7 @@ def hf_limit(gamma: float) -> float:
     Independent of d, and invariant under gamma -> gamma*.
     """
     _require_gamma(gamma)
-    return float(_hf_limit_bf(gamma).value)
+    return float(_hf_limit_bf(gamma))
 
 
 def _hf_limit_bf(gamma: float) -> BoundedFloat:
@@ -388,10 +424,13 @@ class Monotonicity(str, Enum):
     CONSTANT = "constant"
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(_Record):
+    _FIELDS = ("classification", "witness_k")
     classification: Monotonicity
-    witness_k: Optional[int] = None  # first turning index for NON_MONOTONE
+    witness_k: Optional[int]  # first turning index for NON_MONOTONE
+
+    def __init__(self, classification: Monotonicity, witness_k: Optional[int] = None) -> None:
+        self._set(classification, witness_k)
 
 
 def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
@@ -418,9 +457,9 @@ def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
     direction = 0  # +1 increasing, -1 decreasing
     a = next(values)
     for k, b in enumerate(values):
-        if b.lower > a.upper:
+        if b.separated_above(a):
             step = 1
-        elif b.upper < a.lower:
+        elif b.separated_below(a):
             step = -1
         else:
             raise InconclusiveComparison(
@@ -439,8 +478,7 @@ def monotonicity_scan(gamma: float, d: float, k_max: int) -> ScanResult:
 # ----------------------------------------------------------------------
 # operator norm
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class NormResult:
+class NormResult(_Record):
     """Operator norm value with provenance.
 
     method is 'closed-form' when a proven formula applies: gamma = 2, a
@@ -459,13 +497,19 @@ class NormResult:
     `sup_search`).
     """
 
+    _FIELDS = ("value", "method", "gamma", "d", "attained_at", "k_scanned", "stabilized")
     value: BoundedFloat
     method: str
     gamma: float
     d: float
-    attained_at: Optional[int] = None  # None: supremum is the HF limit
-    k_scanned: int = 0
-    stabilized: Optional[bool] = None
+    attained_at: Optional[int]  # None: supremum is the HF limit
+    k_scanned: int
+    stabilized: Optional[bool]
+
+    def __init__(self, value: BoundedFloat, method: str, gamma: float, d: float,
+                 attained_at: Optional[int] = None, k_scanned: int = 0,
+                 stabilized: Optional[bool] = None) -> None:
+        self._set(value, method, gamma, d, attained_at, k_scanned, stabilized)
 
 
 _STABILIZATION_TOL = 1e-4
@@ -540,13 +584,13 @@ def _sqrt_j_bracket(gamma: float, d: float, k: int) -> Optional[Tuple[float, flo
     )
 
 
-def _enclose(x) -> Tuple[float, float]:
-    """The doubles on either side of float(x): a bracket of the mpf x."""
+def _enclose(x: BoundedFloat) -> Tuple[float, float]:
+    """The doubles on either side of float(x): a bracket of x's midpoint."""
     f = float(x)
     return nextafter(f, -inf), nextafter(f, inf)
 
 
-def _band(x) -> int:
+def _band(x: "float | Fraction") -> int:
     """Where x = v - limit lies: 0 at or below -1e-4, 1 in (-1e-4, 0],
     2 in (0, 1e-4), 3 at or above 1e-4."""
     return (x > -_STABILIZATION_TOL) + (x > 0) + (x >= _STABILIZATION_TOL)
@@ -560,14 +604,14 @@ class _Mode:
 
     def __init__(self, gamma: float, d: float, k: Optional[int], value: Optional[BoundedFloat] = None):
         self.gamma, self.d, self.k, self.value = gamma, d, k, value
-        self.bracket = _sqrt_j_bracket(gamma, d, k) if value is None else _enclose(value.value)
+        self.bracket = _sqrt_j_bracket(gamma, d, k) if value is None else _enclose(value)
         if self.bracket is None:
             self.certified()
 
     def certified(self) -> BoundedFloat:
         if self.value is None:
             self.value = symbol_value(SymbolQuery(self.gamma, self.d, self.k)).sqrt()
-            self.bracket = _enclose(self.value.value)
+            self.bracket = _enclose(self.value)
         return self.value
 
     def exceeds(self, other: "_Mode") -> bool:
@@ -575,7 +619,7 @@ class _Mode:
         (lo, hi), (o_lo, o_hi) = self.bracket, other.bracket
         if lo > o_hi or hi <= o_lo:  # the brackets settle it
             return lo > o_hi
-        return self.certified().value > other.certified().value
+        return self.certified()._mid_minus(other.certified()) > 0
 
     def band(self, limit: "_Mode") -> int:
         """`_band` of the midpoint of this mode minus that of the limit."""
@@ -586,7 +630,7 @@ class _Mode:
         low, high = _band(lo - l_hi - pad), _band(hi - l_lo + pad)
         if low == high:
             return low
-        return _band(self.certified().value - limit.value.value)
+        return _band(self.certified()._mid_minus(limit.value))
 
 
 def sup_search(

@@ -802,29 +802,72 @@ _SUITES = {"leraykit.bwcert", "leraykit.emcert", "leraykit.exactpoly", "leraykit
            "leraykit.certificates", "leraykit._quadrature"}
 
 
+_NUMERICS = {"leraykit.specialfn", "leraykit._libmp"}
+_VALUE = _NUMERICS | {"leraykit.symbol"}
+
+
+def _check_layers(names, argv, layers):
+    assert {n for n in names if n.startswith("leraykit")} == _PARSER_PATH | layers
+    # the value commands compute on integers: only certify loads mpmath
+    assert ("mpmath" in names) == (argv[0] == "certify")
+    # plain classes, not dataclasses, which would bring inspect along
+    assert not names & {"dataclasses", "inspect"}
+    if argv == ("version",):
+        assert "json" not in names
+
+
 @pytest.mark.parametrize("argv, layers", [
     (("version",), set()),
-    (("phi", "--r", "3", "--q", "0.5"), {"leraykit.specialfn"}),
-    (("figures", "--id", "phi-sweep", "--out", "{out}", "--grid-count", "3"), {"leraykit.specialfn"}),
-    (("symbol", "--gamma", "3", "--d", "0.5", "--k", "0..2"), {"leraykit.specialfn", "leraykit.symbol"}),
-    (("norm", "--gamma", "3", "--measure", "pairing"), {"leraykit.specialfn", "leraykit.symbol"}),
-    (("scan", "--gamma", "3", "--d", "2", "--k-max", "5"), {"leraykit.specialfn", "leraykit.symbol"}),
-    (("figures", "--id", "j-sweep", "--out", "{out}", "--k-max", "3"),
-     {"leraykit.specialfn", "leraykit.symbol"}),
-    (("certify", "--suite", "em"), {"leraykit.specialfn"} | _SUITES),
-    (("certify", "--suite", "bw"), {"leraykit.specialfn"} | _SUITES),
-    (("certify", "--suite", "all"), {"leraykit.specialfn"} | _SUITES),
+    (("phi", "--r", "3", "--q", "0.5"), _NUMERICS),
+    (("figures", "--id", "phi-sweep", "--out", "{out}", "--grid-count", "3"), _NUMERICS),
+    (("symbol", "--gamma", "3", "--d", "0.5", "--k", "0..2"), _VALUE),
+    (("norm", "--gamma", "3", "--measure", "pairing"), _VALUE),
+    (("scan", "--gamma", "3", "--d", "2", "--k-max", "5"), _VALUE),
+    (("figures", "--id", "j-sweep", "--out", "{out}", "--k-max", "3"), _VALUE),
+    (("certify", "--suite", "em"), _NUMERICS | _SUITES),
+    (("certify", "--suite", "bw"), _NUMERICS | _SUITES),
+    (("certify", "--suite", "all"), _NUMERICS | _SUITES),
+    (("norm", "--gamma", "3", "--d", "0.5"), _VALUE),
 ])
 def test_each_command_imports_only_its_layers(tmp_path, argv, layers):
     code, names = _loaded(tmp_path, *(a.format(out=tmp_path) for a in argv))
     assert code == 0
-    assert {n for n in names if n.startswith("leraykit")} == _PARSER_PATH | layers
-    assert ("mpmath" in names) == bool(layers)
-    if argv == ("version",):
-        assert not names & {"json", "dataclasses"}
-    if argv[0] == "certify":
-        # Certificate is a plain class: dataclasses would bring inspect along
-        assert not names & {"dataclasses", "inspect"}
+    _check_layers(names, argv, layers)
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (("norm", "--gamma", "3", "--measure", "pairing", "--tol", "0"), _VALUE),
+    (("norm", "--gamma", "3", "--measure", "pairing", "--tol", "1e-300"), _VALUE),  # radius above --tol
+    (("phi", "--r=inf", "--q", "0"), _NUMERICS),
+    (("norm", "--gamma=inf", "--d=2"), _VALUE),
+])
+def test_error_paths_import_only_their_layers(tmp_path, argv, layers):
+    code, names = _loaded(tmp_path, *argv)
+    assert code == 2
+    _check_layers(names, argv, layers)
+
+
+def test_module_runs_without_alter_sys():
+    """runpy without alter_sys leaves no sys.modules entry for the module it
+    runs, so nothing at cli's import may resolve annotations through it."""
+    code = ("import runpy, sys; sys.argv = ['leraykit', 'version']; "
+            "runpy.run_module('leraykit.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "leraykit 0.1.0\n", "")
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (("phi", "--r", "-1e300", "--q", "0"), "--r=-1e300"),
+    (("phi", "--r", "1", "--q", "-2.5e-3"), "--q=-2.5e-3"),
+    (("norm", "--gamma", "3", "--d", "-1e-1", "--tol", "1e-3"), "--d=-1e-1"),
+    (("phi", "--r", "1", "--q", "0", "--tol", "-1e-9"), "--tol=-1e-9"),
+])
+def test_negative_number_after_a_space_says_to_use_equals(capsys, argv, hint):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].endswith(f"expected one argument (write a negative number with '=': {hint})")
 
 
 def test_package_names_resolve_lazily():

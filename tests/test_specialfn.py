@@ -1,7 +1,10 @@
 """Verified special functions against independent summation oracles."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -400,6 +403,62 @@ def test_bounded_float_endpoints_match_mpmath_iv(bits):
     finally:
         sf.set_precision_bits(saved_bits)
         mpmath.iv.prec = saved_iv
+
+
+def test_midpoint_difference_is_the_mpf_difference():
+    """`_mid_minus`, with which the mode search compares certified values,
+    is the mpf difference of the two midpoints at the working precision."""
+    rng = random.Random(11)
+    for _ in range(200):
+        a = BoundedFloat(mpmath.mpf(rng.uniform(-5, 5)), mpmath.mpf(rng.uniform(0, 1e-3)))
+        b = a + rng.choice((0, 1e-30, -1e-30, rng.uniform(-5, 5)))
+        assert a._mid_minus(b) == Fraction(*libmp.to_rational((a.value - b.value)._mpf_))
+
+
+def test_e3_formats_a_radius_past_the_double_range():
+    """`_e3`, which the command line's tolerance message prints, reads as
+    format(float(x), ".3e"), and where float(x) is inf as the mpf's
+    decimal string formatted the same way."""
+    from decimal import Decimal
+
+    for x in (mpmath.mpf(1.5), mpmath.mpf("1.23456e400"), mpmath.mpf(2) ** 5000, mpmath.mpf("9.9996e-400")):
+        expected = format(float(x), ".3e") if math.isfinite(float(x)) else format(Decimal(str(x)), ".3e")
+        assert sf._e3(x._mpf_) == expected
+
+
+def test_mpmath_loads_only_when_an_mpf_is_read():
+    code = """
+import sys
+import leraykit.specialfn as sf
+v = sf.phi(3.0, 0.5)
+float(v), v.doubles(), v.contains(1), v.sqrt(), v.log(), v.exp(), v / 3, sf.log_gamma(2.5), sf.polygamma(0, 3)
+assert "mpmath" not in sys.modules
+v.value
+import mpmath
+assert mpmath.mp.prec == sf.precision_bits() == 200
+sf.set_precision_bits(96)
+assert mpmath.mp.prec == 96
+"""
+    _run_at_200_bits(code)
+
+
+def test_emcert_computes_at_the_working_precision_in_any_import_order():
+    """An mpmath loaded after specialfn starts at 53 bits; emcert's import
+    gives it the working precision, as specialfn's import did when it
+    loaded mpmath itself."""
+    code = """
+import leraykit.specialfn, mpmath
+assert mpmath.mp.prec == 53
+import leraykit.emcert
+assert mpmath.mp.prec == 200
+"""
+    _run_at_200_bits(code)
+
+
+def _run_at_200_bits(code):
+    env = {**os.environ, "LERAYKIT_PRECISION_BITS": "200"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_phi_cross_check_guards_corruption():

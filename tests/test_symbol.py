@@ -13,6 +13,7 @@ from leraykit.symbol import (
     HolderReparam,
     MeasureTag,
     Monotonicity,
+    ScanResult,
     SymbolQuery,
     boundedness_interval,
     hf_limit,
@@ -73,6 +74,29 @@ def test_mode_index_is_an_integer():
     for k in (7.5, math.inf):
         with pytest.raises(DomainError, match="mode index k must be an integer"):
             SymbolQuery(3.0, 0.5, k)
+
+
+def test_records_are_immutable_values():
+    """The plain record classes compare, hash and print as frozen
+    dataclasses did, and refuse assignment."""
+    query = SymbolQuery(3.0, 0.5, 7.0)
+    assert query == SymbolQuery(3.0, 0.5, 7) and hash(query) == hash(SymbolQuery(3.0, 0.5, 7))
+    assert query != SymbolQuery(3.0, 0.5, 8) and query != (3.0, 0.5, 7)
+    assert repr(query) == "SymbolQuery(gamma=3.0, d=0.5, k=7)"
+    assert repr(MeasureTag.pairing()) == "MeasureTag(kind='pairing', d=None)"
+    assert MeasureTag("generic", 1.0) == MeasureTag.generic(1.0)
+    assert repr(HolderReparam(0.5)) == "HolderReparam(a=0.5)" and HolderReparam(0.5).q == 0.5
+    scan = ScanResult(Monotonicity.CONSTANT)
+    assert scan == ScanResult(Monotonicity.CONSTANT, None) and scan.witness_k is None
+    assert repr(scan) == "ScanResult(classification=<Monotonicity.CONSTANT: 'constant'>, witness_k=None)"
+    norm = leray_norm(3.0, MeasureTag.pairing())
+    assert (norm.method, norm.attained_at, norm.k_scanned, norm.stabilized) == ("closed-form", 0, 0, None)
+    for record, field in ((query, "k"), (MeasureTag.pairing(), "d"), (HolderReparam(0.5), "a"),
+                          (scan, "witness_k"), (norm, "value")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(record, field)
 
 
 def test_interval_nesting():
