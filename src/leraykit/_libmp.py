@@ -1,20 +1,24 @@
-"""mpmath.libmp's raw numbers and intervals, in integer code.
+"""mpmath.libmp's finite raw numbers and intervals, in integer code.
 
 A raw number is mpmath.libmp's (sign, man, exp, bc) tuple: man 2^exp with
-sign 0 or 1, man odd and bc its bit length, or one of the special tuples
-below.  Each function here gives the tuple that the libmp function named
-in its docstring gives, so an mpf's ``_mpf_`` is a raw number and mpmath
-reads every result back: + - * / and sqrt round their exact result once,
-and an interval (a pair of raw numbers) is rounded outward as ``mpi_*``
-rounds it.  exp, log and pi round a proven fixed-point enclosure instead
-(`_exp`, `_log`, `_pi`).  Nothing here imports mpmath; `specialfn` builds
-BoundedFloat on these functions.
+sign 0 or 1, man odd and bc its bit length, or (0, 0, 0, 0) for zero.
+Every argument is finite: libmp's special tuples for +-inf and NaN are
+neither made nor read here, and an interval divisor lies wholly above or
+wholly below 0.  On such arguments each function gives the tuple that the
+libmp function named in its docstring gives, so an mpf's ``_mpf_`` is a
+raw number and mpmath reads every result back: + - * / and sqrt round
+their exact result once, and an interval (a pair of raw numbers) is
+rounded outward as ``mpi_*`` rounds it.  exp, log and pi round a proven
+fixed-point enclosure instead (`_exp`, `_log`, `_pi`); `specialfn`'s
+kernels read the log enclosure `_log_fixed_core` directly, in fixed
+point.  Nothing here imports mpmath; `specialfn` builds BoundedFloat on
+these functions.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import frexp, inf, isqrt, ldexp, nan
+from math import frexp, inf, isqrt, ldexp
 from typing import Tuple
 
 from .errors import DomainError
@@ -23,7 +27,6 @@ from .errors import DomainError
 # raw numbers
 # ----------------------------------------------------------------------
 _ZERO, _ONE = (0, 0, 0, 0), (0, 1, 0, 1)
-_INF, _NINF, _NAN = (0, 0, -456, -2), (1, 0, -789, -3), (0, 0, -123, -1)
 _F, _C, _N = "f", "c", "n"  # libmp's round_floor, round_ceiling, round_nearest
 
 
@@ -53,21 +56,17 @@ def _val(s: tuple) -> int:
 
 
 def _sign(s: tuple) -> int:
-    """``mpf_sign``: -1, 0 or 1, and 0 for NaN."""
-    if not s[1]:
-        return 1 if s == _INF else -1 if s == _NINF else 0
-    return -1 if s[0] else 1
+    """``mpf_sign``: -1, 0 or 1."""
+    return -1 if s[0] else 1 if s[1] else 0
 
 
 def _pos(s: tuple, prec: int, rnd: str) -> tuple:
     """``mpf_pos``: s rounded to prec bits."""
-    return _make(_val(s), s[2], prec, rnd) if s[1] else s
+    return _make(_val(s), s[2], prec, rnd)
 
 
 def _neg(s: tuple, prec: int = 0, rnd: str = _F) -> tuple:
     """``mpf_neg``."""
-    if not s[1]:
-        return _NINF if s == _INF else _INF if s == _NINF else s
     return _make(-_val(s), s[2], prec, rnd)
 
 
@@ -81,35 +80,21 @@ def _add(s: tuple, t: tuple, prec: int = 0, rnd: str = _F) -> tuple:
             # t lies far below the rounding: a unit of its sign stands for it
             return _make((m << prec + 4) + (1 if n > 0 else -1), s[2] - prec - 4, prec, rnd)
         return _make((m << offset) + n, t[2], prec, rnd)
-    if s[2] and not s[1]:
-        return s if s == t or t[1] or not t[2] else _NAN
-    if t[2] and not t[1]:
-        return t
     x = s if s[1] else t
     return _make(_val(x), x[2], prec, rnd)
 
 
 def _mul(s: tuple, t: tuple, prec: int = 0, rnd: str = _F) -> tuple:
     """``mpf_mul``."""
-    if s[1] and t[1]:
-        return _make(_val(s) * _val(t), s[2] + t[2], prec, rnd)
-    if not (s[2] and not s[1] or t[2] and not t[1]):
-        return _ZERO
-    if _NAN in (s, t) or _ZERO in (s, t):
-        return _NAN
-    return _INF if _sign(s) * _sign(t) > 0 else _NINF
+    return _make(_val(s) * _val(t), s[2] + t[2], prec, rnd)
 
 
 def _div(s: tuple, t: tuple, prec: int, rnd: str) -> tuple:
     """``mpf_div``."""
-    if not (s[1] and t[1]):
-        if t == _ZERO:
-            raise ZeroDivisionError
-        if s == _ZERO:
-            return _NAN if t == _NAN else _ZERO
-        if _NAN in (s, t) or not (s[1] or t[1]):
-            return _NAN
-        return _ZERO if s[1] else _INF if _sign(s) * _sign(t) > 0 else _NINF
+    if not t[1]:
+        raise ZeroDivisionError
+    if not s[1]:
+        return _ZERO
     sign = s[0] ^ t[0]
     if t[1] == 1:
         return _make(-s[1] if sign else s[1], s[2] - t[2], prec, rnd)
@@ -140,15 +125,11 @@ def _sqrt(s: tuple, prec: int, rnd: str) -> tuple:
 
 
 def _cmp(s: tuple, t: tuple) -> int:
-    """``mpf_cmp``, which orders NaN below everything."""
-    if not (s[1] and t[1]):
-        if s == _ZERO:
-            return -_sign(t)
-        if t == _ZERO:
-            return _sign(s)
-        if s == t:
-            return 0
-        return 1 if t == _NAN or s == _INF or t == _NINF else -1
+    """``mpf_cmp``."""
+    if not s[1]:
+        return -_sign(t)
+    if not t[1]:
+        return _sign(s)
     if s[0] != t[0]:
         return -1 if s[0] else 1
     a, b = s[2] + s[3], t[2] + t[3]
@@ -159,17 +140,17 @@ def _cmp(s: tuple, t: tuple) -> int:
 
 
 def _lt(s: tuple, t: tuple) -> bool:
-    return s != _NAN and t != _NAN and _cmp(s, t) < 0
+    return _cmp(s, t) < 0
 
 
 def _le(s: tuple, t: tuple) -> bool:
-    return s != _NAN and t != _NAN and _cmp(s, t) <= 0
+    return _cmp(s, t) <= 0
 
 
 def _to_float(s: tuple, rnd: str = _N) -> float:
     """``to_float``: s rounded to 53 bits, then to a double (0 or inf past its range)."""
     if not s[1]:
-        return 0.0 if s == _ZERO else inf if s == _INF else -inf if s == _NINF else nan
+        return 0.0
     if s[3] > 53:
         s = _make(_val(s), s[2], 53, rnd)
     try:
@@ -179,11 +160,7 @@ def _to_float(s: tuple, rnd: str = _N) -> float:
 
 
 def _from_float(x: float) -> tuple:
-    """``from_float``: the double x, exactly."""
-    if x != x:
-        return _NAN
-    if x in (inf, -inf):
-        return _INF if x > 0 else _NINF
+    """``from_float``: the finite double x, exactly."""
     m, e = frexp(x)
     return _make(int(m * (1 << 53)), e - 53)
 
@@ -192,8 +169,7 @@ def _from_float(x: float) -> tuple:
 # intervals: pairs of raw numbers, mpmath.libmp's mpi_* at prec bits
 # ----------------------------------------------------------------------
 def _iadd(s: tuple, t: tuple, prec: int) -> tuple:
-    a, b = _add(s[0], t[0], prec, _F), _add(s[1], t[1], prec, _C)
-    return _NINF if a == _NAN else a, _INF if b == _NAN else b
+    return _add(s[0], t[0], prec, _F), _add(s[1], t[1], prec, _C)
 
 
 def _isub(s: tuple, t: tuple, prec: int) -> tuple:
@@ -215,57 +191,35 @@ def _kind(s: tuple) -> int:
 
 
 # (kind of s, kind of t) -> the ends of s and t whose product is the lower
-# end and what a product 0 * inf (NaN) stands for there, then the same for
-# the upper end
+# end, then those whose product is the upper end
 _MUL_ENDS = {
-    (0, 0): (0, 0, _ZERO, 1, 1, _INF), (0, 1): (1, 0, _NINF, 0, 1, _ZERO),
-    (0, 2): (1, 0, _NINF, 1, 1, _INF), (1, 0): (0, 1, _NINF, 1, 0, _ZERO),
-    (1, 1): (1, 1, _ZERO, 0, 0, _INF), (1, 2): (0, 1, _NINF, 0, 0, _INF),
+    (0, 0): (0, 0, 1, 1), (0, 1): (1, 0, 0, 1), (0, 2): (1, 0, 1, 1),
+    (1, 0): (0, 1, 1, 0), (1, 1): (1, 1, 0, 0), (1, 2): (0, 1, 0, 0),
 }
 
 
 def _imul(s: tuple, t: tuple, prec: int) -> tuple:
-    for x, y in ((s, t), (t, s)):
-        if _sign(x[0]) == _sign(x[1]) == 0:
-            return (_NINF, _INF) if y[0] == _NINF or y[1] == _INF else (_ZERO, _ZERO)
     kinds = _kind(s), _kind(t)
     if kinds[0] == 2:  # s across 0: the extreme exact products
         products = [_mul(a, b) for a in s for b in t]
-        if _NAN in products:
-            return _NINF, _INF
         lo = hi = products[0]
         for p in products[1:]:
             lo, hi = p if _lt(p, lo) else lo, p if _lt(hi, p) else hi
         return _pos(lo, prec, _F), _pos(hi, prec, _C)
-    i, j, nan_lo, k, m, nan_hi = _MUL_ENDS[kinds]
-    a, b = _mul(s[i], t[j], prec, _F), _mul(s[k], t[m], prec, _C)
-    return nan_lo if a == _NAN else a, nan_hi if b == _NAN else b
+    i, j, k, m = _MUL_ENDS[kinds]
+    return _mul(s[i], t[j], prec, _F), _mul(s[k], t[m], prec, _C)
 
 
 def _idiv(s: tuple, t: tuple, prec: int) -> tuple:
+    """s / t for a divisor t wholly above or wholly below 0."""
     (sa, sb), (ta, tb) = s, t
-    sas, sbs, tas, tbs = map(_sign, (sa, sb, ta, tb))
-    if sas == sbs == 0:
-        return (_NINF, _INF) if tas < 0 < tbs or tas == 0 or tbs == 0 else (_ZERO, _ZERO)
-    if tas < 0 < tbs:
-        return _NINF, _INF
-    if tas < 0:
+    if ta[0]:  # t < 0
         return _idiv(_ineg(s, 0), _ineg(t, 0), prec)
-    if tas == 0:
-        if sas < 0 < sbs or tbs == 0:
-            return _NINF, _INF
-        if sas >= 0:
-            a, b = _div(sa, tb, prec, _F), _INF
-        if sbs <= 0:
-            a, b = _NINF, _div(sb, tb, prec, _C)
-        return a, b
-    if sas >= 0:
-        a, b, nan_lo, nan_hi = _div(sa, tb, prec, _F), _div(sb, ta, prec, _C), _ZERO, _INF
-    elif sbs <= 0:
-        a, b, nan_lo, nan_hi = _div(sa, ta, prec, _F), _div(sb, tb, prec, _C), _NINF, _ZERO
-    else:
-        a, b, nan_lo, nan_hi = _div(sa, ta, prec, _F), _div(sb, ta, prec, _C), _NINF, _INF
-    return nan_lo if a == _NAN else a, nan_hi if b == _NAN else b
+    if not sa[0]:  # s >= 0
+        return _div(sa, tb, prec, _F), _div(sb, ta, prec, _C)
+    if sb[0] or not sb[1]:  # s <= 0
+        return _div(sa, ta, prec, _F), _div(sb, tb, prec, _C)
+    return _div(sa, ta, prec, _F), _div(sb, ta, prec, _C)
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +386,7 @@ def _log_fixed_core(man: int, exp: int, prec: int) -> Tuple[int, int, int]:
 def _exp(s: tuple, prec: int, rnd: str) -> tuple:
     """exp s correctly rounded at prec bits: ``mpf_exp`` (see above)."""
     if not s[1]:
-        return _ONE if s == _ZERO else _ZERO if s == _NINF else s
+        return _ONE
     mag = s[2] + s[3]
     if mag < -prec - 2:  # e^s lies within a quarter unit of 1 in the last place
         return _make((1 << prec + 2) + (-1 if s[0] else 1), -prec - 2, prec, rnd)
@@ -446,13 +400,12 @@ def _exp(s: tuple, prec: int, rnd: str) -> tuple:
 
 
 def _log(s: tuple, prec: int, rnd: str) -> tuple:
-    """log s correctly rounded at prec bits: ``mpf_log`` (see above)."""
-    if s == _ZERO:
-        return _NINF
-    if s[0]:
-        raise DomainError("logarithm of a negative number")
-    if not s[1] or s == _ONE:
-        return _ZERO if s == _ONE else s
+    """log s correctly rounded at prec bits for s > 0: ``mpf_log`` (see
+    above)."""
+    if s[0] or not s[1]:
+        raise DomainError("logarithm of a number that is not positive")
+    if s == _ONE:
+        return _ZERO
     bits = prec
     while True:
         lo, hi, w = _log_fixed_core(s[1], s[2], bits)

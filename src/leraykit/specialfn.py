@@ -21,19 +21,23 @@ sources:
 * rounding, bounded by rounding every operation outward (directed
   rounding), so no operation count is kept anywhere.  A BoundedFloat
   holds the raw (a, b) endpoint pair of ``mpmath.libmp``: each endpoint a
-  (sign, mantissa, exponent, bit count) tuple, normalised as that library
-  normalises it.  The operations on raw numbers and pairs are integer
-  functions in ``leraykit._libmp`` that give libmp's own results bit for
-  bit (+ - * /, sqrt, the midpoint, comparisons, conversions from and to
-  doubles: each the exact result rounded once, as ``mpmath.iv``'s
-  operators round it), and exp, log and pi rounded from proven
-  fixed-point enclosures; Bernoulli numbers come from an integer
-  recurrence.  The kernels (log-Gamma, digamma, the polygamma series and
-  their Bernoulli tails) run on Python integers in fixed point: an
-  argument enters as exact integer endpoints times a power of two, every
+  finite (sign, mantissa, exponent, bit count) tuple, normalised as that
+  library normalises it (+-inf and NaN raise DomainError wherever a
+  BoundedFloat is built).  The operations on raw numbers and pairs are
+  integer functions in ``leraykit._libmp`` that give libmp's own results
+  bit for bit on finite arguments (+ - * /, sqrt, the midpoint,
+  comparisons, conversions from and to doubles: each the exact result
+  rounded once, as ``mpmath.iv``'s operators round it), and exp, log and
+  pi rounded from proven fixed-point enclosures; Bernoulli numbers come
+  from an integer recurrence.  The kernels (log-Gamma, digamma, the
+  polygamma series and their Bernoulli tails) run on Python integers in
+  fixed point: an argument enters as exact integer endpoints times a power of two, every
   O(1) quantity is an integer interval in units of 2^-w, w = precision +
   _GUARD, whose lower end is rounded down and upper end up, and a result
-  leaves as a raw pair rounded outward.  The polygamma series sums in
+  leaves as a raw pair rounded outward.  Their logarithms (of the raised
+  argument, the head product and 2 pi) are ``_libmp``'s fixed-point log
+  enclosure, at least 48 bits finer than w, shifted to units of 2^-w; no
+  log is rounded to a raw number on the way.  The polygamma series sums in
   units scaled by z^-m, so huge and tiny arguments keep a relative
   radius.  phi takes psi' and psi'' from one raising pass.  No module but
   this one and ``_libmp`` touches a raw pair.
@@ -80,10 +84,7 @@ from typing import Tuple, Union
 from ._libmp import (
     _C,
     _F,
-    _INF,
     _N,
-    _NAN,
-    _NINF,
     _ONE,
     _ZERO,
     _add,
@@ -97,6 +98,7 @@ from ._libmp import (
     _isub,
     _le,
     _log,
+    _log_fixed_core,
     _lt,
     _make,
     _neg,
@@ -166,7 +168,8 @@ _RAW_ONE, _RAW_TWO = (_ONE, _ONE), ((0, 1, 1, 1),) * 2
 def _raw(x: Scalar) -> tuple:
     """The narrowest raw interval enclosing x at the working precision, as
     ``mpmath.iv`` converts it: an int or float rounded outward, an mpf as
-    it is, NaN as the whole line, a Fraction as numerator / denominator."""
+    it is, a Fraction as numerator / denominator.  A BoundedFloat holds
+    only what this returns, so it is finite: +-inf and NaN raise."""
     if isinstance(x, BoundedFloat):
         return x.endpoints
     if isinstance(x, Fraction):
@@ -174,26 +177,22 @@ def _raw(x: Scalar) -> tuple:
     if isinstance(x, int):
         return _make(x, 0, _PREC, _F), _make(x, 0, _PREC, _C)
     # a double is exact at the working precision (at least 80 bits)
-    a = _from_float(x) if isinstance(x, float) else x._mpf_
-    return (_NINF, _INF) if a == _NAN else (a, a)
-
-
-def _is_finite(s: tuple) -> bool:
-    return bool(s[1]) or not s[2]
+    a = x._mpf_ if not isinstance(x, float) else _from_float(x) if isfinite(x) else None
+    if a is None or a[2] and not a[1]:  # libmp's +-inf and NaN have no mantissa
+        raise DomainError(f"a BoundedFloat operand must be finite (got {x})")
+    return a, a
 
 
 def _require_finite(name: str, value: Scalar) -> None:
     # inf and nan would otherwise reach int(), Fraction() or overflow in
     # log-Gamma, and None would raise a bare TypeError.  Only floats take
     # math.isfinite: on an int or mpf beyond double range it raises or reads
-    # inf although the value is finite.
-    if isinstance(value, BoundedFloat):
-        finite = all(map(_is_finite, value.endpoints))
-        value = {_INF: "+inf", _NINF: "-inf"}.get(_imid(value.endpoints, _PREC), "nan")  # str of the mpf midpoint
-    elif isinstance(value, float):
+    # inf although the value is finite.  A BoundedFloat is always finite.
+    if isinstance(value, float):
         finite = isfinite(value)
-    else:  # an int, a Fraction or an mpf
-        finite = value is not None and _is_finite(getattr(value, "_mpf_", _ZERO))
+    else:  # an int, a Fraction, an mpf or a BoundedFloat
+        s = getattr(value, "_mpf_", _ZERO)
+        finite = value is not None and (s[1] or not s[2])
     if not finite:
         raise DomainError(f"{name} must be finite (got {value})")
 
@@ -215,9 +214,10 @@ def _e3(s: tuple) -> str:
 # BoundedFloat
 # ----------------------------------------------------------------------
 class BoundedFloat:
-    """A real number enclosed by a closed interval.
+    """A real number enclosed by a closed, finite interval.
 
-    The represented real lies in [lower, upper].  ``value`` is the
+    The represented real lies in [lower, upper]; every constructor and
+    operand is finite (+-inf and NaN raise DomainError).  ``value`` is the
     interval's midpoint and ``error_radius`` its half-width rounded up, so
     the real also lies in [value - error_radius, value + error_radius];
     both are rounded at the working precision in force when read.
@@ -231,9 +231,9 @@ class BoundedFloat:
     __slots__ = ("endpoints",)
 
     def __init__(self, value: Scalar, error_radius: Scalar) -> None:
-        if error_radius < 0:
+        low, radius = _raw(error_radius)
+        if low[0]:
             raise ValueError("error radius must be non-negative")
-        radius = _raw(error_radius)[1]
         self.endpoints = _iadd(_raw(value), (_neg(radius, _PREC, _F), radius), _PREC)
 
     # -- constructors ---------------------------------------------------
@@ -277,7 +277,7 @@ class BoundedFloat:
         that, not as 0, and one past the double range as inf."""
         mid, radius = self._mid_radius()
         bound = _to_float(radius)
-        if _lt(_from_float(bound), radius):
+        if isfinite(bound) and _lt(_from_float(bound), radius):
             bound = nextafter(bound, inf)
         return _to_float(mid), bound
 
@@ -382,47 +382,17 @@ def _bernoulli_coefficient(m: int, j: int) -> Fraction:
     return b * Fraction(perm(m + 2 * j - 1, 2 * j - 1), factorial(2 * j))
 
 
-@lru_cache(maxsize=64)
-def _bernoulli_series(m: int, prec: int) -> tuple:
-    """(coefficients, remainders, switch points) at `prec` bits.
-
-    coefficients[j-1] is the raw interval enclosing c_j for
-    j = 1 .. _EM_TERMS, where c_j z^-(m+2j) is the j-th Bernoulli term of
-    the Stirling series of log Gamma(z) (m = -1) or of the Euler-Maclaurin
-    expansion of sum_{i>=0} (z+i)^-(m+1) (m >= 0).  remainders[n-1] is the
-    raw [-|c_{n+1}|, |c_{n+1}|], the remainder after n terms in units of
-    z^-(m+2n+2).  switches[n-1] is the float
-    (|c_{n+1}| 2^prec)^(1/(2n+1)) for n < _EM_TERMS: above it the first
-    omitted term is below 2^-prec z^-(m+1), so n terms suffice.
-    """
-    coefficients, remainders, switches = [], [], []
-    for n in range(1, _EM_TERMS + 1):
-        coefficients.append(_raw(_bernoulli_coefficient(m, n)))
-        omitted = abs(_bernoulli_coefficient(m, n + 1))
-        bound = _raw(omitted)[1]
-        remainders.append((_neg(bound), bound))
-        log2_switch = (log2(omitted.numerator) - log2(omitted.denominator) + prec) / (2 * n + 1)
-        switches.append(2.0 ** log2_switch if log2_switch < 1000 else inf)
-    return tuple(coefficients), tuple(remainders), tuple(switches[:-1])
-
-
-@lru_cache(maxsize=8)
-def _half_log_2pi(prec: int) -> tuple:
-    a, b = _imul(_RAW_TWO, _pi(prec), prec)
-    return _idiv((_log(a, prec, _F), _log(b, prec, _C)), _RAW_TWO, prec)
-
-
-@lru_cache(maxsize=8)
-def _log_gamma_floor(prec: int) -> float:
-    """The truncation part of a `log_gamma` radius at `prec` bits, whatever
-    the argument: `_log_gamma` raises its argument to z >= _RAISE_TO and
-    sums at most _EM_TERMS Stirling terms, and the remainder interval
-    [-|c_11|, |c_11|] of `_bernoulli_series(-1, prec)` enters with the
-    factor z^-(2 _EM_TERMS + 1) <= 16^-21, about 7e-25 at every precision.
-    (With fewer terms the remainder is below 2^-prec and counts as
-    rounding.)"""
-    _, remainders, _ = _bernoulli_series(-1, prec)
-    return _to_float(remainders[-1][1], "d") * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
+@lru_cache(maxsize=1)
+def _log_gamma_floor() -> float:
+    """The truncation part of a `log_gamma` radius, whatever the argument
+    and the precision: `_log_gamma` raises its argument to z >= _RAISE_TO
+    and sums at most _EM_TERMS Stirling terms, and the remainder
+    [-|c_11|, |c_11|] enters with the factor z^-(2 _EM_TERMS + 1) <= 16^-21:
+    |c_11| rounded down to a double, times 16^-21, about 7e-25.  (With fewer
+    terms the remainder is below 2^-prec and counts as rounding.)"""
+    bound = abs(_bernoulli_coefficient(-1, _EM_TERMS + 1))
+    floor = float(bound)
+    return (nextafter(floor, 0.0) if floor > bound else floor) * float(_RAISE_TO) ** -(2 * _EM_TERMS + 1)
 
 
 # ----------------------------------------------------------------------
@@ -440,11 +410,6 @@ def _shift(n: int, e: int, up: bool = False) -> int:
     if e >= 0:
         return n << e
     return -((-n) >> -e) if up else n >> -e
-
-
-def _fixed(s, w: int, up: bool = False) -> int:
-    """The raw mpf s in units of 2^-w, rounded down, or up."""
-    return _shift(-s[1] if s[0] else s[1], s[2] + w, up)
 
 
 def _to_raw(lo: int, hi: int, scale: int, prec: int) -> tuple:
@@ -483,26 +448,54 @@ def _ratio(p: int, q: int, w: int) -> tuple:
 
 
 def _log_fixed(x, w: int) -> Tuple[int, int]:
-    """log x for the dyadic interval x > 0, in units of 2^-w, from one
-    `_log` rounded down at w bits: the upper end adds two units in its
-    last place and the mean-value bound (hi - lo)/lo."""
+    """log x for the dyadic interval x > 0, in units of 2^-w: the
+    `_log_fixed_core` enclosure of log lo, at least 48 bits finer than w,
+    rounded outward, and the mean-value bound (hi - lo)/lo added to its
+    upper end.  log 1 is 0 (x = gamma/2 = gamma - 1 at gamma = 2)."""
     lo, hi, f = x
-    s = _log(_make(lo, f), w, _F)
-    return _fixed(s, w), _fixed(s, w, True) + _shift(2, s[2] + s[3], True) - ((lo - hi << w) // lo)
+    if lo == 1 << -f:
+        l_lo = l_hi = 0
+    else:
+        l_lo, l_hi, v = _log_fixed_core(lo, f, w)
+        l_lo, l_hi = l_lo >> v - w, -(-l_hi >> v - w)
+    return l_lo, l_hi - ((lo - hi << w) // lo)
+
+
+@lru_cache(maxsize=8)
+def _half_log_2pi(w: int) -> Tuple[int, int]:
+    """log(2 pi)/2 in units of 2^-w, rounded outward: the `_log_fixed_core`
+    enclosures of log 2a and log 2b, [a, b] = `_pi`(w)."""
+    a, b = _pi(w)
+    lo, _, v = _log_fixed_core(a[1], a[2] + 1, w)
+    _, hi, u = _log_fixed_core(b[1], b[2] + 1, w)
+    return lo >> v - w + 1, -(-hi >> u - w + 1)
 
 
 @lru_cache(maxsize=64)
 def _bernoulli_fixed(m: int, prec: int) -> tuple:
-    """The tables of `_bernoulli_series(m, prec)` in units of
-    2^-(prec + _GUARD), from the exact coefficients: each c_j rounded down,
-    each rounded up, each remainder bound |c_{n+1}| rounded up, and the
-    switch points."""
+    """(floors, ceilings, remainders, switches) at `prec` bits, in units of
+    2^-(prec + _GUARD).
+
+    c_j z^-(m+2j) is the j-th Bernoulli term of the Stirling series of
+    log Gamma(z) (m = -1) or of the Euler-Maclaurin expansion of
+    sum_{i>=0} (z+i)^-(m+1) (m >= 0).  floors[j-1] and ceilings[j-1] are
+    c_j rounded down and up, j = 1 .. _EM_TERMS + 1.  remainders[n-1] is
+    |c_{n+1}| rounded up, the remainder after n terms in units of
+    z^-(m+2n+2).  switches[n-1] is the float (|c_{n+1}| 2^prec)^(1/(2n+1))
+    for n < _EM_TERMS: above it the first omitted term is below
+    2^-prec z^-(m+1), so n terms suffice.
+    """
     w = prec + _GUARD
     c = [_bernoulli_coefficient(m, j) for j in range(1, _EM_TERMS + 2)]
     floors = tuple((v.numerator << w) // v.denominator for v in c)
     ceilings = tuple(-((-v.numerator << w) // v.denominator) for v in c)
     remainders = tuple(-((-abs(v.numerator) << w) // v.denominator) for v in c[1:])
-    return floors, ceilings, remainders, _bernoulli_series(m, prec)[2]
+    switches = []
+    for n in range(1, _EM_TERMS):
+        omitted = abs(c[n])
+        log2_switch = (log2(omitted.numerator) - log2(omitted.denominator) + prec) / (2 * n + 1)
+        switches.append(2.0 ** log2_switch if log2_switch < 1000 else inf)
+    return floors, ceilings, remainders, tuple(switches)
 
 
 def _bernoulli_terms(m: int, z, u, w: int) -> Tuple[int, int]:
@@ -626,7 +619,7 @@ def _log_gamma(x) -> Tuple[int, int]:
     log_lo, log_hi = _log_fixed(z, w)
     zw_lo, zw_hi = _shift(z_lo, f + w), _shift(z_hi, f + w, True)
     half = 1 << (w - 1)
-    c_lo, c_hi = (_fixed(c, w, up) for c, up in zip(_half_log_2pi(w), (False, True)))
+    c_lo, c_hi = _half_log_2pi(w)
     s_lo, s_hi = _bernoulli_terms(-1, z, u, w)
     lo = ((zw_lo - half) * log_lo >> w) - zw_hi + c_lo + s_lo
     hi = -(((half - zw_hi) * log_hi) >> w) - zw_lo + c_hi + s_hi

@@ -246,6 +246,7 @@ class HolderReparam(_Record):
     a: float
 
     def __init__(self, a: float) -> None:
+        _require_finite("a", a)
         self._set(a)
 
     @property
@@ -394,10 +395,13 @@ def holder_partner(gamma: float, d: float) -> Tuple[float, float]:
     of norms across the map needs.
 
     gamma = 2 is degenerate (every exponent reparameterizes to d = 1), so
-    no unique partner exists there.
+    no unique partner exists there.  A double a or d' past the double
+    range is a DomainError.
     """
     gs = holder_conjugate(gamma)
-    return gs, HolderReparam.from_exponent(gamma, d).exponent(gs)
+    d_star = HolderReparam.from_exponent(gamma, d).exponent(gs)
+    _require_finite("d'", d_star)
+    return gs, d_star
 
 
 def hf_limit(gamma: float) -> float:
@@ -562,7 +566,7 @@ def _log_j_screen(gamma: float, d: float, k: int) -> Optional[Tuple[float, float
     terms = (lgamma(a), lgamma(b), -2 * lgamma(k + 1), (2 * k + 2) * log(gamma / 2), -b * log_g1)
     mag = fsum(map(abs, terms)) + a * (abs(log(a)) + 1) + b * (abs(log(b)) + 1) + 1
     cond = (2 * k + 2) * (1 / b + abs(log(b)) + abs(log_g1) + 1)
-    rho = 2 * 4 * _log_gamma_floor(prec) + (mag + cond) * 2.0 ** (_SCREEN_ROUNDING_BITS - prec)
+    rho = 2 * 4 * _log_gamma_floor() + (mag + cond) * 2.0 ** (_SCREEN_ROUNDING_BITS - prec)
     return fsum(terms), _SCREEN_PAD * mag + 2 * rho, rho
 
 

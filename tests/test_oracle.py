@@ -25,7 +25,7 @@ from leraykit import (
     theta,
 )
 import leraykit.symbol as symbol
-from leraykit.specialfn import DEFAULT_TOL, _bernoulli_series
+from leraykit.specialfn import DEFAULT_TOL, _bernoulli_fixed
 from leraykit.symbol import SymbolQuery, _mode_walk
 
 ORACLE_BITS = 400
@@ -166,7 +166,7 @@ def test_precision_bits_drive_the_interval_arithmetic():
 def _switch_arguments(m, bits):
     """Arguments just below and just above each point where the number of
     Bernoulli terms changes, plus 1e300, where one term suffices."""
-    *_, switches = _bernoulli_series(m, bits)
+    *_, switches = _bernoulli_fixed(m, bits)
     return [s * f for s in switches for f in (1 - 1e-9, 1 + 1e-9)] + [1e300]
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import libmp
+from mpmath.libmp import libmpi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -336,6 +337,56 @@ def test_bounded_float_arithmetic():
         BoundedFloat(mpmath.mpf(1), mpmath.mpf(-1))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, mpmath.inf, -mpmath.inf, mpmath.nan])
+def test_bounded_float_is_finite_by_construction(bad):
+    """+-inf and NaN, as floats and as mpfs, are rejected wherever a
+    BoundedFloat is built: the constructor, `exact` and every arithmetic
+    operand."""
+    one = BoundedFloat.exact(1)
+    calls = [
+        lambda: BoundedFloat(bad, 0.0),
+        lambda: BoundedFloat(1.0, bad),
+        lambda: BoundedFloat.exact(bad),
+        lambda: one + bad,
+        lambda: bad - one,
+        lambda: one * bad,
+        lambda: one / bad,
+        lambda: one.contains(bad),
+        lambda: one.separated_below(bad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"must be finite \(got "):
+            call()
+
+
+def test_bounded_float_radius_may_be_any_scalar():
+    for radius in (1e-20, Fraction(1, 10 ** 20), mpmath.mpf(1e-20), BoundedFloat.exact(1e-20)):
+        b = BoundedFloat(1.0, radius)
+        inside, outside = Fraction(99, 10 ** 22), Fraction(2, 10 ** 20)
+        assert b.contains(1 + inside) and b.contains(1 - inside) and not b.contains(1 + outside), radius
+    for negative in (-1e-20, Fraction(-1, 3), BoundedFloat.exact(-1e-20)):
+        with pytest.raises(ValueError, match="error radius must be non-negative"):
+            BoundedFloat(1.0, negative)
+
+
+def test_doubles_rounds_the_radius_up():
+    """`doubles()` as its docstring says: float(value), and the radius
+    rounded up to a double, a tiny one to the smallest subnormal and one
+    past the double range to inf."""
+    assert BoundedFloat(0, Fraction(1, 10 ** 330)).doubles() == (0.0, 5e-324)
+    assert BoundedFloat(0, Fraction(10 ** 400)).doubles() == (0.0, math.inf)
+    assert BoundedFloat(2.5, 0).doubles() == (2.5, 0.0)
+    rng = random.Random(5)
+    for _ in range(300):
+        radius = Fraction(rng.randint(1, 10 ** 30), rng.randint(1, 10 ** 30)) * Fraction(10) ** rng.randint(-320, 300)
+        b = BoundedFloat(rng.uniform(-1e3, 1e3), radius)
+        mid, half_width = b.doubles()
+        _, exact = b._mid_radius()
+        exact = Fraction(*libmp.to_rational(exact))
+        assert mid == float(b) and exact >= radius
+        assert Fraction(half_width) >= exact > Fraction(math.nextafter(half_width, 0.0)), radius
+
+
 def _iv_of(x):
     """The mpmath.iv interval a BoundedFloat operand is checked against: a
     Fraction as its numerator's interval divided by its denominator."""
@@ -488,13 +539,17 @@ def _ref_power(u, e, prec):
 
 
 def _ref_bernoulli_terms(z, u, m, prec):
-    coefficients, remainders, switches = sf._bernoulli_series(m, prec)
+    """The Bernoulli terms with the kernels' switch points, each exact
+    coefficient c_j as the raw interval `sf._raw` gives it and the
+    remainder after n terms as [-|c_{n+1}|, |c_{n+1}|]."""
+    switches = sf._bernoulli_fixed(m, prec)[3]
     zf = libmp.to_float(z[0])
     n = next((n for n, switch in enumerate(switches, 1) if zf > switch), sf._EM_TERMS)
     w = libmp.mpi_mul(u, u, prec)
-    acc = remainders[n - 1]
-    for j in range(n - 1, -1, -1):
-        acc = libmp.mpi_add(libmp.mpi_mul(acc, w, prec), coefficients[j], prec)
+    bound = sf._raw(abs(sf._bernoulli_coefficient(m, n + 1)))[1]
+    acc = (libmp.mpf_neg(bound), bound)
+    for j in range(n, 0, -1):
+        acc = libmp.mpi_add(libmp.mpi_mul(acc, w, prec), sf._raw(sf._bernoulli_coefficient(m, j)), prec)
     return libmp.mpi_mul(acc, _ref_power(u, m + 2, prec), prec)
 
 
@@ -533,7 +588,8 @@ def _ref_log_gamma(x, prec):
         head = libmp.mpi_mul(head, z, prec)
         z = libmp.mpi_add(z, _ONE, prec)
     out = libmp.mpi_mul(libmp.mpi_sub(z, _HALF, prec), libmp.mpi_log(z, prec), prec)
-    out = libmp.mpi_add(libmp.mpi_sub(out, z, prec), sf._half_log_2pi(prec), prec)
+    half_log_2pi = libmp.mpi_div(libmp.mpi_log(libmp.mpi_mul(_TWO, libmpi.mpi_pi(prec), prec), prec), _TWO, prec)
+    out = libmp.mpi_add(libmp.mpi_sub(out, z, prec), half_log_2pi, prec)
     out = libmp.mpi_add(out, _ref_bernoulli_terms(z, libmp.mpi_div(_ONE, z, prec), -1, prec), prec)
     if n_head:
         out = libmp.mpi_sub(out, libmp.mpi_log(head, prec), prec)
@@ -590,7 +646,7 @@ def test_kernels_match_general_interval_reference(bits):
             for _ in range(60)
         ]
         extra = [1e-5, math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, math.inf), 1e300]
-        switches = {m: [s * f for s in sf._bernoulli_series(m, bits)[2] for f in (1 - 1e-9, 1 + 1e-9)]
+        switches = {m: [s * f for s in sf._bernoulli_fixed(m, bits)[3] for f in (1 - 1e-9, 1 + 1e-9)]
                     for m in range(-1, 4)}
         for x in seeded + extra + switches[-1]:
             raw = sf._raw(x)
@@ -629,6 +685,10 @@ def test_fixed_point_steps_round_outward():
             assert lo <= sf._bernoulli_coefficient(m, j) / unit <= hi <= lo + 1, (m, j)
         for n, bound in enumerate(remainders, 1):
             assert 0 <= bound - abs(sf._bernoulli_coefficient(m, n + 1)) / unit < 1, (m, n)
+    c_lo, c_hi = sf._half_log_2pi(w)
+    with mpmath.workprec(w + 100):
+        assert c_lo <= mpmath.log(2 * mpmath.pi) / 2 * 2 ** w <= c_hi <= c_lo + 2
+    assert sf._log_fixed((1 << 40, 1 << 40, -40), w) == (0, 0)  # log 1, as at gamma = 2
     for _ in range(200):
         n, e = rng.randint(-10 ** 40, 10 ** 40), rng.randint(-150, 20)
         exact = n * Fraction(2) ** e

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -148,6 +149,21 @@ def test_holder_partner_fixed_measures():
         assert holder_partner(gamma, 1.0) == pytest.approx((gs, 1.0), abs=1e-12)
     with pytest.raises(DegenerateGamma):
         holder_partner(2.0, 1.3)
+
+
+def test_holder_helpers_stay_finite():
+    # a = (d - 1)/(gamma - 2) and d' = a (gamma* - 2) + 1 overflow in doubles
+    # for finite gamma and d; each is a DomainError, not an infinite partner
+    with pytest.raises(DomainError, match="a must be finite"):
+        holder_partner(2.0000000000000004, 1e300)
+    with pytest.raises(DomainError, match="a must be finite"):
+        HolderReparam.from_exponent(2.0000000000000004, 1e300)
+    with pytest.raises(DomainError, match="d' must be finite"):
+        holder_partner(1.0000000001, 1e300)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="a must be finite"):
+            HolderReparam(bad)
+    assert holder_partner(Fraction(3, 2), Fraction(3, 10)) == (3, Fraction(12, 5))
 
 
 def test_holder_symmetry_random():

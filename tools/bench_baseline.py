@@ -5,14 +5,17 @@
 In process, in a fresh interpreter: each L1-L4 call, each `emcert`
 certificate, the two exact `bwcert` certificates, the three exact Taylor
 tables `bwcert` builds on import and `exp_series_nonnegative` on the
-kernel's d0 among them, as the median of
---runs calls after one warm-up call.  Also in process, but cold: the 1,005
-modes of `figures --id j-sweep --d-set=1.0,3.75,4.0,4.75,8.0` as the CLI
-computes them (one `symbol._mode_walk` per column, read row by row), each
-run in its own fresh interpreter after the imports, median of --runs.  As
-subprocesses: `import leraykit`, `import leraykit.bwcert` (which builds
-the kernel's Taylor tables exactly), `leraykit version`, `phi --r 3
---q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw`, `--suite em` and
+kernel's d0 among them.  After one warm-up call, a second sets n, the
+fewest back-to-back calls (at least 1) that last 20 ms at its time, and
+the row is the median per-call time of --runs samples of n calls each.
+(Medians of 5 single calls of 0.1 ms swung by up to 1.7x between
+back-to-back runs on a busy machine.)  Also in process, but cold: the
+1,005 modes of `figures --id j-sweep --d-set=1.0,3.75,4.0,4.75,8.0` as
+the CLI computes them (one `symbol._mode_walk` per column, read row by
+row), each run in its own fresh interpreter after the imports, median of
+--runs.  As subprocesses: `import leraykit`, `import leraykit.bwcert`
+(which builds the kernel's Taylor tables exactly), `leraykit version`,
+`phi --r 3 --q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw`, `--suite em` and
 `--suite all --format json` (the benchmark's `certify` command, to stdout),
 `figures --id phi-sweep`, the same at LERAYKIT_PRECISION_BITS=200, and that
 j-sweep, wall clock from spawn to exit, median of --runs.  With --tier1,
@@ -35,7 +38,7 @@ from pathlib import Path
 from typing import Dict, List
 
 IN_PROCESS = r"""
-import json, statistics, sys, time
+import json, math, statistics, sys, time
 from leraykit import bwcert, emcert, leray_norm, log_gamma, monotonicity_scan, phi, polygamma, sup_search, symbol_value
 from leraykit.bwcert import bw_certificate_suite, cm_numeric_certificate, f_q
 from leraykit.exactpoly import BivariatePolynomial, exp_series_nonnegative
@@ -69,12 +72,16 @@ calls = {
 }
 out = {}
 for name, call in calls.items():
+    call()  # a first call can fill caches (log_gamma(7.5): 0.10 ms, then 0.02 ms)
+    start = time.perf_counter()
     call()
+    n = max(1, math.ceil(0.02 / (time.perf_counter() - start)))
     times = []
     for _ in range(runs):
         start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
+        for _ in range(n):
+            call()
+        times.append((time.perf_counter() - start) / n)
     out[name] = statistics.median(times)
 print(json.dumps(out))
 """
@@ -111,7 +118,7 @@ def _wall(argv: List[str], src: Path, runs: int, env: Dict[str, str]) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
-    parser.add_argument("--runs", type=int, default=5, help="timed calls or processes per row")
+    parser.add_argument("--runs", type=int, default=5, help="timed samples or processes per row")
     parser.add_argument("--tier1", action="store_true", help="also time one tier-1 run")
     parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
     args = parser.parse_args()
