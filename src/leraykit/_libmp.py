@@ -9,10 +9,11 @@ libmp function named in its docstring gives, so an mpf's ``_mpf_`` is a
 raw number and mpmath reads every result back: + - * / and sqrt round
 their exact result once, and an interval (a pair of raw numbers) is
 rounded outward as ``mpi_*`` rounds it.  exp, log and pi round a proven
-fixed-point enclosure instead (`_exp`, `_log`, `_pi`); `specialfn`'s
-kernels read the log enclosure `_log_fixed_core` directly, in fixed
-point.  Nothing here imports mpmath; `specialfn` builds BoundedFloat on
-these functions.
+fixed-point enclosure instead (`_exp`, `_log`, `_pi`): one series,
+`_arc`, gives every logarithm and arc tangent, and one loop, `_rounded`,
+rounds exp and log.  `specialfn`'s kernels read the log enclosure
+`_log_fixed_core` directly, in fixed point.  Nothing here imports mpmath;
+`specialfn` builds BoundedFloat on these functions.
 """
 
 from __future__ import annotations
@@ -230,39 +231,52 @@ def _idiv(s: tuple, t: tuple, prec: int) -> tuple:
 # the correctly rounded result.  An interval that holds a rounding
 # boundary (odds of about 2^-48, or more for an argument of few bits
 # next to 0 or 1, where a partial sum of the series is itself a boundary)
-# is computed again at twice the bits until it does not: exp and log of a
-# dyadic other than 0 and 1 are irrational, so this ends.  pi keeps its
-# interval and rounds it outward.  mpmath.libmp's mpf_exp and mpf_log
-# are not always correctly rounded (about 1 call in 5,000 at directed
-# rounding), so they can differ from these by one unit in the last place.
+# is computed again at twice the bits until it does not (`_rounded`):
+# exp and log of a dyadic other than 0 and 1 are irrational, so this
+# ends.  pi keeps its interval and rounds it outward.  mpmath.libmp's
+# mpf_exp and mpf_log are not always correctly rounded (about 1 call in
+# 5,000 at directed rounding), so they can differ from these by one unit
+# in the last place.
 _EXTRA = 48
 
 
-def _acot(k: int, w: int, sign: int) -> Tuple[int, int]:
-    """(S, n): sum_{j<n} sign^j / ((2j+1) k^(2j+1)), atan(1/k) for sign -1
-    and atanh(1/k) for sign 1, in units of 2^-w with every term rounded
-    down, exactly (a floor of a floor is the floor).  The true sum lies
-    within n + 2 units of S."""
-    total = power = (1 << w) // k
-    n, k2 = 1, k * k
+def _arc(u: int, w: int, sign: int = 1) -> Tuple[int, int]:
+    """atanh(u 2^-w) for sign 1, atan(u 2^-w) for sign -1, in units of
+    2^-w and rounded outward, for |u| < 2^(w-1): the series of |u|, two
+    terms for each product (u^(4i+1)/(4i+1), and u^(4i+3)/(4i+3) over
+    u^2, summed apart, as mpmath sums it), every power and term rounded
+    down (each within 3 units), to the first zero power (the tail below
+    one unit).  So the sum lies within 2k + 8 units below atanh, and
+    within 2k + 8 units of atan on either side, since atan subtracts the
+    odd terms."""
+    if u < 0:
+        lo, hi = _arc(-u, w, sign)
+        return -hi, -lo
+    u2 = u * u >> w
+    u4 = u2 * u2 >> w
+    even, odd, power, k = u, u // 3, u, 1
     while power:
-        power //= k2
-        total += sign ** n * (power // (2 * n + 1))
-        n += 1
-    return total, n
+        power = power * u4 >> w
+        k += 4
+        even += power // k
+        odd += power // (k + 2)
+    total, err = even + sign * (odd * u2 >> w), 2 * k + 8
+    return total - (sign < 0) * err, total + err
 
 
-_LN2 = [0, 0, 0]  # [w, lo, err]: lo <= 2^w ln 2 <= lo + err
+_LN2 = [0, 0, 0]  # [w, lo, hi]: lo <= 2^w ln 2 <= hi
 
 
 def _ln2(w: int) -> Tuple[int, int]:
-    """ln 2 = 2 atanh(1/3) in units of 2^-w, rounded outward.  Computed 32
-    bits beyond the highest precision asked for so far, and kept."""
+    """ln 2 = 2 atanh(1/3) in units of 2^-w, rounded outward: 1/3 rounded
+    down costs at most 9/8 units of atanh, its slope, so 2 more on the
+    upper end.  Computed 32 bits beyond the highest precision asked for so
+    far, and kept."""
     if _LN2[0] < w:
-        s, n = _acot(3, w + 32, 1)
-        _LN2[:] = w + 32, 2 * s, 2 * n + 4
-    cw, lo, err = _LN2
-    return lo >> cw - w, -(-(lo + err) >> cw - w)
+        lo, hi = _arc((1 << w + 32) // 3, w + 32)
+        _LN2[:] = w + 32, 2 * lo, 2 * (hi + 2)
+    cw, lo, hi = _LN2
+    return lo >> cw - w, -(-hi >> cw - w)
 
 
 def _exp_fixed_core(m: int, e: int, v: int) -> Tuple[int, int, int]:
@@ -304,53 +318,24 @@ def _exp_fixed_core(m: int, e: int, v: int) -> Tuple[int, int, int]:
     return total, total + (3 * k + 4 * d + 10 << s + 2), n - w
 
 
-def _atanh_fixed(u: int, w: int) -> Tuple[int, int]:
-    """atanh(u 2^-w) in units of 2^-w for |u| < 2^(w-1): the series of |u|,
-    two terms for each product (u^(4i+1)/(4i+1), and u^(4i+3)/(4i+3) over
-    u^2, summed apart, as mpmath sums it), every power and term rounded
-    down (each within 3 units), to the first zero power (the tail below
-    one unit)."""
-    if u < 0:
-        lo, hi = _atanh_fixed(-u, w)
-        return -hi, -lo
-    u2 = u * u >> w
-    u4 = u2 * u2 >> w
-    even, odd, power, k = u, u // 3, u, 1
-    while power:
-        power = power * u4 >> w
-        k += 4
-        even += power // k
-        odd += power // (k + 2)
-    total = even + (odd * u2 >> w)
-    return total, total + 2 * k + 8
-
-
 _LOG_BITS = 7
 _LOG_TABLE: dict = {}  # (n, w) -> log(n 2^-_LOG_BITS) in units of 2^-w, rounded outward
 
 
 def _log_entry(n: int, w: int) -> Tuple[int, int]:
     """log(n 2^-_LOG_BITS) = 2 atanh(p/q), p = n - 2^_LOG_BITS and
-    q = n + 2^_LOG_BITS, |p/q| <= 1/3, in units of 2^-w: each power of p/q
-    from the last, rounded down (within 2 units), and each term, to the
-    first zero power.  Cached."""
+    q = n + 2^_LOG_BITS, |p/q| <= 1/3, in units of 2^-w: p/q rounded down
+    costs at most 9/8 units of atanh, so 2 more on the upper end.
+    Cached."""
     entry = _LOG_TABLE.get((n, w))
     if entry is None:
-        p, q = n - (1 << _LOG_BITS), n + (1 << _LOG_BITS)
-        p2, q2 = p * p, q * q
-        total = power = (abs(p) << w) // q
-        k = 1
-        while power:
-            power = power * p2 // q2
-            k += 2
-            total += power // k
-        lo, hi = 2 * total, 2 * (total + k + 4)
-        entry = _LOG_TABLE[n, w] = (lo, hi) if p >= 0 else (-hi, -lo)
+        lo, hi = _arc((n - (1 << _LOG_BITS) << w) // (n + (1 << _LOG_BITS)), w)
+        entry = _LOG_TABLE[n, w] = 2 * lo, 2 * (hi + 2)
     return entry
 
 
 def _log_fixed_core(man: int, exp: int, prec: int) -> Tuple[int, int, int]:
-    """(lo, hi, w) with lo 2^-w <= log(man 2^exp) <= hi 2^-w, man > 0 and
+    """(lo, hi, -w) with lo 2^-w <= log(man 2^exp) <= hi 2^-w, man > 0 and
     man 2^exp != 1, for a result of prec + _EXTRA significant bits.
 
     x = y 2^k with y in [1, 2), or y = x in [1/2, 2), where w grows by
@@ -373,14 +358,26 @@ def _log_fixed_core(man: int, exp: int, prec: int) -> Tuple[int, int, int]:
     y = man << e if e >= 0 else man >> -e  # within a unit below y 2^g
     n = (y >> g - _LOG_BITS - 1) + 1 >> 1
     a = n << g - _LOG_BITS
-    a_lo, a_hi = _atanh_fixed((y - a << g) // (y + a), g)  # within 2 units below t 2^g
+    a_lo, a_hi = _arc((y - a << g) // (y + a), g)  # within 2 units below t 2^g
     l_lo, l_hi = _log_entry(n, g)
     lo, hi = l_lo + 2 * a_lo, l_hi + 2 * (a_hi + 4)
     if k:
         kb = abs(k).bit_length() + 2  # k ln 2 to a unit of 2^-g
         c_lo, c_hi = _ln2(g + kb)[::1 if k > 0 else -1]
         lo, hi = lo + (k * c_lo >> kb), hi - (-k * c_hi >> kb)
-    return lo >> 10, -(-hi >> 10), w
+    return lo >> 10, -(-hi >> 10), -w
+
+
+def _rounded(core, man: int, exp: int, bits: int, prec: int, rnd: str) -> tuple:
+    """The enclosure (lo, hi, f) = core(man, exp, bits) of a value, lo 2^f
+    and hi 2^f rounded at prec bits, with bits doubled until both ends
+    round alike."""
+    while True:
+        lo, hi, f = core(man, exp, bits)
+        result = _make(lo, f, prec, rnd)
+        if result == _make(hi, f, prec, rnd):
+            return result
+        bits *= 2
 
 
 def _exp(s: tuple, prec: int, rnd: str) -> tuple:
@@ -390,13 +387,8 @@ def _exp(s: tuple, prec: int, rnd: str) -> tuple:
     mag = s[2] + s[3]
     if mag < -prec - 2:  # e^s lies within a quarter unit of 1 in the last place
         return _make((1 << prec + 2) + (-1 if s[0] else 1), -prec - 2, prec, rnd)
-    v = max(prec, -2 * mag) + _EXTRA  # tells e^s apart from 1 + s, s^2/2 away
-    while True:
-        lo, hi, f = _exp_fixed_core(_val(s), s[2], v)
-        result = _make(lo, f, prec, rnd)
-        if result == _make(hi, f, prec, rnd):
-            return result
-        v *= 2
+    # max(prec, -2 mag) + _EXTRA bits tell e^s apart from 1 + s, s^2/2 away
+    return _rounded(_exp_fixed_core, _val(s), s[2], max(prec, -2 * mag) + _EXTRA, prec, rnd)
 
 
 def _log(s: tuple, prec: int, rnd: str) -> tuple:
@@ -404,22 +396,14 @@ def _log(s: tuple, prec: int, rnd: str) -> tuple:
     above)."""
     if s[0] or not s[1]:
         raise DomainError("logarithm of a number that is not positive")
-    if s == _ONE:
-        return _ZERO
-    bits = prec
-    while True:
-        lo, hi, w = _log_fixed_core(s[1], s[2], bits)
-        result = _make(lo, -w, prec, rnd)
-        if result == _make(hi, -w, prec, rnd):
-            return result
-        bits *= 2
+    return _ZERO if s == _ONE else _rounded(_log_fixed_core, s[1], s[2], prec, prec, rnd)
 
 
 @lru_cache(maxsize=8)
 def _pi(prec: int) -> tuple:
-    """pi = 16 atan(1/5) - 4 atan(1/239) (Machin) rounded outward at prec
-    bits: ``mpi_pi``."""
+    """pi = 16 atan(1/5) - 4 atan(1/239) (Machin), rounded outward at prec
+    bits: ``mpi_pi``.  Each argument rounded down costs at most a unit of
+    atan, whose slope is below 1, on the upper end."""
     w = prec + 64
-    (a, m), (b, n) = _acot(5, w, -1), _acot(239, w, -1)
-    lo, hi = 16 * (a - m - 2) - 4 * (b + n + 2), 16 * (a + m + 2) - 4 * (b - n - 2)
-    return _make(lo, -w, prec, _F), _make(hi, -w, prec, _C)
+    (a, b), (c, d) = _arc((1 << w) // 5, w, -1), _arc((1 << w) // 239, w, -1)
+    return _make(16 * a - 4 * (d + 1), -w, prec, _F), _make(16 * (b + 1) - 4 * c, -w, prec, _C)

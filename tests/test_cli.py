@@ -775,6 +775,26 @@ def test_precision_env_override():
     assert proc.returncode == 0 and proc.stdout.strip() == "200"
 
 
+@pytest.mark.parametrize("value", ["-5", "79", "abc"])
+def test_precision_env_out_of_range_is_a_usage_error(value):
+    """A value the numerics reject (before, -5 and 79 ran at 80 bits and
+    abc printed int()'s message) exits 2 with one line that names the
+    variable."""
+    import os
+
+    env = dict(os.environ, LERAYKIT_PRECISION_BITS=value)
+    proc = subprocess.run(
+        [sys.executable, "-m", "leraykit.cli", "phi", "--r", "1", "--q", "0"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: LERAYKIT_PRECISION_BITS: precision must be at least 80 bits, given as an integer (got {value!r})\n"
+    )
+
+
 _LOADED_PROBE = """
 import runpy, sys
 before = set(sys.modules)

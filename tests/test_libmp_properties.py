@@ -193,7 +193,8 @@ def test_exp_core_encloses_exp(x, v):
 def test_log_core_encloses_log(x, prec):
     x = libmp.mpf_abs(x)
     if x != libmp.fone:
-        lo, hi, w = lm._log_fixed_core(x[1], x[2], prec)
+        lo, hi, f = lm._log_fixed_core(x[1], x[2], prec)
+        w = -f
         with mpmath.workprec(w + 400):
             truth = mpmath.log(mpmath.mpf(x))
             assert _oracle_between(lo, hi, -w, truth)

@@ -91,7 +91,28 @@ def test_precision_below_the_minimum_is_rejected():
     saved = sf.precision_bits()
     with pytest.raises(ValueError, match="precision must be at least 80 bits"):
         sf.set_precision_bits(79)
+    for bad in (-5, 79.5, 120.0, "79", None):
+        with pytest.raises(DomainError) as info:
+            sf.set_precision_bits(bad)
+        assert str(info.value) == (
+            f"set_precision_bits: precision must be at least 80 bits, given as an integer (got {bad!r})"
+        )
     assert sf.precision_bits() == saved
+
+
+@pytest.mark.parametrize("value", ["-5", "79", "abc", "1e3"])
+def test_precision_env_must_be_an_integer_of_at_least_80(value):
+    """The variable is checked as set_precision_bits checks its argument,
+    not clamped to 80: importing the numerics raises DomainError naming
+    the variable and the value."""
+    env = {**os.environ, "LERAYKIT_PRECISION_BITS": value}
+    proc = subprocess.run([sys.executable, "-c", "import leraykit.specialfn"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert proc.stderr.splitlines()[-1] == (
+        "leraykit.errors.DomainError: LERAYKIT_PRECISION_BITS: precision must be at least 80 "
+        f"bits, given as an integer (got {value!r})"
+    )
 
 
 @given(
@@ -189,11 +210,29 @@ def test_finite_check_accepts_values_beyond_double_range():
 
 
 def test_phi_series_bracket_contains_value():
-    for r, q in ((0.8, 2.0 / 3.0), (3.0, 0.0), (50.0, 1.0), (-1.5, -2.0)):
+    # the last r lies below the double range: the cross-check takes it as 0
+    for r, q in ((0.8, 2.0 / 3.0), (3.0, 0.0), (50.0, 1.0), (-1.5, -2.0), (mpmath.mpf(2) ** -(10 ** 9), 0.5)):
         v = phi(r, q)
         partial, lo, hi = phi_series_partial(r, q)
         assert partial + float(lo) - float(v.error_radius) <= float(v.value)
         assert float(v.value) <= partial + float(hi) + float(v.error_radius)
+
+
+@pytest.mark.parametrize("r, q", [
+    (Fraction(-2, 3) + Fraction(1, 10 ** 9), Fraction(1, 3)),
+    (Fraction(1, 3) - 1 + Fraction(1, 10 ** 6), Fraction(1, 3)),
+    (Fraction(-1, 3) + Fraction(1, 10 ** 7), Fraction(2, 3)),
+    (mpmath.mpf(-2) / 3 + mpmath.mpf(10) ** -9, mpmath.mpf(1) / 3),
+])
+def test_phi_next_to_its_pole_at_exact_arguments(r, q):
+    """r + 1 - q far below r and q: the cross-check rounds it once from the
+    exact arguments, not from the doubles nearest r and q (whose rounding
+    would swamp it), so phi returns its enclosure, which holds the value."""
+    out = phi(r, q)
+    with mpmath.workprec(400):
+        rm, qm = (mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v for v in (r, q))
+        x = rm + 1 - qm
+        assert out.contains(2 * rm * mpmath.psi(1, x) + rm * rm * mpmath.psi(2, x))
 
 
 def _three_hundred_term_bracket(r, q):

@@ -2,7 +2,9 @@
 
     python tools/bench_baseline.py [--src SRC] [--runs 5] [--tier1] [--out BENCH.json]
 
-In process, in a fresh interpreter: each L1-L4 call, each `emcert`
+In process, in a fresh interpreter: each L1-L4 call (among them exp and
+log of a BoundedFloat whose ends are rounded at 120 bits, `_libmp`'s
+correctly rounded `_exp` and `_log` at each end), each `emcert`
 certificate, the two exact `bwcert` certificates, the three exact Taylor
 tables `bwcert` builds on import and `exp_series_nonnegative` on the
 kernel's d0 among them.  After one warm-up call, a second sets n, the
@@ -39,17 +41,21 @@ from typing import Dict, List
 
 IN_PROCESS = r"""
 import json, math, statistics, sys, time
+from fractions import Fraction
 from leraykit import bwcert, emcert, leray_norm, log_gamma, monotonicity_scan, phi, polygamma, sup_search, symbol_value
 from leraykit.bwcert import bw_certificate_suite, cm_numeric_certificate, f_q
 from leraykit.exactpoly import BivariatePolynomial, exp_series_nonnegative
 d0 = bwcert._d0(BivariatePolynomial.x(), BivariatePolynomial.y())
-from leraykit.specialfn import phi_series_partial
+from leraykit.specialfn import BoundedFloat, phi_series_partial
 runs = int(sys.argv[1])
+third = BoundedFloat.exact(Fraction(7, 3))  # ends rounded at the default 120 bits
 calls = {
     "L1 log_gamma(7.5)": lambda: log_gamma(7.5),
     "L1 polygamma(1, 7.5)": lambda: polygamma(1, 7.5),
     "L1 phi(2.5, 0.25), with its series cross-check": lambda: phi(2.5, 0.25),
     "L1 phi_series_partial(2.5, 0.25), the cross-check alone": lambda: phi_series_partial(2.5, 0.25),
+    "L1 BoundedFloat.exact(7/3).exp(), ends rounded at 120 bits": third.exp,
+    "L1 BoundedFloat.exact(7/3).log(), ends rounded at 120 bits": third.log,
     "L2 symbol_value(3, 0.5, 7)": lambda: symbol_value((3.0, 0.5, 7)),
     "L2 monotonicity_scan(3, 0.5, 200)": lambda: monotonicity_scan(3.0, 0.5, 200),
     "L2 monotonicity_scan(5, 3, 2000), non-monotone": lambda: monotonicity_scan(5.0, 3.0, 2000),
