@@ -79,7 +79,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, fsum, inf, isfinite, log2, nextafter, perm
+from math import factorial, inf, isfinite, log2, nextafter, perm
 from typing import Tuple, Union
 
 from ._libmp import (
@@ -120,22 +120,34 @@ DEFAULT_PRECISION_BITS = 120
 DEFAULT_TOL = 1e-12  # the CLI's default --tolerance and bwcert.f_q's fixed quadrature target
 
 
-def _checked_bits(source: str, bits) -> int:
-    """bits, an int or the decimal text of one, if it is at least
-    _MIN_PREC; else DomainError naming where it came from."""
+def _checked_bits(source: str, bits, given=None) -> int:
+    """bits if it is an integer (operator.index takes it) of at least
+    _MIN_PREC; else DomainError naming where it came from and what was
+    given (bits itself, or the text it was parsed from)."""
     try:
-        value = int(bits) if isinstance(bits, str) else operator.index(bits)
-    except (TypeError, ValueError):
+        value = operator.index(bits)
+    except TypeError:
         value = None
     if value is None or value < _MIN_PREC:
         raise DomainError(
-            f"{source}: precision must be at least {_MIN_PREC} bits, given as an integer (got {bits!r})"
+            f"{source}: precision must be at least {_MIN_PREC} bits, given as an integer "
+            f"(got {bits if given is None else given!r})"
         )
     return value
 
 
+def _env_bits(text: str) -> int:
+    """The precision LERAYKIT_PRECISION_BITS names in decimal, checked as
+    set_precision_bits checks its argument."""
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = None
+    return _checked_bits("LERAYKIT_PRECISION_BITS", bits, text)
+
+
 _env = os.environ.get("LERAYKIT_PRECISION_BITS")
-_PREC = _checked_bits("LERAYKIT_PRECISION_BITS", _env) if _env else DEFAULT_PRECISION_BITS
+_PREC = _env_bits(_env) if _env else DEFAULT_PRECISION_BITS
 
 
 def _sync_mpmath() -> None:
@@ -735,10 +747,7 @@ def phi_series_partial(r: Scalar, q: Scalar) -> Tuple[float, float, float]:
     if not (isfinite(rf) and isfinite(qf)):
         raise DomainError("phi series check needs r and q within double range")
     try:
-        if isinstance(r, float) and isinstance(q, float):  # the same double, 40 times faster
-            x = fsum((rf, 1.0, -qf))
-        else:
-            x = float(_exact(r) + 1 - _exact(q))
+        x = float(_exact(r) + 1 - _exact(q))
     except OverflowError:
         raise DomainError("phi series check needs r + 1 - q within double range") from None
     if not x > 0:

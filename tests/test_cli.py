@@ -775,7 +775,7 @@ def test_precision_env_override():
     assert proc.returncode == 0 and proc.stdout.strip() == "200"
 
 
-@pytest.mark.parametrize("value", ["-5", "79", "abc"])
+@pytest.mark.parametrize("value", ["-5", "79", "abc", "1e3"])
 def test_precision_env_out_of_range_is_a_usage_error(value):
     """A value the numerics reject (before, -5 and 79 ran at 80 bits and
     abc printed int()'s message) exits 2 with one line that names the

@@ -91,28 +91,13 @@ def test_precision_below_the_minimum_is_rejected():
     saved = sf.precision_bits()
     with pytest.raises(ValueError, match="precision must be at least 80 bits"):
         sf.set_precision_bits(79)
-    for bad in (-5, 79.5, 120.0, "79", None):
+    for bad in (-5, 79.5, 120.0, "79", "120", None):
         with pytest.raises(DomainError) as info:
             sf.set_precision_bits(bad)
         assert str(info.value) == (
             f"set_precision_bits: precision must be at least 80 bits, given as an integer (got {bad!r})"
         )
     assert sf.precision_bits() == saved
-
-
-@pytest.mark.parametrize("value", ["-5", "79", "abc", "1e3"])
-def test_precision_env_must_be_an_integer_of_at_least_80(value):
-    """The variable is checked as set_precision_bits checks its argument,
-    not clamped to 80: importing the numerics raises DomainError naming
-    the variable and the value."""
-    env = {**os.environ, "LERAYKIT_PRECISION_BITS": value}
-    proc = subprocess.run([sys.executable, "-c", "import leraykit.specialfn"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode != 0
-    assert proc.stderr.splitlines()[-1] == (
-        "leraykit.errors.DomainError: LERAYKIT_PRECISION_BITS: precision must be at least 80 "
-        f"bits, given as an integer (got {value!r})"
-    )
 
 
 @given(
