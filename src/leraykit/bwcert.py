@@ -57,14 +57,11 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-# unused here, but perfbench/spans.py rebinds this module's `mpmath`
-import mpmath
-
 from ._quadrature import quad
 from .certificates import Certificate, Checks
 from .errors import CrossCheckFailure, DomainError, ToleranceUnreachable
 from .exactpoly import BivariatePolynomial, exp_series_nonnegative, exp_taylor_coefficient
-from .specialfn import DEFAULT_TOL, BoundedFloat, _require_finite, theta
+from .specialfn import DEFAULT_TOL, BoundedFloat, _mpmath, _require_finite, theta
 
 __all__ = [
     "g0",
@@ -80,6 +77,15 @@ __all__ = [
     "bw_certificate_suite",
     "S2_SMALL_T_LIMIT",
 ]
+
+
+def __getattr__(name: str):
+    # nothing here computes with mpmath; perfbench/spans.py traces the
+    # module's `mpmath`, which loads it on first access (PEP 562)
+    if name == "mpmath":
+        return _mpmath()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # limit of the lower root as t -> 0+
 S2_SMALL_T_LIMIT = (3 - math.sqrt(3)) / 6
@@ -338,11 +344,12 @@ def f_q(x: float, q: float, cross_check: bool = True) -> BoundedFloat:
     out = theta(BoundedFloat.exact(x) + q, q) - x - 2 * q + Fraction(1, 2)
     if cross_check:
         quad_val, tail = _laplace_route(x, q)
-        disagreement = abs(out.value - quad_val)
-        if disagreement > 10 * DEFAULT_TOL + tail + out.error_radius:
+        gate = 10 * DEFAULT_TOL + tail
+        diff = out - quad_val
+        if diff.separated_above(gate) or diff.separated_below(-gate):
             raise CrossCheckFailure(
-                f"f_q({x}, {q}): theta route {float(out.value)} vs quadrature "
-                f"{float(quad_val)} differ by {float(disagreement):.3e}"
+                f"f_q({x}, {q}): theta route {float(out)} vs quadrature "
+                f"{quad_val} differ by {abs(float(diff)):.3e}"
             )
     return out
 
@@ -385,7 +392,7 @@ def cm_numeric_certificate(q: float) -> Certificate:
             signed = fd if m % 2 == 0 else -fd
             if signed.separated_above(0):
                 continue
-            record = {"x": x, "order": m, "value": float(signed.value)}
+            record = {"x": x, "order": m, "value": float(signed)}
             if signed.separated_below(0):
                 fd_violations.append(record)
             else:

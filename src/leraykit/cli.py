@@ -23,8 +23,8 @@ Building the parser and running ``version`` load no numerics.  Each other
 subcommand imports the layers it runs when it is called, and looks its
 functions up in their modules at call time: ``phi`` loads ``specialfn``;
 ``symbol``, ``norm``, ``scan`` and the j-sweep of ``figures`` also
-``symbol``; ``certify`` the certificate suites.  Only ``certify`` loads
-mpmath: the value commands compute on integers and print doubles.
+``symbol``; ``certify`` the certificate suites.  No command loads mpmath:
+each computes on integers and prints doubles.
 """
 
 from __future__ import annotations

@@ -55,9 +55,6 @@ import math
 from fractions import Fraction
 from typing import List, Tuple
 
-import mpmath
-from mpmath import mpf
-
 from . import tables
 from ._quadrature import quad
 from .certificates import Certificate, Checks
@@ -69,7 +66,7 @@ from .exactpoly import (
     descartes_sign_changes,
     sign_pattern,
 )
-from .specialfn import _sync_mpmath
+from .specialfn import _mpmath, _sync_mpmath
 
 # q_root_mp computes at mpmath.mp.prec, which a specialfn imported before
 # mpmath was loaded has not set yet
@@ -251,7 +248,7 @@ def bracket_high(r):
     return _bracket_high(r, _BRACKET_C)
 
 
-def q_root_mp(r) -> mpf:
+def q_root_mp(r) -> "mpmath.mpf":
     """Peak location Q_r at working precision: closed cubic form
 
         Q_r = (3 + 25 r^2 + (1-r) alpha + alpha^2) / (6 alpha),
@@ -261,6 +258,8 @@ def q_root_mp(r) -> mpf:
     far below double resolution, so high precision is not optional).  The
     steps use p_r at the exact value of r: a Fraction as given, any other
     input at the dyadic value of its working-precision mpf."""
+    mpmath = _mpmath()
+    mpf = mpmath.mpf
     rv = mpf(r) if not isinstance(r, Fraction) else mpf(r.numerator) / r.denominator
     if not (rv > mpf(2) / 3 and mpmath.isfinite(rv)):
         raise DomainError(f"q_root requires finite r > 2/3 (got {float(rv)})")

@@ -44,13 +44,14 @@ sources:
 
 mpmath itself is imported only when a caller reads an mpf: a
 BoundedFloat's ``value``, ``error_radius``, ``lower`` or ``upper``, or
-its repr.  One working precision, an integer of at least 80 bits set by
-LERAYKIT_PRECISION_BITS or :func:`set_precision_bits`, drives the
-interval arithmetic and, whenever mpmath is loaded, ``mpmath.mp``.  No
-function here takes a tolerance: each returns its certified enclosure at
-the working precision, whatever its radius, and a caller that needs a
-bound on the radius checks it (the command line rejects a radius above
-``--tolerance``).  More bits narrow only the rounding part of a radius.
+its repr.  `_mpmath` is the package's one import of it.  One working
+precision, an integer of at least 80 bits set by LERAYKIT_PRECISION_BITS
+or :func:`set_precision_bits`, drives the interval arithmetic and,
+whenever mpmath is loaded, ``mpmath.mp``.  No function here takes a
+tolerance: each returns its certified enclosure at the working precision,
+whatever its radius, and a caller that needs a bound on the radius checks
+it (the command line rejects a radius above ``--tolerance``).  More bits
+narrow only the rounding part of a radius.
 
 The polygamma functions psi^(m) for m >= 1 are evaluated from their series
 
@@ -150,17 +151,24 @@ _env = os.environ.get("LERAYKIT_PRECISION_BITS")
 _PREC = _env_bits(_env) if _env else DEFAULT_PRECISION_BITS
 
 
+_mpmath_synced = False  # whether a loaded mpmath has had the working precision
+
+
 def _sync_mpmath() -> None:
     """Give a loaded mpmath the working precision (``emcert`` computes at
-    ``mpmath.mp.prec``).  An mpmath loaded later gets it from `_mpmath`,
-    or from ``emcert``'s import."""
+    ``mpmath.mp.prec``).  An mpmath loaded later gets it from the first
+    `_mpmath` call, or from ``emcert``'s import."""
+    global _mpmath_synced
     if "mpmath" in sys.modules:
         sys.modules["mpmath"].mp.prec = _PREC
+        _mpmath_synced = True
 
 
 def _mpmath():
-    """mpmath, imported on first use."""
-    if "mpmath" not in sys.modules:
+    """mpmath, imported on first use.  The first call gives the working
+    precision to an mpmath no sync has reached yet, also one a caller
+    loaded (``emcert.q_root_mp`` computes at ``mpmath.mp.prec``)."""
+    if not _mpmath_synced:
         import mpmath  # noqa: F401
 
         _sync_mpmath()
@@ -720,12 +728,14 @@ def phi_series_partial(r: Scalar, q: Scalar) -> Tuple[float, float, float]:
     plus a two-sided bracket for its tail.
 
     Returns (partial, tail_lo, tail_hi) in double precision, with x the
-    double nearest r + 1 - q, rounded once from the exact arguments: the
-    sum over j >= 1 of 2r (j - q)/(x + j - 1)^3, at the doubles nearest r
-    and q, lies in [partial + tail_lo, partial + tail_hi].  An x rounded
-    from those doubles instead would lose its relative accuracy next to
-    the pole x = 0, where phi grows like 1/x^3.  Each term is a product of
-    ratios of moderate size, so nothing overflows even for r near 1e300.
+    double nearest r + 1 - q and each numerator j - q the double nearest
+    its value, both rounded once from the exact arguments: the sum over
+    j >= 1 of 2r (j - q)/(x + j - 1)^3, at the double nearest r, lies in
+    [partial + tail_lo, partial + tail_hi].  Rounded from the double
+    nearest q instead, x would lose its relative accuracy next to the pole
+    x = 0, where phi grows like 1/x^3, and j - q next to an integer q.
+    Each term is a product of ratios of moderate size, so nothing
+    overflows even for r near 1e300.
 
     The tail sum_{j>N} [2r/d_j^2 - 2r^2/d_j^3], d_j = r + j - q, is two
     families c/(x + j - 1)^p (p = 2, 3; c = 2r, -2r^2), each c times a
@@ -752,12 +762,14 @@ def phi_series_partial(r: Scalar, q: Scalar) -> Tuple[float, float, float]:
         raise DomainError("phi series check needs r + 1 - q within double range") from None
     if not x > 0:
         raise DomainError("phi series requires r + 1 - q > 0")
-    # term j is 2r (j - q) / d^3 with d = x + j - 1 = r + j - q > 0
+    # term j is 2r (j - q) / d^3 with d = x + j - 1 = r + j - q > 0, and
+    # j - q the double nearest the exact value (int division rounds once)
+    a, b = _exact(q).as_integer_ratio()
     terms = _PHI_SERIES_TERMS
     partial = magnitude = 0.0
     for j in range(1, terms + 1):
         d = x + (j - 1)
-        t = 2 * (rf / d) * ((j - qf) / d) / d
+        t = 2 * (rf / d) * (((j * b - a) / b) / d) / d
         partial += t
         magnitude += abs(t)
     y = x + terms

@@ -305,6 +305,16 @@ def test_cross_check_catches_a_shifted_polygamma_route(monkeypatch):
     monkeypatch.setattr(bwcert, "theta", lambda r, q: original(r, q) + 100 * tol)
     with pytest.raises(CrossCheckFailure):
         f_q(0.5, 0.0)
+    # at the edge of the gate, 10 tol + tail (the tail about 1.3e-15 here),
+    # the polygamma radius being far below both
+    gate = 10 * tol + bwcert._tail_cutoff(0.5, 0.0)[1]
+    for factor in (0.99, -0.99, 1.01, -1.01):
+        monkeypatch.setattr(bwcert, "theta", lambda r, q: original(r, q) + factor * gate)
+        if abs(factor) < 1:
+            f_q(0.5, 0.0)
+        else:
+            with pytest.raises(CrossCheckFailure):
+                f_q(0.5, 0.0)
 
 
 def test_cross_check_below_quadrature_resolution_is_unreachable():

@@ -828,8 +828,8 @@ _VALUE = _NUMERICS | {"leraykit.symbol"}
 
 def _check_layers(names, argv, layers):
     assert {n for n in names if n.startswith("leraykit")} == _PARSER_PATH | layers
-    # the value commands compute on integers: only certify loads mpmath
-    assert ("mpmath" in names) == (argv[0] == "certify")
+    # every command computes on integers and prints doubles
+    assert "mpmath" not in names
     # plain classes, not dataclasses, which would bring inspect along
     assert not names & {"dataclasses", "inspect"}
     if argv == ("version",):

@@ -208,11 +208,15 @@ def test_phi_series_bracket_contains_value():
     (Fraction(1, 3) - 1 + Fraction(1, 10 ** 6), Fraction(1, 3)),
     (Fraction(-1, 3) + Fraction(1, 10 ** 7), Fraction(2, 3)),
     (mpmath.mpf(-2) / 3 + mpmath.mpf(10) ** -9, mpmath.mpf(1) / 3),
+    # q just below 1, where the double nearest q is 1 and 1 - q would vanish
+    (Fraction(1, 10 ** 10), 1 - Fraction(1, 10 ** 20)),
+    (Fraction(1, 10 ** 8), 1 - Fraction(1, 10 ** 30)),
 ])
 def test_phi_next_to_its_pole_at_exact_arguments(r, q):
-    """r + 1 - q far below r and q: the cross-check rounds it once from the
-    exact arguments, not from the doubles nearest r and q (whose rounding
-    would swamp it), so phi returns its enclosure, which holds the value."""
+    """r + 1 - q, or a numerator j - q, far below r and q: the cross-check
+    rounds each once from the exact arguments, not from the doubles nearest
+    r and q (whose rounding would swamp it), so phi returns its enclosure,
+    which holds the value."""
     out = phi(r, q)
     with mpmath.workprec(400):
         rm, qm = (mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v for v in (r, q))
@@ -526,6 +530,27 @@ import leraykit.specialfn, mpmath
 assert mpmath.mp.prec == 53
 import leraykit.emcert
 assert mpmath.mp.prec == 200
+"""
+    _run_at_200_bits(code)
+
+
+def test_certificate_modules_load_mpmath_only_when_it_is_read():
+    """bwcert and emcert compute without mpmath: q_root_mp loads it at the
+    working precision, also one a caller loaded after emcert, and bwcert's
+    `mpmath` attribute still names it."""
+    code = """
+import sys
+import leraykit.bwcert, leraykit.emcert
+assert "mpmath" not in sys.modules
+q = leraykit.emcert.q_root_mp(2)
+assert sys.modules["mpmath"].mp.prec == 200 and q.man.bit_length() > 190
+assert leraykit.bwcert.mpmath is sys.modules["mpmath"]
+"""
+    _run_at_200_bits(code)
+    code = """
+import leraykit.emcert, mpmath
+assert mpmath.mp.prec == 53
+assert leraykit.emcert.q_root_mp(2).man.bit_length() > 190 and mpmath.mp.prec == 200
 """
     _run_at_200_bits(code)
 

@@ -16,14 +16,15 @@ back-to-back runs on a busy machine.)  Also in process, but cold: the
 the CLI computes them (one `symbol._mode_walk` per column, read row by
 row), each run in its own fresh interpreter after the imports, median of
 --runs.  As subprocesses: `import leraykit`, `import leraykit.bwcert`
-(which builds the kernel's Taylor tables exactly), `leraykit version`,
-`phi --r 3 --q 0.5`, `norm --gamma 3 --d 0.5`, `certify --suite bw`, `--suite em` and
-`--suite all --format json` (the benchmark's `certify` command, to stdout),
-`figures --id phi-sweep`, the same at LERAYKIT_PRECISION_BITS=200, and that
-j-sweep, wall clock from spawn to exit, median of --runs.  With --tier1,
-one run of the tier-1 suite from the checkout holding SRC; a failing run
-exits non-zero with the tail of its output and records no time.  The JSON
-result (seconds) goes to --out (default stdout).
+(which builds the kernel's Taylor tables exactly and loads no mpmath),
+`leraykit version`, `phi --r 3 --q 0.5`, `norm --gamma 3 --d 0.5`,
+`certify --suite bw`, `--suite em` and `--suite all --format json` (the
+benchmark's `certify` command, to stdout), `figures --id phi-sweep`, the
+same at LERAYKIT_PRECISION_BITS=200, and that j-sweep, wall clock from
+spawn to exit, median of --runs.  With --tier1, one run of the tier-1
+suite from the checkout holding SRC; a failing run exits non-zero with the
+tail of its output and records no time.  The JSON result (seconds) goes to
+--out (default stdout).
 """
 
 from __future__ import annotations
